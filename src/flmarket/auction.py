@@ -21,11 +21,18 @@ from .flsim import (
     SyntheticDataset,
     aggregate,
     evaluate_accuracy,
+    generate_population,
     init_model,
     local_train,
     poison,
 )
-from .ledger import HashChainLedger, PlainStore, UnknownClientError
+from .ledger import (
+    HashChainLedger,
+    PlainStore,
+    TamperConfig,
+    UnknownClientError,
+    tamper_attack,
+)
 from .mechanism import (
     Contract,
     MarketParams,
@@ -41,6 +48,7 @@ from .reputation import (
     additive_utility,
     banzhaf_exact,
     banzhaf_mc,
+    select_top_k,
     update_reputation,
 )
 
@@ -180,12 +188,14 @@ def run_round(
     # Every accepted client trains a candidate local model and is scored;
     # only the selected top-k are aggregated into the global model and paid.
     by_id = {c.id: c for c in population}
-    local_models = {}
-    for client in accepted:
-        data = client.dataset
-        if client.poison_cfg is not None:
-            data = poison(data, client.poison_cfg, seed=_mix(seed, state.round, client.id))
-        local_models[client.id] = local_train(state.model, data, state.agg)
+    datasets = [
+        c.dataset
+        if c.poison_cfg is None
+        else poison(c.dataset, c.poison_cfg, seed=_mix(seed, state.round, c.id))
+        for c in accepted
+    ]
+    trained = local_train(state.model, datasets, state.agg)
+    local_models = {c.id: m for c, m in zip(accepted, trained)}
     new_global = aggregate(
         [local_models[i] for i in selected],
         [len(by_id[i].dataset) for i in selected],
@@ -227,10 +237,7 @@ def run_round(
 
 
 def select_top_k_by_reputation(epsilons: dict[int, float], k: int) -> list[int]:
-    state = ReputationState(epsilon=dict(epsilons))
-    from .reputation import select_top_k
-
-    return select_top_k(state, k)
+    return select_top_k(ReputationState(epsilon=dict(epsilons)), k)
 
 
 def _check_bids(population: list[ClientProfile], bids: list[Bid], k: int) -> None:
@@ -328,8 +335,6 @@ def build_population(config, seed: int) -> tuple[list[ClientProfile], SyntheticD
     Efficiencies are uniform on [theta_min, theta_max]; the first
     poison_count clients are label-flipping poisoners.
     """
-    from .flsim import generate_population
-
     rng = np.random.default_rng(seed)
     thetas = (
         config.theta_min
@@ -386,8 +391,6 @@ def run_cell(
     tamper_cfg=None,
 ) -> list[RoundReport]:
     """All rounds of one (mechanism, k, seed) experiment cell."""
-    from .ledger import tamper_attack
-
     population, test = build_population(config, seed)
     if mechanism in ("ours-complete", "ours-incomplete"):
         params = MarketParams(
@@ -488,8 +491,6 @@ def run_reputation_trace(config, seed: int) -> list[dict]:
 def run_robustness(config) -> list[dict]:
     """Tamper-robustness grid: mean total server utility per
     (alpha, beta, ledger_mode) cell over the config's seeds."""
-    from .ledger import TamperConfig
-
     rows = []
     mechanism = config.mechanisms_ours()[0]
     k = config.k_values[0]

@@ -51,6 +51,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.n_clients < 1:
             raise ConfigError("n_clients must be a positive integer")
+        if not self.k_values:
+            raise ConfigError("k_select must list at least one value")
+        if not self.seeds:
+            raise ConfigError("seeds must list at least one seed")
+        if not self.mechanisms:
+            raise ConfigError("mechanisms must list at least one mechanism")
         for k in self.k_values:
             if not 1 <= k <= self.n_clients:
                 raise ConfigError("k_select must satisfy k_select <= n_clients")

@@ -8,7 +8,7 @@ clients are measurably more valuable to the global model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -23,16 +23,33 @@ TEST_OWNER = -1
 
 @dataclass
 class SyntheticDataset:
-    features: np.ndarray  # (n, d)
+    """Samples of one client, or the held-out test set.
+
+    `design` is the biased design matrix: the features plus a last column
+    of ones. It is `block[row, :len(self)]`, where `block` is a zero-padded
+    (clients, rows, d + 1) array that holds a whole population, so a round
+    trains every client on the block as it is. A dataset built on its own
+    is a block of one.
+    """
+
+    design: np.ndarray  # (n, d + 1), last column all ones
     labels: np.ndarray  # (n,) values in {0, 1}
     owner: int  # client id, or TEST_OWNER for the held-out test set
     true_labels: np.ndarray | None = None  # pre-noise labels, for diagnostics
+    block: np.ndarray | None = field(default=None, repr=False)
+    row: int = 0
 
     def __post_init__(self):
-        if len(self.features) < 1:
+        if len(self.design) < 1:
             raise ValueError("dataset must contain at least one sample")
-        if len(self.labels) != len(self.features):
-            raise ValueError("labels length must match feature rows")
+        if len(self.labels) != len(self.design):
+            raise ValueError("labels length must match design rows")
+        if self.block is None:
+            self.block = self.design[None]
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.design[:, :-1]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -88,7 +105,6 @@ class AggregationConfig:
 @dataclass(frozen=True)
 class PoisonConfig:
     flip_rate: float
-    target_clients: frozenset = frozenset()
 
     def __post_init__(self):
         if not 0.0 <= self.flip_rate <= 1.0:
@@ -97,10 +113,6 @@ class PoisonConfig:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
-
-
-def _design(features: np.ndarray) -> np.ndarray:
-    return np.hstack([features, np.ones((len(features), 1))])
 
 
 def generate_population(
@@ -116,44 +128,73 @@ def generate_population(
     direction /= np.linalg.norm(direction)
     mu = (CLASS_SEPARATION / 2.0) * direction
 
-    def draw(n: int, noise_rate: float, owner: int) -> SyntheticDataset:
+    def draw(design: np.ndarray, noise_rate: float) -> tuple[np.ndarray, np.ndarray]:
+        n = len(design)
         y = rng.integers(0, 2, size=n)
-        x = rng.normal(size=(n, FEATURE_DIM)) + (2 * y - 1)[:, None] * mu
+        design[:, :-1] = rng.normal(size=(n, FEATURE_DIM)) + (2 * y - 1)[:, None] * mu
+        design[:, -1] = 1.0
         flips = rng.random(n) < noise_rate
-        labels = np.where(flips, 1 - y, y)
-        return SyntheticDataset(x, labels, owner, true_labels=y)
+        return np.where(flips, 1 - y, y), y
 
+    counts = [int(round(BASE_SAMPLES * (1.0 + theta))) for theta in thetas]
+    block = np.zeros((n_clients, max(counts), FEATURE_DIM + 1))
     datasets = []
-    for i, theta in enumerate(thetas):
-        n = int(round(BASE_SAMPLES * (1.0 + theta)))
-        datasets.append(draw(n, (1.0 - theta) * NOISE_SCALE, owner=i))
-    test = draw(TEST_SAMPLES, 0.0, owner=TEST_OWNER)
-    return datasets, test
+    for i, (theta, n) in enumerate(zip(thetas, counts)):
+        labels, y = draw(block[i, :n], (1.0 - theta) * NOISE_SCALE)
+        datasets.append(SyntheticDataset(block[i, :n], labels, i, y, block, i))
+    test_design = np.empty((TEST_SAMPLES, FEATURE_DIM + 1))
+    labels, y = draw(test_design, 0.0)
+    return datasets, SyntheticDataset(test_design, labels, TEST_OWNER, y)
+
+
+def _design_block(datasets: list[SyntheticDataset]) -> np.ndarray:
+    """The zero-padded (n, m_max, d + 1) design block of `datasets`, in order.
+
+    When the datasets are exactly the rows of one population block, that
+    block is returned as it is; otherwise their rows are padded into a new one.
+    """
+    block = datasets[0].block
+    if len(datasets) == len(block) and all(
+        d.block is block and d.row == i for i, d in enumerate(datasets)
+    ):
+        return block
+    out = np.zeros((len(datasets), max(len(d) for d in datasets), block.shape[2]))
+    for i, d in enumerate(datasets):
+        out[i, : len(d)] = d.design
+    return out
 
 
 def local_train(
-    global_model: ModelParams, data: SyntheticDataset, cfg: AggregationConfig
-) -> ModelParams:
-    """Run local gradient-descent epochs on logistic loss.
+    global_model: ModelParams, datasets: list[SyntheticDataset], cfg: AggregationConfig
+) -> list[ModelParams]:
+    """Run local gradient-descent epochs on logistic loss for every client at once.
 
-    FedProx adds prox_mu * (w - w_global) to the gradient; Scaffold
-    corrects each step with (c_global - c_i) and updates c_i afterwards
-    (option-II variate update).
+    Each epoch is two stacked matrix products over the zero-padded design
+    block; padded rows are all zero, bias included, so they add nothing to
+    the gradient. FedProx adds prox_mu * (w - w_global) to the gradient;
+    Scaffold corrects each step with (c_global - c_i) and updates c_i
+    afterwards (option-II variate update), in the order of `datasets`.
+    Returns one local model per dataset, in order.
     """
-    if len(data) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    x = _design(data.features)
-    y = data.labels.astype(float)
+    if not datasets:
+        raise ValueError("cannot train on zero datasets")
+    x = _design_block(datasets)
+    xt = x.transpose(0, 2, 1)
+    y = np.zeros(x.shape[:2])
+    for i, d in enumerate(datasets):
+        y[i, : len(d)] = d.labels
+    counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
     w_global = global_model.weights
-    w = w_global.copy()
+    w = np.tile(w_global, (len(datasets), 1))
     lr = cfg.learning_rate
 
     if cfg.algo is Aggregator.SCAFFOLD:
-        c_i = cfg.variate_for(data.owner, len(w))
+        c_i = np.stack([cfg.variate_for(d.owner, w.shape[1]) for d in datasets])
         c_global = cfg.global_variate
 
     for _ in range(cfg.local_epochs):
-        grad = x.T @ (_sigmoid(x @ w) - y) / len(y)
+        residual = _sigmoid((x @ w[:, :, None])[:, :, 0]) - y
+        grad = (xt @ residual[:, :, None])[:, :, 0] / counts
         if cfg.algo is Aggregator.FEDPROX:
             grad = grad + cfg.prox_mu * (w - w_global)
         elif cfg.algo is Aggregator.SCAFFOLD:
@@ -162,9 +203,10 @@ def local_train(
 
     if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
         c_new = c_i - cfg.global_variate + (w_global - w) / (cfg.local_epochs * lr)
-        cfg.pending_variate_updates.append(c_new - c_i)
-        cfg.client_variates[data.owner] = c_new
-    return ModelParams(w)
+        for d, old, new in zip(datasets, c_i, c_new):
+            cfg.pending_variate_updates.append(new - old)
+            cfg.client_variates[d.owner] = new
+    return [ModelParams(weights) for weights in w]
 
 
 def aggregate(
@@ -189,7 +231,7 @@ def evaluate_accuracy(model: ModelParams, test: SyntheticDataset) -> float:
     """Fraction of correct 0/1 predictions; ties at the boundary go to class 0."""
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    logits = _design(test.features) @ model.weights
+    logits = test.design @ model.weights
     preds = (logits > 0.0).astype(int)
     return float(np.mean(preds == test.labels))
 
@@ -205,5 +247,4 @@ def poison(data: SyntheticDataset, cfg: PoisonConfig, seed: int) -> SyntheticDat
     """Flip each label independently with probability cfg.flip_rate."""
     rng = np.random.default_rng(seed)
     flips = rng.random(len(data)) < cfg.flip_rate
-    labels = np.where(flips, 1 - data.labels, data.labels)
-    return SyntheticDataset(data.features, labels, data.owner, data.true_labels)
+    return replace(data, labels=np.where(flips, 1 - data.labels, data.labels))

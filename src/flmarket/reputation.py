@@ -94,8 +94,7 @@ def banzhaf_mc(
     others = np.array([j for j in range(n) if j != i])
     evaluate = u.evaluator
     total = 0.0
-    for _ in range(samples):
-        include = rng.random(len(others)) < 0.5
+    for include in rng.random((samples, len(others))) < 0.5:
         coalition = frozenset(others[include].tolist())
         total += evaluate(coalition | {i}) - evaluate(coalition)
     return total / samples

@@ -167,6 +167,23 @@ class TestRunCommand:
     def test_missing_config_is_a_usage_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, invariant",
+        [
+            ("seeds", "seeds must list at least one seed"),
+            ("k_select", "k_select must list at least one value"),
+            ("mechanisms", "mechanisms must list at least one mechanism"),
+        ],
+    )
+    def test_empty_list_is_a_usage_error_naming_the_invariant(
+        self, tmp_path, capsys, key, invariant
+    ):
+        body = SMALL_CONFIG + f"output_dir = {tmp_path / 'out'}\n{key} =\n"
+        path = write_config(tmp_path, body)
+        assert main(["run", str(path)]) == 2
+        assert invariant in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_is_a_usage_error(self, tmp_path):
         path = write_config(tmp_path, "n_clients = 3\nk_select = 9\n")
         assert main(["run", str(path)]) == 2

@@ -56,21 +56,21 @@ class TestGeneratePopulation:
 class TestLocalTrain:
     def _tiny_data(self):
         return SyntheticDataset(
-            features=np.array([[1.0, -2.0]]), labels=np.array([1]), owner=0
+            design=np.array([[1.0, -2.0, 1.0]]), labels=np.array([1]), owner=0
         )
 
     def test_zero_learning_rate_is_identity(self):
         datasets, _ = generate_population(1, [0.8], seed=2)
         cfg = AggregationConfig(learning_rate=0.0)
         model = ModelParams(np.arange(21, dtype=float))
-        out = local_train(model, datasets[0], cfg)
+        out = local_train(model, [datasets[0]], cfg)[0]
         assert np.array_equal(out.weights, model.weights)
 
     def test_single_sample_single_step_matches_hand_gradient(self):
         data = self._tiny_data()
         w0 = np.array([0.5, -0.5, 0.1])
         cfg = AggregationConfig(algo=Aggregator.FEDAVG, local_epochs=1, learning_rate=0.3)
-        out = local_train(ModelParams(w0.copy()), data, cfg)
+        out = local_train(ModelParams(w0.copy()), [data], cfg)[0]
         x_aug = np.array([1.0, -2.0, 1.0])
         grad = (sigmoid(x_aug @ w0) - 1.0) * x_aug
         assert np.allclose(out.weights, w0 - 0.3 * grad, atol=1e-12)
@@ -83,24 +83,125 @@ class TestLocalTrain:
             cfg = AggregationConfig(
                 algo=Aggregator.FEDPROX, local_epochs=5, learning_rate=0.01, prox_mu=mu
             )
-            out = local_train(w_global, datasets[0], cfg)
+            out = local_train(w_global, [datasets[0]], cfg)[0]
             dists.append(np.linalg.norm(out.weights - w_global.weights))
         assert dists[0] >= dists[1] >= dists[2]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            SyntheticDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), owner=0)
+            SyntheticDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), owner=0)
 
     def test_scaffold_updates_control_variates(self):
         datasets, _ = generate_population(1, [0.9], seed=6)
         cfg = AggregationConfig(algo=Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.1)
         model = init_model()
-        local = local_train(model, datasets[0], cfg)
+        local = local_train(model, [datasets[0]], cfg)[0]
         assert 0 in cfg.client_variates
         assert len(cfg.pending_variate_updates) == 1
         aggregate([local], [len(datasets[0])], cfg)
         assert not cfg.pending_variate_updates
         assert np.any(cfg.global_variate != 0.0)
+
+
+def reference_train(global_model, data, cfg):
+    """The one-client loop that the batched trainer replaced."""
+    x, y = data.design, data.labels.astype(float)
+    w_global = global_model.weights
+    w = w_global.copy()
+    lr = cfg.learning_rate
+    if cfg.algo is Aggregator.SCAFFOLD:
+        c_i = cfg.variate_for(data.owner, len(w))
+        c_global = cfg.global_variate
+    for _ in range(cfg.local_epochs):
+        grad = x.T @ (sigmoid(np.clip(x @ w, -40.0, 40.0)) - y) / len(y)
+        if cfg.algo is Aggregator.FEDPROX:
+            grad = grad + cfg.prox_mu * (w - w_global)
+        elif cfg.algo is Aggregator.SCAFFOLD:
+            grad = grad + (c_global - c_i)
+        w = w - lr * grad
+    if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
+        c_new = c_i - cfg.global_variate + (w_global - w) / (cfg.local_epochs * lr)
+        cfg.pending_variate_updates.append(c_new - c_i)
+        cfg.client_variates[data.owner] = c_new
+    return ModelParams(w)
+
+
+def mixed_clients(dim):
+    """Clients with different sample counts and one label-flipping poisoner.
+
+    At 20 features they are one generated population, sharing its block;
+    at 2 features each is built alone, in a block of its own.
+    """
+    if dim == 20:
+        datasets, _ = generate_population(4, [0.0, 0.4, 0.7, 1.0], seed=21)
+    else:
+        rng = np.random.default_rng(21)
+        datasets = []
+        for owner, m in enumerate((3, 17, 8, 30)):
+            design = np.hstack([rng.normal(size=(m, dim)), np.ones((m, 1))])
+            datasets.append(SyntheticDataset(design, rng.integers(0, 2, size=m), owner))
+    datasets[1] = poison(datasets[1], PoisonConfig(0.8), seed=3)
+    return datasets
+
+
+def train_config(algo, dim):
+    rng = np.random.default_rng(5)
+    cfg = AggregationConfig(algo=algo, local_epochs=7, learning_rate=0.4, prox_mu=0.3)
+    if algo is Aggregator.SCAFFOLD:
+        cfg.global_variate = 0.05 * rng.normal(size=dim + 1)
+        cfg.client_variates = {owner: 0.05 * rng.normal(size=dim + 1) for owner in (0, 2)}
+    return cfg
+
+
+class TestBatchedTrain:
+    @pytest.mark.parametrize("dim", [2, 20])
+    @pytest.mark.parametrize("algo", list(Aggregator))
+    def test_batch_matches_each_client_trained_alone(self, algo, dim):
+        datasets = mixed_clients(dim)
+        assert len({len(d) for d in datasets}) == len(datasets)
+        model = ModelParams(0.1 * np.random.default_rng(8).normal(size=dim + 1))
+        cfg_batch, cfg_alone, cfg_ref = (train_config(algo, dim) for _ in range(3))
+        batch = local_train(model, datasets, cfg_batch)
+        alone = [local_train(model, [d], cfg_alone)[0] for d in datasets]
+        reference = [reference_train(model, d, cfg_ref) for d in datasets]
+        assert len(batch) == len(datasets)
+        for b, a, r in zip(batch, alone, reference):
+            assert np.allclose(b.weights, a.weights, rtol=0.0, atol=1e-12)
+            assert np.allclose(b.weights, r.weights, rtol=0.0, atol=1e-12)
+        for other in (cfg_alone, cfg_ref):
+            assert list(cfg_batch.client_variates) == list(other.client_variates)
+            variates = zip(cfg_batch.client_variates.values(), other.client_variates.values())
+            pending = cfg_batch.pending_variate_updates, other.pending_variate_updates
+            assert len(pending[0]) == len(pending[1])
+            for b, o in [*variates, *zip(*pending)]:
+                assert np.allclose(b, o, rtol=0.0, atol=1e-12)
+        if algo is Aggregator.SCAFFOLD:
+            assert len(cfg_batch.pending_variate_updates) == len(datasets)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            local_train(init_model(), [], AggregationConfig())
+
+
+class TestDesignBlock:
+    def test_population_rows_share_one_zero_padded_block(self):
+        datasets, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
+        block = datasets[0].block
+        assert block.shape == (3, 400, 21)
+        for i, d in enumerate(datasets):
+            assert d.block is block and d.row == i
+            assert np.shares_memory(d.features, block)
+            assert np.array_equal(d.design, block[i, : len(d)])
+            assert np.all(d.design[:, -1] == 1.0)
+            assert not np.any(block[i, len(d):])
+        assert np.all(test.design[:, -1] == 1.0)
+        assert np.array_equal(test.features, test.design[:, :-1])
+
+    def test_poison_reuses_the_design(self):
+        datasets, _ = generate_population(2, [0.3, 0.6], seed=20)
+        bad = poison(datasets[1], PoisonConfig(1.0), seed=0)
+        assert bad.design is datasets[1].design
+        assert bad.block is datasets[1].block and bad.row == 1
 
 
 class TestAggregate:
@@ -132,7 +233,7 @@ class TestEvaluateAccuracy:
         datasets, test = generate_population(1, [1.0], seed=9)
         # Logistic fit on clean data separates the Gaussian mixture well.
         cfg = AggregationConfig(local_epochs=200, learning_rate=1.0)
-        model = local_train(init_model(), datasets[0], cfg)
+        model = local_train(init_model(), [datasets[0]], cfg)[0]
         assert evaluate_accuracy(model, test) > 0.9
 
     def test_zero_model_predicts_majority_class_zero(self):
@@ -144,8 +245,8 @@ class TestEvaluateAccuracy:
     def test_inverted_labels_complement_accuracy(self):
         datasets, test = generate_population(1, [1.0], seed=12)
         cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
-        model = local_train(init_model(), datasets[0], cfg)
-        flipped = SyntheticDataset(test.features, 1 - test.labels, test.owner)
+        model = local_train(init_model(), [datasets[0]], cfg)[0]
+        flipped = SyntheticDataset(test.design, 1 - test.labels, test.owner)
         assert evaluate_accuracy(model, test) + evaluate_accuracy(model, flipped) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -166,7 +267,7 @@ class TestRealizedContribution:
     def test_is_a_plain_accuracy_difference(self):
         datasets, test = generate_population(2, [1.0, 1.0], seed=15)
         cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
-        good = local_train(init_model(), datasets[0], cfg)
+        good = local_train(init_model(), [datasets[0]], cfg)[0]
         contribution = realized_contribution(init_model(), good, test)
         assert contribution == pytest.approx(
             evaluate_accuracy(good, test) - evaluate_accuracy(init_model(), test), abs=1e-15
@@ -175,10 +276,10 @@ class TestRealizedContribution:
     def test_fully_poisoned_local_model_contributes_negatively(self):
         datasets, test = generate_population(3, [1.0, 1.0, 1.0], seed=16)
         cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
-        trained = [local_train(init_model(), ds, cfg) for ds in datasets]
+        trained = [local_train(init_model(), [ds], cfg)[0] for ds in datasets]
         global_model = aggregate(trained, [len(ds) for ds in datasets], cfg)
         bad_data = poison(datasets[0], PoisonConfig(flip_rate=1.0), seed=0)
-        bad_local = local_train(global_model, bad_data, cfg)
+        bad_local = local_train(global_model, [bad_data], cfg)[0]
         assert realized_contribution(global_model, bad_local, test) < 0.0
 
 
@@ -224,6 +325,6 @@ class TestTrainingSignal:
         cfg = AggregationConfig(algo=Aggregator.FEDAVG, local_epochs=5, learning_rate=0.5)
         model = init_model()
         for _ in range(20):
-            locals_ = [local_train(model, ds, cfg) for ds in datasets]
+            locals_ = [local_train(model, [ds], cfg)[0] for ds in datasets]
             model = aggregate(locals_, [len(ds) for ds in datasets], cfg)
         assert evaluate_accuracy(model, test) > 0.9

@@ -92,6 +92,20 @@ class TestBanzhafMc:
         expected = u.evaluator(coalition | {i}) - u.evaluator(coalition)
         assert est == expected
 
+    def test_many_samples_replay_the_per_sample_sampler(self):
+        weights = np.random.default_rng(6).normal(size=40)
+        u = CoalitionUtility(
+            lambda c: float(sum(weights[j] for j in c)) ** 2, CoalitionMode.RETRAIN
+        )
+        seed, i, samples = 13, 17, 64
+        rng = np.random.default_rng(seed)
+        others = np.array([j for j in range(40) if j != i])
+        total = 0.0
+        for _ in range(samples):
+            coalition = frozenset(others[rng.random(39) < 0.5].tolist())
+            total += u.evaluator(coalition | {i}) - u.evaluator(coalition)
+        assert banzhaf_mc(u, 40, i, samples=samples, seed=seed) == total / samples
+
     def test_close_to_exact_on_fixture_game(self):
         rng = np.random.default_rng(77)
         table = rng.normal(size=1 << 8)
