@@ -27,7 +27,6 @@ from .flsim import (
     generate_population,
     local_train,
     poison,
-    realized_contribution,
 )
 from .ledger import HashChainLedger, PlainStore, ReputationRecord, TamperConfig, tamper_attack
 from .mechanism import (
@@ -48,7 +47,6 @@ from .reputation import (
     CoalitionMode,
     CoalitionUtility,
     ReputationParams,
-    ReputationState,
     banzhaf_exact,
     banzhaf_mc,
     select_top_k,

@@ -44,7 +44,6 @@ from .mechanism import (
 )
 from .reputation import (
     ReputationParams,
-    ReputationState,
     additive_utility,
     banzhaf_exact,
     banzhaf_mc,
@@ -94,6 +93,7 @@ class RoundReport:
     payments: dict[int, float]
     server_utility: float
     client_utilities: dict[int, float]
+    epsilons: dict[int, float]  # reputation appended this round, per scored client
     accuracy_global: float | None = None
 
 
@@ -183,7 +183,7 @@ def run_round(
         c.id: ledger_epsilon(state.ledger, c.id, state.trust_policy) for c in accepted
     }
     k = min(params.k_select, len(accepted))
-    selected = select_top_k_by_reputation(eps_prev, k)
+    selected = select_top_k(eps_prev, k)
 
     # Every accepted client trains a candidate local model and is scored;
     # only the selected top-k are aggregated into the global model and paid.
@@ -214,9 +214,10 @@ def run_round(
         i: realized_value(realized[i], by_id[i].theta, params) for i in local_models
     }
     zetas = _banzhaf_contributions(values, seed, state.round)
+    epsilons = {}
     for i in sorted(zetas):
-        new_eps = update_reputation(eps_prev[i], zetas[i], state.rep_params)
-        state.ledger.append(state.round, i, zetas[i], new_eps)
+        epsilons[i] = update_reputation(eps_prev[i], zetas[i], state.rep_params)
+        state.ledger.append(state.round, i, zetas[i], epsilons[i])
 
     report = RoundReport(
         round=state.round,
@@ -229,15 +230,12 @@ def run_round(
             params.lam * contracts[i].q - contracts[i].r for i in selected
         ),
         client_utilities={i: utilities[i] for i in selected},
+        epsilons=epsilons,
         accuracy_global=acc_global,
     )
     state.model = new_global
     state.round += 1
     return report
-
-
-def select_top_k_by_reputation(epsilons: dict[int, float], k: int) -> list[int]:
-    return select_top_k(ReputationState(epsilon=dict(epsilons)), k)
 
 
 def _check_bids(population: list[ClientProfile], bids: list[Bid], k: int) -> None:
@@ -270,6 +268,7 @@ def _baseline_report(
         client_utilities={
             i: prices[i] - cost(target_q, thetas[i], params.delta) for i in winners
         },
+        epsilons={},
     )
 
 
@@ -326,9 +325,6 @@ def make_bids(
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-MECHANISMS = ("ours-complete", "ours-incomplete", "price-first", "randomized")
-
-
 def build_population(config, seed: int) -> tuple[list[ClientProfile], SyntheticDataset]:
     """Deterministic population for one experiment seed.
 
@@ -358,18 +354,11 @@ def _make_store(mode: str):
     raise ValueError(f"unknown ledger mode {mode!r}")
 
 
-def _make_agg(config) -> AggregationConfig:
-    return AggregationConfig(
-        algo=config.aggregation,
-        local_epochs=config.local_epochs,
-        learning_rate=config.learning_rate,
-        prox_mu=config.prox_mu,
-    )
-
-
 def _fresh_state(config, test: SyntheticDataset, ledger_mode: str = "chained") -> SimulationState:
     return SimulationState(
-        agg=_make_agg(config),
+        agg=AggregationConfig(
+            config.aggregation, config.local_epochs, config.learning_rate, config.prox_mu
+        ),
         test=test,
         ledger=_make_store(ledger_mode),
         rep_params=ReputationParams(config.w1, config.w2),
@@ -387,11 +376,12 @@ def _target_q(population: list[ClientProfile], config) -> float:
 
 
 def run_cell(
-    config, mechanism: str, k: int, seed: int, ledger_mode: str = "chained",
-    tamper_cfg=None,
+    config, mechanism: str, k: int, seed: int, population: list[ClientProfile],
+    test: SyntheticDataset, ledger_mode: str = "chained", tamper_cfg=None,
 ) -> list[RoundReport]:
-    """All rounds of one (mechanism, k, seed) experiment cell."""
-    population, test = build_population(config, seed)
+    """All rounds of one (mechanism, k, seed) experiment cell, run on the
+    seed's population and test set from `build_population`. Neither is
+    changed, so one population serves every cell of its seed."""
     if mechanism in ("ours-complete", "ours-incomplete"):
         params = MarketParams(
             config.lam, config.delta, config.n_clients, k, _ours_regime(mechanism)
@@ -424,6 +414,23 @@ def run_cell(
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
+def _per_seed(config, run_seed) -> dict:
+    """`run_seed(seed, population, test)` for each distinct seed, keyed by seed.
+
+    Each seed's population is built once and freed when `run_seed` returns,
+    before the next one is built, so `run_seed` returns per-cell results,
+    not populations or reports.
+    """
+    return {
+        seed: run_seed(seed, *build_population(config, seed))
+        for seed in dict.fromkeys(config.seeds)
+    }
+
+
+def _total(reports: list[RoundReport]) -> float:
+    return sum(rep.server_utility for rep in reports)
+
+
 def run_experiment(config) -> tuple[list[dict], list[dict]]:
     """Full mechanism-comparison grid.
 
@@ -432,25 +439,30 @@ def run_experiment(config) -> tuple[list[dict], list[dict]]:
     """
     if config.rounds == 0:
         return [], []
+
+    def cells(seed, population, test):
+        out = {}
+        for k in config.k_values:
+            for mechanism in config.mechanisms:
+                reports = run_cell(config, mechanism, k, seed, population, test)
+                rows = [
+                    {"mechanism": mechanism, "k": k, "seed": seed, "round": rep.round,
+                     "server_utility": rep.server_utility, "accuracy": rep.accuracy_global,
+                     "n_selected": len(rep.selected)}
+                    for rep in reports
+                ]
+                out[k, mechanism] = rows, _total(reports)
+        return out
+
+    by_seed = _per_seed(config, cells)
     round_rows, summary = [], []
     for k in config.k_values:
         for mechanism in config.mechanisms:
             totals = []
             for seed in config.seeds:
-                reports = run_cell(config, mechanism, k, seed)
-                totals.append(sum(rep.server_utility for rep in reports))
-                for rep in reports:
-                    round_rows.append(
-                        {
-                            "mechanism": mechanism,
-                            "k": k,
-                            "seed": seed,
-                            "round": rep.round,
-                            "server_utility": rep.server_utility,
-                            "accuracy": rep.accuracy_global,
-                            "n_selected": len(rep.selected),
-                        }
-                    )
+                rows, total = by_seed[seed][k, mechanism]
+                round_rows.extend(rows)
+                totals.append(total)
             summary.append(
                 {
                     "mechanism": mechanism,
@@ -463,57 +475,46 @@ def run_experiment(config) -> tuple[list[dict], list[dict]]:
 
 
 def run_reputation_trace(config, seed: int) -> list[dict]:
-    """Per-round reputation of every client, for trajectory plots."""
+    """Per-round reputation of every client, for trajectory plots.
+
+    A client that never accepts its contract is never scored and reads 0.
+    """
     population, test = build_population(config, seed)
-    params = MarketParams(
-        config.lam,
-        config.delta,
-        config.n_clients,
-        config.k_values[0],
-        _ours_regime(config.mechanisms_ours()[0]),
+    reports = run_cell(
+        config, config.mechanisms_ours()[0], config.k_values[0], seed, population, test
     )
-    state = _fresh_state(config, test)
-    rows = []
-    for _ in range(config.rounds):
-        run_round(population, params, state, seed)
-        for c in population:
-            rows.append(
-                {
-                    "round": state.round - 1,
-                    "client": c.id,
-                    "epsilon": ledger_epsilon(state.ledger, c.id, state.trust_policy),
-                    "behavior": "honest" if c.honest else "poisoner",
-                }
-            )
-    return rows
+    return [
+        {"round": rep.round, "client": c.id, "epsilon": rep.epsilons.get(c.id, 0.0),
+         "behavior": "honest" if c.honest else "poisoner"}
+        for rep in reports
+        for c in population
+    ]
 
 
 def run_robustness(config) -> list[dict]:
     """Tamper-robustness grid: mean total server utility per
     (alpha, beta, ledger_mode) cell over the config's seeds."""
-    rows = []
     mechanism = config.mechanisms_ours()[0]
     k = config.k_values[0]
-    for alpha in config.tamper_alphas:
-        for beta in config.tamper_betas:
-            for mode in config.ledger_modes:
-                totals = []
-                for seed in config.seeds:
-                    reports = run_cell(
-                        config,
-                        mechanism,
-                        k,
-                        seed,
-                        ledger_mode=mode,
-                        tamper_cfg=TamperConfig(alpha, beta, seed),
-                    )
-                    totals.append(sum(rep.server_utility for rep in reports))
-                rows.append(
-                    {
-                        "alpha": alpha,
-                        "beta": beta,
-                        "ledger_mode": mode,
-                        "mean_utility": statistics.fmean(totals),
-                    }
-                )
-    return rows
+    grid = [
+        (alpha, beta, mode)
+        for alpha in config.tamper_alphas
+        for beta in config.tamper_betas
+        for mode in config.ledger_modes
+    ]
+
+    def totals(seed, population, test):
+        return {
+            (alpha, beta, mode): _total(
+                run_cell(config, mechanism, k, seed, population, test,
+                         ledger_mode=mode, tamper_cfg=TamperConfig(alpha, beta, seed))
+            )
+            for alpha, beta, mode in grid
+        }
+
+    by_seed = _per_seed(config, totals)
+    return [
+        {"alpha": alpha, "beta": beta, "ledger_mode": mode,
+         "mean_utility": statistics.fmean(by_seed[s][alpha, beta, mode] for s in config.seeds)}
+        for alpha, beta, mode in grid
+    ]

@@ -125,9 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         try:
             config = parse_config(args.config)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 
-from .flsim import Aggregator
+from .flsim import AggregationConfig, Aggregator, PoisonConfig
+from .ledger import TamperConfig
+from .mechanism import MarketParams
+from .reputation import ReputationParams
 
 
 class ConfigError(ValueError):
@@ -49,39 +52,22 @@ class ExperimentConfig:
         return ours or ["ours-complete"]
 
     def validate(self) -> None:
-        if self.n_clients < 1:
-            raise ConfigError("n_clients must be a positive integer")
+        """Check every key, building the components' own parameter objects
+        so that each of their checks holds here too."""
         if not self.k_values:
             raise ConfigError("k_select must list at least one value")
         if not self.seeds:
             raise ConfigError("seeds must list at least one seed")
         if not self.mechanisms:
             raise ConfigError("mechanisms must list at least one mechanism")
-        for k in self.k_values:
-            if not 1 <= k <= self.n_clients:
-                raise ConfigError("k_select must satisfy k_select <= n_clients")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonnegative")
         if self.rounds < 0:
             raise ConfigError("rounds must be nonnegative")
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if not (0.0 <= self.w1 <= 1.0 and 0.0 <= self.w2 <= 1.0):
-            raise ConfigError("reputation weights must lie in [0, 1]")
-        if abs(self.w1 + self.w2 - 1.0) > 1e-12:
-            raise ConfigError("reputation weights must satisfy w1 + w2 = 1")
         if not 0.0 <= self.theta_min <= self.theta_max <= 1.0:
             raise ConfigError("theta range must satisfy 0 <= theta_min <= theta_max <= 1")
         if not 0 <= self.poison_count <= self.n_clients:
             raise ConfigError("poison_count must satisfy 0 <= poison_count <= n_clients")
-        if not 0.0 <= self.poison_flip_rate <= 1.0:
-            raise ConfigError("poison_flip_rate must lie in [0, 1]")
-        for alpha in self.tamper_alphas:
-            if not 0.0 <= alpha <= 1.0:
-                raise ConfigError("tamper alpha must lie in [0, 1]")
-        for beta in self.tamper_betas:
-            if beta <= 0.0:
-                raise ConfigError("tamper beta must be positive")
         for mode in self.ledger_modes:
             if mode not in ("chained", "vulnerable"):
                 raise ConfigError(f"unknown ledger mode {mode!r}")
@@ -91,11 +77,28 @@ class ExperimentConfig:
         bad = known - {"ours-complete", "ours-incomplete", "price-first", "randomized"}
         if bad:
             raise ConfigError(f"unknown mechanisms {sorted(bad)}")
+        try:
+            for k in self.k_values:
+                MarketParams(self.lam, self.delta, self.n_clients, k)
+            ReputationParams(self.w1, self.w2)
+            AggregationConfig(
+                self.aggregation, self.local_epochs, self.learning_rate, self.prox_mu
+            )
+            PoisonConfig(self.poison_flip_rate)
+            # A neutral partner checks each list even when the other is empty.
+            for alpha in self.tamper_alphas or [0.0]:
+                for beta in self.tamper_betas or [1.0]:
+                    TamperConfig(alpha, beta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def digest(self) -> str:
-        """Short hash of the effective configuration, for output provenance."""
+        """Short hash of the experiment, for output provenance; where the
+        outputs are written is not part of it."""
         lines = []
         for f in fields(self):
+            if f.name == "output_dir":
+                continue
             value = getattr(self, f.name)
             if isinstance(value, Aggregator):
                 value = value.value
@@ -143,23 +146,27 @@ _PARSERS = {
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate a flat "key = value" config file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     config = ExperimentConfig()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _PARSERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            attr, parser = _PARSERS[key]
-            try:
-                setattr(config, attr, parser(raw))
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in _PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        attr, parser = _PARSERS[key]
+        try:
+            setattr(config, attr, parser(raw))
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     config.validate()
     return config

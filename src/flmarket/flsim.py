@@ -89,9 +89,9 @@ class AggregationConfig:
     def __post_init__(self):
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be a positive integer")
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise ValueError("learning_rate must be nonnegative")
-        if self.prox_mu < 0.0:
+        if not self.prox_mu >= 0.0:
             raise ValueError("prox_mu must be nonnegative")
 
     def variate_for(self, client: int, dim: int) -> np.ndarray:
@@ -234,13 +234,6 @@ def evaluate_accuracy(model: ModelParams, test: SyntheticDataset) -> float:
     logits = test.design @ model.weights
     preds = (logits > 0.0).astype(int)
     return float(np.mean(preds == test.labels))
-
-
-def realized_contribution(
-    global_model: ModelParams, local_model: ModelParams, test: SyntheticDataset
-) -> float:
-    """Test-accuracy gap between a local model and the global model."""
-    return evaluate_accuracy(local_model, test) - evaluate_accuracy(global_model, test)
 
 
 def poison(data: SyntheticDataset, cfg: PoisonConfig, seed: int) -> SyntheticDataset:

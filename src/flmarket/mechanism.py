@@ -24,7 +24,7 @@ def _check_theta(theta: float) -> None:
 
 
 def _check_delta(delta: float) -> None:
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"cost sensitivity delta must be positive, got {delta}")
 
 
@@ -39,7 +39,7 @@ class MarketParams:
     regime: Regime = Regime.COMPLETE
 
     def __post_init__(self):
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         _check_delta(self.delta)
         if self.n_clients < 1:

@@ -7,7 +7,7 @@ an exponentially weighted average of past contributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -47,21 +47,6 @@ class ReputationParams:
             raise ValueError("reputation weights must lie in [0, 1]")
         if abs(self.w1 + self.w2 - 1.0) > 1e-12:
             raise ValueError("reputation weights must satisfy w1 + w2 = 1")
-
-
-@dataclass
-class ReputationState:
-    epsilon: dict[int, float] = field(default_factory=dict)
-    zeta_last: dict[int, float] = field(default_factory=dict)
-    round: int = 0
-
-    def apply(self, zetas: dict[int, float], params: ReputationParams) -> None:
-        """Fold one round of contributions into the reputation scores."""
-        for client, zeta in zetas.items():
-            prev = self.epsilon.get(client, 0.0)
-            self.epsilon[client] = update_reputation(prev, zeta, params)
-            self.zeta_last[client] = zeta
-        self.round += 1
 
 
 def banzhaf_exact(u: CoalitionUtility, n: int, i: int) -> float:
@@ -105,11 +90,11 @@ def update_reputation(prev_epsilon: float, zeta: float, params: ReputationParams
     return prev_epsilon * params.w1 + zeta * params.w2
 
 
-def select_top_k(state: ReputationState, k: int) -> list[int]:
+def select_top_k(epsilons: dict[int, float], k: int) -> list[int]:
     """The k clients with highest reputation, ties broken by ascending id."""
-    if k > len(state.epsilon):
+    if k > len(epsilons):
         raise ValueError(
-            f"cannot select {k} clients from a population of {len(state.epsilon)}"
+            f"cannot select {k} clients from a population of {len(epsilons)}"
         )
-    ranked = sorted(state.epsilon, key=lambda c: (-state.epsilon[c], c))
+    ranked = sorted(epsilons, key=lambda c: (-epsilons[c], c))
     return ranked[:k]

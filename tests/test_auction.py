@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from flmarket import auction
 from flmarket.auction import (
     Bid,
     ClientProfile,
@@ -18,7 +21,14 @@ from flmarket.auction import (
     _fresh_state,
 )
 from flmarket.config import ExperimentConfig
-from flmarket.flsim import AggregationConfig, generate_population
+from flmarket.flsim import (
+    AggregationConfig,
+    PoisonConfig,
+    evaluate_accuracy,
+    generate_population,
+    init_model,
+    local_train,
+)
 from flmarket.ledger import HashChainLedger, TamperConfig, tamper_attack
 from flmarket.mechanism import MarketParams, Regime, cost
 
@@ -124,12 +134,70 @@ class TestRunRound:
 
     def test_determinism(self):
         config = small_config()
-        reports_a = run_cell(config, "ours-incomplete", 4, seed=11)
-        reports_b = run_cell(config, "ours-incomplete", 4, seed=11)
-        assert [r.server_utility for r in reports_a] == [
-            r.server_utility for r in reports_b
+        population, test = build_population(config, seed=11)
+        reports_a = run_cell(config, "ours-incomplete", 4, 11, population, test)
+        # A population that already ran a cell runs the next one unchanged.
+        reports_b = run_cell(config, "ours-incomplete", 4, 11, population, test)
+        reports_c = run_cell(config, "ours-incomplete", 4, 11, *build_population(config, 11))
+        for reports in (reports_b, reports_c):
+            assert [r.server_utility for r in reports] == [
+                r.server_utility for r in reports_a
+            ]
+            assert [r.selected for r in reports] == [r.selected for r in reports_a]
+            assert [r.epsilons for r in reports] == [r.epsilons for r in reports_a]
+
+    def test_epsilons_are_what_the_ledger_holds(self):
+        config = small_config(poison_count=2)
+        population, test = build_population(config, seed=4)
+        params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
+        state = _fresh_state(config, test)
+        for _ in range(3):
+            rep = run_round(population, params, state, seed=4)
+            # Every accepted client is scored, so every one has a new record.
+            assert set(rep.epsilons) == set(rep.realized_q)
+            for i, eps in rep.epsilons.items():
+                assert eps == ledger_epsilon(state.ledger, i)
+
+
+class TestRealizedContribution:
+    """`RoundReport.realized_q`: each accepted client's test-accuracy gain
+    over the global model it started the round from."""
+
+    def _run(self, rounds, thetas, seed, poisoned=(), **agg):
+        datasets, test = generate_population(len(thetas), thetas, seed=seed)
+        population = [
+            ClientProfile(i, t, d, PoisonConfig(1.0) if i in poisoned else None)
+            for i, (t, d) in enumerate(zip(thetas, datasets))
         ]
-        assert [r.selected for r in reports_a] == [r.selected for r in reports_b]
+        params = MarketParams(1.0, 2.0, len(thetas), 2)
+        state = SimulationState(agg=AggregationConfig(**agg), test=test)
+        reports = [run_round(population, params, state, seed) for _ in range(rounds)]
+        return population, test, reports
+
+    def test_identical_models_contribute_zero(self):
+        _, _, reports = self._run(2, [0.5, 0.8, 1.0], 14, learning_rate=0.0)
+        for rep in reports:
+            assert rep.realized_q == {0: 0.0, 1: 0.0, 2: 0.0}
+
+    def test_is_a_plain_accuracy_difference(self):
+        cfg = dict(local_epochs=50, learning_rate=1.0)
+        population, test, (rep,) = self._run(1, [1.0, 1.0], 15, **cfg)
+        for c in population:
+            local = local_train(init_model(), [c.dataset], AggregationConfig(**cfg))[0]
+            assert rep.realized_q[c.id] == pytest.approx(
+                evaluate_accuracy(local, test) - evaluate_accuracy(init_model(), test),
+                abs=1e-15,
+            )
+
+    def test_fully_poisoned_local_model_contributes_negatively(self):
+        # Cold start selects clients 0 and 1, so the second round starts
+        # from a model trained on clean data only.
+        _, _, reports = self._run(
+            2, [1.0, 1.0, 1.0], 16, poisoned=(2,), local_epochs=50, learning_rate=1.0
+        )
+        assert reports[0].selected == [0, 1]
+        for rep in reports:
+            assert rep.realized_q[2] < min(0.0, rep.realized_q[0], rep.realized_q[1])
 
 
 class TestPriceFirst:
@@ -216,6 +284,48 @@ class TestRandomized:
 
 
 class TestExperimentHarness:
+    def test_each_distinct_seed_builds_one_population(self, monkeypatch):
+        built = []
+
+        def counting(config, seed):
+            built.append(seed)
+            return build_population(config, seed)
+
+        monkeypatch.setattr(auction, "build_population", counting)
+        config = small_config(
+            rounds=1,
+            seeds=[1, 0, 1],
+            k_values=[2, 4],
+            tamper_alphas=[0.5],
+            tamper_betas=[2.0],
+            ledger_modes=["chained", "vulnerable"],
+        )
+        run_experiment(config)
+        assert built == [1, 0]
+        built.clear()
+        run_robustness(config)
+        assert built == [1, 0]
+
+    def test_rows_keep_k_mechanism_seed_order(self):
+        config = small_config(rounds=2, seeds=[1, 0, 1], k_values=[2, 4])
+        rows, summary = run_experiment(config)
+        cells = [
+            key
+            for key, _ in itertools.groupby(
+                rows, key=lambda r: (r["k"], r["mechanism"], r["seed"])
+            )
+        ]
+        assert cells == list(
+            itertools.product(config.k_values, config.mechanisms, config.seeds)
+        )
+        # A repeated seed repeats its rows.
+        for k, mechanism in itertools.product(config.k_values, config.mechanisms):
+            cell = [r for r in rows if (r["k"], r["mechanism"]) == (k, mechanism)]
+            assert cell[:2] == cell[4:]
+        assert [(r["mechanism"], r["k"]) for r in summary] == [
+            (m, k) for k in config.k_values for m in config.mechanisms
+        ]
+
     def test_zero_rounds_yields_empty_outputs(self):
         config = small_config(rounds=0)
         rows, summary = run_experiment(config)

@@ -64,7 +64,10 @@ class TestParseConfig:
         a = parse_config(write_config(tmp_path, "n_clients = 5\nk_select = 2\n", "a.cfg"))
         b = parse_config(write_config(tmp_path, "n_clients = 5\nk_select = 2\n", "b.cfg"))
         c = parse_config(write_config(tmp_path, "n_clients = 6\nk_select = 2\n", "c.cfg"))
-        assert a.digest() == b.digest()
+        d = parse_config(  # the same experiment, written elsewhere
+            write_config(tmp_path, "n_clients = 5\nk_select = 2\noutput_dir = o2\n", "d.cfg")
+        )
+        assert a.digest() == b.digest() == d.digest()
         assert a.digest() != c.digest()
 
 
@@ -183,6 +186,35 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 2
         assert invariant in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "seeds = -1",
+            "local_epochs = 0",
+            "prox_mu = -1",
+            "learning_rate = -0.5",
+            "lambda = nan",
+            "tamper_alphas = 0.5\ntamper_betas = nan",
+        ],
+        ids=lambda lines: lines.splitlines()[-1],
+    )
+    def test_out_of_range_value_is_a_usage_error(self, tmp_path, capsys, lines):
+        body = SMALL_CONFIG + f"output_dir = {tmp_path / 'out'}\n{lines}\n"
+        path = write_config(tmp_path, body)
+        assert main(["run", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "exp.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"n_clients = 4\n# caf\xe9\n")
+        assert main(["run", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_invalid_config_is_a_usage_error(self, tmp_path):
         path = write_config(tmp_path, "n_clients = 3\nk_select = 9\n")

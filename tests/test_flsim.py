@@ -13,7 +13,6 @@ from flmarket.flsim import (
     init_model,
     local_train,
     poison,
-    realized_contribution,
 )
 
 
@@ -256,31 +255,6 @@ class TestEvaluateAccuracy:
         for scale in (-5.0, 0.0, 5.0):
             model = ModelParams(np.full(21, scale))
             assert 0.0 <= evaluate_accuracy(model, test) <= 1.0
-
-
-class TestRealizedContribution:
-    def test_identical_models_contribute_zero(self):
-        _, test = generate_population(1, [0.5], seed=14)
-        model = ModelParams(np.ones(21))
-        assert realized_contribution(model, model.copy(), test) == 0.0
-
-    def test_is_a_plain_accuracy_difference(self):
-        datasets, test = generate_population(2, [1.0, 1.0], seed=15)
-        cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
-        good = local_train(init_model(), [datasets[0]], cfg)[0]
-        contribution = realized_contribution(init_model(), good, test)
-        assert contribution == pytest.approx(
-            evaluate_accuracy(good, test) - evaluate_accuracy(init_model(), test), abs=1e-15
-        )
-
-    def test_fully_poisoned_local_model_contributes_negatively(self):
-        datasets, test = generate_population(3, [1.0, 1.0, 1.0], seed=16)
-        cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
-        trained = [local_train(init_model(), [ds], cfg)[0] for ds in datasets]
-        global_model = aggregate(trained, [len(ds) for ds in datasets], cfg)
-        bad_data = poison(datasets[0], PoisonConfig(flip_rate=1.0), seed=0)
-        bad_local = local_train(global_model, [bad_data], cfg)[0]
-        assert realized_contribution(global_model, bad_local, test) < 0.0
 
 
 class TestPoison:

@@ -6,7 +6,6 @@ from flmarket.reputation import (
     CoalitionMode,
     CoalitionUtility,
     ReputationParams,
-    ReputationState,
     additive_utility,
     banzhaf_exact,
     banzhaf_mc,
@@ -174,37 +173,22 @@ class TestUpdateReputation:
 
 class TestSelectTopK:
     def test_selects_highest_reputation(self):
-        state = ReputationState(epsilon={0: 0.9, 1: 0.1, 2: 0.5})
-        assert select_top_k(state, 2) == [0, 2]
+        assert select_top_k({0: 0.9, 1: 0.1, 2: 0.5}, 2) == [0, 2]
 
     def test_id_tie_break(self):
-        state = ReputationState(epsilon={0: 0.3, 1: 0.3, 2: 0.3})
-        assert select_top_k(state, 2) == [0, 1]
+        assert select_top_k({0: 0.3, 1: 0.3, 2: 0.3}, 2) == [0, 1]
 
     def test_full_population_sorted_by_reputation(self):
-        state = ReputationState(epsilon={0: 0.1, 1: 0.7, 2: 0.4})
-        assert select_top_k(state, 3) == [1, 2, 0]
+        assert select_top_k({0: 0.1, 1: 0.7, 2: 0.4}, 3) == [1, 2, 0]
 
     def test_k_exceeding_population_rejected(self):
         with pytest.raises(ValueError):
-            select_top_k(ReputationState(epsilon={0: 0.0}), 2)
+            select_top_k({0: 0.0}, 2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         eps = {i: float(v) for i, v in enumerate(rng.normal(size=20))}
-        a = select_top_k(ReputationState(epsilon=dict(eps)), 7)
-        b = select_top_k(ReputationState(epsilon=dict(eps)), 7)
+        a = select_top_k(dict(eps), 7)
+        b = select_top_k(dict(eps), 7)
         assert a == b
 
-
-class TestReputationState:
-    def test_apply_advances_round_and_scores(self):
-        state = ReputationState()
-        params = ReputationParams(0.5, 0.5)
-        state.apply({0: 1.0, 1: -1.0}, params)
-        assert state.round == 1
-        assert state.epsilon == {0: 0.5, 1: -0.5}
-        state.apply({0: 1.0}, params)
-        assert state.round == 2
-        assert state.epsilon[0] == 0.75
-        assert state.zeta_last[0] == 1.0
