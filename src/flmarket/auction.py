@@ -99,7 +99,8 @@ class RoundReport:
 
 @dataclass
 class SimulationState:
-    """Mutable cross-round state: global model, ledger, Scaffold variates."""
+    """Mutable cross-round state: global model and its test accuracy,
+    ledger, Scaffold variates."""
 
     agg: AggregationConfig
     test: SyntheticDataset
@@ -108,6 +109,10 @@ class SimulationState:
     model: ModelParams = field(default_factory=init_model)
     trust_policy: str = TRUST_LAST_VALID
     round: int = 0
+    accuracy: float = field(init=False)  # test accuracy of `model`
+
+    def __post_init__(self):
+        self.accuracy = evaluate_accuracy(self.model, self.test)
 
 
 def _mix(seed: int, round_num: int, salt: int) -> int:
@@ -204,9 +209,8 @@ def run_round(
     acc_global = evaluate_accuracy(new_global, state.test)
     # Contributions are measured against the model the clients started
     # from, so the per-round improvement signal stays attributable.
-    acc_reference = evaluate_accuracy(state.model, state.test)
     realized = {
-        i: evaluate_accuracy(m, state.test) - acc_reference
+        i: evaluate_accuracy(m, state.test) - state.accuracy
         for i, m in local_models.items()
     }
 
@@ -234,6 +238,7 @@ def run_round(
         accuracy_global=acc_global,
     )
     state.model = new_global
+    state.accuracy = acc_global
     state.round += 1
     return report
 
@@ -475,14 +480,16 @@ def run_experiment(config) -> tuple[list[dict], list[dict]]:
 
 
 def run_reputation_trace(config, seed: int) -> list[dict]:
-    """Per-round reputation of every client, for trajectory plots.
+    """Per-round reputation of every client, for trajectory plots, under
+    the config's first `ours-*` mechanism (none: no rows).
 
     A client that never accepts its contract is never scored and reads 0.
     """
+    ours = config.mechanisms_ours()
+    if not ours:
+        return []
     population, test = build_population(config, seed)
-    reports = run_cell(
-        config, config.mechanisms_ours()[0], config.k_values[0], seed, population, test
-    )
+    reports = run_cell(config, ours[0], config.k_values[0], seed, population, test)
     return [
         {"round": rep.round, "client": c.id, "epsilon": rep.epsilons.get(c.id, 0.0),
          "behavior": "honest" if c.honest else "poisoner"}

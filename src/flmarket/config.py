@@ -48,8 +48,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def mechanisms_ours(self) -> list[str]:
-        ours = [m for m in self.mechanisms if m.startswith("ours-")]
-        return ours or ["ours-complete"]
+        return [m for m in self.mechanisms if m.startswith("ours-")]
 
     def validate(self) -> None:
         """Check every key, building the components' own parameter objects
@@ -77,6 +76,10 @@ class ExperimentConfig:
         bad = known - {"ours-complete", "ours-incomplete", "price-first", "randomized"}
         if bad:
             raise ConfigError(f"unknown mechanisms {sorted(bad)}")
+        if self.tamper_alphas and self.tamper_betas and not self.mechanisms_ours():
+            raise ConfigError(
+                "a tamper grid (tamper_alphas, tamper_betas) needs an ours-* mechanism"
+            )
         try:
             for k in self.k_values:
                 MarketParams(self.lam, self.delta, self.n_clients, k)

@@ -3,11 +3,13 @@
 HashChainLedger is an append-only log where each record's SHA-256 digest
 covers the previous record's digest, so any in-place edit of a past record
 is detectable. PlainStore is the deliberately vulnerable comparison: same
-interface, no integrity checking.
+interface, no integrity checking. Both index each client's record positions,
+so a read touches only that client's records.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -30,18 +32,19 @@ class ReputationRecord:
     prev_hash: bytes = GENESIS_HASH
     record_hash: bytes = b""
 
-    def payload(self) -> bytes:
-        """Canonical serialization of everything the digest covers."""
+    def compute_hash(self) -> bytes:
+        """SHA-256 of the payload fields and `prev_hash`."""
+        return hashlib.sha256(
+            _PAYLOAD.pack(self.round, self.client_id, self.zeta, self.epsilon)
+            + self.prev_hash
+        ).digest()
+
+    def to_bytes(self) -> bytes:
         return (
             _PAYLOAD.pack(self.round, self.client_id, self.zeta, self.epsilon)
             + self.prev_hash
+            + self.record_hash
         )
-
-    def compute_hash(self) -> bytes:
-        return hashlib.sha256(self.payload()).digest()
-
-    def to_bytes(self) -> bytes:
-        return self.payload() + self.record_hash
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "ReputationRecord":
@@ -70,25 +73,66 @@ class UnknownClientError(KeyError):
     pass
 
 
-class HashChainLedger:
-    """Append-only hash-chained store for reputation records."""
+class _IndexedStore:
+    """Records plus, per client, the positions of its records in `records`.
+
+    Only `_push` fills the index, so it is a hint that an edit made through
+    `records` cannot redirect: a read still looks at the record now stored at
+    each of the client's positions. Positions past the end of `records` are
+    dropped, so a truncated tail reads as if it had never been appended.
+    """
 
     def __init__(self):
         self.records: list[ReputationRecord] = []
+        self._positions: dict[int, list[int]] = {}
+        self._end = 0  # len(records) when the index was last brought up to date
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def append(self, round: int, client_id: int, zeta: float, epsilon: float) -> ReputationRecord:
-        if self.records and round < self.records[-1].round:
+    def _drop_truncated(self) -> None:
+        n = len(self.records)
+        if n < self._end:
+            for client_id, positions in list(self._positions.items()):
+                del positions[bisect.bisect_left(positions, n) :]
+                if not positions:
+                    del self._positions[client_id]
+        self._end = n
+
+    def _push(self, record: ReputationRecord) -> ReputationRecord:
+        """Append a record and index it; rounds never decrease."""
+        self._drop_truncated()
+        if self.records and record.round < self.records[-1].round:
             raise ValueError(
-                f"round {round} precedes latest chained round {self.records[-1].round}"
+                f"round {record.round} precedes latest stored round {self.records[-1].round}"
             )
+        self._positions.setdefault(record.client_id, []).append(len(self.records))
+        self.records.append(record)
+        self._end += 1
+        return record
+
+    def positions(self, client_id: int) -> list[int]:
+        """Positions of the client's records, oldest first (the index's own
+        list: read it, do not change it)."""
+        self._drop_truncated()
+        try:
+            return self._positions[client_id]
+        except KeyError:
+            raise UnknownClientError(client_id) from None
+
+    def client_ids(self) -> list[int]:
+        self._drop_truncated()
+        return sorted(self._positions)
+
+
+class HashChainLedger(_IndexedStore):
+    """Append-only hash-chained store for reputation records."""
+
+    def append(self, round: int, client_id: int, zeta: float, epsilon: float) -> ReputationRecord:
         prev_hash = self.records[-1].record_hash if self.records else GENESIS_HASH
         record = ReputationRecord(round, client_id, zeta, epsilon, prev_hash)
         record.record_hash = record.compute_hash()
-        self.records.append(record)
-        return record
+        return self._push(record)
 
     def verify(self) -> int | None:
         """Index of the first record failing digest or linkage checks, or None."""
@@ -99,31 +143,42 @@ class HashChainLedger:
             expected_prev = rec.record_hash
         return None
 
-    def client_ids(self) -> list[int]:
-        return sorted({rec.client_id for rec in self.records})
-
-    def _client_indices(self, client_id: int) -> list[int]:
-        idxs = [i for i, rec in enumerate(self.records) if rec.client_id == client_id]
-        if not idxs:
-            raise UnknownClientError(client_id)
-        return idxs
-
-    def _record_intact(self, idx: int) -> bool:
+    def _intact(self, idx: int, client_id: int) -> bool:
+        """Whether the record at `idx` is still the client's, links to the
+        record before it, and matches its digest."""
         rec = self.records[idx]
         expected_prev = self.records[idx - 1].record_hash if idx else GENESIS_HASH
-        return rec.prev_hash == expected_prev and rec.record_hash == rec.compute_hash()
+        return (
+            rec.client_id == client_id
+            and rec.prev_hash == expected_prev
+            and rec.record_hash == rec.compute_hash()
+        )
 
     def read_reputation(self, client_id: int) -> tuple[float, bool]:
-        """Latest stored epsilon plus whether the client's records verify."""
-        idxs = self._client_indices(client_id)
-        trusted = all(self._record_intact(i) for i in idxs)
-        return self.records[idxs[-1]].epsilon, trusted
+        """Latest stored epsilon plus whether every record of the client
+        verifies; each read re-hashes all of them."""
+        records = self.records
+        positions = self.positions(client_id)
+        # all(self._intact(i, client_id) for i in positions), written out:
+        # this loop holds most of the ledger's time, and inlining it saves
+        # about a quarter of a read.
+        trusted = True
+        for i in positions:
+            rec = records[i]
+            if not (
+                rec.client_id == client_id
+                and rec.prev_hash == (records[i - 1].record_hash if i else GENESIS_HASH)
+                and rec.record_hash == rec.compute_hash()
+            ):
+                trusted = False
+                break
+        return records[positions[-1]].epsilon, trusted
 
     def read_last_valid(self, client_id: int) -> float | None:
         """Epsilon from the client's most recent record that still verifies,
         or None if every record of the client is tampered."""
-        for i in reversed(self._client_indices(client_id)):
-            if self._record_intact(i):
+        for i in reversed(self.positions(client_id)):
+            if self._intact(i, client_id):
                 return self.records[i].epsilon
         return None
 
@@ -150,7 +205,7 @@ class HashChainLedger:
                 f"got {len(body)}"
             )
         for i in range(count):
-            ledger.records.append(
+            ledger._push(
                 ReputationRecord.from_bytes(body[i * RECORD_SIZE : (i + 1) * RECORD_SIZE])
             )
         return ledger
@@ -173,29 +228,15 @@ class HashChainLedger:
                 )
 
 
-class PlainStore:
+class PlainStore(_IndexedStore):
     """Vulnerable comparison store: identical record layout, no hashing, so
     tampering is undetectable by design."""
 
-    def __init__(self):
-        self.records: list[ReputationRecord] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
     def append(self, round: int, client_id: int, zeta: float, epsilon: float) -> ReputationRecord:
-        record = ReputationRecord(round, client_id, zeta, epsilon)
-        self.records.append(record)
-        return record
-
-    def client_ids(self) -> list[int]:
-        return sorted({rec.client_id for rec in self.records})
+        return self._push(ReputationRecord(round, client_id, zeta, epsilon))
 
     def read_reputation(self, client_id: int) -> tuple[float, bool]:
-        idxs = [i for i, rec in enumerate(self.records) if rec.client_id == client_id]
-        if not idxs:
-            raise UnknownClientError(client_id)
-        return self.records[idxs[-1]].epsilon, True
+        return self.records[self.positions(client_id)[-1]].epsilon, True
 
 
 def tamper_attack(store, cfg: TamperConfig) -> list[tuple[int, int, float, float]]:
@@ -214,19 +255,19 @@ def tamper_attack(store, cfg: TamperConfig) -> list[tuple[int, int, float, float
     n_attacked = math.ceil(cfg.alpha * len(clients))
     rng = np.random.default_rng(cfg.seed)
     tie_break = {c: t for c, t in zip(clients, rng.permutation(len(clients)))}
-    latest = {
-        c: max(
-            (rec for rec in store.records if rec.client_id == c),
-            key=lambda rec: rec.round,
-        ).epsilon
-        for c in clients
-    }
+    records = store.records
+    positions = {c: store.positions(c) for c in clients}
+    # A client ranks by its highest-round record, the first one on ties.
+    latest = {}
+    for c in clients:
+        rounds = [records[i].round for i in positions[c]]
+        latest[c] = records[positions[c][rounds.index(max(rounds))]].epsilon
     ranked = sorted(clients, key=lambda c: (latest[c], tie_break[c]))
     attacked = sorted(ranked[:n_attacked])
     log = []
     for client in attacked:
-        idx = max(i for i, rec in enumerate(store.records) if rec.client_id == client)
-        rec = store.records[idx]
+        idx = positions[client][-1]
+        rec = records[idx]
         old = rec.epsilon
         rec.epsilon = old * cfg.beta
         log.append((idx, client, old, rec.epsilon))

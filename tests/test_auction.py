@@ -146,6 +146,24 @@ class TestRunRound:
             assert [r.selected for r in reports] == [r.selected for r in reports_a]
             assert [r.epsilons for r in reports] == [r.epsilons for r in reports_a]
 
+    def test_each_model_is_evaluated_once(self, monkeypatch):
+        config = small_config()
+        population, test = build_population(config, seed=3)
+        evaluated = []
+
+        def counted(model, data):
+            evaluated.append(model)
+            return evaluate_accuracy(model, data)
+
+        monkeypatch.setattr(auction, "evaluate_accuracy", counted)
+        state = _fresh_state(config, test)
+        params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
+        for _ in range(3):
+            rep = run_round(population, params, state, seed=3)
+            assert state.accuracy == rep.accuracy_global
+            assert state.accuracy == evaluate_accuracy(state.model, test)
+        assert len({id(m) for m in evaluated}) == len(evaluated)
+
     def test_epsilons_are_what_the_ledger_holds(self):
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=4)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from flmarket.cli import main
@@ -219,3 +224,59 @@ class TestRunCommand:
     def test_invalid_config_is_a_usage_error(self, tmp_path):
         path = write_config(tmp_path, "n_clients = 3\nk_select = 9\n")
         assert main(["run", str(path)]) == 2
+
+    def test_no_ours_mechanism_writes_an_empty_reputation_csv(self, tmp_path):
+        body = (
+            "n_clients = 6\nk_select = 3\nrounds = 2\nseeds = 0\n"
+            f"mechanisms = price-first\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(write_config(tmp_path, body))]) == 0
+        lines = (tmp_path / "out" / "reputation.csv").read_text().splitlines()
+        assert lines[1:] == ["round,client,epsilon,behavior"]
+        assert len((tmp_path / "out" / "rounds.csv").read_text().splitlines()) == 2 + 2
+
+    def test_tamper_grid_without_ours_mechanism_is_a_usage_error(self, tmp_path, capsys):
+        body = (
+            "n_clients = 6\nk_select = 3\nrounds = 2\nseeds = 0\n"
+            "mechanisms = price-first\ntamper_alphas = 0.3\ntamper_betas = 2.0\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(write_config(tmp_path, body))]) == 2
+        assert "needs an ours-* mechanism" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestModuleEntryPoint:
+    """`python -m flmarket` in a fresh process keeps the documented exit codes."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _run(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(self.SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "flmarket", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        return proc.returncode
+
+    def test_documented_exit_codes(self, tmp_path):
+        ledger = HashChainLedger()
+        for i in range(6):
+            ledger.append(i // 2, i % 2, 0.01 * i, 0.1 * i)
+        intact = tmp_path / "intact.bin"
+        ledger.save(intact)
+        raw = bytearray(intact.read_bytes())
+        truncated = tmp_path / "truncated.bin"
+        truncated.write_bytes(raw[:-5])
+        raw[8 + 3 * 96 + 16] ^= 0x01  # epsilon byte of record 3
+        tampered = tmp_path / "tampered.bin"
+        tampered.write_bytes(raw)
+        bad_config = write_config(tmp_path, "n_clients = 3\nk_select = 9\n")
+        assert self._run("verify-ledger", str(intact)) == 0
+        assert self._run("verify-ledger", str(tampered)) == 1
+        assert self._run("verify-ledger", str(truncated)) == 1
+        assert self._run("run", str(bad_config)) == 2

@@ -1,6 +1,17 @@
+import contextlib
+import copy
+import io
+import json
+import math
+import struct
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flmarket.cli import main
 from flmarket.ledger import (
     GENESIS_HASH,
     RECORD_SIZE,
@@ -192,8 +203,6 @@ class TestPersistence:
             HashChainLedger.load(path)
 
     def test_jsonl_export(self, tmp_path):
-        import json
-
         ledger = build_chain(4)
         path = tmp_path / "chain.jsonl"
         ledger.export_jsonl(path)
@@ -202,3 +211,284 @@ class TestPersistence:
         first = json.loads(lines[0])
         assert first["prev_hash"] == "00" * 32
         assert first["client_id"] == 0
+
+
+class NoIterList(list):
+    """A record list that fails any whole-list scan."""
+
+    def __iter__(self):
+        raise AssertionError("records were scanned")
+
+
+class TestClientIndex:
+    @pytest.mark.parametrize("store_cls", [HashChainLedger, PlainStore])
+    def test_reads_and_attack_never_scan_the_records(self, store_cls):
+        store = store_cls()
+        for idx in range(30):
+            store.append(idx // 5, idx % 5, 0.01 * idx, 0.1 + 0.01 * idx)
+        store.records = NoIterList(store.records)
+        assert store.client_ids() == [0, 1, 2, 3, 4]
+        assert store.read_reputation(3) == (store.records[28].epsilon, True)
+        log = tamper_attack(store, TamperConfig(alpha=0.4, beta=2.0, seed=5))
+        assert [idx for idx, *_ in log] == [25, 26]
+        if store_cls is HashChainLedger:
+            assert store.read_reputation(0) == (store.records[25].epsilon, False)
+            assert store.read_last_valid(0) == store.records[20].epsilon
+
+    def test_rewritten_client_id_makes_the_original_client_untrusted(self):
+        ledger = build_chain(20, n_clients=5)
+        ledger.records[7].client_id = 3  # was client 2's record
+        eps, trusted = ledger.read_reputation(2)
+        assert eps == ledger.records[17].epsilon
+        assert not trusted
+        assert ledger.verify() == 7
+
+    def test_append_after_truncation_indexes_only_live_records(self):
+        ledger = build_chain(20, n_clients=5)
+        del ledger.records[12:]
+        ledger.append(3, 4, 0.0, 0.9)  # lands at position 12
+        assert ledger.client_ids() == [0, 1, 2, 3, 4]
+        assert ledger.read_reputation(4) == (0.9, True)
+        assert ledger.read_reputation(2) == (ledger.records[7].epsilon, True)
+        assert ledger.verify() is None
+
+    def test_plain_store_rejects_a_decreasing_round(self):
+        store = PlainStore()
+        store.append(3, 0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            store.append(2, 0, 0.0, 0.0)
+
+
+# -- The whole-ledger scans the per-client index replaced, kept as an oracle --
+
+def _oracle_intact(records, idx):
+    rec = records[idx]
+    expected_prev = records[idx - 1].record_hash if idx else GENESIS_HASH
+    return rec.prev_hash == expected_prev and rec.record_hash == rec.compute_hash()
+
+
+def _oracle_indices(records, client_id):
+    idxs = [i for i, rec in enumerate(records) if rec.client_id == client_id]
+    if not idxs:
+        raise UnknownClientError(client_id)
+    return idxs
+
+
+def oracle_read(records, client_id, chained):
+    idxs = _oracle_indices(records, client_id)
+    trusted = not chained or all(_oracle_intact(records, i) for i in idxs)
+    return records[idxs[-1]].epsilon, trusted
+
+
+def oracle_read_last_valid(records, client_id):
+    for i in reversed(_oracle_indices(records, client_id)):
+        if _oracle_intact(records, i):
+            return records[i].epsilon
+    return None
+
+
+def oracle_tamper(records, cfg):
+    if len(records) == 0:
+        raise ValueError("cannot attack an empty store")
+    clients = sorted({rec.client_id for rec in records})
+    n_attacked = math.ceil(cfg.alpha * len(clients))
+    rng = np.random.default_rng(cfg.seed)
+    tie_break = {c: t for c, t in zip(clients, rng.permutation(len(clients)))}
+    latest = {
+        c: max(
+            (rec for rec in records if rec.client_id == c), key=lambda rec: rec.round
+        ).epsilon
+        for c in clients
+    }
+    ranked = sorted(clients, key=lambda c: (latest[c], tie_break[c]))
+    log = []
+    for client in sorted(ranked[:n_attacked]):
+        idx = max(i for i, rec in enumerate(records) if rec.client_id == client)
+        rec = records[idx]
+        old = rec.epsilon
+        rec.epsilon = old * cfg.beta
+        log.append((idx, client, old, rec.epsilon))
+    return log
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (UnknownClientError, ValueError) as exc:
+        return type(exc)
+
+
+def _hash_calls(fn, *args):
+    """(outcome, number of compute_hash calls) of fn(*args)."""
+    with mock.patch.object(
+        ReputationRecord, "compute_hash", autospec=True,
+        side_effect=ReputationRecord.compute_hash,
+    ) as counted:
+        return _outcome(fn, *args), counted.call_count
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+CLIENT_ID_BYTES = range(8, 16)  # client_id inside a serialized record
+
+appends = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 1), FINITE, FINITE), min_size=1, max_size=40
+)
+edits = st.lists(
+    st.one_of(
+        st.tuples(st.just("epsilon"), st.integers(0, 39), FINITE),
+        st.tuples(st.just("zeta"), st.integers(0, 39), FINITE),
+        st.tuples(st.just("round"), st.integers(0, 39), st.integers(-5, 50)),
+        st.tuples(st.just("prev_hash"), st.integers(0, 39), st.binary(min_size=32, max_size=32)),
+        st.tuples(st.just("record_hash"), st.integers(0, 39), st.binary(min_size=32, max_size=32)),
+        st.tuples(
+            st.just("flip"), st.integers(0, 39),
+            st.integers(0, RECORD_SIZE - 1).filter(lambda b: b not in CLIENT_ID_BYTES),
+            st.integers(0, 7),
+        ),
+        st.tuples(st.just("truncate"), st.integers(0, 40)),
+    ),
+    max_size=6,
+)
+
+
+def _apply(records, edit):
+    kind, idx, *rest = edit
+    if kind == "truncate":
+        del records[idx:]
+    elif idx >= len(records):
+        return
+    elif kind == "flip":  # a plain record has no digest: pad it to the chained layout
+        raw = bytearray(records[idx].to_bytes().ljust(RECORD_SIZE, b"\0"))
+        raw[rest[0]] ^= 1 << rest[1]
+        records[idx] = ReputationRecord.from_bytes(bytes(raw))
+    else:
+        setattr(records[idx], kind, rest[0])
+
+
+class TestIndexMatchesScan:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        store_cls=st.sampled_from([HashChainLedger, PlainStore]),
+        appends=appends,
+        edits=edits,
+        later=st.lists(st.tuples(st.integers(0, 4), st.integers(-1, 2)), max_size=4),
+        alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        seed=st.integers(0, 3),
+    )
+    def test_reads_and_attack_match_the_scan(
+        self, store_cls, appends, edits, later, alpha, seed
+    ):
+        store = store_cls()
+        rnd = 0
+        for client, step, zeta, eps in appends:
+            rnd += step
+            store.append(rnd, client, zeta, eps)
+        for edit in edits:
+            _apply(store.records, edit)
+        for client, step in later:  # appends after the edits
+            last = store.records[-1].round if store.records else 0
+            before = [r.to_bytes() for r in store.records]
+            if _outcome(store.append, last + step, client, 0.5, 0.5) is ValueError:
+                assert step < 0
+                assert [r.to_bytes() for r in store.records] == before
+        chained = store_cls is HashChainLedger
+        records = store.records
+        for client in range(6):
+            assert _hash_calls(store.read_reputation, client) == _hash_calls(
+                oracle_read, records, client, chained
+            )
+            if chained:
+                assert _hash_calls(store.read_last_valid, client) == _hash_calls(
+                    oracle_read_last_valid, records, client
+                )
+        assert store.client_ids() == sorted({rec.client_id for rec in records})
+        oracle_records = copy.deepcopy(records)
+        cfg = TamperConfig(alpha=alpha, beta=3.0, seed=seed)
+        assert _outcome(tamper_attack, store, cfg) == _outcome(
+            oracle_tamper, oracle_records, cfg
+        )
+        assert [r.to_bytes() for r in records] == [r.to_bytes() for r in oracle_records]
+
+
+class TestLoadPath:
+    def _tampered_chain(self):
+        ledger = build_chain(30, n_clients=4)
+        tamper_attack(ledger, TamperConfig(alpha=0.5, beta=2.0, seed=2))
+        ledger.records[5].epsilon += 1.0
+        return ledger
+
+    def test_load_round_trip_gives_the_same_reads(self, tmp_path):
+        ledger = self._tampered_chain()
+        path = tmp_path / "chain.bin"
+        ledger.save(path)
+        loaded = HashChainLedger.load(path)
+        assert loaded.client_ids() == ledger.client_ids() == [0, 1, 2, 3]
+        for client in range(4):
+            assert loaded.read_reputation(client) == ledger.read_reputation(client)
+            assert loaded.read_last_valid(client) == ledger.read_last_valid(client)
+        assert loaded.verify() == ledger.verify() == 5
+
+    def test_decreasing_round_is_a_format_error(self, tmp_path, capsys):
+        ledger = HashChainLedger()
+        ledger.append(5, 0, 0.1, 0.2)
+        # A correctly hashed and linked record whose round goes back.
+        rec = ReputationRecord(2, 1, 0.1, 0.3, ledger.records[0].record_hash)
+        rec.record_hash = rec.compute_hash()
+        ledger.records.append(rec)
+        assert ledger.verify() is None
+        path = tmp_path / "chain.bin"
+        ledger.save(path)
+        with pytest.raises(ValueError, match="round 2 precedes"):
+            HashChainLedger.load(path)
+        assert main(["verify-ledger", str(path)]) == 1
+        assert "format error" in capsys.readouterr().err
+
+
+def _valid_file(n_records):
+    ledger = build_chain(n_records, n_clients=3)
+    return struct.pack("<q", len(ledger)) + b"".join(r.to_bytes() for r in ledger.records)
+
+
+@st.composite
+def ledger_files(draw):
+    """Valid files, their truncations, trailing bytes, rewritten counts and
+    random bodies."""
+    raw = _valid_file(draw(st.integers(0, 4)))
+    kind = draw(st.sampled_from(["valid", "truncated", "trailing", "count", "body"]))
+    if kind == "truncated":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "trailing":
+        return raw + draw(st.binary(min_size=1, max_size=200))
+    if kind == "count":
+        count = draw(st.one_of(st.integers(-(2**63), -1), st.integers(0, 8),
+                               st.integers(2**40, 2**63 - 1)))
+        return struct.pack("<q", count) + raw[8:]
+    if kind == "body":
+        n = draw(st.integers(0, 4))
+        body = draw(st.binary(min_size=n * RECORD_SIZE, max_size=n * RECORD_SIZE))
+        return struct.pack("<q", n) + body
+    return raw
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoadFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(ledger_files(), st.binary(max_size=400)))
+    def test_load_raises_value_error_or_loads(self, fuzz_dir, raw):
+        path = fuzz_dir / "chain.bin"
+        path.write_bytes(raw)
+        try:
+            ledger = HashChainLedger.load(path)
+        except ValueError:
+            expected = 1
+        else:
+            expected = 0 if ledger.verify() is None else 1
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["verify-ledger", str(path)]) == expected
+        assert "Traceback" not in err.getvalue()
