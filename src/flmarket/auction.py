@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flsim import (
+    FEATURE_DIM,
     AggregationConfig,
     ModelParams,
     PoisonConfig,
@@ -27,6 +28,7 @@ from .flsim import (
     poison,
 )
 from .ledger import (
+    STORES,
     HashChainLedger,
     PlainStore,
     TamperConfig,
@@ -39,8 +41,8 @@ from .mechanism import (
     Regime,
     client_utility,
     cost,
+    solve,
     solve_complete,
-    solve_incomplete,
 )
 from .reputation import (
     ReputationParams,
@@ -59,6 +61,7 @@ MC_SAMPLES = 64
 
 TRUST_ZERO = "zero"
 TRUST_LAST_VALID = "last_valid"
+TRUST_POLICIES = (TRUST_ZERO, TRUST_LAST_VALID)
 
 
 @dataclass
@@ -100,7 +103,8 @@ class RoundReport:
 @dataclass
 class SimulationState:
     """Mutable cross-round state: global model and its test accuracy,
-    ledger, Scaffold variates."""
+    ledger, and the Scaffold control variates: the server's c and each
+    aggregated client's c_i (a client without one reads zeros)."""
 
     agg: AggregationConfig
     test: SyntheticDataset
@@ -108,6 +112,8 @@ class SimulationState:
     rep_params: ReputationParams = field(default_factory=ReputationParams)
     model: ModelParams = field(default_factory=init_model)
     trust_policy: str = TRUST_LAST_VALID
+    server_variate: np.ndarray = field(default_factory=lambda: np.zeros(FEATURE_DIM + 1))
+    variates: dict[int, np.ndarray] = field(default_factory=dict)
     round: int = 0
     accuracy: float = field(init=False)  # test accuracy of `model`
 
@@ -142,7 +148,7 @@ def ledger_epsilon(store, client_id: int, policy: str = TRUST_LAST_VALID) -> flo
         return 0.0
     if trusted:
         return eps
-    if policy == TRUST_LAST_VALID and isinstance(store, HashChainLedger):
+    if policy == TRUST_LAST_VALID:
         fallback = store.read_last_valid(client_id)
         return fallback if fallback is not None else 0.0
     return 0.0
@@ -175,7 +181,6 @@ def run_round(
     """One full auction + training + reputation round."""
     if not population:
         raise ValueError("population must be non-empty")
-    solve = solve_complete if params.regime is Regime.COMPLETE else solve_incomplete
     contracts = {c.id: solve(c.theta, params) for c in population}
     utilities = {
         c.id: client_utility(contracts[c.id], c.theta, params.delta) for c in population
@@ -199,13 +204,20 @@ def run_round(
         else poison(c.dataset, c.poison_cfg, seed=_mix(seed, state.round, c.id))
         for c in accepted
     ]
-    trained = local_train(state.model, datasets, state.agg)
+    trained = local_train(state.model, datasets, state.agg, state.server_variate, state.variates)
     local_models = {c.id: m for c, m in zip(accepted, trained)}
     new_global = aggregate(
         [local_models[i] for i in selected],
         [len(by_id[i].dataset) for i in selected],
         state.agg,
     )
+    # Scaffold: every trained client commits its proposed c_i+, and c moves
+    # by the mean change.
+    proposed = {i: m.variate for i, m in local_models.items() if m.variate is not None}
+    if proposed:
+        deltas = [v - state.variates.get(i, 0.0) for i, v in proposed.items()]
+        state.server_variate = state.server_variate + np.mean(deltas, axis=0)
+        state.variates.update(proposed)
     acc_global = evaluate_accuracy(new_global, state.test)
     # Contributions are measured against the model the clients started
     # from, so the per-round improvement signal stays attributable.
@@ -351,21 +363,13 @@ def build_population(config, seed: int) -> tuple[list[ClientProfile], SyntheticD
     return profiles, test
 
 
-def _make_store(mode: str):
-    if mode == "chained":
-        return HashChainLedger()
-    if mode == "vulnerable":
-        return PlainStore()
-    raise ValueError(f"unknown ledger mode {mode!r}")
-
-
 def _fresh_state(config, test: SyntheticDataset, ledger_mode: str = "chained") -> SimulationState:
     return SimulationState(
         agg=AggregationConfig(
             config.aggregation, config.local_epochs, config.learning_rate, config.prox_mu
         ),
         test=test,
-        ledger=_make_store(ledger_mode),
+        ledger=STORES[ledger_mode](),
         rep_params=ReputationParams(config.w1, config.w2),
         trust_policy=config.trust_policy,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 from .auction import run_experiment, run_reputation_trace, run_robustness
 from .config import ConfigError, ExperimentConfig, parse_config
 from .ledger import HashChainLedger
-from .mechanism import MarketParams, Regime, solve_complete, solve_incomplete
+from .mechanism import MarketParams, Regime, solve
 
 
 def _fmt(value) -> str:
@@ -91,8 +91,7 @@ def cmd_verify_ledger(path: str) -> int:
 
 def cmd_solve(theta: float, lam: float, delta: float, regime: str) -> int:
     params = MarketParams(lam, delta, n_clients=1, k_select=1, regime=Regime(regime))
-    solver = solve_complete if params.regime is Regime.COMPLETE else solve_incomplete
-    contract = solver(theta, params)
+    contract = solve(theta, params)
     print(f"regime={params.regime.value} theta={theta!r} q={contract.q!r} r={contract.r!r}")
     return 0
 

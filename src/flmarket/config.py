@@ -5,8 +5,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 
+from .auction import TRUST_LAST_VALID, TRUST_POLICIES
 from .flsim import AggregationConfig, Aggregator, PoisonConfig
-from .ledger import TamperConfig
+from .ledger import STORES, TamperConfig
 from .mechanism import MarketParams
 from .reputation import ReputationParams
 
@@ -44,7 +45,7 @@ class ExperimentConfig:
     tamper_alphas: list[float] = field(default_factory=list)
     tamper_betas: list[float] = field(default_factory=list)
     ledger_modes: list[str] = field(default_factory=lambda: ["chained"])
-    trust_policy: str = "last_valid"
+    trust_policy: str = TRUST_LAST_VALID
     output_dir: str = "out"
 
     def mechanisms_ours(self) -> list[str]:
@@ -68,9 +69,9 @@ class ExperimentConfig:
         if not 0 <= self.poison_count <= self.n_clients:
             raise ConfigError("poison_count must satisfy 0 <= poison_count <= n_clients")
         for mode in self.ledger_modes:
-            if mode not in ("chained", "vulnerable"):
+            if mode not in STORES:
                 raise ConfigError(f"unknown ledger mode {mode!r}")
-        if self.trust_policy not in ("zero", "last_valid"):
+        if self.trust_policy not in TRUST_POLICIES:
             raise ConfigError(f"unknown trust policy {self.trust_policy!r}")
         known = {m for m in self.mechanisms}
         bad = known - {"ours-complete", "ours-incomplete", "price-first", "randomized"}

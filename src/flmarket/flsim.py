@@ -58,6 +58,7 @@ class SyntheticDataset:
 @dataclass
 class ModelParams:
     weights: np.ndarray  # (d + 1,), last entry is the bias
+    variate: np.ndarray | None = None  # Scaffold: the client's proposed c_i+
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.weights.copy())
@@ -73,18 +74,15 @@ class Aggregator(Enum):
     SCAFFOLD = "scaffold"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregationConfig:
-    """Local-training hyperparameters plus Scaffold control-variate state."""
+    """Local-training hyperparameters. The Scaffold control variates are
+    round state, held by the caller and passed to `local_train`."""
 
     algo: Aggregator = Aggregator.FEDAVG
     local_epochs: int = 5
     learning_rate: float = 0.5
     prox_mu: float = 0.0
-    # Scaffold state, zero-initialized lazily per client.
-    client_variates: dict = field(default_factory=dict)
-    global_variate: np.ndarray | None = None
-    pending_variate_updates: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.local_epochs < 1:
@@ -93,13 +91,6 @@ class AggregationConfig:
             raise ValueError("learning_rate must be nonnegative")
         if not self.prox_mu >= 0.0:
             raise ValueError("prox_mu must be nonnegative")
-
-    def variate_for(self, client: int, dim: int) -> np.ndarray:
-        if self.global_variate is None:
-            self.global_variate = np.zeros(dim)
-        if client not in self.client_variates:
-            self.client_variates[client] = np.zeros(dim)
-        return self.client_variates[client]
 
 
 @dataclass(frozen=True)
@@ -165,15 +156,18 @@ def _design_block(datasets: list[SyntheticDataset]) -> np.ndarray:
 
 
 def local_train(
-    global_model: ModelParams, datasets: list[SyntheticDataset], cfg: AggregationConfig
+    global_model: ModelParams, datasets: list[SyntheticDataset], cfg: AggregationConfig,
+    server_variate: np.ndarray | None = None, variates: dict[int, np.ndarray] | None = None,
 ) -> list[ModelParams]:
     """Run local gradient-descent epochs on logistic loss for every client at once.
 
     Each epoch is two stacked matrix products over the zero-padded design
     block; padded rows are all zero, bias included, so they add nothing to
-    the gradient. FedProx adds prox_mu * (w - w_global) to the gradient;
-    Scaffold corrects each step with (c_global - c_i) and updates c_i
-    afterwards (option-II variate update), in the order of `datasets`.
+    the gradient. FedProx adds prox_mu * (w - w_global) to the gradient.
+    Scaffold corrects each step with (c - c_i), where c is `server_variate`
+    and c_i is `variates[owner]` (zeros where either is missing), and each
+    returned model carries the client's proposed c_i+ (option II) as
+    `variate`. The variates are only read; committing them is the caller's.
     Returns one local model per dataset, in order.
     """
     if not datasets:
@@ -189,8 +183,9 @@ def local_train(
     lr = cfg.learning_rate
 
     if cfg.algo is Aggregator.SCAFFOLD:
-        c_i = np.stack([cfg.variate_for(d.owner, w.shape[1]) for d in datasets])
-        c_global = cfg.global_variate
+        zero = np.zeros_like(w_global)
+        c = zero if server_variate is None else server_variate
+        c_i = np.stack([(variates or {}).get(d.owner, zero) for d in datasets])
 
     for _ in range(cfg.local_epochs):
         residual = _sigmoid((x @ w[:, :, None])[:, :, 0]) - y
@@ -198,21 +193,19 @@ def local_train(
         if cfg.algo is Aggregator.FEDPROX:
             grad = grad + cfg.prox_mu * (w - w_global)
         elif cfg.algo is Aggregator.SCAFFOLD:
-            grad = grad + (c_global - c_i)
+            grad = grad + (c - c_i)
         w = w - lr * grad
 
     if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
-        c_new = c_i - cfg.global_variate + (w_global - w) / (cfg.local_epochs * lr)
-        for d, old, new in zip(datasets, c_i, c_new):
-            cfg.pending_variate_updates.append(new - old)
-            cfg.client_variates[d.owner] = new
+        c_new = c_i - c + (w_global - w) / (cfg.local_epochs * lr)
+        return [ModelParams(weights, variate) for weights, variate in zip(w, c_new)]
     return [ModelParams(weights) for weights in w]
 
 
 def aggregate(
     models: list[ModelParams], sample_counts: list[int], cfg: AggregationConfig
 ) -> ModelParams:
-    """Sample-count-weighted average of local models."""
+    """Sample-count-weighted average of local models, whatever `cfg.algo` is."""
     if not models:
         raise ValueError("cannot aggregate zero models")
     if len(models) != len(sample_counts):
@@ -220,10 +213,6 @@ def aggregate(
     counts = np.asarray(sample_counts, dtype=float)
     stacked = np.stack([m.weights for m in models])
     merged = (counts[:, None] * stacked).sum(axis=0) / counts.sum()
-    if cfg.algo is Aggregator.SCAFFOLD and cfg.pending_variate_updates:
-        delta = np.mean(cfg.pending_variate_updates, axis=0)
-        cfg.global_variate = cfg.global_variate + delta
-        cfg.pending_variate_updates.clear()
     return ModelParams(merged)
 
 

@@ -239,6 +239,10 @@ class PlainStore(_IndexedStore):
         return self.records[self.positions(client_id)[-1]].epsilon, True
 
 
+# The store behind each ledger mode a config may name.
+STORES = {"chained": HashChainLedger, "vulnerable": PlainStore}
+
+
 def tamper_attack(store, cfg: TamperConfig) -> list[tuple[int, int, float, float]]:
     """Inflate the latest stored epsilon of the lowest-reputation clients.
 

@@ -138,6 +138,12 @@ def solve_incomplete(theta: float, params: MarketParams) -> Contract:
     return Contract(q, r)
 
 
+def solve(theta: float, params: MarketParams) -> Contract:
+    """Optimal contract under the information regime of `params`."""
+    solver = solve_complete if params.regime is Regime.COMPLETE else solve_incomplete
+    return solver(theta, params)
+
+
 def ic_diagnostic(
     true_theta: float, reported_grid: list[float], params: MarketParams
 ) -> list[IcDiagnostic]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,23 +96,47 @@ class TestLocalTrain:
         datasets, _ = generate_population(1, [0.9], seed=6)
         cfg = AggregationConfig(algo=Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.1)
         model = init_model()
-        local = local_train(model, [datasets[0]], cfg)[0]
-        assert 0 in cfg.client_variates
-        assert len(cfg.pending_variate_updates) == 1
+        server_variate, variates = np.zeros(len(model.weights)), {}
+        local = local_train(model, [datasets[0]], cfg, server_variate, variates)[0]
+        # Client 0 proposes one variate update; committing it is the caller's.
+        assert local.variate is not None
+        assert local.variate.shape == server_variate.shape
         aggregate([local], [len(datasets[0])], cfg)
-        assert not cfg.pending_variate_updates
-        assert np.any(cfg.global_variate != 0.0)
+        assert not variates and not np.any(server_variate)
+        # Committing it moves c off zero.
+        assert np.any(local.variate != 0.0)
+
+    def test_local_train_leaves_variate_inputs_unchanged(self):
+        datasets = mixed_clients(2)
+        cfg, server_variate, variates = train_config(Aggregator.SCAFFOLD, 2)
+        kept = server_variate.copy(), {i: v.copy() for i, v in variates.items()}
+        local_train(init_model(2), datasets, cfg, server_variate, variates)
+        assert np.array_equal(server_variate, kept[0])
+        assert list(variates) == list(kept[1])
+        for i, v in variates.items():
+            assert np.array_equal(v, kept[1][i])
 
 
-def reference_train(global_model, data, cfg):
-    """The one-client loop that the batched trainer replaced."""
+class TestAggregationConfig:
+    def test_is_frozen_and_holds_only_hyperparameters(self):
+        cfg = AggregationConfig(algo=Aggregator.SCAFFOLD)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.learning_rate = 1.0
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "algo", "local_epochs", "learning_rate", "prox_mu"
+        ]
+
+
+def reference_train(global_model, data, cfg, server_variate, variates):
+    """The one-client loop that the batched trainer replaced, reading the
+    Scaffold state from its arguments and returning the proposed c_i+."""
     x, y = data.design, data.labels.astype(float)
     w_global = global_model.weights
     w = w_global.copy()
     lr = cfg.learning_rate
     if cfg.algo is Aggregator.SCAFFOLD:
-        c_i = cfg.variate_for(data.owner, len(w))
-        c_global = cfg.global_variate
+        c_i = variates.get(data.owner, np.zeros(len(w)))
+        c_global = server_variate
     for _ in range(cfg.local_epochs):
         grad = x.T @ (sigmoid(np.clip(x @ w, -40.0, 40.0)) - y) / len(y)
         if cfg.algo is Aggregator.FEDPROX:
@@ -119,9 +145,8 @@ def reference_train(global_model, data, cfg):
             grad = grad + (c_global - c_i)
         w = w - lr * grad
     if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
-        c_new = c_i - cfg.global_variate + (w_global - w) / (cfg.local_epochs * lr)
-        cfg.pending_variate_updates.append(c_new - c_i)
-        cfg.client_variates[data.owner] = c_new
+        c_new = c_i - c_global + (w_global - w) / (cfg.local_epochs * lr)
+        return ModelParams(w, c_new)
     return ModelParams(w)
 
 
@@ -144,12 +169,13 @@ def mixed_clients(dim):
 
 
 def train_config(algo, dim):
+    """Hyperparameters plus Scaffold state: the server variate c and the c_i
+    of clients 0 and 2 (clients 1 and 3 hold none, so they read zeros)."""
     rng = np.random.default_rng(5)
     cfg = AggregationConfig(algo=algo, local_epochs=7, learning_rate=0.4, prox_mu=0.3)
-    if algo is Aggregator.SCAFFOLD:
-        cfg.global_variate = 0.05 * rng.normal(size=dim + 1)
-        cfg.client_variates = {owner: 0.05 * rng.normal(size=dim + 1) for owner in (0, 2)}
-    return cfg
+    server_variate = 0.05 * rng.normal(size=dim + 1)
+    variates = {owner: 0.05 * rng.normal(size=dim + 1) for owner in (0, 2)}
+    return cfg, server_variate, variates
 
 
 class TestBatchedTrain:
@@ -159,23 +185,24 @@ class TestBatchedTrain:
         datasets = mixed_clients(dim)
         assert len({len(d) for d in datasets}) == len(datasets)
         model = ModelParams(0.1 * np.random.default_rng(8).normal(size=dim + 1))
-        cfg_batch, cfg_alone, cfg_ref = (train_config(algo, dim) for _ in range(3))
-        batch = local_train(model, datasets, cfg_batch)
-        alone = [local_train(model, [d], cfg_alone)[0] for d in datasets]
-        reference = [reference_train(model, d, cfg_ref) for d in datasets]
+        cfg, server_variate, variates = train_config(algo, dim)
+        batch = local_train(model, datasets, cfg, server_variate, variates)
+        alone = [local_train(model, [d], cfg, server_variate, variates)[0] for d in datasets]
+        reference = [reference_train(model, d, cfg, server_variate, variates) for d in datasets]
         assert len(batch) == len(datasets)
         for b, a, r in zip(batch, alone, reference):
             assert np.allclose(b.weights, a.weights, rtol=0.0, atol=1e-12)
             assert np.allclose(b.weights, r.weights, rtol=0.0, atol=1e-12)
-        for other in (cfg_alone, cfg_ref):
-            assert list(cfg_batch.client_variates) == list(other.client_variates)
-            variates = zip(cfg_batch.client_variates.values(), other.client_variates.values())
-            pending = cfg_batch.pending_variate_updates, other.pending_variate_updates
-            assert len(pending[0]) == len(pending[1])
-            for b, o in [*variates, *zip(*pending)]:
-                assert np.allclose(b, o, rtol=0.0, atol=1e-12)
-        if algo is Aggregator.SCAFFOLD:
-            assert len(cfg_batch.pending_variate_updates) == len(datasets)
+        for other in (alone, reference):
+            # The same clients propose the same c_i+, so the same updates c_i+ - c_i.
+            assert [b.variate is None for b in batch] == [o.variate is None for o in other]
+            for d, b, o in zip(datasets, batch, other):
+                if b.variate is not None:
+                    c_i = variates.get(d.owner, 0.0)
+                    assert np.allclose(b.variate, o.variate, rtol=0.0, atol=1e-12)
+                    assert np.allclose(b.variate - c_i, o.variate - c_i, rtol=0.0, atol=1e-12)
+        proposed = sum(b.variate is not None for b in batch)
+        assert proposed == (len(datasets) if algo is Aggregator.SCAFFOLD else 0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
