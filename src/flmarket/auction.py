@@ -211,12 +211,13 @@ def run_round(
         [len(by_id[i].dataset) for i in selected],
         state.agg,
     )
-    # Scaffold: every trained client commits its proposed c_i+, and c moves
-    # by the mean change.
-    proposed = {i: m.variate for i, m in local_models.items() if m.variate is not None}
-    if proposed:
+    # Scaffold: only the aggregated clients S commit their proposed c_i+, and
+    # c moves by (1/N) * sum over S of c_i+ - c_i, N the population size.
+    # local_train proposes a c_i+ for every client or (not Scaffold) for none.
+    proposed = {i: local_models[i].variate for i in selected}
+    if proposed[selected[0]] is not None:
         deltas = [v - state.variates.get(i, 0.0) for i, v in proposed.items()]
-        state.server_variate = state.server_variate + np.mean(deltas, axis=0)
+        state.server_variate = state.server_variate + np.sum(deltas, axis=0) / len(population)
         state.variates.update(proposed)
     acc_global = evaluate_accuracy(new_global, state.test)
     # Contributions are measured against the model the clients started

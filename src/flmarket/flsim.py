@@ -60,9 +60,6 @@ class ModelParams:
     weights: np.ndarray  # (d + 1,), last entry is the bias
     variate: np.ndarray | None = None  # Scaffold: the client's proposed c_i+
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.weights.copy())
-
 
 def init_model(dim: int = FEATURE_DIM) -> ModelParams:
     return ModelParams(np.zeros(dim + 1))

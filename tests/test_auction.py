@@ -23,6 +23,7 @@ from flmarket.auction import (
 from flmarket.config import ExperimentConfig
 from flmarket.flsim import (
     AggregationConfig,
+    Aggregator,
     PoisonConfig,
     evaluate_accuracy,
     generate_population,
@@ -163,6 +164,26 @@ class TestRunRound:
             assert state.accuracy == rep.accuracy_global
             assert state.accuracy == evaluate_accuracy(state.model, test)
         assert len({id(m) for m in evaluated}) == len(evaluated)
+
+    def test_scaffold_commits_only_the_aggregated_clients(self):
+        # Complete information: all six clients accept, and k = 2 are aggregated.
+        thetas = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        datasets, test = generate_population(6, thetas, seed=23)
+        population = [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
+        params = MarketParams(1.0, 2.0, 6, 2, Regime.COMPLETE)
+        cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
+        state = SimulationState(agg=cfg, test=test)
+        model = state.model
+        rep = run_round(population, params, state, seed=23)
+        assert len(rep.realized_q) == 6 and len(rep.selected) == 2
+        proposed = local_train(model, datasets, cfg, np.zeros(21), {})
+        # Only the selected clients hold a variate: the c_i+ they proposed.
+        assert sorted(state.variates) == sorted(rep.selected)
+        for i in rep.selected:
+            assert np.array_equal(state.variates[i], proposed[i].variate)
+        # c <- c + (1/N) * sum over S of (c_i+ - c_i), from c = c_i = 0.
+        expected = sum(proposed[i].variate for i in rep.selected) / len(population)
+        assert np.allclose(state.server_variate, expected, rtol=0.0, atol=1e-12)
 
     def test_epsilons_are_what_the_ledger_holds(self):
         config = small_config(poison_count=2)

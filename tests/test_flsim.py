@@ -233,7 +233,8 @@ class TestDesignBlock:
 class TestAggregate:
     def test_average_of_identical_models_is_identity(self):
         w = ModelParams(np.array([1.0, 2.0, 3.0]))
-        out = aggregate([w.copy(), w.copy()], [10, 20], AggregationConfig())
+        copies = [ModelParams(w.weights.copy()) for _ in range(2)]
+        out = aggregate(copies, [10, 20], AggregationConfig())
         assert np.array_equal(out.weights, w.weights)
 
     def test_weighted_scalar_average(self):
