@@ -260,17 +260,13 @@ def tamper_attack(store, cfg: TamperConfig) -> list[tuple[int, int, float, float
     rng = np.random.default_rng(cfg.seed)
     tie_break = {c: t for c, t in zip(clients, rng.permutation(len(clients)))}
     records = store.records
-    positions = {c: store.positions(c) for c in clients}
-    # A client ranks by its highest-round record, the first one on ties.
-    latest = {}
-    for c in clients:
-        rounds = [records[i].round for i in positions[c]]
-        latest[c] = records[positions[c][rounds.index(max(rounds))]].epsilon
-    ranked = sorted(clients, key=lambda c: (latest[c], tie_break[c]))
+    # A client ranks by its last record, the epsilon read_reputation reports.
+    last = {c: store.positions(c)[-1] for c in clients}
+    ranked = sorted(clients, key=lambda c: (records[last[c]].epsilon, tie_break[c]))
     attacked = sorted(ranked[:n_attacked])
     log = []
     for client in attacked:
-        idx = positions[client][-1]
+        idx = last[client]
         rec = records[idx]
         old = rec.epsilon
         rec.epsilon = old * cfg.beta

@@ -23,16 +23,22 @@ class CoalitionMode(Enum):
 
 @dataclass(frozen=True)
 class CoalitionUtility:
-    """Coalition value function over sets of client ids."""
+    """Coalition value function over membership matrices.
 
-    evaluator: Callable[[frozenset], float]
+    The evaluator takes an (m, n) boolean matrix, one coalition per row
+    (column j set when client j is a member), and returns the m values.
+    """
+
+    evaluator: Callable[[np.ndarray], np.ndarray]
     mode: CoalitionMode = CoalitionMode.ADDITIVE
 
 
 def additive_utility(values: dict[int, float]) -> CoalitionUtility:
-    """Utility where each member contributes a fixed per-client value."""
+    """Utility where each member contributes a fixed per-client value; the
+    clients are 0..n-1. A row reduction, not a product, so no BLAS call."""
+    vec = np.array([values[j] for j in range(len(values))], dtype=float)
     return CoalitionUtility(
-        evaluator=lambda coalition: sum(values[j] for j in coalition),
+        evaluator=lambda masks: np.where(masks, vec, 0.0).sum(axis=1),
         mode=CoalitionMode.ADDITIVE,
     )
 
@@ -49,6 +55,28 @@ class ReputationParams:
             raise ValueError("reputation weights must satisfy w1 + w2 = 1")
 
 
+def _evaluate(u: CoalitionUtility, masks: np.ndarray) -> np.ndarray:
+    values = np.asarray(u.evaluator(masks), dtype=float)
+    if values.shape != (len(masks),):
+        raise ValueError(
+            "coalition evaluator must return one value per row of the membership "
+            f"matrix: expected shape ({len(masks)},), got {values.shape}"
+        )
+    if not np.isfinite(values).all():
+        raise ValueError("coalition evaluator returned a non-finite value for a row")
+    return values
+
+
+def _mean_marginal(u: CoalitionUtility, without: np.ndarray, i: int) -> float:
+    """Mean of v(S + i) - v(S) over the rows S of `without` (none holds i),
+    summed in row order. Two evaluator calls."""
+    with_i = without.copy()
+    with_i[:, i] = True
+    marginals = _evaluate(u, with_i) - _evaluate(u, without)
+    # cumsum adds left to right, as a running total over the rows would.
+    return float(np.cumsum(marginals)[-1]) / len(without)
+
+
 def banzhaf_exact(u: CoalitionUtility, n: int, i: int) -> float:
     """Exact Banzhaf index: mean marginal contribution of player i over all
     2^(n-1) coalitions of the remaining players."""
@@ -57,14 +85,11 @@ def banzhaf_exact(u: CoalitionUtility, n: int, i: int) -> float:
             f"exact enumeration limited to n <= {EXACT_ENUMERATION_LIMIT}, got {n}"
         )
     others = [j for j in range(n) if j != i]
-    total = 0.0
-    evaluate = u.evaluator
-    for mask in range(1 << len(others)):
-        coalition = frozenset(
-            j for bit, j in enumerate(others) if mask >> bit & 1
-        )
-        total += evaluate(coalition | {i}) - evaluate(coalition)
-    return total / (1 << len(others))
+    # Row `mask` holds the others whose bit is set in mask.
+    bits = np.arange(1 << len(others))[:, None] >> np.arange(len(others)) & 1
+    without = np.zeros((len(bits), n), dtype=bool)
+    without[:, others] = bits
+    return _mean_marginal(u, without, i)
 
 
 def banzhaf_mc(
@@ -76,13 +101,10 @@ def banzhaf_mc(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    others = np.array([j for j in range(n) if j != i])
-    evaluate = u.evaluator
-    total = 0.0
-    for include in rng.random((samples, len(others))) < 0.5:
-        coalition = frozenset(others[include].tolist())
-        total += evaluate(coalition | {i}) - evaluate(coalition)
-    return total / samples
+    others = [j for j in range(n) if j != i]
+    without = np.zeros((samples, n), dtype=bool)
+    without[:, others] = rng.random((samples, len(others))) < 0.5
+    return _mean_marginal(u, without, i)
 
 
 def update_reputation(prev_epsilon: float, zeta: float, params: ReputationParams) -> float:

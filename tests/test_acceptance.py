@@ -165,22 +165,21 @@ def test_criterion_6_banzhaf_oracle_equivalence():
     for trial in range(50):
         table = rng.normal(size=1 << n)
 
-        def evaluate(coalition):
-            mask = 0
-            for j in coalition:
-                mask |= 1 << j
-            return table[mask]
+        def evaluate(masks):
+            # Row r's coalition bitmask indexes the table.
+            return table[(masks.astype(np.int64) << np.arange(n)).sum(axis=1)]
 
         u = CoalitionUtility(evaluate, CoalitionMode.RETRAIN)
         i = int(rng.integers(n))
         exact = banzhaf_exact(u, n, i)
         est = banzhaf_mc(u, n, i, samples=samples, seed=trial)
         others = [j for j in range(n) if j != i]
-        marginals = [
-            evaluate(frozenset(j for b, j in enumerate(others) if mask >> b & 1) | {i})
-            - evaluate(frozenset(j for b, j in enumerate(others) if mask >> b & 1))
-            for mask in range(1 << (n - 1))
-        ]
+        without = np.zeros((1 << (n - 1), n), dtype=bool)
+        for mask in range(1 << (n - 1)):
+            without[mask, others] = [mask >> b & 1 for b in range(n - 1)]
+        with_i = without.copy()
+        with_i[:, i] = True
+        marginals = evaluate(with_i) - evaluate(without)
         sigma = float(np.std(marginals))
         ok &= abs(est - exact) <= 3.0 * sigma / np.sqrt(samples)
     values = {i: float(v) for i, v in enumerate(rng.normal(size=n))}

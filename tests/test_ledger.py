@@ -128,6 +128,16 @@ class TestTamperAttack:
         with pytest.raises(ValueError):
             tamper_attack(HashChainLedger(), TamperConfig(0.5, 2.0))
 
+    @pytest.mark.parametrize("store_cls", [HashChainLedger, PlainStore])
+    def test_ranks_by_the_epsilon_a_read_reports(self, store_cls):
+        store = store_cls()
+        store.append(0, 0, 0.0, 0.5)
+        store.append(0, 1, 0.0, 0.1)  # client 1's first record in round 0 ...
+        store.append(0, 1, 0.0, 0.9)  # ... and its later one, which a read reports
+        assert store.read_reputation(1)[0] == 0.9
+        log = tamper_attack(store, TamperConfig(alpha=0.5, beta=2.0, seed=0))
+        assert log == [(0, 0, 0.5, 1.0)]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TamperConfig(alpha=1.5, beta=2.0)
@@ -294,12 +304,7 @@ def oracle_tamper(records, cfg):
     n_attacked = math.ceil(cfg.alpha * len(clients))
     rng = np.random.default_rng(cfg.seed)
     tie_break = {c: t for c, t in zip(clients, rng.permutation(len(clients)))}
-    latest = {
-        c: max(
-            (rec for rec in records if rec.client_id == c), key=lambda rec: rec.round
-        ).epsilon
-        for c in clients
-    }
+    latest = {c: [rec for rec in records if rec.client_id == c][-1].epsilon for c in clients}
     ranked = sorted(clients, key=lambda c: (latest[c], tie_break[c]))
     log = []
     for client in sorted(ranked[:n_attacked]):

@@ -14,16 +14,45 @@ from flmarket.reputation import (
 )
 
 
+def mask_index(masks):
+    """Bitmask of each membership row: bit j set when column j is."""
+    return (masks.astype(np.int64) << np.arange(masks.shape[1])).sum(axis=1)
+
+
 def table_utility(values_by_mask, n):
-    """Utility backed by a dense table over coalition bitmasks."""
+    """Utility backed by a dense table (array or dict) over coalition bitmasks."""
+    table = np.array([values_by_mask[mask] for mask in range(1 << n)], dtype=float)
+    return CoalitionUtility(lambda masks: table[mask_index(masks)], CoalitionMode.RETRAIN)
 
-    def evaluate(coalition):
-        mask = 0
-        for j in coalition:
-            mask |= 1 << j
-        return values_by_mask[mask]
 
-    return CoalitionUtility(evaluate, CoalitionMode.RETRAIN)
+def row(n, members):
+    """One-row membership matrix of the given players."""
+    masks = np.zeros((1, n), dtype=bool)
+    masks[0, list(members)] = True
+    return masks
+
+
+# The per-coalition primitives the batched ones replaced, kept as the
+# reference: an evaluator here takes one frozenset and returns one float.
+
+
+def reference_exact(evaluate, n, i):
+    others = [j for j in range(n) if j != i]
+    total = 0.0
+    for mask in range(1 << len(others)):
+        coalition = frozenset(j for bit, j in enumerate(others) if mask >> bit & 1)
+        total += evaluate(coalition | {i}) - evaluate(coalition)
+    return total / (1 << len(others))
+
+
+def reference_mc(evaluate, n, i, samples, seed):
+    rng = np.random.default_rng(seed)
+    others = np.array([j for j in range(n) if j != i])
+    total = 0.0
+    for include in rng.random((samples, len(others))) < 0.5:
+        coalition = frozenset(others[include].tolist())
+        total += evaluate(coalition | {i}) - evaluate(coalition)
+    return total / samples
 
 
 class TestBanzhafExact:
@@ -44,8 +73,8 @@ class TestBanzhafExact:
         # Value depends only on coalition size -> all players symmetric.
         by_size = rng.normal(size=n + 1)
 
-        def evaluate(coalition):
-            return by_size[len(coalition)]
+        def evaluate(masks):
+            return by_size[masks.sum(axis=1)]
 
         u = CoalitionUtility(evaluate)
         indices = [banzhaf_exact(u, n, i) for i in range(n)]
@@ -70,6 +99,21 @@ class TestBanzhafExact:
             i = int(rng.integers(n))
             assert banzhaf_exact(u, n, i) == pytest.approx(values[i], abs=1e-9)
 
+    def test_two_evaluator_calls_over_every_coalition(self):
+        seen = []
+
+        def evaluate(masks):
+            seen.append(masks.copy())
+            return masks.sum(axis=1).astype(float)
+
+        banzhaf_exact(CoalitionUtility(evaluate), 5, 2)
+        with_i, without = seen
+        assert with_i.shape == without.shape == (16, 5)
+        assert with_i[:, 2].all() and not without[:, 2].any()
+        np.testing.assert_array_equal(np.delete(with_i, 2, axis=1), np.delete(without, 2, axis=1))
+        # Row r holds the other players whose bit is set in r.
+        assert mask_index(np.delete(without, 2, axis=1)).tolist() == list(range(16))
+
 
 class TestBanzhafMc:
     def test_zero_variance_for_additive_games(self):
@@ -87,22 +131,23 @@ class TestBanzhafMc:
         est = banzhaf_mc(u, 8, i, samples=1, seed=seed)
         rng = np.random.default_rng(seed)
         others = np.array([j for j in range(8) if j != i])
-        coalition = frozenset(others[rng.random(7) < 0.5].tolist())
-        expected = u.evaluator(coalition | {i}) - u.evaluator(coalition)
+        coalition = others[rng.random(7) < 0.5].tolist()
+        expected = u.evaluator(row(8, coalition + [i]))[0] - u.evaluator(row(8, coalition))[0]
         assert est == expected
 
     def test_many_samples_replay_the_per_sample_sampler(self):
         weights = np.random.default_rng(6).normal(size=40)
         u = CoalitionUtility(
-            lambda c: float(sum(weights[j] for j in c)) ** 2, CoalitionMode.RETRAIN
+            lambda masks: np.where(masks, weights, 0.0).sum(axis=1) ** 2,
+            CoalitionMode.RETRAIN,
         )
         seed, i, samples = 13, 17, 64
         rng = np.random.default_rng(seed)
         others = np.array([j for j in range(40) if j != i])
         total = 0.0
         for _ in range(samples):
-            coalition = frozenset(others[rng.random(39) < 0.5].tolist())
-            total += u.evaluator(coalition | {i}) - u.evaluator(coalition)
+            coalition = others[rng.random(39) < 0.5].tolist()
+            total += u.evaluator(row(40, coalition + [i]))[0] - u.evaluator(row(40, coalition))[0]
         assert banzhaf_mc(u, 40, i, samples=samples, seed=seed) == total / samples
 
     def test_close_to_exact_on_fixture_game(self):
@@ -117,8 +162,10 @@ class TestBanzhafMc:
         others = [j for j in range(8) if j != i]
         marginals = []
         for mask in range(1 << 7):
-            coalition = frozenset(j for b, j in enumerate(others) if mask >> b & 1)
-            marginals.append(u.evaluator(coalition | {i}) - u.evaluator(coalition))
+            coalition = [j for b, j in enumerate(others) if mask >> b & 1]
+            marginals.append(
+                u.evaluator(row(8, coalition + [i]))[0] - u.evaluator(row(8, coalition))[0]
+            )
         sigma = float(np.std(marginals))
         assert abs(est - exact) <= 3 * sigma / np.sqrt(samples)
 
@@ -132,6 +179,110 @@ class TestBanzhafMc:
         a = banzhaf_mc(u, 6, 1, samples=50, seed=12)
         b = banzhaf_mc(u, 6, 1, samples=50, seed=12)
         assert a == b
+
+
+class TestEvaluatorGuard:
+    """The primitives take one finite value per membership row, or raise."""
+
+    @staticmethod
+    def old_style_table(table):
+        # An unported per-coalition evaluator: iterating a matrix yields its
+        # rows, so this returns one value per column, not per row.
+        def evaluate(coalition):
+            mask = 0
+            for j in coalition:
+                mask |= 1 << j
+            return table[mask]
+
+        return CoalitionUtility(evaluate, CoalitionMode.RETRAIN)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda c: float(len(c)),  # one float per call
+            lambda masks: np.zeros(len(masks) + 1),
+            lambda masks: np.zeros((len(masks), 1)),
+            lambda masks: np.where(masks[:, 0], np.nan, 0.0),
+            lambda masks: np.full(len(masks), np.inf),
+        ],
+        ids=["scalar", "one-too-many", "column", "nan", "inf"],
+    )
+    def test_bad_evaluator_output_raises(self, evaluate):
+        u = CoalitionUtility(evaluate)
+        with pytest.raises(ValueError, match="per row|for a row"):
+            banzhaf_exact(u, 4, 1)
+        with pytest.raises(ValueError, match="per row|for a row"):
+            banzhaf_mc(u, 4, 1, samples=16, seed=0)
+
+    def test_old_style_evaluator_raises_instead_of_scoring(self):
+        u = self.old_style_table(np.random.default_rng(2).normal(size=1 << 8))
+        with pytest.raises(ValueError, match="one value per row"):
+            banzhaf_exact(u, 8, 3)
+        with pytest.raises(ValueError, match="one value per row"):
+            banzhaf_mc(u, 8, 3, samples=100, seed=1)
+
+
+def table_games(max_n):
+    """(n, table) pairs: a random value for each of the 2^n coalitions."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.floats(-1e3, 1e3, allow_nan=False), min_size=1 << n, max_size=1 << n
+            ),
+        )
+    )
+
+
+def additive_games(max_n):
+    # |v| <= 1 keeps the worst-case rounding gap between two summation
+    # orders of up to 40 values (about 2 * 39 * 2^-53 * 40) below 1e-12.
+    return st.lists(st.floats(-1, 1), min_size=1, max_size=max_n)
+
+
+class TestBatchedMatchesReference:
+    """The batched primitives agree with the per-coalition ones within 1e-12."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=table_games(8), data=st.data())
+    def test_table_games(self, game, data):
+        n, table = game
+        i = data.draw(st.integers(0, n - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        samples = data.draw(st.integers(1, 64))
+
+        def evaluate(coalition):
+            return table[sum(1 << j for j in coalition)]
+
+        u = table_utility(table, n)
+        assert banzhaf_exact(u, n, i) == pytest.approx(
+            reference_exact(evaluate, n, i), rel=0, abs=1e-12
+        )
+        assert banzhaf_mc(u, n, i, samples, seed) == pytest.approx(
+            reference_mc(evaluate, n, i, samples, seed), rel=0, abs=1e-12
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=additive_games(10), data=st.data())
+    def test_additive_games_exact(self, values, data):
+        n = len(values)
+        i = data.draw(st.integers(0, n - 1))
+        u = additive_utility(dict(enumerate(values)))
+        assert banzhaf_exact(u, n, i) == pytest.approx(
+            reference_exact(lambda c: sum(values[j] for j in c), n, i), rel=0, abs=1e-12
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=additive_games(40), data=st.data())
+    def test_additive_games_mc(self, values, data):
+        n = len(values)
+        i = data.draw(st.integers(0, n - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        u = additive_utility(dict(enumerate(values)))
+        assert banzhaf_mc(u, n, i, 64, seed) == pytest.approx(
+            reference_mc(lambda c: sum(values[j] for j in c), n, i, 64, seed),
+            rel=0, abs=1e-12,
+        )
 
 
 class TestUpdateReputation:
