@@ -169,6 +169,19 @@ class TestBanzhafMc:
         sigma = float(np.std(marginals))
         assert abs(est - exact) <= 3 * sigma / np.sqrt(samples)
 
+    def test_two_evaluator_calls_over_the_samples(self):
+        seen = []
+
+        def evaluate(masks):
+            seen.append(masks.copy())
+            return masks.sum(axis=1).astype(float)
+
+        banzhaf_mc(CoalitionUtility(evaluate), 6, 4, samples=32, seed=3)
+        with_i, without = seen
+        assert with_i.shape == without.shape == (32, 6)
+        assert with_i[:, 4].all() and not without[:, 4].any()
+        np.testing.assert_array_equal(np.delete(with_i, 4, axis=1), np.delete(without, 4, axis=1))
+
     def test_requires_at_least_one_sample(self):
         with pytest.raises(ValueError):
             banzhaf_mc(additive_utility({0: 1.0, 1: 1.0}), 2, 0, samples=0, seed=0)
