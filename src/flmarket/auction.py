@@ -159,17 +159,13 @@ def _banzhaf_contributions(
 ) -> dict[int, float]:
     ids = sorted(values)
     n = len(ids)
-    pos_values = {p: values[i] for p, i in enumerate(ids)}
-    utility = additive_utility(pos_values)
-    zetas = {}
-    for p, i in enumerate(ids):
-        if n <= EXACT_COALITION_LIMIT:
-            zetas[i] = banzhaf_exact(utility, n, p)
-        else:
-            zetas[i] = banzhaf_mc(
-                utility, n, p, samples=MC_SAMPLES, seed=_mix(seed, round_num, 7000 + p)
-            )
-    return zetas
+    utility = additive_utility({p: values[i] for p, i in enumerate(ids)})
+    if n <= EXACT_COALITION_LIMIT:
+        zetas = banzhaf_exact(utility, n)
+    else:
+        seeds = [_mix(seed, round_num, 7000 + p) for p in range(n)]
+        zetas = banzhaf_mc(utility, n, MC_SAMPLES, seeds)
+    return dict(zip(ids, zetas.tolist()))
 
 
 def run_round(

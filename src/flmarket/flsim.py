@@ -8,6 +8,7 @@ clients are measurably more valuable to the global model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -84,10 +85,10 @@ class AggregationConfig:
     def __post_init__(self):
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be a positive integer")
-        if not self.learning_rate >= 0.0:
-            raise ValueError("learning_rate must be nonnegative")
-        if not self.prox_mu >= 0.0:
-            raise ValueError("prox_mu must be nonnegative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be nonnegative and finite")
+        if not 0.0 <= self.prox_mu < math.inf:
+            raise ValueError("prox_mu must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,8 @@ def evaluate_accuracy(model: ModelParams, test: SyntheticDataset) -> float:
     """Fraction of correct 0/1 predictions; ties at the boundary go to class 0."""
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    logits = test.design @ model.weights
-    preds = (logits > 0.0).astype(int)
-    return float(np.mean(preds == test.labels))
+    correct = np.count_nonzero((test.design @ model.weights > 0.0) == test.labels)
+    return int(correct) / len(test)
 
 
 def poison(data: SyntheticDataset, cfg: PoisonConfig, seed: int) -> SyntheticDataset:

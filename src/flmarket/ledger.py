@@ -65,8 +65,8 @@ class TamperConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
 
 
 class UnknownClientError(KeyError):

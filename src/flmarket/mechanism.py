@@ -9,6 +9,7 @@ distorted downward for all types below the top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,8 +25,8 @@ def _check_theta(theta: float) -> None:
 
 
 def _check_delta(delta: float) -> None:
-    if not delta > 0.0:
-        raise ValueError(f"cost sensitivity delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"cost sensitivity delta must be positive and finite, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ class MarketParams:
     regime: Regime = Regime.COMPLETE
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         _check_delta(self.delta)
         if self.n_clients < 1:
             raise ValueError("n_clients must be a positive integer")

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-EXACT_ENUMERATION_LIMIT = 20
+# banzhaf_exact holds n * 2^(n-1) rows of n cells at once: 8.4M at n = 16.
+EXACT_ENUMERATION_LIMIT = 16
 
 
 class CoalitionMode(Enum):
@@ -38,7 +39,7 @@ def additive_utility(values: dict[int, float]) -> CoalitionUtility:
     clients are 0..n-1. A row reduction, not a product, so no BLAS call."""
     vec = np.array([values[j] for j in range(len(values))], dtype=float)
     return CoalitionUtility(
-        evaluator=lambda masks: np.where(masks, vec, 0.0).sum(axis=1),
+        evaluator=lambda masks: (masks * vec).sum(axis=1),
         mode=CoalitionMode.ADDITIVE,
     )
 
@@ -67,44 +68,58 @@ def _evaluate(u: CoalitionUtility, masks: np.ndarray) -> np.ndarray:
     return values
 
 
-def _mean_marginal(u: CoalitionUtility, without: np.ndarray, i: int) -> float:
-    """Mean of v(S + i) - v(S) over the rows S of `without` (none holds i),
-    summed in row order. Two evaluator calls."""
+def _mean_marginals(u: CoalitionUtility, without: np.ndarray) -> np.ndarray:
+    """Each player i's mean of v(S + i) - v(S) over the rows S of
+    `without[i]` (an (n, m, n) block; no row of without[i] holds i), summed
+    in row order. Two evaluator calls, over all n * m rows at once."""
+    n, m, _ = without.shape
     with_i = without.copy()
-    with_i[:, i] = True
-    marginals = _evaluate(u, with_i) - _evaluate(u, without)
+    with_i[np.arange(n), :, np.arange(n)] = True
+    marginals = _evaluate(u, with_i.reshape(n * m, n)) - _evaluate(u, without.reshape(n * m, n))
     # cumsum adds left to right, as a running total over the rows would.
-    return float(np.cumsum(marginals)[-1]) / len(without)
+    return np.cumsum(marginals.reshape(n, m), axis=1)[:, -1] / m
 
 
-def banzhaf_exact(u: CoalitionUtility, n: int, i: int) -> float:
-    """Exact Banzhaf index: mean marginal contribution of player i over all
-    2^(n-1) coalitions of the remaining players."""
+def _without_block(bits: np.ndarray) -> np.ndarray:
+    """(n, m, n) membership block from an (n, m, n-1) block of draws: row r
+    of player i holds bits[i, r, b] in the column of the b-th other player
+    (players in ascending order, i skipped) and leaves column i unset."""
+    n, m, _ = bits.shape
+    without = np.zeros((n, m, n), dtype=bool)
+    others = ~np.eye(n, dtype=bool)
+    without.transpose(0, 2, 1)[others] = bits.transpose(0, 2, 1).reshape(-1, m)
+    return without
+
+
+def banzhaf_exact(u: CoalitionUtility, n: int) -> np.ndarray:
+    """Exact Banzhaf indices of players 0..n-1: player i's mean marginal
+    contribution over all 2^(n-1) coalitions of the remaining players."""
     if n > EXACT_ENUMERATION_LIMIT:
         raise ValueError(
             f"exact enumeration limited to n <= {EXACT_ENUMERATION_LIMIT}, got {n}"
         )
-    others = [j for j in range(n) if j != i]
     # Row `mask` holds the others whose bit is set in mask.
-    bits = np.arange(1 << len(others))[:, None] >> np.arange(len(others)) & 1
-    without = np.zeros((len(bits), n), dtype=bool)
-    without[:, others] = bits
-    return _mean_marginal(u, without, i)
+    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1).astype(bool)
+    return _mean_marginals(u, _without_block(np.broadcast_to(bits, (n, *bits.shape))))
 
 
 def banzhaf_mc(
-    u: CoalitionUtility, n: int, i: int, samples: int, seed: int
-) -> float:
-    """Monte Carlo Banzhaf estimate: mean marginal over coalitions drawn
-    uniformly from the subsets of the other players. Unbiased for
-    banzhaf_exact; deterministic given seed."""
+    u: CoalitionUtility, n: int, samples: int, seeds: Sequence[int]
+) -> np.ndarray:
+    """Monte Carlo Banzhaf estimates of players 0..n-1: player i's mean
+    marginal over `samples` coalitions drawn uniformly from the subsets of
+    the other players, with seeds[i] seeding its draws. Unbiased for
+    banzhaf_exact; deterministic given the seeds."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    others = [j for j in range(n) if j != i]
-    without = np.zeros((samples, n), dtype=bool)
-    without[:, others] = rng.random((samples, len(others))) < 0.5
-    return _mean_marginal(u, without, i)
+    if len(seeds) != n:
+        raise ValueError(
+            f"banzhaf_mc needs one seed per player: {n} players, {len(seeds)} seeds"
+        )
+    bits = np.stack(
+        [np.random.default_rng(seed).random((samples, n - 1)) < 0.5 for seed in seeds]
+    )
+    return _mean_marginals(u, _without_block(bits))
 
 
 def update_reputation(prev_epsilon: float, zeta: float, params: ReputationParams) -> float:

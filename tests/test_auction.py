@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -164,6 +165,40 @@ class TestRunRound:
             assert state.accuracy == rep.accuracy_global
             assert state.accuracy == evaluate_accuracy(state.model, test)
         assert len({id(m) for m in evaluated}) == len(evaluated)
+
+    @pytest.mark.parametrize(
+        "n, path",
+        [(auction.EXACT_COALITION_LIMIT, "banzhaf_exact"),
+         (auction.EXACT_COALITION_LIMIT + 2, "banzhaf_mc")],
+    )
+    def test_one_banzhaf_call_scores_every_client(self, monkeypatch, n, path):
+        calls, evals = [], []
+
+        def spy(name):
+            primitive = getattr(auction, name)
+
+            def call(utility, *args):
+                calls.append(name)
+
+                def counted(masks):
+                    evals.append(len(masks))
+                    return utility.evaluator(masks)
+
+                return primitive(dataclasses.replace(utility, evaluator=counted), *args)
+
+            return call
+
+        for name in ("banzhaf_exact", "banzhaf_mc"):
+            monkeypatch.setattr(auction, name, spy(name))
+        config = small_config(n_clients=n)
+        population, test = build_population(config, seed=5)
+        # Complete information: every client accepts, so all n are scored.
+        params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
+        rep = run_round(population, params, _fresh_state(config, test), seed=5)
+        assert len(rep.epsilons) == n
+        assert calls == [path]
+        rows = n << (n - 1) if path == "banzhaf_exact" else n * auction.MC_SAMPLES
+        assert evals == [rows, rows]
 
     def test_scaffold_commits_only_the_aggregated_clients(self):
         # Complete information: all six clients accept, and k = 2 are aggregated.

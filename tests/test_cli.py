@@ -201,6 +201,11 @@ class TestRunCommand:
             "learning_rate = -0.5",
             "lambda = nan",
             "tamper_alphas = 0.5\ntamper_betas = nan",
+            "lambda = inf",
+            "delta = inf",
+            "learning_rate = inf",
+            "prox_mu = inf",
+            "tamper_alphas = 0.5\ntamper_betas = inf",
         ],
         ids=lambda lines: lines.splitlines()[-1],
     )

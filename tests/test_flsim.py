@@ -269,6 +269,14 @@ class TestEvaluateAccuracy:
         assert acc == pytest.approx(np.mean(test.labels == 0), abs=1e-15)
         assert 0.45 < acc < 0.55
 
+    def test_returns_a_builtin_float_equal_to_the_mean(self):
+        datasets, test = generate_population(1, [0.6], seed=12)
+        model = local_train(init_model(), [datasets[0]], AggregationConfig(local_epochs=3))[0]
+        acc = evaluate_accuracy(model, test)
+        # A numpy scalar would be written as np.float64(...) into rounds.csv.
+        assert type(acc) is float
+        assert acc == np.mean((test.design @ model.weights > 0.0).astype(int) == test.labels)
+
     def test_inverted_labels_complement_accuracy(self):
         datasets, test = generate_population(1, [1.0], seed=12)
         cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)

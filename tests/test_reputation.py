@@ -58,14 +58,15 @@ def reference_mc(evaluate, n, i, samples, seed):
 class TestBanzhafExact:
     def test_additive_game_recovers_per_player_values(self):
         u = additive_utility({0: 1.0, 1: 2.0, 2: 3.0})
-        assert [banzhaf_exact(u, 3, i) for i in range(3)] == [1.0, 2.0, 3.0]
+        assert banzhaf_exact(u, 3).tolist() == [1.0, 2.0, 3.0]
 
     def test_two_player_superadditive_example(self):
         # U(empty)=0, U({0})=1, U({1})=1, U({0,1})=4 -> 0.5*[(1-0)+(4-1)] = 2.
         table = {0b00: 0.0, 0b01: 1.0, 0b10: 1.0, 0b11: 4.0}
         u = table_utility(table, 2)
-        assert banzhaf_exact(u, 2, 0) == 2.0
-        assert banzhaf_exact(u, 2, 1) == 2.0
+        indices = banzhaf_exact(u, 2)
+        assert indices[0] == 2.0
+        assert indices[1] == 2.0
 
     def test_symmetric_players_get_equal_indices(self):
         rng = np.random.default_rng(0)
@@ -77,18 +78,21 @@ class TestBanzhafExact:
             return by_size[masks.sum(axis=1)]
 
         u = CoalitionUtility(evaluate)
-        indices = [banzhaf_exact(u, n, i) for i in range(n)]
+        indices = banzhaf_exact(u, n)
         assert max(indices) - min(indices) <= 1e-12
 
     def test_dummy_player_scores_zero(self):
         values = {0: 1.5, 1: -0.5, 2: 0.0, 3: 2.0}
         u = additive_utility(values)
-        assert banzhaf_exact(u, 4, 2) == 0.0
+        assert banzhaf_exact(u, 4)[2] == 0.0
 
     def test_enumeration_guard(self):
         u = additive_utility({i: 1.0 for i in range(21)})
         with pytest.raises(ValueError):
-            banzhaf_exact(u, 21, 0)
+            banzhaf_exact(u, 21)
+        # The n * 2^(n-1) rows are built at once, so the limit is 16 players.
+        with pytest.raises(ValueError, match="n <= 16"):
+            banzhaf_exact(additive_utility({i: 1.0 for i in range(17)}), 17)
 
     def test_additivity_randomized(self):
         rng = np.random.default_rng(123)
@@ -97,7 +101,7 @@ class TestBanzhafExact:
             values = {i: float(v) for i, v in enumerate(rng.normal(size=n))}
             u = additive_utility(values)
             i = int(rng.integers(n))
-            assert banzhaf_exact(u, n, i) == pytest.approx(values[i], abs=1e-9)
+            assert banzhaf_exact(u, n)[i] == pytest.approx(values[i], abs=1e-9)
 
     def test_two_evaluator_calls_over_every_coalition(self):
         seen = []
@@ -106,13 +110,19 @@ class TestBanzhafExact:
             seen.append(masks.copy())
             return masks.sum(axis=1).astype(float)
 
-        banzhaf_exact(CoalitionUtility(evaluate), 5, 2)
-        with_i, without = seen
-        assert with_i.shape == without.shape == (16, 5)
-        assert with_i[:, 2].all() and not without[:, 2].any()
-        np.testing.assert_array_equal(np.delete(with_i, 2, axis=1), np.delete(without, 2, axis=1))
-        # Row r holds the other players whose bit is set in r.
-        assert mask_index(np.delete(without, 2, axis=1)).tolist() == list(range(16))
+        banzhaf_exact(CoalitionUtility(evaluate), 5)
+        with_all, without_all = seen
+        # n * 2^(n-1) rows: player i's 16 coalitions are rows 16i..16i+15.
+        assert with_all.shape == without_all.shape == (5 * 16, 5)
+        for i, (with_i, without) in enumerate(
+            zip(with_all.reshape(5, 16, 5), without_all.reshape(5, 16, 5))
+        ):
+            assert with_i[:, i].all() and not without[:, i].any()
+            np.testing.assert_array_equal(
+                np.delete(with_i, i, axis=1), np.delete(without, i, axis=1)
+            )
+            # Row r holds the other players whose bit is set in r.
+            assert mask_index(np.delete(without, i, axis=1)).tolist() == list(range(16))
 
 
 class TestBanzhafMc:
@@ -120,7 +130,7 @@ class TestBanzhafMc:
         values = {0: 0.25, 1: -1.0, 2: 3.5}
         u = additive_utility(values)
         for i in range(3):
-            assert banzhaf_mc(u, 3, i, samples=5, seed=7) == pytest.approx(
+            assert banzhaf_mc(u, 3, samples=5, seeds=[7] * 3)[i] == pytest.approx(
                 values[i], abs=1e-12
             )
 
@@ -128,7 +138,7 @@ class TestBanzhafMc:
         table = np.random.default_rng(5).normal(size=1 << 8)
         u = table_utility(table, 8)
         seed, i = 31, 2
-        est = banzhaf_mc(u, 8, i, samples=1, seed=seed)
+        est = banzhaf_mc(u, 8, samples=1, seeds=[seed] * 8)[i]
         rng = np.random.default_rng(seed)
         others = np.array([j for j in range(8) if j != i])
         coalition = others[rng.random(7) < 0.5].tolist()
@@ -148,16 +158,16 @@ class TestBanzhafMc:
         for _ in range(samples):
             coalition = others[rng.random(39) < 0.5].tolist()
             total += u.evaluator(row(40, coalition + [i]))[0] - u.evaluator(row(40, coalition))[0]
-        assert banzhaf_mc(u, 40, i, samples=samples, seed=seed) == total / samples
+        assert banzhaf_mc(u, 40, samples, [seed] * 40)[i] == total / samples
 
     def test_close_to_exact_on_fixture_game(self):
         rng = np.random.default_rng(77)
         table = rng.normal(size=1 << 8)
         u = table_utility(table, 8)
         i = 3
-        exact = banzhaf_exact(u, 8, i)
+        exact = banzhaf_exact(u, 8)[i]
         samples = 10_000
-        est = banzhaf_mc(u, 8, i, samples=samples, seed=4)
+        est = banzhaf_mc(u, 8, samples, [4] * 8)[i]
         # 3 standard errors, with the marginal spread measured by enumeration.
         others = [j for j in range(8) if j != i]
         marginals = []
@@ -176,22 +186,33 @@ class TestBanzhafMc:
             seen.append(masks.copy())
             return masks.sum(axis=1).astype(float)
 
-        banzhaf_mc(CoalitionUtility(evaluate), 6, 4, samples=32, seed=3)
-        with_i, without = seen
-        assert with_i.shape == without.shape == (32, 6)
-        assert with_i[:, 4].all() and not without[:, 4].any()
-        np.testing.assert_array_equal(np.delete(with_i, 4, axis=1), np.delete(without, 4, axis=1))
+        banzhaf_mc(CoalitionUtility(evaluate), 6, samples=32, seeds=[3] * 6)
+        with_all, without_all = seen
+        # n * samples rows: player i's samples are rows 32i..32i+31.
+        assert with_all.shape == without_all.shape == (6 * 32, 6)
+        for i, (with_i, without) in enumerate(
+            zip(with_all.reshape(6, 32, 6), without_all.reshape(6, 32, 6))
+        ):
+            assert with_i[:, i].all() and not without[:, i].any()
+            np.testing.assert_array_equal(
+                np.delete(with_i, i, axis=1), np.delete(without, i, axis=1)
+            )
 
     def test_requires_at_least_one_sample(self):
         with pytest.raises(ValueError):
-            banzhaf_mc(additive_utility({0: 1.0, 1: 1.0}), 2, 0, samples=0, seed=0)
+            banzhaf_mc(additive_utility({0: 1.0, 1: 1.0}), 2, samples=0, seeds=[0, 0])
+
+    @pytest.mark.parametrize("seeds", [[], [0], [0, 1, 2]])
+    def test_requires_one_seed_per_player(self, seeds):
+        with pytest.raises(ValueError, match="one seed per player"):
+            banzhaf_mc(additive_utility({0: 1.0, 1: 1.0}), 2, samples=4, seeds=seeds)
 
     def test_deterministic_given_seed(self):
         table = np.random.default_rng(9).normal(size=1 << 6)
         u = table_utility(table, 6)
-        a = banzhaf_mc(u, 6, 1, samples=50, seed=12)
-        b = banzhaf_mc(u, 6, 1, samples=50, seed=12)
-        assert a == b
+        a = banzhaf_mc(u, 6, samples=50, seeds=[12] * 6)
+        b = banzhaf_mc(u, 6, samples=50, seeds=[12] * 6)
+        assert a.tolist() == b.tolist()
 
 
 class TestEvaluatorGuard:
@@ -223,16 +244,16 @@ class TestEvaluatorGuard:
     def test_bad_evaluator_output_raises(self, evaluate):
         u = CoalitionUtility(evaluate)
         with pytest.raises(ValueError, match="per row|for a row"):
-            banzhaf_exact(u, 4, 1)
+            banzhaf_exact(u, 4)
         with pytest.raises(ValueError, match="per row|for a row"):
-            banzhaf_mc(u, 4, 1, samples=16, seed=0)
+            banzhaf_mc(u, 4, samples=16, seeds=[0] * 4)
 
     def test_old_style_evaluator_raises_instead_of_scoring(self):
         u = self.old_style_table(np.random.default_rng(2).normal(size=1 << 8))
         with pytest.raises(ValueError, match="one value per row"):
-            banzhaf_exact(u, 8, 3)
+            banzhaf_exact(u, 8)
         with pytest.raises(ValueError, match="one value per row"):
-            banzhaf_mc(u, 8, 3, samples=100, seed=1)
+            banzhaf_mc(u, 8, samples=100, seeds=[1] * 8)
 
 
 def table_games(max_n):
@@ -253,49 +274,72 @@ def additive_games(max_n):
     return st.lists(st.floats(-1, 1), min_size=1, max_size=max_n)
 
 
+def player_seeds(n):
+    return st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)
+
+
 class TestBatchedMatchesReference:
-    """The batched primitives agree with the per-coalition ones within 1e-12."""
+    """Every player's batched index agrees with the per-coalition one within 1e-12."""
 
     @settings(max_examples=60, deadline=None)
     @given(game=table_games(8), data=st.data())
     def test_table_games(self, game, data):
         n, table = game
-        i = data.draw(st.integers(0, n - 1))
-        seed = data.draw(st.integers(0, 2**32 - 1))
+        seeds = data.draw(player_seeds(n))
         samples = data.draw(st.integers(1, 64))
 
         def evaluate(coalition):
             return table[sum(1 << j for j in coalition)]
 
         u = table_utility(table, n)
-        assert banzhaf_exact(u, n, i) == pytest.approx(
-            reference_exact(evaluate, n, i), rel=0, abs=1e-12
-        )
-        assert banzhaf_mc(u, n, i, samples, seed) == pytest.approx(
-            reference_mc(evaluate, n, i, samples, seed), rel=0, abs=1e-12
-        )
+        exact = banzhaf_exact(u, n)
+        mc = banzhaf_mc(u, n, samples, seeds)
+        assert exact.shape == mc.shape == (n,)
+        for i in range(n):
+            assert exact[i] == pytest.approx(reference_exact(evaluate, n, i), rel=0, abs=1e-12)
+            assert mc[i] == pytest.approx(
+                reference_mc(evaluate, n, i, samples, seeds[i]), rel=0, abs=1e-12
+            )
 
     @settings(max_examples=60, deadline=None)
-    @given(values=additive_games(10), data=st.data())
-    def test_additive_games_exact(self, values, data):
+    @given(values=additive_games(10))
+    def test_additive_games_exact(self, values):
         n = len(values)
-        i = data.draw(st.integers(0, n - 1))
-        u = additive_utility(dict(enumerate(values)))
-        assert banzhaf_exact(u, n, i) == pytest.approx(
-            reference_exact(lambda c: sum(values[j] for j in c), n, i), rel=0, abs=1e-12
-        )
+        exact = banzhaf_exact(additive_utility(dict(enumerate(values))), n)
+        for i in range(n):
+            assert exact[i] == pytest.approx(
+                reference_exact(lambda c: sum(values[j] for j in c), n, i), rel=0, abs=1e-12
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(values=additive_games(40), data=st.data())
     def test_additive_games_mc(self, values, data):
         n = len(values)
-        i = data.draw(st.integers(0, n - 1))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        u = additive_utility(dict(enumerate(values)))
-        assert banzhaf_mc(u, n, i, 64, seed) == pytest.approx(
-            reference_mc(lambda c: sum(values[j] for j in c), n, i, 64, seed),
-            rel=0, abs=1e-12,
-        )
+        seeds = data.draw(player_seeds(n))
+        mc = banzhaf_mc(additive_utility(dict(enumerate(values))), n, 64, seeds)
+        for i in range(n):
+            assert mc[i] == pytest.approx(
+                reference_mc(lambda c: sum(values[j] for j in c), n, i, 64, seeds[i]),
+                rel=0, abs=1e-12,
+            )
+
+
+class TestAdditiveEvaluator:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # Up to 40 values of magnitude 1e300 sum without overflow.
+        values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_equals_the_masked_sum_exactly(self, values, data):
+        n = len(values)
+        rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=50))
+        masks = np.array(rows, dtype=bool).reshape(len(rows), n)
+        got = additive_utility(dict(enumerate(values))).evaluator(masks)
+        # A member adds its value, a non-member 0.0 (its product may be -0.0,
+        # which compares equal).
+        expected = np.where(masks, np.array(values), 0.0).sum(axis=1)
+        assert got.tolist() == expected.tolist()
 
 
 class TestUpdateReputation:
