@@ -60,6 +60,17 @@ class ExperimentConfig:
             raise ConfigError("seeds must list at least one seed")
         if not self.mechanisms:
             raise ConfigError("mechanisms must list at least one mechanism")
+        # Seeds may repeat; a repeated grid axis would only rerun its cells.
+        for key, values in (
+            ("k_select", self.k_values),
+            ("mechanisms", self.mechanisms),
+            ("ledger_modes", self.ledger_modes),
+            ("tamper_alphas", self.tamper_alphas),
+            ("tamper_betas", self.tamper_betas),
+        ):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{key} repeats {', '.join(map(str, repeated))}")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be nonnegative")
         if self.rounds < 0:
@@ -156,6 +167,7 @@ def parse_config(path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     config = ExperimentConfig()
+    first_line = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -167,6 +179,11 @@ def parse_config(path) -> ExperimentConfig:
         raw = raw.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} given twice (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         attr, parser = _PARSERS[key]
         try:
             setattr(config, attr, parser(raw))

@@ -27,10 +27,12 @@ class SyntheticDataset:
     """Samples of one client, or the held-out test set.
 
     `design` is the biased design matrix: the features plus a last column
-    of ones. It is `block[row, :len(self)]`, where `block` is a zero-padded
-    (clients, rows, d + 1) array that holds a whole population, so a round
-    trains every client on the block as it is. A dataset built on its own
-    is a block of one.
+    of ones. A generated client's `design` is the view
+    `block[row, :, :len(self)].T`, where `block` is a feature-major,
+    zero-padded (clients, d + 1, rows) array that holds a whole population,
+    so a round trains every client on the block as it is. A dataset built
+    on its own (the held-out test set among them) has no block and keeps
+    its sample-major design.
     """
 
     design: np.ndarray  # (n, d + 1), last column all ones
@@ -45,8 +47,6 @@ class SyntheticDataset:
             raise ValueError("dataset must contain at least one sample")
         if len(self.labels) != len(self.design):
             raise ValueError("labels length must match design rows")
-        if self.block is None:
-            self.block = self.design[None]
 
     @property
     def features(self) -> np.ndarray:
@@ -100,10 +100,6 @@ class PoisonConfig:
             raise ValueError("flip_rate must lie in [0, 1]")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
-
-
 def generate_population(
     n_clients: int, thetas: list[float], seed: int
 ) -> tuple[list[SyntheticDataset], SyntheticDataset]:
@@ -126,30 +122,36 @@ def generate_population(
         return np.where(flips, 1 - y, y), y
 
     counts = [int(round(BASE_SAMPLES * (1.0 + theta))) for theta in thetas]
-    block = np.zeros((n_clients, max(counts), FEATURE_DIM + 1))
+    block = np.zeros((n_clients, FEATURE_DIM + 1, max(counts)))
     datasets = []
     for i, (theta, n) in enumerate(zip(thetas, counts)):
-        labels, y = draw(block[i, :n], (1.0 - theta) * NOISE_SCALE)
-        datasets.append(SyntheticDataset(block[i, :n], labels, i, y, block, i))
+        design = block[i, :, :n].T
+        labels, y = draw(design, (1.0 - theta) * NOISE_SCALE)
+        datasets.append(SyntheticDataset(design, labels, i, y, block, i))
     test_design = np.empty((TEST_SAMPLES, FEATURE_DIM + 1))
     labels, y = draw(test_design, 0.0)
     return datasets, SyntheticDataset(test_design, labels, TEST_OWNER, y)
 
 
 def _design_block(datasets: list[SyntheticDataset]) -> np.ndarray:
-    """The zero-padded (n, m_max, d + 1) design block of `datasets`, in order.
+    """The feature-major, zero-padded (n, d + 1, m_max) design block of
+    `datasets`, in order.
 
     When the datasets are exactly the rows of one population block, that
-    block is returned as it is; otherwise their rows are padded into a new one.
+    block is returned as it is; otherwise their designs are transposed and
+    padded into a new one.
     """
     block = datasets[0].block
-    if len(datasets) == len(block) and all(
-        d.block is block and d.row == i for i, d in enumerate(datasets)
+    if (
+        block is not None
+        and len(datasets) == len(block)
+        and all(d.block is block and d.row == i for i, d in enumerate(datasets))
     ):
         return block
-    out = np.zeros((len(datasets), max(len(d) for d in datasets), block.shape[2]))
+    dim = datasets[0].design.shape[1]
+    out = np.zeros((len(datasets), dim, max(len(d) for d in datasets)))
     for i, d in enumerate(datasets):
-        out[i, : len(d)] = d.design
+        out[i, :, : len(d)] = d.design.T
     return out
 
 
@@ -159,40 +161,66 @@ def local_train(
 ) -> list[ModelParams]:
     """Run local gradient-descent epochs on logistic loss for every client at once.
 
-    Each epoch is two stacked matrix products over the zero-padded design
-    block; padded rows are all zero, bias included, so they add nothing to
-    the gradient. FedProx adds prox_mu * (w - w_global) to the gradient.
-    Scaffold corrects each step with (c - c_i), where c is `server_variate`
-    and c_i is `variates[owner]` (zeros where either is missing), and each
-    returned model carries the client's proposed c_i+ (option II) as
-    `variate`. The variates are only read; committing them is the caller's.
-    Returns one local model per dataset, in order.
+    Each epoch is two batched matrix-vector products over the feature-major
+    (n, d + 1, m_max) design block, w_i @ X_i and X_i @ r_i; padded columns
+    are all zero, bias included, so they add nothing to the gradient. The
+    epoch writes only into buffers allocated once per call: the logits turn
+    into residuals in place (clipped sigmoid minus labels), and the gradient
+    is scaled and applied in place, so no epoch allocates an array. FedProx
+    adds prox_mu * (w - w_global) to the gradient. Scaffold corrects each
+    step with (c - c_i), where c is `server_variate` and c_i is
+    `variates[owner]` (zeros where either is missing), and each returned
+    model carries the client's proposed c_i+ (option II) as `variate`. The
+    design block, labels, global weights and variates are only read;
+    committing the variates is the caller's. Returns one local model per
+    dataset, in order.
     """
     if not datasets:
         raise ValueError("cannot train on zero datasets")
     x = _design_block(datasets)
-    xt = x.transpose(0, 2, 1)
-    y = np.zeros(x.shape[:2])
+    n, dim, rows = x.shape
+    y = np.zeros((n, 1, rows))
     for i, d in enumerate(datasets):
-        y[i, : len(d)] = d.labels
+        y[i, 0, : len(d)] = d.labels
     counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
     w_global = global_model.weights
-    w = np.tile(w_global, (len(datasets), 1))
+    w = np.tile(w_global, (n, 1))
     lr = cfg.learning_rate
 
     if cfg.algo is Aggregator.SCAFFOLD:
         zero = np.zeros_like(w_global)
         c = zero if server_variate is None else server_variate
         c_i = np.stack([(variates or {}).get(d.owner, zero) for d in datasets])
+        correction = c - c_i
+    elif cfg.algo is Aggregator.FEDPROX:
+        pull = np.empty_like(w)
 
+    # The epoch buffers: logits that become residuals, (n, 1, m_max), seen
+    # as columns by the second product; and the gradient, (n, d + 1).
+    w_rows = w[:, None, :]
+    residual = np.empty((n, 1, rows))
+    residual_cols = residual.reshape(n, rows, 1)
+    grad_cols = np.empty((n, dim, 1))
+    grad = grad_cols[:, :, 0]
     for _ in range(cfg.local_epochs):
-        residual = _sigmoid((x @ w[:, :, None])[:, :, 0]) - y
-        grad = (xt @ residual[:, :, None])[:, :, 0] / counts
+        np.matmul(w_rows, x, out=residual)
+        np.maximum(residual, -40.0, out=residual)
+        np.minimum(residual, 40.0, out=residual)
+        np.negative(residual, out=residual)
+        np.exp(residual, out=residual)
+        residual += 1.0
+        np.divide(1.0, residual, out=residual)
+        residual -= y
+        np.matmul(x, residual_cols, out=grad_cols)
+        grad /= counts
         if cfg.algo is Aggregator.FEDPROX:
-            grad = grad + cfg.prox_mu * (w - w_global)
+            np.subtract(w, w_global, out=pull)
+            pull *= cfg.prox_mu
+            grad += pull
         elif cfg.algo is Aggregator.SCAFFOLD:
-            grad = grad + (c - c_i)
-        w = w - lr * grad
+            grad += correction
+        grad *= lr
+        w -= grad
 
     if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
         c_new = c_i - c + (w_global - w) / (cfg.local_epochs * lr)

@@ -26,6 +26,17 @@ def write_config(tmp_path, body, name="exp.cfg"):
     return path
 
 
+def small_config(tmp_path, lines=""):
+    """SMALL_CONFIG writing to tmp_path/out, with `lines` in place of its
+    lines for the same keys, since a config may give each key once."""
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    kept = [
+        line for line in SMALL_CONFIG.splitlines()
+        if line.partition("=")[0].strip() not in keys
+    ]
+    return "\n".join([*kept, f"output_dir = {tmp_path / 'out'}", *lines.splitlines()]) + "\n"
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         path = write_config(tmp_path, "n_clients = 10\nk_select = 3\n")
@@ -63,6 +74,11 @@ class TestParseConfig:
     def test_unparseable_value_reports_key(self, tmp_path):
         path = write_config(tmp_path, "rounds = many\n")
         with pytest.raises(ConfigError, match="rounds"):
+            parse_config(path)
+
+    def test_key_given_twice_names_the_key(self, tmp_path):
+        path = write_config(tmp_path, "rounds = 2\nn_clients = 4\nrounds = 3\n")
+        with pytest.raises(ConfigError, match=r":3: key 'rounds' given twice \(first on line 1\)"):
             parse_config(path)
 
     def test_digest_tracks_config_content(self, tmp_path):
@@ -186,8 +202,7 @@ class TestRunCommand:
     def test_empty_list_is_a_usage_error_naming_the_invariant(
         self, tmp_path, capsys, key, invariant
     ):
-        body = SMALL_CONFIG + f"output_dir = {tmp_path / 'out'}\n{key} =\n"
-        path = write_config(tmp_path, body)
+        path = write_config(tmp_path, small_config(tmp_path, f"{key} ="))
         assert main(["run", str(path)]) == 2
         assert invariant in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -210,10 +225,35 @@ class TestRunCommand:
         ids=lambda lines: lines.splitlines()[-1],
     )
     def test_out_of_range_value_is_a_usage_error(self, tmp_path, capsys, lines):
-        body = SMALL_CONFIG + f"output_dir = {tmp_path / 'out'}\n{lines}\n"
-        path = write_config(tmp_path, body)
+        path = write_config(tmp_path, small_config(tmp_path, lines))
         assert main(["run", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_key_given_twice_is_a_usage_error(self, tmp_path, capsys):
+        body = small_config(tmp_path) + "rounds = 3\n"  # SMALL_CONFIG sets rounds = 2
+        assert main(["run", str(write_config(tmp_path, body))]) == 2
+        assert "key 'rounds' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, lines",
+        [
+            ("k_select", "k_select = 2, 3, 2"),
+            ("mechanisms", "mechanisms = ours-complete, price-first, ours-complete"),
+            (
+                "ledger_modes",
+                "ledger_modes = chained, chained\ntamper_alphas = 0.3\ntamper_betas = 2",
+            ),
+            ("tamper_alphas", "tamper_alphas = 0.3, 0.30\ntamper_betas = 2"),
+            ("tamper_betas", "tamper_alphas = 0.3\ntamper_betas = 2, 2.0"),
+        ],
+        ids=["k_select", "mechanisms", "ledger_modes", "tamper_alphas", "tamper_betas"],
+    )
+    def test_repeated_list_entry_is_a_usage_error(self, tmp_path, capsys, key, lines):
+        path = write_config(tmp_path, small_config(tmp_path, lines))
+        assert main(["run", str(path)]) == 2
+        assert f"config error: {key} repeats" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["directory", "not utf-8"])

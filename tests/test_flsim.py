@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from flmarket.flsim import (
     local_train,
     poison,
 )
+from flmarket.flsim import _design_block
 
 
 def sigmoid(z):
@@ -105,6 +107,39 @@ class TestLocalTrain:
         assert not variates and not np.any(server_variate)
         # Committing it moves c off zero.
         assert np.any(local.variate != 0.0)
+
+    @pytest.mark.parametrize("algo", list(Aggregator))
+    def test_local_train_leaves_its_inputs_unchanged(self, algo):
+        datasets = mixed_clients(20)
+        block = datasets[0].block
+        cfg, server_variate, variates = train_config(algo, 20)
+        model = ModelParams(0.1 * np.random.default_rng(8).normal(size=21))
+        kept = block.tobytes(), [d.labels.copy() for d in datasets], model.weights.copy()
+        local = local_train(model, datasets, cfg, server_variate, variates)
+        assert block.tobytes() == kept[0]
+        for d, labels in zip(datasets, kept[1]):
+            assert np.array_equal(d.labels, labels)
+        assert np.array_equal(model.weights, kept[2])
+        assert not any(np.shares_memory(m.weights, model.weights) for m in local)
+
+    @pytest.mark.parametrize("algo", list(Aggregator))
+    def test_epochs_allocate_no_row_sized_array(self, algo):
+        """The labels and the residual are the only (clients, rows) arrays a
+        call holds, and the epochs add none, however many there are."""
+        datasets = mixed_clients(20)
+        cfg, server_variate, variates = train_config(algo, 20)
+        cfg = dataclasses.replace(cfg, local_epochs=30)
+        row_sized = datasets[0].block[:, 0].nbytes
+        model = init_model()
+        local_train(model, datasets, cfg, server_variate, variates)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            local_train(model, datasets, cfg, server_variate, variates)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * row_sized
 
     def test_local_train_leaves_variate_inputs_unchanged(self):
         datasets = mixed_clients(2)
@@ -213,15 +248,28 @@ class TestDesignBlock:
     def test_population_rows_share_one_zero_padded_block(self):
         datasets, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
         block = datasets[0].block
-        assert block.shape == (3, 400, 21)
+        assert block.shape == (3, 21, 400)
         for i, d in enumerate(datasets):
             assert d.block is block and d.row == i
             assert np.shares_memory(d.features, block)
-            assert np.array_equal(d.design, block[i, : len(d)])
+            assert np.array_equal(d.design, block[i, :, : len(d)].T)
             assert np.all(d.design[:, -1] == 1.0)
-            assert not np.any(block[i, len(d):])
+            assert not np.any(block[i, :, len(d):])
         assert np.all(test.design[:, -1] == 1.0)
         assert np.array_equal(test.features, test.design[:, :-1])
+
+    def test_whole_population_trains_on_its_block_and_test_set_is_not_copied(self):
+        datasets, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
+        assert _design_block(datasets) is datasets[0].block
+        # Any other batch (a subset, a reordering) is padded into a new block.
+        for batch in (datasets[:2], datasets[::-1]):
+            x = _design_block(batch)
+            assert not np.shares_memory(x, datasets[0].block)
+            for i, d in enumerate(batch):
+                assert np.array_equal(x[i, :, : len(d)].T, d.design)
+        # The held-out test set keeps one sample-major design and no block.
+        assert test.block is None
+        assert test.design.flags.c_contiguous and test.design.flags.owndata
 
     def test_poison_reuses_the_design(self):
         datasets, _ = generate_population(2, [0.3, 0.6], seed=20)
