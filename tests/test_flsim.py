@@ -10,6 +10,7 @@ from flmarket.flsim import (
     ModelParams,
     PoisonConfig,
     SyntheticDataset,
+    _design_block,
     aggregate,
     evaluate_accuracy,
     generate_population,
@@ -17,7 +18,6 @@ from flmarket.flsim import (
     local_train,
     poison,
 )
-from flmarket.flsim import _design_block
 
 
 def sigmoid(z):
