@@ -1,10 +1,12 @@
 """Tamper-evident reputation storage.
 
-HashChainLedger is an append-only log where each record's SHA-256 digest
-covers the previous record's digest, so any in-place edit of a past record
-is detectable. PlainStore is the deliberately vulnerable comparison: same
-interface, no integrity checking. Both index each client's record positions,
-so a read touches only that client's records.
+HashChainLedger is an append-only log where each record's BLAKE2s-256
+digest covers the previous record's digest, so any in-place edit of a past
+record is detectable. The digest was SHA-256 of the same bytes before, so a
+ledger file saved with SHA-256 digests reads as tampered at index 0.
+PlainStore is the deliberately vulnerable comparison: same interface, no
+integrity checking. Both index each client's record positions, so a read
+touches only that client's records.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ _PAYLOAD = struct.Struct("<qqdd")  # round, client_id, zeta, epsilon (LE)
 RECORD_SIZE = _PAYLOAD.size + 32 + 32  # payload + prev_hash + record_hash
 
 
-@dataclass
+@dataclass(slots=True)
 class ReputationRecord:
     round: int
     client_id: int
@@ -33,8 +35,13 @@ class ReputationRecord:
     record_hash: bytes = b""
 
     def compute_hash(self) -> bytes:
-        """SHA-256 of the payload fields and `prev_hash`."""
-        return hashlib.sha256(
+        """BLAKE2s-256 of the packed payload fields followed by `prev_hash`.
+
+        The module's one digest path: `append`, both reads and `verify` all
+        hash here. Files saved when this was SHA-256 of the same bytes read
+        as tampered at index 0.
+        """
+        return hashlib.blake2s(
             _PAYLOAD.pack(self.round, self.client_id, self.zeta, self.epsilon)
             + self.prev_hash
         ).digest()
@@ -198,6 +205,8 @@ class HashChainLedger(_IndexedStore):
         if len(raw) < 8:
             raise ValueError("ledger file truncated: missing record count")
         (count,) = struct.unpack("<q", raw[:8])
+        if count < 0:
+            raise ValueError(f"ledger file corrupt: negative record count {count}")
         body = raw[8:]
         if len(body) != count * RECORD_SIZE:
             raise ValueError(

@@ -7,6 +7,7 @@ an exponentially weighted average of past contributions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -68,27 +69,43 @@ def _evaluate(u: CoalitionUtility, masks: np.ndarray) -> np.ndarray:
     return values
 
 
-def _mean_marginals(u: CoalitionUtility, without: np.ndarray) -> np.ndarray:
-    """Each player i's mean of v(S + i) - v(S) over the rows S of
-    `without[i]` (an (n, m, n) block; no row of without[i] holds i), summed
-    in row order. Two evaluator calls, over all n * m rows at once."""
-    n, m, _ = without.shape
-    with_i = without.copy()
-    with_i[np.arange(n), :, np.arange(n)] = True
-    marginals = _evaluate(u, with_i.reshape(n * m, n)) - _evaluate(u, without.reshape(n * m, n))
+def _mean_marginals(u: CoalitionUtility, with_i: np.ndarray, without: np.ndarray) -> np.ndarray:
+    """Each player i's mean of v(S + i) - v(S) over its m rows S of
+    `without`, summed in row order. Both matrices hold n * m rows of n
+    cells: rows i*m .. i*m + m - 1 are player i's, unset in column i of
+    `without` and set in `with_i`, which otherwise equals `without`. Two
+    evaluator calls, over all n * m rows at once."""
+    n = without.shape[1]
+    m = len(without) // n
+    marginals = _evaluate(u, with_i) - _evaluate(u, without)
     # cumsum adds left to right, as a running total over the rows would.
     return np.cumsum(marginals.reshape(n, m), axis=1)[:, -1] / m
 
 
-def _without_block(bits: np.ndarray) -> np.ndarray:
-    """(n, m, n) membership block from an (n, m, n-1) block of draws: row r
-    of player i holds bits[i, r, b] in the column of the b-th other player
-    (players in ascending order, i skipped) and leaves column i unset."""
+def _membership_blocks(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(with_i, without) membership matrices for _mean_marginals from an
+    (n, m, n-1) block of draws: row r of player i holds bits[i, r, b] in the
+    column of the b-th other player (players in ascending order, i skipped)."""
     n, m, _ = bits.shape
     without = np.zeros((n, m, n), dtype=bool)
     others = ~np.eye(n, dtype=bool)
     without.transpose(0, 2, 1)[others] = bits.transpose(0, 2, 1).reshape(-1, m)
-    return without
+    with_i = without.copy()
+    with_i[np.arange(n), :, np.arange(n)] = True
+    return with_i.reshape(n * m, n), without.reshape(n * m, n)
+
+
+@functools.lru_cache(maxsize=4)
+def _exact_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """banzhaf_exact's membership matrices, which depend only on n: built
+    once per n and read-only, so an evaluator cannot change a later call's
+    coalitions. Row `mask` of a player holds the others whose bit is set in
+    mask."""
+    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1).astype(bool)
+    blocks = _membership_blocks(np.broadcast_to(bits, (n, *bits.shape)))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def banzhaf_exact(u: CoalitionUtility, n: int) -> np.ndarray:
@@ -98,9 +115,7 @@ def banzhaf_exact(u: CoalitionUtility, n: int) -> np.ndarray:
         raise ValueError(
             f"exact enumeration limited to n <= {EXACT_ENUMERATION_LIMIT}, got {n}"
         )
-    # Row `mask` holds the others whose bit is set in mask.
-    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1).astype(bool)
-    return _mean_marginals(u, _without_block(np.broadcast_to(bits, (n, *bits.shape))))
+    return _mean_marginals(u, *_exact_blocks(n))
 
 
 def banzhaf_mc(
@@ -119,7 +134,7 @@ def banzhaf_mc(
     bits = np.stack(
         [np.random.default_rng(seed).random((samples, n - 1)) < 0.5 for seed in seeds]
     )
-    return _mean_marginals(u, _without_block(bits))
+    return _mean_marginals(u, *_membership_blocks(bits))
 
 
 def update_reputation(prev_epsilon: float, zeta: float, params: ReputationParams) -> float:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -61,6 +62,42 @@ class TestAppend:
     def test_append_determinism(self):
         a, b = build_chain(30), build_chain(30)
         assert [r.record_hash for r in a.records] == [r.record_hash for r in b.records]
+
+
+class TestDigestFormat:
+    """Known answers for the on-disk format, computed without compute_hash."""
+
+    def test_record_hash_is_blake2s_of_payload_then_prev_hash(self):
+        ledger = HashChainLedger()
+        first = ledger.append(0, 3, 0.25, -0.5)
+        second = ledger.append(1, 3, 0.125, 0.75)
+        assert first.record_hash == hashlib.blake2s(
+            struct.pack("<qqdd", 0, 3, 0.25, -0.5) + bytes(32)
+        ).digest()
+        assert second.record_hash == hashlib.blake2s(
+            struct.pack("<qqdd", 1, 3, 0.125, 0.75) + first.record_hash
+        ).digest()
+        assert first.record_hash.hex() == (
+            "fa798404c24a0f6477c4f718ac3421e35baa4dc99b25d1bf54987cfbe3b3dc85"
+        )
+
+    def test_record_size(self):
+        # 32 payload bytes (round, client id, zeta, epsilon), then two digests.
+        assert RECORD_SIZE == 96
+        assert len(build_chain(1).records[0].to_bytes()) == RECORD_SIZE
+
+    def test_sha256_chain_reads_as_tampered_at_index_zero(self, tmp_path, capsys):
+        # A file written when the digest was SHA-256 of the same bytes.
+        prev, raw = GENESIS_HASH, b""
+        for i in range(6):
+            payload = struct.pack("<qqdd", i // 3, i % 3, 0.01 * i, 0.1 * i)
+            digest = hashlib.sha256(payload + prev).digest()
+            raw += payload + prev + digest
+            prev = digest
+        path = tmp_path / "sha256.bin"
+        path.write_bytes(struct.pack("<q", 6) + raw)
+        assert main(["verify-ledger", str(path)]) == 1
+        assert capsys.readouterr().out == "tampered at index 0\n"
 
 
 class TestVerify:
@@ -211,6 +248,16 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ValueError):
             HashChainLedger.load(path)
+
+    def test_negative_record_count_is_named(self, tmp_path, capsys):
+        path = tmp_path / "chain.bin"
+        path.write_bytes(struct.pack("<q", -(2**63) + 1))
+        with pytest.raises(ValueError, match="negative record count -9223372036854775807"):
+            HashChainLedger.load(path)
+        assert main(["verify-ledger", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "format error: ledger file corrupt: negative record count -9223372036854775807\n"
+        )
 
     def test_jsonl_export(self, tmp_path):
         ledger = build_chain(4)

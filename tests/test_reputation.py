@@ -125,6 +125,27 @@ class TestBanzhafExact:
             assert mask_index(np.delete(without, i, axis=1)).tolist() == list(range(16))
 
 
+    def test_second_call_returns_bit_identical_indices(self):
+        u = table_utility(np.random.default_rng(8).normal(size=1 << 6), 6)
+        first = banzhaf_exact(u, 6)
+        banzhaf_exact(additive_utility({j: float(j) for j in range(6)}), 6)
+        assert banzhaf_exact(u, 6).tobytes() == first.tobytes()
+
+    def test_evaluator_writing_its_membership_rows_raises(self):
+        def overwrite(masks):
+            masks[:, 0] = True
+            return masks.sum(axis=1).astype(float)
+
+        with pytest.raises(ValueError, match="read-only"):
+            banzhaf_exact(CoalitionUtility(overwrite), 4)
+        # A later call still plays every coalition as it should.
+        table = np.random.default_rng(9).normal(size=1 << 4)
+        expected = [
+            reference_exact(lambda c: table[sum(1 << j for j in c)], 4, i) for i in range(4)
+        ]
+        assert banzhaf_exact(table_utility(table, 4), 4) == pytest.approx(expected, abs=1e-12)
+
+
 class TestBanzhafMc:
     def test_zero_variance_for_additive_games(self):
         values = {0: 0.25, 1: -1.0, 2: 3.5}
