@@ -124,7 +124,6 @@ class TestBanzhafExact:
             # Row r holds the other players whose bit is set in r.
             assert mask_index(np.delete(without, i, axis=1)).tolist() == list(range(16))
 
-
     def test_second_call_returns_bit_identical_indices(self):
         u = table_utility(np.random.default_rng(8).normal(size=1 << 6), 6)
         first = banzhaf_exact(u, 6)
