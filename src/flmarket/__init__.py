@@ -39,7 +39,6 @@ from .mechanism import (
     ic_diagnostic,
     information_rent,
     server_utility_per_client,
-    server_value,
     solve_complete,
     solve_incomplete,
 )

@@ -41,6 +41,7 @@ from .mechanism import (
     Regime,
     client_utility,
     cost,
+    server_utility_per_client,
     solve,
     solve_complete,
 )
@@ -62,6 +63,16 @@ MC_SAMPLES = 64
 TRUST_ZERO = "zero"
 TRUST_LAST_VALID = "last_valid"
 TRUST_POLICIES = (TRUST_ZERO, TRUST_LAST_VALID)
+
+# Every mechanism `run_cell` runs, in the default order of a grid. An
+# `ours-*` name maps to the information regime its contracts are solved
+# under; a baseline maps to None.
+MECHANISMS: dict[str, Regime | None] = {
+    "ours-complete": Regime.COMPLETE,
+    "ours-incomplete": Regime.INCOMPLETE,
+    "price-first": None,
+    "randomized": None,
+}
 
 
 @dataclass
@@ -89,7 +100,6 @@ class Bid:
 @dataclass
 class RoundReport:
     round: int
-    mechanism: str
     selected: list[int]
     contracts: dict[int, Contract]
     realized_q: dict[int, float]
@@ -234,14 +244,11 @@ def run_round(
 
     report = RoundReport(
         round=state.round,
-        mechanism=f"ours-{params.regime.value}",
         selected=selected,
         contracts=contracts,
         realized_q=realized,
         payments={i: contracts[i].r for i in selected},
-        server_utility=sum(
-            params.lam * contracts[i].q - contracts[i].r for i in selected
-        ),
+        server_utility=sum(server_utility_per_client(contracts[i], params) for i in selected),
         client_utilities={i: utilities[i] for i in selected},
         epsilons=epsilons,
         accuracy_global=acc_global,
@@ -262,7 +269,6 @@ def _check_bids(population: list[ClientProfile], bids: list[Bid], k: int) -> Non
 
 
 def _baseline_report(
-    mechanism: str,
     round_num: int,
     population: list[ClientProfile],
     winners: list[int],
@@ -271,14 +277,14 @@ def _baseline_report(
     params: MarketParams,
 ) -> RoundReport:
     thetas = {c.id: c.theta for c in population}
+    contracts = {i: Contract(target_q, prices[i]) for i in winners}
     return RoundReport(
         round=round_num,
-        mechanism=mechanism,
         selected=winners,
-        contracts={i: Contract(target_q, prices[i]) for i in winners},
+        contracts=contracts,
         realized_q={i: target_q for i in winners},
         payments={i: prices[i] for i in winners},
-        server_utility=sum(params.lam * target_q - prices[i] for i in winners),
+        server_utility=sum(server_utility_per_client(c, params) for c in contracts.values()),
         client_utilities={
             i: prices[i] - cost(target_q, thetas[i], params.delta) for i in winners
         },
@@ -299,9 +305,7 @@ def baseline_price_first(
     ranked = sorted(bids, key=lambda b: (b.price, b.client_id))
     winners = [b.client_id for b in ranked[:k]]
     prices = {b.client_id: b.price for b in bids}
-    return _baseline_report(
-        "price-first", round_num, population, winners, prices, target_q, params
-    )
+    return _baseline_report(round_num, population, winners, prices, target_q, params)
 
 
 def baseline_randomized(
@@ -319,9 +323,7 @@ def baseline_randomized(
     ids = sorted(b.client_id for b in bids)
     winners = sorted(rng.choice(ids, size=k, replace=False).tolist())
     prices = {b.client_id: b.price for b in bids}
-    return _baseline_report(
-        "randomized", round_num, population, winners, prices, target_q, params
-    )
+    return _baseline_report(round_num, population, winners, prices, target_q, params)
 
 
 def make_bids(
@@ -372,12 +374,7 @@ def _fresh_state(config, test: SyntheticDataset, ledger_mode: str = "chained") -
     )
 
 
-def _ours_regime(mechanism: str) -> Regime:
-    return Regime.COMPLETE if mechanism == "ours-complete" else Regime.INCOMPLETE
-
-
-def _target_q(population: list[ClientProfile], config) -> float:
-    params = MarketParams(config.lam, config.delta, len(population), 1)
+def _target_q(population: list[ClientProfile], params: MarketParams) -> float:
     return statistics.median(solve_complete(c.theta, params).q for c in population)
 
 
@@ -388,36 +385,30 @@ def run_cell(
     """All rounds of one (mechanism, k, seed) experiment cell, run on the
     seed's population and test set from `build_population`. Neither is
     changed, so one population serves every cell of its seed."""
-    if mechanism in ("ours-complete", "ours-incomplete"):
-        params = MarketParams(
-            config.lam, config.delta, config.n_clients, k, _ours_regime(mechanism)
-        )
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    regime = MECHANISMS[mechanism]
+    reports = []
+    if regime is not None:
+        params = MarketParams(config.lam, config.delta, config.n_clients, k, regime)
         state = _fresh_state(config, test, ledger_mode)
-        reports = []
         for _ in range(config.rounds):
             reports.append(run_round(population, params, state, seed))
             if tamper_cfg is not None and len(state.ledger.records) > 0:
                 tamper_attack(state.ledger, tamper_cfg)
         return reports
-    if mechanism in ("price-first", "randomized"):
-        params = MarketParams(config.lam, config.delta, config.n_clients, k)
-        target_q = _target_q(population, config)
-        reports = []
-        for r in range(config.rounds):
-            rng = np.random.default_rng((seed, r))
-            bids = make_bids(population, target_q, config.delta, rng)
-            if mechanism == "price-first":
-                reports.append(
-                    baseline_price_first(population, bids, k, target_q, params, r)
-                )
-            else:
-                reports.append(
-                    baseline_randomized(
-                        population, bids, k, _mix(seed, r, 99), target_q, params, r
-                    )
-                )
-        return reports
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    params = MarketParams(config.lam, config.delta, config.n_clients, k)
+    target_q = _target_q(population, params)
+    for r in range(config.rounds):
+        rng = np.random.default_rng((seed, r))
+        bids = make_bids(population, target_q, config.delta, rng)
+        if mechanism == "price-first":
+            reports.append(baseline_price_first(population, bids, k, target_q, params, r))
+        else:
+            reports.append(
+                baseline_randomized(population, bids, k, _mix(seed, r, 99), target_q, params, r)
+            )
+    return reports
 
 
 def _per_seed(config, run_seed) -> dict:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 
-from .auction import TRUST_LAST_VALID, TRUST_POLICIES
+from .auction import MECHANISMS, TRUST_LAST_VALID, TRUST_POLICIES
 from .flsim import AggregationConfig, Aggregator, PoisonConfig
 from .ledger import STORES, TamperConfig
 from .mechanism import MarketParams
@@ -24,14 +24,7 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     lam: float = 1.0
     delta: float = 2.0
-    mechanisms: list[str] = field(
-        default_factory=lambda: [
-            "ours-complete",
-            "ours-incomplete",
-            "price-first",
-            "randomized",
-        ]
-    )
+    mechanisms: list[str] = field(default_factory=lambda: list(MECHANISMS))
     aggregation: Aggregator = Aggregator.FEDAVG
     local_epochs: int = 3
     learning_rate: float = 0.5
@@ -49,7 +42,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def mechanisms_ours(self) -> list[str]:
-        return [m for m in self.mechanisms if m.startswith("ours-")]
+        return [m for m in self.mechanisms if MECHANISMS.get(m) is not None]
 
     def validate(self) -> None:
         """Check every key, building the components' own parameter objects
@@ -84,8 +77,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown ledger mode {mode!r}")
         if self.trust_policy not in TRUST_POLICIES:
             raise ConfigError(f"unknown trust policy {self.trust_policy!r}")
-        known = {m for m in self.mechanisms}
-        bad = known - {"ours-complete", "ours-incomplete", "price-first", "randomized"}
+        bad = set(self.mechanisms) - MECHANISMS.keys()
         if bad:
             raise ConfigError(f"unknown mechanisms {sorted(bad)}")
         if self.tamper_alphas and self.tamper_betas and not self.mechanisms_ours():

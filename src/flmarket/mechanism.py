@@ -86,11 +86,6 @@ def client_utility(contract: Contract, theta: float, delta: float) -> float:
     return contract.r - cost(contract.q, theta, delta)
 
 
-def server_value(q: float, lam: float) -> float:
-    """Server's valuation of output q, linear with slope lambda."""
-    return lam * q
-
-
 def server_utility_per_client(contract: Contract, params: MarketParams) -> float:
     """Server's net payoff from one contract: lambda * q - r."""
     return params.lam * contract.q - contract.r

@@ -32,7 +32,7 @@ from flmarket.flsim import (
     local_train,
 )
 from flmarket.ledger import HashChainLedger, TamperConfig, tamper_attack
-from flmarket.mechanism import MarketParams, Regime, cost
+from flmarket.mechanism import MarketParams, Regime, cost, solve
 
 
 def small_config(**overrides):
@@ -456,6 +456,26 @@ class TestExperimentHarness:
         rows = run_robustness(config)
         assert len(rows) == 2
         assert {r["ledger_mode"] for r in rows} == {"chained", "vulnerable"}
+
+
+
+class TestMechanismTable:
+    @pytest.mark.parametrize("mechanism", list(auction.MECHANISMS))
+    def test_each_name_validates_and_runs_a_round(self, mechanism):
+        config = small_config(rounds=1, seeds=[0], mechanisms=[mechanism])
+        population, test = build_population(config, 0)
+        reports = run_cell(config, mechanism, 4, 0, population, test)
+        assert [rep.round for rep in reports] == [0]
+        regime = auction.MECHANISMS[mechanism]
+        assert config.mechanisms_ours() == ([] if regime is None else [mechanism])
+        if regime is None:
+            assert reports[0].epsilons == {}
+        else:
+            params = MarketParams(config.lam, config.delta, config.n_clients, 4, regime)
+            assert reports[0].contracts == {c.id: solve(c.theta, params) for c in population}
+
+    def test_default_mechanisms_are_the_table_in_order(self):
+        assert ExperimentConfig().mechanisms == list(auction.MECHANISMS)
 
 
 class TestLedgerEpsilon:

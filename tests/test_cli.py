@@ -125,7 +125,7 @@ class TestVerifyLedgerCommand:
     def test_flipped_byte_exits_one_with_index(self, tmp_path, capsys):
         path = self._chain_file(tmp_path)
         raw = bytearray(path.read_bytes())
-        raw[8 + 5 * 96 + 16] ^= 0x01  # epsilon byte of record 5
+        raw[8 + 5 * 96 + 24] ^= 0x01  # epsilon byte of record 5
         path.write_bytes(bytes(raw))
         assert main(["verify-ledger", str(path)]) == 1
         assert "tampered at index 5" in capsys.readouterr().out
@@ -221,6 +221,7 @@ class TestRunCommand:
             "learning_rate = inf",
             "prox_mu = inf",
             "tamper_alphas = 0.5\ntamper_betas = inf",
+            "mechanisms = ours-screening",
         ],
         ids=lambda lines: lines.splitlines()[-1],
     )

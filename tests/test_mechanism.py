@@ -12,7 +12,6 @@ from flmarket.mechanism import (
     ic_diagnostic,
     information_rent,
     server_utility_per_client,
-    server_value,
     solve_complete,
     solve_incomplete,
 )
@@ -71,11 +70,6 @@ class TestClientUtility:
 
 
 class TestServerSide:
-    def test_server_value_linear(self):
-        assert server_value(2.0, 3.0) == 6.0
-        assert server_value(0.0, 5.0) == 0.0
-        assert server_value(1.5, 1.0) == 1.5
-
     def test_per_client_utility(self):
         assert server_utility_per_client(Contract(1.5, 0.75), PARAMS) == 0.75
         assert server_utility_per_client(Contract(0.5, 0.25), PARAMS) == 0.25
