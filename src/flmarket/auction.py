@@ -148,20 +148,22 @@ def realized_value(q_hat: float, theta: float, params: MarketParams) -> float:
 def ledger_epsilon(store, client_id: int, policy: str = TRUST_LAST_VALID) -> float:
     """Reputation as seen through the store, applying the tamper policy.
 
-    Unknown clients score 0. On the chained store a tampered record is
-    rejected; policy "last_valid" then falls back to the most recent record
-    that still verifies, policy "zero" treats the client as reputationless.
+    Unknown clients score 0. Policy "last_valid" reads the epsilon of the
+    client's newest intact record, re-hashing from the newest record back
+    to the first one that verifies (one hash on an untampered chain), and 0
+    if none does. Policy "zero" reads through `read_reputation`, which
+    re-hashes the client's whole history, and treats a client with any
+    tampered record as reputationless. The plain store verifies nothing, so
+    both policies read its newest record.
     """
     try:
+        if policy == TRUST_LAST_VALID:
+            eps = store.read_last_valid(client_id)
+            return eps if eps is not None else 0.0
         eps, trusted = store.read_reputation(client_id)
     except UnknownClientError:
         return 0.0
-    if trusted:
-        return eps
-    if policy == TRUST_LAST_VALID:
-        fallback = store.read_last_valid(client_id)
-        return fallback if fallback is not None else 0.0
-    return 0.0
+    return eps if trusted else 0.0
 
 
 def _banzhaf_contributions(

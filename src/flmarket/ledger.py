@@ -6,7 +6,9 @@ record is detectable. The digest was SHA-256 of the same bytes before, so a
 ledger file saved with SHA-256 digests reads as tampered at index 0.
 PlainStore is the deliberately vulnerable comparison: same interface, no
 integrity checking. Both index each client's record positions, so a read
-touches only that client's records.
+touches only that client's records: `read_last_valid` re-hashes from the
+client's newest record back to the first intact one (one hash when nothing
+was edited), and only `read_reputation` re-hashes the client's whole history.
 """
 
 from __future__ import annotations
@@ -245,7 +247,11 @@ class PlainStore(_IndexedStore):
         return self._push(ReputationRecord(round, client_id, zeta, epsilon))
 
     def read_reputation(self, client_id: int) -> tuple[float, bool]:
-        return self.records[self.positions(client_id)[-1]].epsilon, True
+        return self.read_last_valid(client_id), True
+
+    def read_last_valid(self, client_id: int) -> float:
+        """Newest stored epsilon: with no digests, every record reads as intact."""
+        return self.records[self.positions(client_id)[-1]].epsilon
 
 
 # The store behind each ledger mode a config may name.

@@ -3,9 +3,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ledger import _apply, _hash_calls, appends, edits
 
 from flmarket import auction
 from flmarket.auction import (
+    TRUST_POLICIES,
     Bid,
     ClientProfile,
     baseline_price_first,
@@ -31,7 +35,13 @@ from flmarket.flsim import (
     init_model,
     local_train,
 )
-from flmarket.ledger import HashChainLedger, TamperConfig, tamper_attack
+from flmarket.ledger import (
+    HashChainLedger,
+    PlainStore,
+    TamperConfig,
+    UnknownClientError,
+    tamper_attack,
+)
 from flmarket.mechanism import MarketParams, Regime, cost, solve
 
 
@@ -495,3 +505,64 @@ class TestLedgerEpsilon:
         ledger.append(0, 3, 0.1, 0.4)
         ledger.append(1, 3, 0.2, 0.7)
         assert ledger_epsilon(ledger, 3) == 0.7
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        store_cls=st.sampled_from([HashChainLedger, PlainStore]),
+        appends=appends,
+        edits=edits,
+    )
+    def test_matches_the_two_read_composition(self, store_cls, appends, edits):
+        store = store_cls()
+        rnd = 0
+        for client, step, zeta, eps in appends:
+            rnd += step
+            store.append(rnd, client, zeta, eps)
+        for edit in edits:
+            _apply(store.records, edit)
+        for policy in TRUST_POLICIES:
+            for client in range(6):
+                assert ledger_epsilon(store, client, policy) == reference_ledger_epsilon(
+                    store, client, policy
+                )
+
+    @staticmethod
+    def _long_history(tampered=0):
+        """Chain where client 0 holds 30 records, interleaved with client 1's;
+        the newest `tampered` of client 0's have their epsilon edited."""
+        ledger = HashChainLedger()
+        for r in range(30):
+            ledger.append(r, 0, 0.1, 0.01 * r)
+            ledger.append(r, 1, 0.2, 0.5)
+        for i in range(tampered):
+            ledger.records[2 * (29 - i)].epsilon = 9.0
+        return ledger
+
+    def test_clean_last_valid_read_hashes_one_record(self):
+        ledger = self._long_history()
+        assert _hash_calls(ledger_epsilon, ledger, 0, "last_valid") == (0.01 * 29, 1)
+
+    @pytest.mark.parametrize("tampered", [1, 5, 29])
+    def test_last_valid_read_hashes_the_tampered_tail_and_one_more(self, tampered):
+        ledger = self._long_history(tampered)
+        expected = 0.01 * (29 - tampered)
+        assert _hash_calls(ledger_epsilon, ledger, 0, "last_valid") == (expected, tampered + 1)
+
+    def test_zero_read_hashes_the_whole_history(self):
+        ledger = self._long_history()
+        assert _hash_calls(ledger_epsilon, ledger, 0, "zero") == (0.01 * 29, 30)
+
+
+def reference_ledger_epsilon(store, client_id, policy):
+    """The earlier composition of the two reads, kept as an oracle: the
+    whole-history read first, then the last-valid fallback if it failed."""
+    try:
+        eps, trusted = store.read_reputation(client_id)
+    except UnknownClientError:
+        return 0.0
+    if trusted:
+        return eps
+    if policy == "last_valid":
+        fallback = store.read_last_valid(client_id)
+        return fallback if fallback is not None else 0.0
+    return 0.0

@@ -224,6 +224,20 @@ class TestReadReputation:
         assert ledger.read_reputation(0) == (2.0, False)
         assert ledger.read_last_valid(0) == 0.3
 
+    def test_plain_last_valid_returns_the_edited_newest_record(self):
+        store = PlainStore()
+        store.append(0, 0, 0.1, 0.3)
+        store.append(1, 0, 0.1, 0.4)
+        store.records[1].epsilon *= 5.0
+        assert store.read_last_valid(0) == 2.0
+        assert store.read_reputation(0) == (2.0, True)
+
+    def test_plain_last_valid_rejects_unknown_client(self):
+        store = PlainStore()
+        store.append(0, 0, 0.1, 0.3)
+        with pytest.raises(UnknownClientError):
+            store.read_last_valid(99)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
