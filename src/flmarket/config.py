@@ -53,6 +53,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must list at least one seed")
         if not self.mechanisms:
             raise ConfigError("mechanisms must list at least one mechanism")
+        if not self.ledger_modes:
+            raise ConfigError("ledger_modes must list at least one mode")
         # Seeds may repeat; a repeated grid axis would only rerun its cells.
         for key, values in (
             ("k_select", self.k_values),

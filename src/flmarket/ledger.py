@@ -9,13 +9,13 @@ integrity checking. Both index each client's record positions, so a read
 touches only that client's records: `read_last_valid` re-hashes from the
 client's newest record back to the first intact one (one hash when nothing
 was edited), and only `read_reputation` re-hashes the client's whole history.
+`verify` and both reads judge a record by one integrity check, `_sound`.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -36,24 +36,22 @@ class ReputationRecord:
     prev_hash: bytes = GENESIS_HASH
     record_hash: bytes = b""
 
-    def compute_hash(self) -> bytes:
-        """BLAKE2s-256 of the packed payload fields followed by `prev_hash`.
+    def _digested(self) -> bytes:
+        """The bytes a digest covers: the packed payload, then `prev_hash`."""
+        return _PAYLOAD.pack(self.round, self.client_id, self.zeta, self.epsilon) + self.prev_hash
 
-        The module's one digest path: `append`, both reads and `verify` all
-        hash here. Files saved when this was SHA-256 of the same bytes read
-        as tampered at index 0.
+    def compute_hash(self) -> bytes:
+        """BLAKE2s-256 of `_digested()`.
+
+        The module's one digest path: `append` and the integrity check
+        `_sound`, which `verify` and both reads go through, hash here. Files
+        saved when this was SHA-256 of the same bytes read as tampered at
+        index 0.
         """
-        return hashlib.blake2s(
-            _PAYLOAD.pack(self.round, self.client_id, self.zeta, self.epsilon)
-            + self.prev_hash
-        ).digest()
+        return hashlib.blake2s(self._digested()).digest()
 
     def to_bytes(self) -> bytes:
-        return (
-            _PAYLOAD.pack(self.round, self.client_id, self.zeta, self.epsilon)
-            + self.prev_hash
-            + self.record_hash
-        )
+        return self._digested() + self.record_hash
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "ReputationRecord":
@@ -143,45 +141,30 @@ class HashChainLedger(_IndexedStore):
         record.record_hash = record.compute_hash()
         return self._push(record)
 
-    def verify(self) -> int | None:
-        """Index of the first record failing digest or linkage checks, or None."""
-        expected_prev = GENESIS_HASH
-        for idx, rec in enumerate(self.records):
-            if rec.prev_hash != expected_prev or rec.record_hash != rec.compute_hash():
-                return idx
-            expected_prev = rec.record_hash
-        return None
-
-    def _intact(self, idx: int, client_id: int) -> bool:
-        """Whether the record at `idx` is still the client's, links to the
-        record before it, and matches its digest."""
+    def _sound(self, idx: int) -> bool:
+        """The ledger's one integrity check: whether the record at `idx`
+        links to the stored digest of the record before it (the genesis
+        digest at index 0) and matches its own digest."""
         rec = self.records[idx]
         expected_prev = self.records[idx - 1].record_hash if idx else GENESIS_HASH
-        return (
-            rec.client_id == client_id
-            and rec.prev_hash == expected_prev
-            and rec.record_hash == rec.compute_hash()
-        )
+        return rec.prev_hash == expected_prev and rec.record_hash == rec.compute_hash()
+
+    def verify(self) -> int | None:
+        """Index of the first record failing the integrity check, or None."""
+        return next((i for i in range(len(self.records)) if not self._sound(i)), None)
+
+    def _intact(self, idx: int, client_id: int) -> bool:
+        """Whether the record at `idx` is still the client's and passes the
+        integrity check."""
+        return self.records[idx].client_id == client_id and self._sound(idx)
 
     def read_reputation(self, client_id: int) -> tuple[float, bool]:
         """Latest stored epsilon plus whether every record of the client
-        verifies; each read re-hashes all of them."""
-        records = self.records
+        verifies; each read re-hashes all of them, oldest first, up to the
+        first that fails."""
         positions = self.positions(client_id)
-        # all(self._intact(i, client_id) for i in positions), written out:
-        # this loop holds most of the ledger's time, and inlining it saves
-        # about a quarter of a read.
-        trusted = True
-        for i in positions:
-            rec = records[i]
-            if not (
-                rec.client_id == client_id
-                and rec.prev_hash == (records[i - 1].record_hash if i else GENESIS_HASH)
-                and rec.record_hash == rec.compute_hash()
-            ):
-                trusted = False
-                break
-        return records[positions[-1]].epsilon, trusted
+        trusted = all(self._intact(i, client_id) for i in positions)
+        return self.records[positions[-1]].epsilon, trusted
 
     def read_last_valid(self, client_id: int) -> float | None:
         """Epsilon from the client's most recent record that still verifies,
@@ -220,23 +203,6 @@ class HashChainLedger(_IndexedStore):
                 ReputationRecord.from_bytes(body[i * RECORD_SIZE : (i + 1) * RECORD_SIZE])
             )
         return ledger
-
-    def export_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for rec in self.records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "round": rec.round,
-                            "client_id": rec.client_id,
-                            "zeta": rec.zeta,
-                            "epsilon": rec.epsilon,
-                            "prev_hash": rec.prev_hash.hex(),
-                            "record_hash": rec.record_hash.hex(),
-                        }
-                    )
-                    + "\n"
-                )
 
 
 class PlainStore(_IndexedStore):

@@ -29,6 +29,29 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"cost sensitivity delta must be positive and finite, got {delta}")
 
 
+def _largest_term(lam: float, delta: float) -> float:
+    """Largest value a contract, cost, bid or server payoff forms for any
+    type theta in [0, 1], intermediate products included.
+
+    With P = 1 + delta and q_top = lam * P / 2, the theta = 1 output that
+    bounds every output, the terms that grow with lam and delta peak at:
+    - P^2, the information rent's denominator (1 + delta*theta)^2;
+    - lam * P^2, the incomplete output's numerator lam * (1 + delta*theta)^2;
+    - 1.3 * q_top^2, a bid: a cost q^2 / (1 + delta*theta) <= q_top^2 times
+      the largest bid margin;
+    - lam * q_top, the server's value of the top output;
+    - 0.02048 * lam^2 * P^3, the rent's numerator (1 - theta) * delta * q^2
+      at its peak theta = (4*delta - 1) / (5*delta), where the incomplete
+      output is q = lam * (1 + delta*theta)^2 / (2P). For delta < 1/4 the
+      peak is at theta = 0 and this bound is below lam * q_top.
+    Every other term (transfers, utilities, single factors) is at most one
+    of these.
+    """
+    p = 1.0 + delta
+    q_top = lam * p / 2.0
+    return max(p * p, lam * p * p, 1.3 * q_top * q_top, lam * q_top, 0.02048 * lam * lam * p * p * p)
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Market-level constants: valuation slope, cost shape, population sizes."""
@@ -43,6 +66,11 @@ class MarketParams:
         if not 0.0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         _check_delta(self.delta)
+        if not math.isfinite(_largest_term(self.lam, self.delta)):
+            raise ValueError(
+                f"lambda = {self.lam!r} and delta = {self.delta!r} overflow a contract: "
+                "every contract, cost and bid term must be finite"
+            )
         if self.n_clients < 1:
             raise ValueError("n_clients must be a positive integer")
         if not 1 <= self.k_select <= self.n_clients:

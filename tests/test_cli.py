@@ -107,6 +107,20 @@ class TestSolveCommand:
     def test_invalid_theta_is_a_usage_error(self):
         assert main(["solve", "--theta", "1.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--theta", "1", "--lambda", "1e200"],
+            ["--theta", "0.5", "--delta", "1e308", "--regime", "incomplete"],
+            # 1.3 q_top^2 is finite here, but the rent's numerator is not.
+            ["--theta", "0.8", "--delta", "1e150", "--regime", "incomplete"],
+        ],
+        ids=["lambda=1e200", "delta=1e308", "delta=1e150"],
+    )
+    def test_overflowing_market_is_a_usage_error(self, capsys, args):
+        assert main(["solve", *args]) == 2
+        assert "overflow a contract" in capsys.readouterr().err
+
 
 class TestVerifyLedgerCommand:
     def _chain_file(self, tmp_path, n=12):
@@ -197,6 +211,7 @@ class TestRunCommand:
             ("seeds", "seeds must list at least one seed"),
             ("k_select", "k_select must list at least one value"),
             ("mechanisms", "mechanisms must list at least one mechanism"),
+            ("ledger_modes", "ledger_modes must list at least one mode"),
         ],
     )
     def test_empty_list_is_a_usage_error_naming_the_invariant(
@@ -218,6 +233,8 @@ class TestRunCommand:
             "tamper_alphas = 0.5\ntamper_betas = nan",
             "lambda = inf",
             "delta = inf",
+            "lambda = 1e200",
+            "delta = 1e308",
             "learning_rate = inf",
             "prox_mu = inf",
             "tamper_alphas = 0.5\ntamper_betas = inf",

@@ -2,7 +2,6 @@ import contextlib
 import copy
 import hashlib
 import io
-import json
 import math
 import struct
 from unittest import mock
@@ -273,16 +272,6 @@ class TestPersistence:
             "format error: ledger file corrupt: negative record count -9223372036854775807\n"
         )
 
-    def test_jsonl_export(self, tmp_path):
-        ledger = build_chain(4)
-        path = tmp_path / "chain.jsonl"
-        ledger.export_jsonl(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 4
-        first = json.loads(lines[0])
-        assert first["prev_hash"] == "00" * 32
-        assert first["client_id"] == 0
-
 
 class NoIterList(list):
     """A record list that fails any whole-list scan."""
@@ -349,6 +338,13 @@ def oracle_read(records, client_id, chained):
     idxs = _oracle_indices(records, client_id)
     trusted = not chained or all(_oracle_intact(records, i) for i in idxs)
     return records[idxs[-1]].epsilon, trusted
+
+
+def oracle_verify(records):
+    for i in range(len(records)):
+        if not _oracle_intact(records, i):
+            return i
+    return None
 
 
 def oracle_read_last_valid(records, client_id):
@@ -460,6 +456,8 @@ class TestIndexMatchesScan:
                 assert [r.to_bytes() for r in store.records] == before
         chained = store_cls is HashChainLedger
         records = store.records
+        if chained:
+            assert _hash_calls(store.verify) == _hash_calls(oracle_verify, records)
         for client in range(6):
             assert _hash_calls(store.read_reputation, client) == _hash_calls(
                 oracle_read, records, client, chained

@@ -227,6 +227,21 @@ class TestMarketParams:
         with pytest.raises(ValueError):
             MarketParams(1.0, -1.0, 5, 2)
 
+    @given(log_lam=st.floats(-300.0, 300.0), log_delta=st.floats(-300.0, 300.0))
+    def test_accepted_markets_form_only_finite_terms(self, log_lam, log_delta):
+        lam, delta = 10.0**log_lam, 10.0**log_delta
+        try:
+            params = MarketParams(lam, delta, 1, 1, Regime.INCOMPLETE)
+        except ValueError:
+            return
+        q_top = solve_complete(1.0, params).q
+        peak = [(4 * delta - 1) / (5 * delta)] if delta >= 0.25 else []  # the rent's peak
+        for theta in [0.0, 0.5, 1.0, *peak]:
+            for contract in (solve_complete(theta, params), solve_incomplete(theta, params)):
+                assert math.isfinite(server_utility_per_client(contract, params))
+                assert math.isfinite(client_utility(contract, theta, delta))
+            assert math.isfinite(cost(q_top, theta, delta) * 1.3)  # the largest bid
+
     def test_contract_rejects_negative_terms(self):
         with pytest.raises(ValueError):
             Contract(-0.1, 0.0)

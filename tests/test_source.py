@@ -23,25 +23,17 @@ def test_no_function_local_imports(path):
     assert local == [], "imports belong at module level: " + ", ".join(local)
 
 
-def _module_uses_by_scope(tree, module):
-    """Dotted scope ("Class.method", "<module>") of every use of `module`:
-    each load of its name, and each import that binds it under another name
-    (`from module import x`, `import module as m`)."""
+def _scopes_where(tree, hit):
+    """Dotted scope ("Class.method", "<module>") of every node for which
+    `hit(node)` holds."""
     found = []
-
-    def rebinds(node):
-        if isinstance(node, ast.ImportFrom):
-            return node.module == module
-        return isinstance(node, ast.Import) and any(
-            alias.name == module and alias.asname for alias in node.names
-        )
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
                 continue
-            if (isinstance(child, ast.Name) and child.id == module) or rebinds(child):
+            if hit(child):
                 found.append(scope)
             visit(child, scope)
 
@@ -49,11 +41,44 @@ def _module_uses_by_scope(tree, module):
     return found
 
 
+def _module_uses_by_scope(tree, module):
+    """Scope of every use of `module`: each load of its name, and each
+    import that binds it under another name (`from module import x`,
+    `import module as m`)."""
+
+    def uses(node):
+        if isinstance(node, ast.Name):
+            return node.id == module
+        if isinstance(node, ast.ImportFrom):
+            return node.module == module
+        return isinstance(node, ast.Import) and any(
+            alias.name == module and alias.asname for alias in node.names
+        )
+
+    return _scopes_where(tree, uses)
+
+
+LEDGER = Path(flmarket.__file__).parent / "ledger.py"
+
+
 def test_ledger_hashes_only_in_compute_hash():
     # One digest path keeps every hash a read, append or verify makes
     # visible to anything that wraps ReputationRecord.compute_hash.
-    path = Path(flmarket.__file__).parent / "ledger.py"
-    uses = _module_uses_by_scope(ast.parse(path.read_text(), filename=str(path)), "hashlib")
+    uses = _module_uses_by_scope(ast.parse(LEDGER.read_text(), filename=str(LEDGER)), "hashlib")
     assert uses and set(uses) == {"ReputationRecord.compute_hash"}, (
         f"hashlib used outside ReputationRecord.compute_hash: {uses}"
+    )
+
+
+def test_ledger_checks_integrity_in_one_predicate():
+    # Only an append and the one integrity check digest a record, so
+    # verify and every read judge records by the same rule.
+    calls = _scopes_where(
+        ast.parse(LEDGER.read_text(), filename=str(LEDGER)),
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "compute_hash",
+    )
+    assert sorted(calls) == ["HashChainLedger._sound", "HashChainLedger.append"], (
+        f"compute_hash called outside append and the integrity check: {calls}"
     )
