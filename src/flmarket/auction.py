@@ -5,12 +5,18 @@ participation condition, select the top-k accepted clients by
 ledger-verified reputation, run one federated-learning aggregation round,
 score realized contributions with the Banzhaf index, and append updated
 reputations to the ledger.
+
+The offer (contracts, client utilities, accepted set) depends only on the
+clients' thetas and the market, never on round state, and everything after
+it is the same under every regime. So the harness plays one trajectory of
+rounds for each distinct accepted set, and each `ours-*` regime with that
+set prices the shared rounds with its own contracts.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -180,6 +186,34 @@ def _banzhaf_contributions(
     return dict(zip(ids, zetas.tolist()))
 
 
+def _offer(
+    population: list[ClientProfile], params: MarketParams
+) -> tuple[dict[int, Contract], dict[int, float], list[ClientProfile]]:
+    """Each client's contract under the regime of `params`, its utility
+    from that contract, and the clients that accept (utility >= 0), in
+    population order. Depends on no round state."""
+    contracts = {c.id: solve(c.theta, params) for c in population}
+    utilities = {
+        c.id: client_utility(contracts[c.id], c.theta, params.delta) for c in population
+    }
+    accepted = [c for c in population if utilities[c.id] >= 0.0]
+    return contracts, utilities, accepted
+
+
+def _prices(
+    selected: list[int], contracts: dict[int, Contract], utilities: dict[int, float],
+    params: MarketParams,
+) -> dict:
+    """The `RoundReport` fields a regime's offer sets for a round's selected
+    clients: contracts, payments, server utility and client utilities."""
+    return dict(
+        contracts=contracts,
+        payments={i: contracts[i].r for i in selected},
+        server_utility=sum(server_utility_per_client(contracts[i], params) for i in selected),
+        client_utilities={i: utilities[i] for i in selected},
+    )
+
+
 def run_round(
     population: list[ClientProfile],
     params: MarketParams,
@@ -189,11 +223,7 @@ def run_round(
     """One full auction + training + reputation round."""
     if not population:
         raise ValueError("population must be non-empty")
-    contracts = {c.id: solve(c.theta, params) for c in population}
-    utilities = {
-        c.id: client_utility(contracts[c.id], c.theta, params.delta) for c in population
-    }
-    accepted = [c for c in population if utilities[c.id] >= 0.0]
+    contracts, utilities, accepted = _offer(population, params)
     if not accepted:
         raise RuntimeError("no client accepted its contract")
 
@@ -247,13 +277,10 @@ def run_round(
     report = RoundReport(
         round=state.round,
         selected=selected,
-        contracts=contracts,
         realized_q=realized,
-        payments={i: contracts[i].r for i in selected},
-        server_utility=sum(server_utility_per_client(contracts[i], params) for i in selected),
-        client_utilities={i: utilities[i] for i in selected},
         epsilons=epsilons,
         accuracy_global=acc_global,
+        **_prices(selected, contracts, utilities, params),
     )
     state.model = new_global
     state.accuracy = acc_global
@@ -380,6 +407,14 @@ def _target_q(population: list[ClientProfile], params: MarketParams) -> float:
     return statistics.median(solve_complete(c.theta, params).q for c in population)
 
 
+def _market(config, mechanism: str, k: int) -> MarketParams:
+    """The market of a (mechanism, k) cell; a baseline's has the default regime."""
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    regime = MECHANISMS[mechanism] or Regime.COMPLETE
+    return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
+
+
 def run_cell(
     config, mechanism: str, k: int, seed: int, population: list[ClientProfile],
     test: SyntheticDataset, ledger_mode: str = "chained", tamper_cfg=None,
@@ -387,19 +422,15 @@ def run_cell(
     """All rounds of one (mechanism, k, seed) experiment cell, run on the
     seed's population and test set from `build_population`. Neither is
     changed, so one population serves every cell of its seed."""
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    regime = MECHANISMS[mechanism]
+    params = _market(config, mechanism, k)
     reports = []
-    if regime is not None:
-        params = MarketParams(config.lam, config.delta, config.n_clients, k, regime)
+    if MECHANISMS[mechanism] is not None:
         state = _fresh_state(config, test, ledger_mode)
         for _ in range(config.rounds):
             reports.append(run_round(population, params, state, seed))
             if tamper_cfg is not None and len(state.ledger.records) > 0:
                 tamper_attack(state.ledger, tamper_cfg)
         return reports
-    params = MarketParams(config.lam, config.delta, config.n_clients, k)
     target_q = _target_q(population, params)
     for r in range(config.rounds):
         rng = np.random.default_rng((seed, r))
@@ -430,6 +461,35 @@ def _total(reports: list[RoundReport]) -> float:
     return sum(rep.server_utility for rep in reports)
 
 
+def _ours_cells(
+    config, k: int, seed: int, population: list[ClientProfile], test: SyntheticDataset
+) -> dict[str, list[RoundReport]]:
+    """The reports of every `ours-*` mechanism's (k, seed) cell.
+
+    Mechanisms whose offers are accepted by the same clients play one
+    trajectory: `run_cell` under the first of them in config order, whose
+    reports the others re-price with their own contracts. A mechanism whose
+    accepted set differs plays its own.
+    """
+    groups: dict[tuple[int, ...], list] = {}
+    for mechanism in config.mechanisms_ours():
+        params = _market(config, mechanism, k)
+        contracts, utilities, accepted = _offer(population, params)
+        groups.setdefault(tuple(c.id for c in accepted), []).append(
+            (mechanism, params, contracts, utilities)
+        )
+    out = {}
+    for group in groups.values():
+        leader = group[0][0]
+        out[leader] = played = run_cell(config, leader, k, seed, population, test)
+        for mechanism, params, contracts, utilities in group[1:]:
+            out[mechanism] = [
+                replace(rep, **_prices(rep.selected, contracts, utilities, params))
+                for rep in played
+            ]
+    return out
+
+
 def run_experiment(config) -> tuple[list[dict], list[dict]]:
     """Full mechanism-comparison grid.
 
@@ -442,8 +502,12 @@ def run_experiment(config) -> tuple[list[dict], list[dict]]:
     def cells(seed, population, test):
         out = {}
         for k in config.k_values:
+            ours = _ours_cells(config, k, seed, population, test)
             for mechanism in config.mechanisms:
-                reports = run_cell(config, mechanism, k, seed, population, test)
+                if mechanism in ours:
+                    reports = ours[mechanism]
+                else:
+                    reports = run_cell(config, mechanism, k, seed, population, test)
                 rows = [
                     {"mechanism": mechanism, "k": k, "seed": seed, "round": rep.round,
                      "server_utility": rep.server_utility, "accuracy": rep.accuracy_global,

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .auction import MECHANISMS, TRUST_LAST_VALID, TRUST_POLICIES
 from .flsim import AggregationConfig, Aggregator, PoisonConfig
 from .ledger import STORES, TamperConfig
-from .mechanism import MarketParams
+from .mechanism import MarketParams, largest_term
 from .reputation import ReputationParams
 
 
@@ -100,6 +101,27 @@ class ExperimentConfig:
                     TamperConfig(alpha, beta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        self._check_utility_sums()
+
+    def _check_utility_sums(self) -> None:
+        """Check that no server-utility sum the run writes can overflow.
+
+        Every server payoff lam*q - r of one contract, ours or a baseline's,
+        lies in [-L, L] with L = `largest_term(lam, delta)`, since q, r and
+        lam*q are nonnegative and each is at most L. A round sums at most
+        k = max(k_select) payoffs, so |server_utility| <= k*L; a cell's
+        total sums `rounds` of those, so it is at most rounds*k*L; and a
+        summary mean sums one total per listed seed before dividing, so
+        every partial sum stays within len(seeds)*rounds*k*L, which also
+        bounds a population std of the totals. That product must be finite.
+        """
+        payoffs = self.rounds * max(self.k_values) * len(self.seeds)
+        if not math.isfinite(largest_term(self.lam, self.delta) * payoffs):
+            raise ConfigError(
+                f"lambda = {self.lam!r} and delta = {self.delta!r} overflow a utility sum: "
+                f"rounds * max(k_select) * seeds = {self.rounds} * {max(self.k_values)} * "
+                f"{len(self.seeds)} payoffs must sum to a finite total"
+            )
 
     def digest(self) -> str:
         """Short hash of the experiment, for output provenance; where the

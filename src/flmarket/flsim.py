@@ -173,7 +173,8 @@ def local_train(
     model carries the client's proposed c_i+ (option II) as `variate`. The
     design block, labels, global weights and variates are only read;
     committing the variates is the caller's. Returns one local model per
-    dataset, in order.
+    dataset, in order; raises FloatingPointError, naming the clients, if
+    any trained weight is not finite (a learning rate that diverges).
     """
     if not datasets:
         raise ValueError("cannot train on zero datasets")
@@ -221,6 +222,12 @@ def local_train(
             grad += correction
         grad *= lr
         w -= grad
+    if not np.isfinite(w).all():
+        diverged = [d.owner for d, row in zip(datasets, w) if not np.isfinite(row).all()]
+        raise FloatingPointError(
+            f"local training diverged: clients {diverged} have non-finite weights "
+            f"after {cfg.local_epochs} epochs at learning_rate = {lr!r}"
+        )
 
     if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
         c_new = c_i - c + (w_global - w) / (cfg.local_epochs * lr)
@@ -231,7 +238,11 @@ def local_train(
 def aggregate(
     models: list[ModelParams], sample_counts: list[int], cfg: AggregationConfig
 ) -> ModelParams:
-    """Sample-count-weighted average of local models, whatever `cfg.algo` is."""
+    """Sample-count-weighted average of local models, whatever `cfg.algo` is.
+
+    Raises FloatingPointError if the average is not finite, which finite
+    local weights of magnitude near the float maximum can overflow to.
+    """
     if not models:
         raise ValueError("cannot aggregate zero models")
     if len(models) != len(sample_counts):
@@ -239,6 +250,11 @@ def aggregate(
     counts = np.asarray(sample_counts, dtype=float)
     stacked = np.stack([m.weights for m in models])
     merged = (counts[:, None] * stacked).sum(axis=0) / counts.sum()
+    if not np.isfinite(merged).all():
+        raise FloatingPointError(
+            f"aggregation diverged: the global model of {len(models)} local models "
+            "has non-finite weights"
+        )
     return ModelParams(merged)
 
 

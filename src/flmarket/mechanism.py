@@ -29,7 +29,7 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"cost sensitivity delta must be positive and finite, got {delta}")
 
 
-def _largest_term(lam: float, delta: float) -> float:
+def largest_term(lam: float, delta: float) -> float:
     """Largest value a contract, cost, bid or server payoff forms for any
     type theta in [0, 1], intermediate products included.
 
@@ -66,7 +66,7 @@ class MarketParams:
         if not 0.0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         _check_delta(self.delta)
-        if not math.isfinite(_largest_term(self.lam, self.delta)):
+        if not math.isfinite(largest_term(self.lam, self.delta)):
             raise ValueError(
                 f"lambda = {self.lam!r} and delta = {self.delta!r} overflow a contract: "
                 "every contract, cost and bid term must be finite"

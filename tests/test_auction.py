@@ -469,6 +469,94 @@ class TestExperimentHarness:
 
 
 
+def oracle_rows(config):
+    """run_experiment's rows with every cell played on its own by run_cell."""
+    populations = {seed: build_population(config, seed) for seed in set(config.seeds)}
+    return [
+        {"mechanism": mechanism, "k": k, "seed": seed, "round": rep.round,
+         "server_utility": rep.server_utility, "accuracy": rep.accuracy_global,
+         "n_selected": len(rep.selected)}
+        for k in config.k_values
+        for mechanism in config.mechanisms
+        for seed in config.seeds
+        for rep in run_cell(config, mechanism, k, seed, *populations[seed])
+    ]
+
+
+def counting_run_round(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].regime)
+        return run_round(*args, **kwargs)
+
+    monkeypatch.setattr(auction, "run_round", counted)
+    return calls
+
+
+class TestSharedTrajectory:
+    """Regimes that accept the same clients play one trajectory of rounds
+    and differ only in pricing; each must equal its own run_cell."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(aggregation=Aggregator.FEDAVG),
+            dict(aggregation=Aggregator.FEDPROX, prox_mu=0.1, poison_count=2, trust_policy="zero"),
+            dict(aggregation=Aggregator.SCAFFOLD, poison_count=2, trust_policy="last_valid"),
+        ],
+        ids=["fedavg", "fedprox-poisoners-zero", "scaffold-poisoners-last_valid"],
+    )
+    def test_equals_each_regime_played_alone(self, overrides):
+        config = small_config(rounds=3, seeds=[1, 0, 1], k_values=[2, 4], **overrides)
+        rows, _ = run_experiment(config)
+        assert rows == oracle_rows(config)
+        for seed in dict.fromkeys(config.seeds):
+            population, test = build_population(config, seed)
+            for k in config.k_values:
+                shared = auction._ours_cells(config, k, seed, population, test)
+                alone = {
+                    m: run_cell(config, m, k, seed, population, test)
+                    for m in config.mechanisms_ours()
+                }
+                assert shared == alone
+                complete, incomplete = shared["ours-complete"], shared["ours-incomplete"]
+                for a, b in zip(complete, incomplete):
+                    assert (a.selected, a.accuracy_global, a.epsilons) == (
+                        b.selected, b.accuracy_global, b.epsilons
+                    )
+                    assert a.contracts != b.contracts and a.payments != b.payments
+                    assert a.server_utility != b.server_utility
+
+    def test_equal_accepted_sets_play_one_trajectory(self, monkeypatch):
+        config = small_config(seeds=[0])
+        calls = counting_run_round(monkeypatch)
+        run_experiment(config)
+        assert calls == [Regime.COMPLETE] * config.rounds
+
+    def test_a_differing_accepted_set_plays_its_own(self, monkeypatch):
+        config = small_config(seeds=[0], poison_count=2)
+        population, test = build_population(config, 0)
+        rejected = population[3]
+
+        def underpaying(theta, params):
+            # The incomplete regime pays client 3 nothing, so it declines.
+            contract = solve(theta, params)
+            if params.regime is Regime.INCOMPLETE and theta == rejected.theta:
+                return dataclasses.replace(contract, r=0.0)
+            return contract
+
+        monkeypatch.setattr(auction, "solve", underpaying)
+        calls = counting_run_round(monkeypatch)
+        rows, _ = run_experiment(config)
+        assert calls == [Regime.COMPLETE] * config.rounds + [Regime.INCOMPLETE] * config.rounds
+        assert rows == oracle_rows(config)
+        alone = {m: run_cell(config, m, 4, 0, population, test) for m in config.mechanisms_ours()}
+        assert auction._ours_cells(config, 4, 0, population, test) == alone
+        assert any(rejected.id in rep.epsilons for rep in alone["ours-complete"])
+        assert all(rejected.id not in rep.epsilons for rep in alone["ours-incomplete"])
+
+
 class TestMechanismTable:
     @pytest.mark.parametrize("mechanism", list(auction.MECHANISMS))
     def test_each_name_validates_and_runs_a_round(self, mechanism):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flmarket.cli import main
@@ -18,6 +19,13 @@ seeds = 0, 1
 theta_min = 0.3
 local_epochs = 2
 """
+
+
+# lambda * q_top of the top type is about 1.6e308: finite alone, not summed.
+OVERFLOWING_SUM = (
+    "n_clients = 8\nk_select = 8\ndelta = 0.001\nmechanisms = ours-complete\n"
+    "lambda = 1.8e154"
+)
 
 
 def write_config(tmp_path, body, name="exp.cfg"):
@@ -239,6 +247,8 @@ class TestRunCommand:
             "prox_mu = inf",
             "tamper_alphas = 0.5\ntamper_betas = inf",
             "mechanisms = ours-screening",
+            # Each payoff is finite, but 8 of them per round overflow a sum.
+            OVERFLOWING_SUM,
         ],
         ids=lambda lines: lines.splitlines()[-1],
     )
@@ -247,6 +257,36 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_utility_sum_names_the_invariant(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path, OVERFLOWING_SUM + "\nseeds = 0"))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "overflow a utility sum: rounds * max(k_select) * seeds = 2 * 8 * 1" in err
+        # The same market with one payoff per run sums nothing.
+        one = OVERFLOWING_SUM.replace("k_select = 8", "k_select = 1") + "\nseeds = 0\nrounds = 1"
+        assert parse_config(write_config(tmp_path, small_config(tmp_path, one))).k_values == [1]
+
+    @pytest.mark.parametrize(
+        "lines, cause",
+        [
+            # Finite local weights near the float maximum overflow their average.
+            ("learning_rate = 1e308", "aggregation diverged"),
+            # FedProx steps scale w - w_global by 1 - lr * mu = -9 per epoch.
+            (
+                "aggregation = fedprox\nprox_mu = 1\nlocal_epochs = 400\nlearning_rate = 10",
+                "local training diverged",
+            ),
+        ],
+        ids=["learning_rate=1e308", "fedprox"],
+    )
+    def test_diverged_model_is_a_component_failure(self, tmp_path, capsys, lines, cause):
+        path = write_config(tmp_path, small_config(tmp_path, lines))
+        with np.errstate(all="ignore"):
+            assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cause}" in err and "non-finite weights" in err
+        assert not (tmp_path / "out" / "rounds.csv").exists()
 
     def test_key_given_twice_is_a_usage_error(self, tmp_path, capsys):
         body = small_config(tmp_path) + "rounds = 3\n"  # SMALL_CONFIG sets rounds = 2
@@ -339,7 +379,13 @@ class TestModuleEntryPoint:
         tampered = tmp_path / "tampered.bin"
         tampered.write_bytes(raw)
         bad_config = write_config(tmp_path, "n_clients = 3\nk_select = 9\n")
+        overflowing = write_config(tmp_path, small_config(tmp_path, OVERFLOWING_SUM), "sum.cfg")
+        diverging = write_config(
+            tmp_path, small_config(tmp_path, "learning_rate = 1e308"), "lr.cfg"
+        )
         assert self._run("verify-ledger", str(intact)) == 0
         assert self._run("verify-ledger", str(tampered)) == 1
         assert self._run("verify-ledger", str(truncated)) == 1
         assert self._run("run", str(bad_config)) == 2
+        assert self._run("run", str(overflowing)) == 2
+        assert self._run("run", str(diverging)) == 1

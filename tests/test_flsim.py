@@ -94,6 +94,19 @@ class TestLocalTrain:
         with pytest.raises(ValueError):
             SyntheticDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), owner=0)
 
+    def test_diverged_weights_raise_naming_the_clients(self):
+        # FedProx steps multiply w - w_global by (1 - lr * mu) = -9 per epoch.
+        datasets, _ = generate_population(3, [0.3, 0.6, 1.0], seed=5)
+        cfg = AggregationConfig(
+            algo=Aggregator.FEDPROX, local_epochs=400, learning_rate=10.0, prox_mu=1.0
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match=r"clients \[0, 1, 2\] have non-finite"):
+                local_train(init_model(), datasets, cfg)
+            nan_start = ModelParams(np.full(21, np.nan))
+            with pytest.raises(FloatingPointError, match="non-finite weights"):
+                local_train(nan_start, datasets, AggregationConfig())
+
     def test_scaffold_updates_control_variates(self):
         datasets, _ = generate_population(1, [0.9], seed=6)
         cfg = AggregationConfig(algo=Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.1)
@@ -295,6 +308,13 @@ class TestAggregate:
         w = ModelParams(np.array([5.0, -1.0]))
         out = aggregate([w], [7], AggregationConfig())
         assert np.array_equal(out.weights, w.weights)
+
+    def test_overflowing_average_raises(self):
+        # Finite local weights whose count-weighted sum overflows.
+        huge = [ModelParams(np.array([1e308, 0.0])) for _ in range(2)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite weights"):
+                aggregate(huge, [10, 10], AggregationConfig())
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):

@@ -82,3 +82,20 @@ def test_ledger_checks_integrity_in_one_predicate():
     assert sorted(calls) == ["HashChainLedger._sound", "HashChainLedger.append"], (
         f"compute_hash called outside append and the integrity check: {calls}"
     )
+
+
+AUCTION = Path(flmarket.__file__).parent / "auction.py"
+
+
+def test_auction_prices_in_one_offer():
+    # run_round and the re-pricing of a shared trajectory take contracts and
+    # client utilities from one helper, so their pricing cannot drift apart.
+    calls = _scopes_where(
+        ast.parse(AUCTION.read_text(), filename=str(AUCTION)),
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"solve", "client_utility"},
+    )
+    assert calls and set(calls) == {"_offer"}, (
+        f"solve or client_utility called outside auction._offer: {calls}"
+    )
