@@ -7,12 +7,9 @@ hash-chained ledger.
 """
 
 from .auction import (
-    Bid,
     ClientProfile,
     RoundReport,
     SimulationState,
-    baseline_price_first,
-    baseline_randomized,
     run_experiment,
     run_round,
 )

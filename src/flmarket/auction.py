@@ -11,11 +11,17 @@ clients' thetas and the market, never on round state, and everything after
 it is the same under every regime. So the harness plays one trajectory of
 rounds for each distinct accepted set, and each `ours-*` regime with that
 set prices the shared rounds with its own contracts.
+
+The two buyers'-market baselines are rows of the same table: each holds its
+winner rule, and one bid round (`_bid_round`) plays either. Every client
+bids its cost at the median complete-information output times a random
+margin, the rule picks the winners, and each winner is paid its bid.
 """
 
 from __future__ import annotations
 
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,14 +76,29 @@ TRUST_ZERO = "zero"
 TRUST_LAST_VALID = "last_valid"
 TRUST_POLICIES = (TRUST_ZERO, TRUST_LAST_VALID)
 
+
+def _cheapest(bids: dict[int, float], k: int, seed: int) -> list[int]:
+    """Pay-as-bid reverse auction: the k cheapest bids win, ties by id."""
+    return sorted(bids, key=lambda i: (bids[i], i))[:k]
+
+
+def _uniform(bids: dict[int, float], k: int, seed: int) -> list[int]:
+    """A uniformly random winner set of size k, in id order."""
+    rng = np.random.default_rng(seed)
+    return sorted(rng.choice(sorted(bids), size=k, replace=False).tolist())
+
+
+# A baseline's winner rule: (bids by client id, k, seed) -> the k winners.
+WinnerRule = Callable[[dict[int, float], int, int], list[int]]
+
 # Every mechanism `run_cell` runs, in the default order of a grid. An
 # `ours-*` name maps to the information regime its contracts are solved
-# under; a baseline maps to None.
-MECHANISMS: dict[str, Regime | None] = {
+# under; a baseline maps to its winner rule.
+MECHANISMS: dict[str, Regime | WinnerRule] = {
     "ours-complete": Regime.COMPLETE,
     "ours-incomplete": Regime.INCOMPLETE,
-    "price-first": None,
-    "randomized": None,
+    "price-first": _cheapest,
+    "randomized": _uniform,
 }
 
 
@@ -91,16 +112,6 @@ class ClientProfile:
     @property
     def honest(self) -> bool:
         return self.poison_cfg is None
-
-
-@dataclass(frozen=True)
-class Bid:
-    client_id: int
-    price: float
-
-    def __post_init__(self):
-        if self.price < 0.0:
-            raise ValueError("bid price must be nonnegative")
 
 
 @dataclass
@@ -288,82 +299,29 @@ def run_round(
     return report
 
 
-def _check_bids(population: list[ClientProfile], bids: list[Bid], k: int) -> None:
-    bid_ids = {b.client_id for b in bids}
-    missing = {c.id for c in population} - bid_ids
-    if missing:
-        raise ValueError(f"bids missing for clients {sorted(missing)}")
-    if k > len(bids):
-        raise ValueError(f"cannot select {k} winners from {len(bids)} bids")
-
-
-def _baseline_report(
-    round_num: int,
-    population: list[ClientProfile],
-    winners: list[int],
-    prices: dict[int, float],
-    target_q: float,
-    params: MarketParams,
+def _bid_round(
+    population: list[ClientProfile], rule: WinnerRule, target_q: float, params: MarketParams,
+    seed: int, round_num: int,
 ) -> RoundReport:
+    """One baseline round: every client bids its cost of `target_q` times a
+    margin drawn uniformly from [1.0, 1.3], in population order; `rule`
+    picks `params.k_select` winners, and each is paid its bid."""
+    rng = np.random.default_rng((seed, round_num))
+    bids = {
+        c.id: cost(target_q, c.theta, params.delta) * (1.0 + 0.3 * rng.random())
+        for c in population
+    }
+    winners = rule(bids, params.k_select, _mix(seed, round_num, 99))
     thetas = {c.id: c.theta for c in population}
-    contracts = {i: Contract(target_q, prices[i]) for i in winners}
+    contracts = {i: Contract(target_q, bids[i]) for i in winners}
+    utilities = {i: bids[i] - cost(target_q, thetas[i], params.delta) for i in winners}
     return RoundReport(
         round=round_num,
         selected=winners,
-        contracts=contracts,
         realized_q={i: target_q for i in winners},
-        payments={i: prices[i] for i in winners},
-        server_utility=sum(server_utility_per_client(c, params) for c in contracts.values()),
-        client_utilities={
-            i: prices[i] - cost(target_q, thetas[i], params.delta) for i in winners
-        },
         epsilons={},
+        **_prices(winners, contracts, utilities, params),
     )
-
-
-def baseline_price_first(
-    population: list[ClientProfile],
-    bids: list[Bid],
-    k: int,
-    target_q: float,
-    params: MarketParams,
-    round_num: int = 0,
-) -> RoundReport:
-    """Pay-as-bid reverse auction: the k cheapest bids win."""
-    _check_bids(population, bids, k)
-    ranked = sorted(bids, key=lambda b: (b.price, b.client_id))
-    winners = [b.client_id for b in ranked[:k]]
-    prices = {b.client_id: b.price for b in bids}
-    return _baseline_report(round_num, population, winners, prices, target_q, params)
-
-
-def baseline_randomized(
-    population: list[ClientProfile],
-    bids: list[Bid],
-    k: int,
-    seed: int,
-    target_q: float,
-    params: MarketParams,
-    round_num: int = 0,
-) -> RoundReport:
-    """Uniformly random winner set, paid their bids."""
-    _check_bids(population, bids, k)
-    rng = np.random.default_rng(seed)
-    ids = sorted(b.client_id for b in bids)
-    winners = sorted(rng.choice(ids, size=k, replace=False).tolist())
-    prices = {b.client_id: b.price for b in bids}
-    return _baseline_report(round_num, population, winners, prices, target_q, params)
-
-
-def make_bids(
-    population: list[ClientProfile], target_q: float, delta: float, rng
-) -> list[Bid]:
-    """Cost-anchored bids: true cost at the target output times a margin
-    drawn uniformly from [1.0, 1.3] per client."""
-    return [
-        Bid(c.id, cost(target_q, c.theta, delta) * (1.0 + 0.3 * rng.random()))
-        for c in population
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +369,8 @@ def _market(config, mechanism: str, k: int) -> MarketParams:
     """The market of a (mechanism, k) cell; a baseline's has the default regime."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    regime = MECHANISMS[mechanism] or Regime.COMPLETE
+    row = MECHANISMS[mechanism]
+    regime = row if isinstance(row, Regime) else Regime.COMPLETE
     return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
 
 
@@ -423,24 +382,18 @@ def run_cell(
     seed's population and test set from `build_population`. Neither is
     changed, so one population serves every cell of its seed."""
     params = _market(config, mechanism, k)
+    row = MECHANISMS[mechanism]
+    if not isinstance(row, Regime):
+        target_q = _target_q(population, params)
+        return [
+            _bid_round(population, row, target_q, params, seed, r) for r in range(config.rounds)
+        ]
+    state = _fresh_state(config, test, ledger_mode)
     reports = []
-    if MECHANISMS[mechanism] is not None:
-        state = _fresh_state(config, test, ledger_mode)
-        for _ in range(config.rounds):
-            reports.append(run_round(population, params, state, seed))
-            if tamper_cfg is not None and len(state.ledger.records) > 0:
-                tamper_attack(state.ledger, tamper_cfg)
-        return reports
-    target_q = _target_q(population, params)
-    for r in range(config.rounds):
-        rng = np.random.default_rng((seed, r))
-        bids = make_bids(population, target_q, config.delta, rng)
-        if mechanism == "price-first":
-            reports.append(baseline_price_first(population, bids, k, target_q, params, r))
-        else:
-            reports.append(
-                baseline_randomized(population, bids, k, _mix(seed, r, 99), target_q, params, r)
-            )
+    for _ in range(config.rounds):
+        reports.append(run_round(population, params, state, seed))
+        if tamper_cfg is not None and len(state.ledger.records) > 0:
+            tamper_attack(state.ledger, tamper_cfg)
     return reports
 
 

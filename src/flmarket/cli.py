@@ -35,8 +35,13 @@ def _write_csv(path: Path, header_comment: str, columns: list[str], rows: list[d
 
 
 def cmd_run(config: ExperimentConfig) -> int:
+    """Run the config's grids and write their CSVs; raises ConfigError,
+    before any cell runs, if `output_dir` cannot be created."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir {str(out)!r} cannot be created: {exc.strerror}") from exc
     stamp = f"config_sha={config.digest()} seeds={','.join(map(str, config.seeds))}"
 
     round_rows, summary_rows = run_experiment(config)
@@ -123,12 +128,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         try:
-            config = parse_config(args.config)
+            return cmd_run(parse_config(args.config))
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        try:
-            return cmd_run(config)
         except Exception as exc:  # component failure -> nonzero exit with message
             print(f"error: {exc}", file=sys.stderr)
             return 1

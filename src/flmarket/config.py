@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 from .auction import MECHANISMS, TRUST_LAST_VALID, TRUST_POLICIES
 from .flsim import AggregationConfig, Aggregator, PoisonConfig
 from .ledger import STORES, TamperConfig
-from .mechanism import MarketParams, largest_term
+from .mechanism import MarketParams, Regime, largest_term
 from .reputation import ReputationParams
 
 
@@ -43,7 +43,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def mechanisms_ours(self) -> list[str]:
-        return [m for m in self.mechanisms if MECHANISMS.get(m) is not None]
+        return [m for m in self.mechanisms if isinstance(MECHANISMS.get(m), Regime)]
 
     def validate(self) -> None:
         """Check every key, building the components' own parameter objects

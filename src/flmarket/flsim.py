@@ -203,25 +203,27 @@ def local_train(
     residual_cols = residual.reshape(n, rows, 1)
     grad_cols = np.empty((n, dim, 1))
     grad = grad_cols[:, :, 0]
-    for _ in range(cfg.local_epochs):
-        np.matmul(w_rows, x, out=residual)
-        np.maximum(residual, -40.0, out=residual)
-        np.minimum(residual, 40.0, out=residual)
-        np.negative(residual, out=residual)
-        np.exp(residual, out=residual)
-        residual += 1.0
-        np.divide(1.0, residual, out=residual)
-        residual -= y
-        np.matmul(x, residual_cols, out=grad_cols)
-        grad /= counts
-        if cfg.algo is Aggregator.FEDPROX:
-            np.subtract(w, w_global, out=pull)
-            pull *= cfg.prox_mu
-            grad += pull
-        elif cfg.algo is Aggregator.SCAFFOLD:
-            grad += correction
-        grad *= lr
-        w -= grad
+    # A diverging run overflows here; the finiteness check below names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.local_epochs):
+            np.matmul(w_rows, x, out=residual)
+            np.maximum(residual, -40.0, out=residual)
+            np.minimum(residual, 40.0, out=residual)
+            np.negative(residual, out=residual)
+            np.exp(residual, out=residual)
+            residual += 1.0
+            np.divide(1.0, residual, out=residual)
+            residual -= y
+            np.matmul(x, residual_cols, out=grad_cols)
+            grad /= counts
+            if cfg.algo is Aggregator.FEDPROX:
+                np.subtract(w, w_global, out=pull)
+                pull *= cfg.prox_mu
+                grad += pull
+            elif cfg.algo is Aggregator.SCAFFOLD:
+                grad += correction
+            grad *= lr
+            w -= grad
     if not np.isfinite(w).all():
         diverged = [d.owner for d, row in zip(datasets, w) if not np.isfinite(row).all()]
         raise FloatingPointError(
@@ -249,7 +251,8 @@ def aggregate(
         raise ValueError("models and sample_counts must have equal length")
     counts = np.asarray(sample_counts, dtype=float)
     stacked = np.stack([m.weights for m in models])
-    merged = (counts[:, None] * stacked).sum(axis=0) / counts.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        merged = (counts[:, None] * stacked).sum(axis=0) / counts.sum()
     if not np.isfinite(merged).all():
         raise FloatingPointError(
             f"aggregation diverged: the global model of {len(models)} local models "

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import statistics
 
 import numpy as np
 import pytest
@@ -10,20 +11,20 @@ from test_ledger import _apply, _hash_calls, appends, edits
 from flmarket import auction
 from flmarket.auction import (
     TRUST_POLICIES,
-    Bid,
     ClientProfile,
-    baseline_price_first,
-    baseline_randomized,
+    RoundReport,
     build_population,
     ledger_epsilon,
-    make_bids,
     run_cell,
     run_experiment,
     run_reputation_trace,
     run_robustness,
     run_round,
     SimulationState,
+    _bid_round,
+    _cheapest,
     _fresh_state,
+    _uniform,
 )
 from flmarket.config import ExperimentConfig
 from flmarket.flsim import (
@@ -42,7 +43,15 @@ from flmarket.ledger import (
     UnknownClientError,
     tamper_attack,
 )
-from flmarket.mechanism import MarketParams, Regime, cost, solve
+from flmarket.mechanism import (
+    Contract,
+    MarketParams,
+    Regime,
+    cost,
+    server_utility_per_client,
+    solve,
+    solve_complete,
+)
 
 
 def small_config(**overrides):
@@ -284,83 +293,141 @@ class TestRealizedContribution:
             assert rep.realized_q[2] < min(0.0, rep.realized_q[0], rep.realized_q[1])
 
 
-class TestPriceFirst:
-    def _population(self, thetas):
-        datasets, _ = generate_population(len(thetas), thetas, seed=0)
-        return [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
+def reference_bid_rounds(config, mechanism, k, seed):
+    """The earlier pay-as-bid and uniform baseline rounds, kept as an oracle:
+    every client bids its cost times a margin drawn in population order, the
+    k cheapest (ties by id) or k uniformly drawn clients win, and each
+    winner is paid its bid."""
+    population, _ = build_population(config, seed)
+    params = MarketParams(config.lam, config.delta, config.n_clients, k)
+    thetas = {c.id: c.theta for c in population}
+    target_q = statistics.median(solve_complete(c.theta, params).q for c in population)
+    reports = []
+    for r in range(config.rounds):
+        rng = np.random.default_rng((seed, r))
+        prices = {
+            c.id: cost(target_q, c.theta, config.delta) * (1.0 + 0.3 * rng.random())
+            for c in population
+        }
+        if mechanism == "price-first":
+            winners = sorted(prices, key=lambda i: (prices[i], i))[:k]
+        else:
+            draw = np.random.default_rng(auction._mix(seed, r, 99))
+            winners = sorted(draw.choice(sorted(prices), size=k, replace=False).tolist())
+        contracts = {i: Contract(target_q, prices[i]) for i in winners}
+        reports.append(
+            RoundReport(
+                round=r,
+                selected=winners,
+                contracts=contracts,
+                realized_q={i: target_q for i in winners},
+                payments={i: prices[i] for i in winners},
+                server_utility=sum(
+                    server_utility_per_client(c, params) for c in contracts.values()
+                ),
+                client_utilities={
+                    i: prices[i] - cost(target_q, thetas[i], config.delta) for i in winners
+                },
+                epsilons={},
+            )
+        )
+    return reports
 
+
+def _equal_theta_population(n, theta=0.5):
+    datasets, _ = generate_population(n, [theta] * n, seed=0)
+    return [ClientProfile(i, theta, d) for i, d in enumerate(datasets)]
+
+
+def _spied(rule, seen):
+    """`rule`, recording the bids it was handed into `seen`."""
+
+    def spy(bids, k, seed):
+        seen.update(bids)
+        return rule(bids, k, seed)
+
+    return spy
+
+
+def _never_below_cost(rule):
+    """Five rounds of `rule` over spread thetas: every winner's payment
+    covers its cost, and its utility is exactly the difference."""
+    thetas = [0.1, 0.5, 0.9, 1.0]
+    datasets, _ = generate_population(4, thetas, seed=0)
+    population = [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
+    params = MarketParams(1.0, 2.0, 4, 2)
+    for r in range(5):
+        rep = _bid_round(population, rule, 1.2, params, seed=6, round_num=r)
+        for i in rep.selected:
+            assert rep.payments[i] >= cost(1.2, thetas[i], 2.0)
+            assert rep.client_utilities[i] == rep.payments[i] - cost(1.2, thetas[i], 2.0)
+
+
+class TestBidRound:
+    @pytest.mark.parametrize("mechanism", ["price-first", "randomized"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_run_cell_matches_the_reference_rounds(self, mechanism, seed, k):
+        config = small_config(rounds=4, k_values=[k])
+        population, test = build_population(config, seed)
+        reports = run_cell(config, mechanism, k, seed, population, test)
+        assert reports == reference_bid_rounds(config, mechanism, k, seed)
+
+
+class TestPriceFirst:
     def test_lowest_bids_win_and_are_paid(self):
-        population = self._population([0.5, 0.5, 0.5])
-        bids = [Bid(0, 5.0), Bid(1, 3.0), Bid(2, 7.0)]
-        params = MarketParams(1.0, 2.0, 3, 2)
-        report = baseline_price_first(population, bids, k=2, target_q=1.0, params=params)
-        assert set(report.selected) == {0, 1}
-        assert sum(report.payments.values()) == 8.0
+        assert _cheapest({0: 5.0, 1: 3.0, 2: 7.0}, 2, 0) == [1, 0]
+        config = small_config(n_clients=10)
+        population, _ = build_population(config, 2)
+        seen = {}
+        rep = _bid_round(
+            population, _spied(_cheapest, seen), 1.0, MarketParams(1.0, 2.0, 10, 4), 2, 1
+        )
+        assert len(seen) == 10 and len(rep.selected) == 4
+        losers = set(seen) - set(rep.selected)
+        assert max(seen[i] for i in rep.selected) <= min(seen[i] for i in losers)
+        assert rep.payments == {i: seen[i] for i in rep.selected}
+        assert rep.contracts == {i: Contract(1.0, seen[i]) for i in rep.selected}
+        assert rep.server_utility == sum(1.0 - seen[i] for i in rep.selected)
 
     def test_equal_bids_tie_break_by_id(self):
-        population = self._population([0.5, 0.5, 0.5])
-        bids = [Bid(i, 2.0) for i in range(3)]
-        params = MarketParams(1.0, 2.0, 3, 2)
-        report = baseline_price_first(population, bids, 2, 1.0, params)
-        assert set(report.selected) == {0, 1}
+        assert _cheapest({2: 2.0, 0: 2.0, 1: 2.0}, 2, 0) == [0, 1]
 
     def test_everyone_wins_when_k_equals_population(self):
-        population = self._population([0.2, 0.6, 0.9])
-        bids = [Bid(0, 1.0), Bid(1, 2.0), Bid(2, 3.0)]
-        params = MarketParams(1.0, 2.0, 3, 3)
-        report = baseline_price_first(population, bids, 3, 1.0, params)
-        assert set(report.selected) == {0, 1, 2}
-        assert sum(report.payments.values()) == 6.0
-
-    def test_k_beyond_bids_rejected(self):
-        population = self._population([0.5])
-        with pytest.raises(ValueError):
-            baseline_price_first(
-                population, [Bid(0, 1.0)], 2, 1.0, MarketParams(1.0, 2.0, 1, 1)
-            )
+        assert sorted(_cheapest({0: 1.0, 1: 2.0, 2: 3.0}, 3, 0)) == [0, 1, 2]
+        population = _equal_theta_population(5)
+        rep = _bid_round(population, _cheapest, 1.0, MarketParams(1.0, 2.0, 5, 5), 3, 0)
+        assert sorted(rep.selected) == list(range(5))
 
     def test_cost_anchored_bids_never_pay_below_cost(self):
-        population = self._population([0.1, 0.5, 0.9, 1.0])
-        rng = np.random.default_rng(6)
-        target_q = 1.2
-        bids = make_bids(population, target_q, delta=2.0, rng=rng)
-        params = MarketParams(1.0, 2.0, 4, 2)
-        report = baseline_price_first(population, bids, 2, target_q, params)
-        for i in report.selected:
-            theta = population[i].theta
-            assert report.payments[i] >= cost(target_q, theta, 2.0)
+        _never_below_cost(_cheapest)
 
 
 class TestRandomized:
-    def _setup(self, n=5):
-        thetas = [0.5] * n
-        datasets, _ = generate_population(n, thetas, seed=0)
-        population = [
-            ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))
-        ]
-        bids = [Bid(i, 1.0) for i in range(n)]
-        return population, bids, MarketParams(1.0, 2.0, n, 2)
-
     def test_seed_determinism(self):
-        population, bids, params = self._setup()
-        a = baseline_randomized(population, bids, 2, seed=4, target_q=1.0, params=params)
-        b = baseline_randomized(population, bids, 2, seed=4, target_q=1.0, params=params)
-        assert a.selected == b.selected
+        bids = dict.fromkeys(range(5), 1.0)
+        assert _uniform(bids, 2, 4) == _uniform(bids, 2, 4)
+        population = _equal_theta_population(5)
+        params = MarketParams(1.0, 2.0, 5, 2)
+        assert _bid_round(population, _uniform, 1.0, params, 4, 0) == _bid_round(
+            population, _uniform, 1.0, params, 4, 0
+        )
 
     def test_everyone_wins_when_k_equals_population(self):
-        population, bids, params = self._setup()
-        report = baseline_randomized(population, bids, 5, seed=1, target_q=1.0, params=params)
-        assert sorted(report.selected) == list(range(5))
+        assert sorted(_uniform(dict.fromkeys(range(5), 1.0), 5, 1)) == list(range(5))
+        population = _equal_theta_population(5)
+        rep = _bid_round(population, _uniform, 1.0, MarketParams(1.0, 2.0, 5, 5), 1, 0)
+        assert sorted(rep.selected) == list(range(5))
+
+    def test_winners_never_paid_below_cost(self):
+        _never_below_cost(_uniform)
 
     def test_uniform_win_frequency(self):
-        population, bids, params = self._setup(n=5)
+        bids = dict.fromkeys(range(5), 1.0)
         wins = np.zeros(5)
         trials = 2000
         for seed in range(trials):
-            report = baseline_randomized(
-                population, bids, 2, seed=seed, target_q=1.0, params=params
-            )
-            for i in report.selected:
+            for i in _uniform(bids, 2, seed):
                 wins[i] += 1
         p = 2 / 5
         sigma = np.sqrt(p * (1 - p) / trials)
@@ -564,13 +631,21 @@ class TestMechanismTable:
         population, test = build_population(config, 0)
         reports = run_cell(config, mechanism, 4, 0, population, test)
         assert [rep.round for rep in reports] == [0]
-        regime = auction.MECHANISMS[mechanism]
-        assert config.mechanisms_ours() == ([] if regime is None else [mechanism])
-        if regime is None:
-            assert reports[0].epsilons == {}
-        else:
-            params = MarketParams(config.lam, config.delta, config.n_clients, 4, regime)
+        row = auction.MECHANISMS[mechanism]
+        ours = isinstance(row, Regime)
+        assert config.mechanisms_ours() == ([mechanism] if ours else [])
+        if ours:
+            params = MarketParams(config.lam, config.delta, config.n_clients, 4, row)
             assert reports[0].contracts == {c.id: solve(c.theta, params) for c in population}
+        else:
+            # A baseline round scores nobody and contracts only its winners.
+            assert reports[0].epsilons == {}
+            assert sorted(reports[0].contracts) == sorted(reports[0].selected)
+            assert len(reports[0].selected) == 4
+
+    def test_baseline_rows_hold_their_winner_rules(self):
+        baselines = {m: row for m, row in auction.MECHANISMS.items() if not isinstance(row, Regime)}
+        assert baselines == {"price-first": _cheapest, "randomized": _uniform}
 
     def test_default_mechanisms_are_the_table_in_order(self):
         assert ExperimentConfig().mechanisms == list(auction.MECHANISMS)

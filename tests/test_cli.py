@@ -1,11 +1,12 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from flmarket import auction
 from flmarket.cli import main
 from flmarket.config import ConfigError, parse_config
 from flmarket.ledger import HashChainLedger
@@ -277,16 +278,42 @@ class TestRunCommand:
                 "aggregation = fedprox\nprox_mu = 1\nlocal_epochs = 400\nlearning_rate = 10",
                 "local training diverged",
             ),
+            # The third epoch's prox pull, mu * (w - w_global), overflows.
+            (
+                "aggregation = fedprox\nprox_mu = 1e300\nlocal_epochs = 3",
+                "local training diverged",
+            ),
         ],
-        ids=["learning_rate=1e308", "fedprox"],
+        ids=["learning_rate=1e308", "fedprox", "prox_mu=1e300"],
     )
     def test_diverged_model_is_a_component_failure(self, tmp_path, capsys, lines, cause):
+        # Training and aggregation check finiteness themselves, so their
+        # overflow must not surface first as a numpy RuntimeWarning.
         path = write_config(tmp_path, small_config(tmp_path, lines))
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"error: {cause}" in err and "non-finite weights" in err
         assert not (tmp_path / "out" / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("target", ["file", "file/out"])
+    def test_output_dir_that_cannot_be_made_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, target
+    ):
+        (tmp_path / "file").write_text("")
+        body = small_config(tmp_path).replace(str(tmp_path / "out"), str(tmp_path / target))
+        evaluated = []
+        monkeypatch.setattr(auction, "run_cell", lambda *args, **kw: evaluated.append(args))
+        assert main(["run", str(write_config(tmp_path, body))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir") and str(tmp_path / target) in err
+        assert evaluated == []
+
+    def test_csv_that_cannot_be_written_is_a_component_failure(self, tmp_path, capsys):
+        (tmp_path / "out" / "rounds.csv").mkdir(parents=True)
+        assert main(["run", str(write_config(tmp_path, small_config(tmp_path)))]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_key_given_twice_is_a_usage_error(self, tmp_path, capsys):
         body = small_config(tmp_path) + "rounds = 3\n"  # SMALL_CONFIG sets rounds = 2
@@ -363,7 +390,7 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "flmarket", *args],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         return proc.returncode
 
     def test_documented_exit_codes(self, tmp_path):
@@ -383,9 +410,13 @@ class TestModuleEntryPoint:
         diverging = write_config(
             tmp_path, small_config(tmp_path, "learning_rate = 1e308"), "lr.cfg"
         )
+        unwritable = write_config(
+            tmp_path, f"n_clients = 3\nk_select = 2\noutput_dir = {intact}\n", "out.cfg"
+        )
         assert self._run("verify-ledger", str(intact)) == 0
         assert self._run("verify-ledger", str(tampered)) == 1
         assert self._run("verify-ledger", str(truncated)) == 1
         assert self._run("run", str(bad_config)) == 2
         assert self._run("run", str(overflowing)) == 2
         assert self._run("run", str(diverging)) == 1
+        assert self._run("run", str(unwritable)) == 2

@@ -99,3 +99,31 @@ def test_auction_prices_in_one_offer():
     assert calls and set(calls) == {"_offer"}, (
         f"solve or client_utility called outside auction._offer: {calls}"
     )
+
+
+def _mechanism_table(tree):
+    """The dict literal assigned to `MECHANISMS` in auction.py."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "MECHANISMS" for t in targets):
+                assert isinstance(node.value, ast.Dict)
+                return node.value
+    raise AssertionError("auction.py assigns no MECHANISMS dict literal")
+
+
+def test_mechanism_names_are_spelled_only_in_the_table():
+    # Every branch on a mechanism goes through its row of the table, so a
+    # new mechanism is one new row and no name is matched anywhere else.
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    table = _mechanism_table(trees[AUCTION])
+    names = {key.value for key in table.keys}
+    assert names == set(flmarket.auction.MECHANISMS)
+    keys = {id(key) for key in table.keys}
+    spelled = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names and id(node) not in keys
+    ]
+    assert spelled == [], "mechanism names outside auction.MECHANISMS: " + ", ".join(spelled)
