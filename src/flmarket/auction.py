@@ -130,8 +130,11 @@ class RoundReport:
 @dataclass
 class SimulationState:
     """Mutable cross-round state: global model and its test accuracy,
-    ledger, and the Scaffold control variates: the server's c and each
-    aggregated client's c_i (a client without one reads zeros)."""
+    ledger, the Scaffold control variates (the server's c and each
+    aggregated client's c_i; a client without one reads zeros), and the
+    label buffer the poisoners' flipped labels are written into: a copy of
+    the population's label block, made by the first round with an accepted
+    poisoner."""
 
     agg: AggregationConfig
     test: SyntheticDataset
@@ -141,11 +144,12 @@ class SimulationState:
     trust_policy: str = TRUST_LAST_VALID
     server_variate: np.ndarray = field(default_factory=lambda: np.zeros(FEATURE_DIM + 1))
     variates: dict[int, np.ndarray] = field(default_factory=dict)
+    poisoned_labels: np.ndarray | None = field(default=None, repr=False)
     round: int = 0
     accuracy: float = field(init=False)  # test accuracy of `model`
 
     def __post_init__(self):
-        self.accuracy = evaluate_accuracy(self.model, self.test)
+        self.accuracy = evaluate_accuracy(self.model.weights[None], self.test)[0]
 
 
 def _mix(seed: int, round_num: int, salt: int) -> int:
@@ -195,6 +199,27 @@ def _banzhaf_contributions(
         seeds = [_mix(seed, round_num, 7000 + p) for p in range(n)]
         zetas = banzhaf_mc(utility, n, MC_SAMPLES, seeds)
     return dict(zip(ids, zetas.tolist()))
+
+
+def _round_labels(
+    accepted: list[ClientProfile], state: SimulationState, seed: int
+) -> np.ndarray | None:
+    """The label block the accepted clients train on this round: None (the
+    population's own) if none is a poisoner, else `state.poisoned_labels`
+    with each accepted poisoner's row flipped anew from its clean labels by
+    the round's `_mix(seed, round, id)` draws. The accepted datasets are
+    rows of one population from `generate_population`, which is not
+    changed."""
+    poisoners = [c for c in accepted if c.poison_cfg is not None]
+    if not poisoners:
+        return None
+    if state.poisoned_labels is None:
+        state.poisoned_labels = poisoners[0].dataset.label_block.copy()
+    for c in poisoners:
+        d = c.dataset
+        out = state.poisoned_labels[d.row, 0, : len(d)]
+        poison(d.labels, c.poison_cfg, _mix(seed, state.round, c.id), out)
+    return state.poisoned_labels
 
 
 def _offer(
@@ -247,13 +272,10 @@ def run_round(
     # Every accepted client trains a candidate local model and is scored;
     # only the selected top-k are aggregated into the global model and paid.
     by_id = {c.id: c for c in population}
-    datasets = [
-        c.dataset
-        if c.poison_cfg is None
-        else poison(c.dataset, c.poison_cfg, seed=_mix(seed, state.round, c.id))
-        for c in accepted
-    ]
-    trained = local_train(state.model, datasets, state.agg, state.server_variate, state.variates)
+    trained = local_train(
+        state.model, [c.dataset for c in accepted], state.agg, state.server_variate,
+        state.variates, _round_labels(accepted, state, seed),
+    )
     local_models = {c.id: m for c, m in zip(accepted, trained)}
     new_global = aggregate(
         [local_models[i] for i in selected],
@@ -268,13 +290,13 @@ def run_round(
         deltas = [v - state.variates.get(i, 0.0) for i, v in proposed.items()]
         state.server_variate = state.server_variate + np.sum(deltas, axis=0) / len(population)
         state.variates.update(proposed)
-    acc_global = evaluate_accuracy(new_global, state.test)
+    # One evaluation scores every local model and the new global model.
     # Contributions are measured against the model the clients started
     # from, so the per-round improvement signal stays attributable.
-    realized = {
-        i: evaluate_accuracy(m, state.test) - state.accuracy
-        for i, m in local_models.items()
-    }
+    *accuracies, acc_global = evaluate_accuracy(
+        np.stack([m.weights for m in trained] + [new_global.weights]), state.test
+    )
+    realized = {c.id: acc - state.accuracy for c, acc in zip(accepted, accuracies)}
 
     values = {
         i: realized_value(realized[i], by_id[i].theta, params) for i in local_models

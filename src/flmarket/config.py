@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError("rounds must be nonnegative")
         if not 0.0 <= self.theta_min <= self.theta_max <= 1.0:
             raise ConfigError("theta range must satisfy 0 <= theta_min <= theta_max <= 1")
+        if self.n_clients < 1:
+            raise ConfigError("n_clients must be a positive integer")
         if not 0 <= self.poison_count <= self.n_clients:
             raise ConfigError("poison_count must satisfy 0 <= poison_count <= n_clients")
         for mode in self.ledger_modes:

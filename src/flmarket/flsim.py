@@ -9,7 +9,7 @@ clients are measurably more valuable to the global model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -20,6 +20,12 @@ NOISE_SCALE = 0.4
 BASE_SAMPLES = 200
 TEST_SAMPLES = 2000
 TEST_OWNER = -1
+# Models per evaluation product. The OpenBLAS that numpy ships hands a
+# (rows, 21) @ (21, 2000) product to a second thread from about 24 rows on,
+# and that thread then spins between rounds: one product of 41 models a
+# round nearly doubled the CPU time of a 40-client grid. Products of at
+# most 16 rows stay on the calling thread.
+EVAL_ROWS = 16
 
 
 @dataclass
@@ -28,11 +34,15 @@ class SyntheticDataset:
 
     `design` is the biased design matrix: the features plus a last column
     of ones. A generated client's `design` is the view
-    `block[row, :, :len(self)].T`, where `block` is a feature-major,
-    zero-padded (clients, d + 1, rows) array that holds a whole population,
-    so a round trains every client on the block as it is. A dataset built
-    on its own (the held-out test set among them) has no block and keeps
-    its sample-major design.
+    `block[row, :, :len(self)].T` and its float 0/1 `labels` the view
+    `label_block[row, 0, :len(self)]`, where `block` is a feature-major,
+    zero-padded (clients, d + 1, rows) array that holds a whole population
+    and `label_block` the (clients, 1, rows) labels beside it, so a round
+    trains every client on the two blocks as they are. The held-out test
+    set's `block` is its own feature-major (d + 1, rows) design, `design`
+    its view, and its `labels` a boolean row, so one product with `block`
+    evaluates a stack of models. A dataset built on its own has no block
+    and keeps its sample-major design.
     """
 
     design: np.ndarray  # (n, d + 1), last column all ones
@@ -40,6 +50,7 @@ class SyntheticDataset:
     owner: int  # client id, or TEST_OWNER for the held-out test set
     true_labels: np.ndarray | None = None  # pre-noise labels, for diagnostics
     block: np.ndarray | None = field(default=None, repr=False)
+    label_block: np.ndarray | None = field(default=None, repr=False)
     row: int = 0
 
     def __post_init__(self):
@@ -123,23 +134,29 @@ def generate_population(
 
     counts = [int(round(BASE_SAMPLES * (1.0 + theta))) for theta in thetas]
     block = np.zeros((n_clients, FEATURE_DIM + 1, max(counts)))
+    label_block = np.zeros((n_clients, 1, max(counts)))
     datasets = []
     for i, (theta, n) in enumerate(zip(thetas, counts)):
         design = block[i, :, :n].T
-        labels, y = draw(design, (1.0 - theta) * NOISE_SCALE)
-        datasets.append(SyntheticDataset(design, labels, i, y, block, i))
-    test_design = np.empty((TEST_SAMPLES, FEATURE_DIM + 1))
-    labels, y = draw(test_design, 0.0)
-    return datasets, SyntheticDataset(test_design, labels, TEST_OWNER, y)
+        label_block[i, 0, :n], y = draw(design, (1.0 - theta) * NOISE_SCALE)
+        labels = label_block[i, 0, :n]
+        datasets.append(SyntheticDataset(design, labels, i, y, block, label_block, i))
+    test_block = np.empty((FEATURE_DIM + 1, TEST_SAMPLES))
+    labels, y = draw(test_block.T, 0.0)
+    return datasets, SyntheticDataset(test_block.T, labels == 1, TEST_OWNER, y, test_block)
 
 
-def _design_block(datasets: list[SyntheticDataset]) -> np.ndarray:
+def _blocks(
+    datasets: list[SyntheticDataset], labels: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The feature-major, zero-padded (n, d + 1, m_max) design block of
-    `datasets`, in order.
+    `datasets`, in order, and the (n, 1, m_max) float label block beside it.
 
-    When the datasets are exactly the rows of one population block, that
-    block is returned as it is; otherwise their designs are transposed and
-    padded into a new one.
+    `labels`, if given, is a label block of the datasets' population that
+    stands in for its own (a round's poisoned labels). When the datasets
+    are exactly the rows of one population block, that block and the label
+    block are returned as they are; otherwise their rows are copied and
+    padded into new ones.
     """
     block = datasets[0].block
     if (
@@ -147,17 +164,21 @@ def _design_block(datasets: list[SyntheticDataset]) -> np.ndarray:
         and len(datasets) == len(block)
         and all(d.block is block and d.row == i for i, d in enumerate(datasets))
     ):
-        return block
+        return block, datasets[0].label_block if labels is None else labels
     dim = datasets[0].design.shape[1]
-    out = np.zeros((len(datasets), dim, max(len(d) for d in datasets)))
+    rows = max(len(d) for d in datasets)
+    x = np.zeros((len(datasets), dim, rows))
+    y = np.zeros((len(datasets), 1, rows))
     for i, d in enumerate(datasets):
-        out[i, :, : len(d)] = d.design.T
-    return out
+        x[i, :, : len(d)] = d.design.T
+        y[i, 0, : len(d)] = d.labels if labels is None else labels[d.row, 0, : len(d)]
+    return x, y
 
 
 def local_train(
     global_model: ModelParams, datasets: list[SyntheticDataset], cfg: AggregationConfig,
     server_variate: np.ndarray | None = None, variates: dict[int, np.ndarray] | None = None,
+    labels: np.ndarray | None = None,
 ) -> list[ModelParams]:
     """Run local gradient-descent epochs on logistic loss for every client at once.
 
@@ -170,19 +191,18 @@ def local_train(
     adds prox_mu * (w - w_global) to the gradient. Scaffold corrects each
     step with (c - c_i), where c is `server_variate` and c_i is
     `variates[owner]` (zeros where either is missing), and each returned
-    model carries the client's proposed c_i+ (option II) as `variate`. The
-    design block, labels, global weights and variates are only read;
-    committing the variates is the caller's. Returns one local model per
-    dataset, in order; raises FloatingPointError, naming the clients, if
-    any trained weight is not finite (a learning rate that diverges).
+    model carries the client's proposed c_i+ (option II) as `variate`.
+    `labels`, if given, stands in for the label block of the datasets'
+    population (see `_blocks`). The design and label blocks, global
+    weights and variates are only read; committing the variates is the
+    caller's. Returns one local model per dataset, in order; raises
+    FloatingPointError, naming the clients, if any trained weight is not
+    finite (a learning rate that diverges).
     """
     if not datasets:
         raise ValueError("cannot train on zero datasets")
-    x = _design_block(datasets)
+    x, y = _blocks(datasets, labels)
     n, dim, rows = x.shape
-    y = np.zeros((n, 1, rows))
-    for i, d in enumerate(datasets):
-        y[i, 0, : len(d)] = d.labels
     counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
     w_global = global_model.weights
     w = np.tile(w_global, (n, 1))
@@ -261,16 +281,22 @@ def aggregate(
     return ModelParams(merged)
 
 
-def evaluate_accuracy(model: ModelParams, test: SyntheticDataset) -> float:
-    """Fraction of correct 0/1 predictions; ties at the boundary go to class 0."""
-    if len(test) == 0:
-        raise ValueError("cannot evaluate on an empty test set")
-    correct = np.count_nonzero((test.design @ model.weights > 0.0) == test.labels)
-    return int(correct) / len(test)
+def evaluate_accuracy(weights: np.ndarray, test: SyntheticDataset) -> list[float]:
+    """Test accuracy of each row of an (m, d + 1) stack of weights, as Python
+    floats. Products of the stack with the test set's feature-major block
+    give every model's logits, and a logit > 0 predicts class 1, so ties at
+    the boundary go to class 0."""
+    logits = np.empty((len(weights), len(test)))
+    for start in range(0, len(weights), EVAL_ROWS):
+        rows = slice(start, start + EVAL_ROWS)
+        np.matmul(weights[rows], test.block, out=logits[rows])
+    correct = np.count_nonzero((logits > 0.0) == test.labels, axis=1)
+    return (correct / len(test)).tolist()
 
 
-def poison(data: SyntheticDataset, cfg: PoisonConfig, seed: int) -> SyntheticDataset:
-    """Flip each label independently with probability cfg.flip_rate."""
-    rng = np.random.default_rng(seed)
-    flips = rng.random(len(data)) < cfg.flip_rate
-    return replace(data, labels=np.where(flips, 1 - data.labels, data.labels))
+def poison(labels: np.ndarray, cfg: PoisonConfig, seed: int, out: np.ndarray) -> np.ndarray:
+    """Write the 0/1 `labels` into `out` with each one flipped independently
+    with probability cfg.flip_rate, and return `out`. The flips are the
+    draws `np.random.default_rng(seed).random(len(labels)) < flip_rate`."""
+    flips = np.random.default_rng(seed).random(len(labels)) < cfg.flip_rate
+    return np.not_equal(labels, flips, out=out)

@@ -168,22 +168,32 @@ class TestRunRound:
             assert [r.epsilons for r in reports] == [r.epsilons for r in reports_a]
 
     def test_each_model_is_evaluated_once(self, monkeypatch):
-        config = small_config()
+        """One evaluation per round scores every accepted client's local
+        model, in order, and then the new global model, each exactly once."""
+        config = small_config(poison_count=2)
         population, test = build_population(config, seed=3)
-        evaluated = []
+        state = _fresh_state(config, test)
+        evaluated, trained = [], []
 
-        def counted(model, data):
-            evaluated.append(model)
-            return evaluate_accuracy(model, data)
+        def counted(weights, data):
+            evaluated.append(weights.copy())
+            return evaluate_accuracy(weights, data)
+
+        def spied(*args):
+            trained.append(local_train(*args))
+            return trained[-1]
 
         monkeypatch.setattr(auction, "evaluate_accuracy", counted)
-        state = _fresh_state(config, test)
+        monkeypatch.setattr(auction, "local_train", spied)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
-        for _ in range(3):
+        for r in range(3):
             rep = run_round(population, params, state, seed=3)
+            assert len(evaluated) == len(trained) == r + 1
+            models = [m.weights for m in trained[r]] + [state.model.weights]
+            assert len(models) == len(rep.realized_q) + 1
+            assert evaluated[r].tobytes() == np.stack(models).tobytes()
             assert state.accuracy == rep.accuracy_global
-            assert state.accuracy == evaluate_accuracy(state.model, test)
-        assert len({id(m) for m in evaluated}) == len(evaluated)
+            assert state.accuracy == evaluate_accuracy(state.model.weights[None], test)[0]
 
     @pytest.mark.parametrize(
         "n, path",
@@ -277,10 +287,8 @@ class TestRealizedContribution:
         population, test, (rep,) = self._run(1, [1.0, 1.0], 15, **cfg)
         for c in population:
             local = local_train(init_model(), [c.dataset], AggregationConfig(**cfg))[0]
-            assert rep.realized_q[c.id] == pytest.approx(
-                evaluate_accuracy(local, test) - evaluate_accuracy(init_model(), test),
-                abs=1e-15,
-            )
+            acc, start = evaluate_accuracy(np.stack([local.weights, init_model().weights]), test)
+            assert rep.realized_q[c.id] == pytest.approx(acc - start, abs=1e-15)
 
     def test_fully_poisoned_local_model_contributes_negatively(self):
         # Cold start selects clients 0 and 1, so the second round starts
@@ -291,6 +299,47 @@ class TestRealizedContribution:
         assert reports[0].selected == [0, 1]
         for rep in reports:
             assert rep.realized_q[2] < min(0.0, rep.realized_q[0], rep.realized_q[1])
+
+
+class TestPoisonedLabels:
+    """The poisoners' flipped labels are written into the state's label
+    buffer; the population's blocks are never written."""
+
+    def test_buffer_rows_are_the_flips_and_the_population_is_unchanged(self):
+        config = small_config(poison_count=3, poison_flip_rate=0.8, rounds=4)
+        seed = 6
+        population, test = build_population(config, seed)
+        datasets = [c.dataset for c in population]
+        blocks = datasets[0].block, datasets[0].label_block
+
+        def snapshot():
+            return [a.tobytes() for a in blocks] + [d.labels.tobytes() for d in datasets]
+
+        before = snapshot()
+        # Complete information: every client accepts, poisoners included.
+        params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
+        state = _fresh_state(config, test)
+        for r in range(config.rounds):
+            rep = run_round(population, params, state, seed)
+            assert len(rep.realized_q) == len(population)
+            for c, d in zip(population, datasets):
+                row = state.poisoned_labels[d.row, 0]
+                expected = d.labels
+                if not c.honest:
+                    flips = np.random.default_rng(auction._mix(seed, r, c.id)).random(len(d)) < 0.8
+                    expected = np.where(flips, 1 - d.labels, d.labels)
+                assert row[: len(d)].tobytes() == expected.tobytes()
+                assert not np.any(row[len(d):])
+            assert snapshot() == before
+        run_cell(config, "ours-complete", 4, seed, population, test)
+        assert snapshot() == before
+
+    def test_an_honest_round_needs_no_buffer(self):
+        config = small_config()
+        population, test = build_population(config, seed=2)
+        state = _fresh_state(config, test)
+        run_round(population, MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE), state, seed=2)
+        assert state.poisoned_labels is None
 
 
 def reference_bid_rounds(config, mechanism, k, seed):

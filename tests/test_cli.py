@@ -232,31 +232,36 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "lines",
+        "lines, message",
         [
-            "seeds = -1",
-            "local_epochs = 0",
-            "prox_mu = -1",
-            "learning_rate = -0.5",
-            "lambda = nan",
-            "tamper_alphas = 0.5\ntamper_betas = nan",
-            "lambda = inf",
-            "delta = inf",
-            "lambda = 1e200",
-            "delta = 1e308",
-            "learning_rate = inf",
-            "prox_mu = inf",
-            "tamper_alphas = 0.5\ntamper_betas = inf",
-            "mechanisms = ours-screening",
-            # Each payoff is finite, but 8 of them per round overflow a sum.
-            OVERFLOWING_SUM,
+            pytest.param(lines, message, id=lines.splitlines()[-1])
+            for lines, message in [
+                ("seeds = -1", "seeds must be nonnegative"),
+                ("local_epochs = 0", "local_epochs must be a positive integer"),
+                ("prox_mu = -1", "prox_mu must be nonnegative and finite"),
+                ("learning_rate = -0.5", "learning_rate must be nonnegative and finite"),
+                ("lambda = nan", "lambda must be positive and finite, got nan"),
+                ("tamper_alphas = 0.5\ntamper_betas = nan", "beta must be positive and finite"),
+                ("lambda = inf", "lambda must be positive and finite, got inf"),
+                ("delta = inf", "delta must be positive and finite, got inf"),
+                ("lambda = 1e200", "overflow a contract"),
+                ("delta = 1e308", "overflow a contract"),
+                ("learning_rate = inf", "learning_rate must be nonnegative and finite"),
+                ("prox_mu = inf", "prox_mu must be nonnegative and finite"),
+                ("tamper_alphas = 0.5\ntamper_betas = inf", "beta must be positive and finite"),
+                ("mechanisms = ours-screening", "unknown mechanisms ['ours-screening']"),
+                # Each payoff is finite, but 8 of them per round overflow a sum.
+                (OVERFLOWING_SUM, "overflow a utility sum"),
+                # Checked before poison_count, whose bound it would break.
+                ("n_clients = -3", "n_clients must be a positive integer"),
+            ]
         ],
-        ids=lambda lines: lines.splitlines()[-1],
     )
-    def test_out_of_range_value_is_a_usage_error(self, tmp_path, capsys, lines):
+    def test_out_of_range_value_is_a_usage_error(self, tmp_path, capsys, lines, message):
         path = write_config(tmp_path, small_config(tmp_path, lines))
         assert main(["run", str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_utility_sum_names_the_invariant(self, tmp_path, capsys):

@@ -3,14 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flmarket.flsim import (
+    EVAL_ROWS,
     AggregationConfig,
     Aggregator,
     ModelParams,
     PoisonConfig,
     SyntheticDataset,
-    _design_block,
+    _blocks,
     aggregate,
     evaluate_accuracy,
     generate_population,
@@ -123,39 +126,37 @@ class TestLocalTrain:
 
     @pytest.mark.parametrize("algo", list(Aggregator))
     def test_local_train_leaves_its_inputs_unchanged(self, algo):
-        datasets = mixed_clients(20)
-        block = datasets[0].block
+        datasets, labels = mixed_clients(20)
+        block, label_block = datasets[0].block, datasets[0].label_block
         cfg, server_variate, variates = train_config(algo, 20)
         model = ModelParams(0.1 * np.random.default_rng(8).normal(size=21))
-        kept = block.tobytes(), [d.labels.copy() for d in datasets], model.weights.copy()
-        local = local_train(model, datasets, cfg, server_variate, variates)
-        assert block.tobytes() == kept[0]
-        for d, labels in zip(datasets, kept[1]):
-            assert np.array_equal(d.labels, labels)
-        assert np.array_equal(model.weights, kept[2])
+        kept = [a.tobytes() for a in (block, label_block, labels, model.weights)]
+        local = local_train(model, datasets, cfg, server_variate, variates, labels)
+        assert [a.tobytes() for a in (block, label_block, labels, model.weights)] == kept
         assert not any(np.shares_memory(m.weights, model.weights) for m in local)
 
     @pytest.mark.parametrize("algo", list(Aggregator))
     def test_epochs_allocate_no_row_sized_array(self, algo):
-        """The labels and the residual are the only (clients, rows) arrays a
-        call holds, and the epochs add none, however many there are."""
-        datasets = mixed_clients(20)
+        """The residual is the only (clients, rows) array a call allocates
+        (the labels are the population's block), and the epochs add none,
+        however many there are."""
+        datasets, labels = mixed_clients(20)
         cfg, server_variate, variates = train_config(algo, 20)
         cfg = dataclasses.replace(cfg, local_epochs=30)
         row_sized = datasets[0].block[:, 0].nbytes
         model = init_model()
-        local_train(model, datasets, cfg, server_variate, variates)
+        local_train(model, datasets, cfg, server_variate, variates, labels)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            local_train(model, datasets, cfg, server_variate, variates)
+            local_train(model, datasets, cfg, server_variate, variates, labels)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < 3 * row_sized
 
     def test_local_train_leaves_variate_inputs_unchanged(self):
-        datasets = mixed_clients(2)
+        datasets, _ = mixed_clients(2)
         cfg, server_variate, variates = train_config(Aggregator.SCAFFOLD, 2)
         kept = server_variate.copy(), {i: v.copy() for i, v in variates.items()}
         local_train(init_model(2), datasets, cfg, server_variate, variates)
@@ -175,10 +176,13 @@ class TestAggregationConfig:
         ]
 
 
-def reference_train(global_model, data, cfg, server_variate, variates):
+def reference_train(global_model, data, cfg, server_variate, variates, labels=None):
     """The one-client loop that the batched trainer replaced, reading the
-    Scaffold state from its arguments and returning the proposed c_i+."""
-    x, y = data.design, data.labels.astype(float)
+    Scaffold state from its arguments and returning the proposed c_i+. The
+    client trains on its row of `labels` if given, else on its own labels."""
+    x = data.design
+    y = data.labels if labels is None else labels[data.row, 0, : len(data)]
+    y = y.astype(float)
     w_global = global_model.weights
     w = w_global.copy()
     lr = cfg.learning_rate
@@ -199,21 +203,28 @@ def reference_train(global_model, data, cfg, server_variate, variates):
 
 
 def mixed_clients(dim):
-    """Clients with different sample counts and one label-flipping poisoner.
+    """Clients with different sample counts and one label-flipping poisoner,
+    plus the label block to train them on (None: their own labels).
 
-    At 20 features they are one generated population, sharing its block;
-    at 2 features each is built alone, in a block of its own.
+    At 20 features they are one generated population, sharing its blocks,
+    and client 1's flipped labels are its row of a copy of the label block;
+    at 2 features each is built alone, client 1 with flipped labels.
     """
+    flip = PoisonConfig(0.8)
     if dim == 20:
         datasets, _ = generate_population(4, [0.0, 0.4, 0.7, 1.0], seed=21)
-    else:
-        rng = np.random.default_rng(21)
-        datasets = []
-        for owner, m in enumerate((3, 17, 8, 30)):
-            design = np.hstack([rng.normal(size=(m, dim)), np.ones((m, 1))])
-            datasets.append(SyntheticDataset(design, rng.integers(0, 2, size=m), owner))
-    datasets[1] = poison(datasets[1], PoisonConfig(0.8), seed=3)
-    return datasets
+        labels = datasets[0].label_block.copy()
+        poison(datasets[1].labels, flip, 3, labels[1, 0, : len(datasets[1])])
+        return datasets, labels
+    rng = np.random.default_rng(21)
+    datasets = []
+    for owner, m in enumerate((3, 17, 8, 30)):
+        design = np.hstack([rng.normal(size=(m, dim)), np.ones((m, 1))])
+        labels = rng.integers(0, 2, size=m)
+        if owner == 1:
+            labels = poison(labels, flip, 3, np.empty(m))
+        datasets.append(SyntheticDataset(design, labels, owner))
+    return datasets, None
 
 
 def train_config(algo, dim):
@@ -230,13 +241,17 @@ class TestBatchedTrain:
     @pytest.mark.parametrize("dim", [2, 20])
     @pytest.mark.parametrize("algo", list(Aggregator))
     def test_batch_matches_each_client_trained_alone(self, algo, dim):
-        datasets = mixed_clients(dim)
+        datasets, labels = mixed_clients(dim)
         assert len({len(d) for d in datasets}) == len(datasets)
         model = ModelParams(0.1 * np.random.default_rng(8).normal(size=dim + 1))
         cfg, server_variate, variates = train_config(algo, dim)
-        batch = local_train(model, datasets, cfg, server_variate, variates)
-        alone = [local_train(model, [d], cfg, server_variate, variates)[0] for d in datasets]
-        reference = [reference_train(model, d, cfg, server_variate, variates) for d in datasets]
+        batch = local_train(model, datasets, cfg, server_variate, variates, labels)
+        alone = [
+            local_train(model, [d], cfg, server_variate, variates, labels)[0] for d in datasets
+        ]
+        reference = [
+            reference_train(model, d, cfg, server_variate, variates, labels) for d in datasets
+        ]
         assert len(batch) == len(datasets)
         for b, a, r in zip(batch, alone, reference):
             assert np.allclose(b.weights, a.weights, rtol=0.0, atol=1e-12)
@@ -260,35 +275,48 @@ class TestBatchedTrain:
 class TestDesignBlock:
     def test_population_rows_share_one_zero_padded_block(self):
         datasets, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
-        block = datasets[0].block
+        block, label_block = datasets[0].block, datasets[0].label_block
         assert block.shape == (3, 21, 400)
+        assert label_block.shape == (3, 1, 400) and label_block.dtype == float
         for i, d in enumerate(datasets):
-            assert d.block is block and d.row == i
+            assert d.block is block and d.label_block is label_block and d.row == i
             assert np.shares_memory(d.features, block)
+            assert np.shares_memory(d.labels, label_block)
             assert np.array_equal(d.design, block[i, :, : len(d)].T)
+            assert np.array_equal(d.labels, label_block[i, 0, : len(d)])
             assert np.all(d.design[:, -1] == 1.0)
             assert not np.any(block[i, :, len(d):])
+            assert not np.any(label_block[i, 0, len(d):])
         assert np.all(test.design[:, -1] == 1.0)
         assert np.array_equal(test.features, test.design[:, :-1])
 
     def test_whole_population_trains_on_its_block_and_test_set_is_not_copied(self):
         datasets, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
-        assert _design_block(datasets) is datasets[0].block
-        # Any other batch (a subset, a reordering) is padded into a new block.
+        block, label_block = datasets[0].block, datasets[0].label_block
+        x, y = _blocks(datasets)
+        assert x is block and y is label_block
+        # A stand-in label block is used as it is.
+        other = label_block.copy()
+        assert _blocks(datasets, other)[1] is other
+        # Any other batch (a subset, a reordering) is padded into new blocks.
+        other[:, 0, :] = 1.0 - other[:, 0, :]
         for batch in (datasets[:2], datasets[::-1]):
-            x = _design_block(batch)
-            assert not np.shares_memory(x, datasets[0].block)
-            for i, d in enumerate(batch):
-                assert np.array_equal(x[i, :, : len(d)].T, d.design)
-        # The held-out test set keeps one sample-major design and no block.
-        assert test.block is None
-        assert test.design.flags.c_contiguous and test.design.flags.owndata
-
-    def test_poison_reuses_the_design(self):
-        datasets, _ = generate_population(2, [0.3, 0.6], seed=20)
-        bad = poison(datasets[1], PoisonConfig(1.0), seed=0)
-        assert bad.design is datasets[1].design
-        assert bad.block is datasets[1].block and bad.row == 1
+            for labels, flipped in ((None, False), (other, True)):
+                x, y = _blocks(batch, labels)
+                assert not np.shares_memory(x, block)
+                assert not np.shares_memory(y, label_block) and not np.shares_memory(y, other)
+                for i, d in enumerate(batch):
+                    assert np.array_equal(x[i, :, : len(d)].T, d.design)
+                    expected = 1.0 - d.labels if flipped else d.labels
+                    assert np.array_equal(y[i, 0, : len(d)], expected)
+                    assert not np.any(y[i, 0, len(d):])
+        # The held-out test set's design is a view of its feature-major
+        # block, and its labels are a boolean row.
+        assert test.block.shape == (21, len(test)) and test.block.flags.c_contiguous
+        assert test.design.base is test.block
+        assert test.labels.dtype == bool and test.labels.shape == (len(test),)
+        assert np.array_equal(test.labels, test.true_labels)
+        assert test.label_block is None
 
 
 class TestAggregate:
@@ -323,72 +351,111 @@ class TestAggregate:
             aggregate([ModelParams(np.zeros(2))], [1, 2], AggregationConfig())
 
 
+def accuracy_oracle(w, test):
+    """The one-model evaluation the batched one replaced."""
+    return int(np.count_nonzero((test.design @ w > 0.0) == test.labels)) / len(test)
+
+
 class TestEvaluateAccuracy:
     def test_bayes_direction_scores_high_on_own_data(self):
         datasets, test = generate_population(1, [1.0], seed=9)
         # Logistic fit on clean data separates the Gaussian mixture well.
         cfg = AggregationConfig(local_epochs=200, learning_rate=1.0)
         model = local_train(init_model(), [datasets[0]], cfg)[0]
-        assert evaluate_accuracy(model, test) > 0.9
+        assert evaluate_accuracy(model.weights[None], test)[0] > 0.9
 
     def test_zero_model_predicts_majority_class_zero(self):
         _, test = generate_population(1, [1.0], seed=10)
-        acc = evaluate_accuracy(init_model(), test)
+        (acc,) = evaluate_accuracy(init_model().weights[None], test)
         assert acc == pytest.approx(np.mean(test.labels == 0), abs=1e-15)
         assert 0.45 < acc < 0.55
 
     def test_returns_a_builtin_float_equal_to_the_mean(self):
-        datasets, test = generate_population(1, [0.6], seed=12)
-        model = local_train(init_model(), [datasets[0]], AggregationConfig(local_epochs=3))[0]
-        acc = evaluate_accuracy(model, test)
-        # A numpy scalar would be written as np.float64(...) into rounds.csv.
-        assert type(acc) is float
-        assert acc == np.mean((test.design @ model.weights > 0.0).astype(int) == test.labels)
+        datasets, test = generate_population(2, [0.6, 0.9], seed=12)
+        models = local_train(init_model(), datasets, AggregationConfig(local_epochs=3))
+        accs = evaluate_accuracy(np.stack([m.weights for m in models]), test)
+        assert len(accs) == 2
+        for model, acc in zip(models, accs):
+            # A numpy scalar would be written as np.float64(...) into rounds.csv.
+            assert type(acc) is float
+            assert acc == np.mean((test.design @ model.weights > 0.0).astype(int) == test.labels)
 
     def test_inverted_labels_complement_accuracy(self):
         datasets, test = generate_population(1, [1.0], seed=12)
         cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
         model = local_train(init_model(), [datasets[0]], cfg)[0]
-        flipped = SyntheticDataset(test.design, 1 - test.labels, test.owner)
-        assert evaluate_accuracy(model, test) + evaluate_accuracy(model, flipped) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        flipped = dataclasses.replace(test, labels=~test.labels)
+        (acc,), (acc_flipped,) = (evaluate_accuracy(model.weights[None], t) for t in (test, flipped))
+        assert acc + acc_flipped == pytest.approx(1.0, abs=1e-12)
 
     def test_bounds(self):
         _, test = generate_population(1, [0.3], seed=13)
-        for scale in (-5.0, 0.0, 5.0):
-            model = ModelParams(np.full(21, scale))
-            assert 0.0 <= evaluate_accuracy(model, test) <= 1.0
+        models = np.stack([np.full(21, scale) for scale in (-5.0, 0.0, 5.0)])
+        for acc in evaluate_accuracy(models, test):
+            assert 0.0 <= acc <= 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3 * EVAL_ROWS),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        zero_rows=st.sets(st.integers(0, 3 * EVAL_ROWS - 1)),
+    )
+    def test_batch_equals_each_model_evaluated_alone(self, seed, m, scale, zero_rows):
+        """Each row scores what the one-model product scores, across the
+        products of EVAL_ROWS rows; an all-zero row has every logit at 0,
+        so it predicts class 0 everywhere."""
+        _, test = generate_population(1, [0.5], seed=31)
+        weights = scale * np.random.default_rng(seed).normal(size=(m, 21))
+        zero = [i for i in zero_rows if i < m]
+        weights[zero] = 0.0
+        accs = evaluate_accuracy(weights, test)
+        assert accs == [accuracy_oracle(w, test) for w in weights]
+        for i in zero:
+            assert accs[i] == np.mean(test.labels == 0)
 
 
 class TestPoison:
-    def _data(self, n=1000):
+    def _data(self):
         datasets, _ = generate_population(1, [1.0], seed=17)
         return datasets[0]
 
     def test_zero_rate_is_identity(self):
         data = self._data()
-        out = poison(data, PoisonConfig(0.0), seed=1)
-        assert np.array_equal(out.labels, data.labels)
+        out = poison(data.labels, PoisonConfig(0.0), 1, np.empty(len(data)))
+        assert np.array_equal(out, data.labels)
 
     def test_full_rate_inverts_everything(self):
         data = self._data()
-        out = poison(data, PoisonConfig(1.0), seed=1)
-        assert np.array_equal(out.labels, 1 - data.labels)
+        out = poison(data.labels, PoisonConfig(1.0), 1, np.empty(len(data)))
+        assert np.array_equal(out, 1 - data.labels)
 
     def test_half_rate_binomial_bound(self):
         data = self._data()
         n = len(data)
-        out = poison(data, PoisonConfig(0.5), seed=99)
-        flipped = int(np.sum(out.labels != data.labels))
+        out = poison(data.labels, PoisonConfig(0.5), 99, np.empty(n))
+        flipped = int(np.sum(out != data.labels))
         sigma = np.sqrt(n * 0.25)
         assert abs(flipped - n / 2) <= 3 * sigma
 
     def test_deterministic(self):
         data = self._data()
-        a = poison(data, PoisonConfig(0.4), seed=5)
-        b = poison(data, PoisonConfig(0.4), seed=5)
-        assert np.array_equal(a.labels, b.labels)
+        a = poison(data.labels, PoisonConfig(0.4), 5, np.empty(len(data)))
+        b = poison(data.labels, PoisonConfig(0.4), 5, np.empty(len(data)))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.8, 1.0])
+    def test_writes_the_flipped_labels_into_out(self, rate):
+        """`out` receives what the copying form returned, bit for bit, and
+        the clean labels are left as they were."""
+        data = self._data()
+        kept = data.labels.tobytes()
+        out = np.full(len(data), 7.0)
+        assert poison(data.labels, PoisonConfig(rate), 11, out) is out
+        flips = np.random.default_rng(11).random(len(data)) < rate
+        expected = np.where(flips, 1 - data.labels, data.labels).astype(float)
+        assert out.tobytes() == expected.tobytes()
+        assert data.labels.tobytes() == kept
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -405,4 +472,4 @@ class TestTrainingSignal:
         for _ in range(20):
             locals_ = [local_train(model, [ds], cfg)[0] for ds in datasets]
             model = aggregate(locals_, [len(ds) for ds in datasets], cfg)
-        assert evaluate_accuracy(model, test) > 0.9
+        assert evaluate_accuracy(model.weights[None], test)[0] > 0.9
