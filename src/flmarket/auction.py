@@ -61,16 +61,14 @@ from .reputation import (
     ReputationParams,
     additive_utility,
     banzhaf_exact,
-    banzhaf_mc,
     select_top_k,
     update_reputation,
 )
 
-# Selected sets of at most this size use exact Banzhaf enumeration; larger
-# sets fall back to the Monte Carlo estimator (exact anyway for the
-# additive per-client values used here).
+# Rounds scoring at most this many clients enumerate the additive game's
+# coalitions exactly; larger rounds take the closed form, each client's own
+# value (see `_banzhaf_contributions`).
 EXACT_COALITION_LIMIT = 10
-MC_SAMPLES = 64
 
 TRUST_ZERO = "zero"
 TRUST_LAST_VALID = "last_valid"
@@ -187,18 +185,25 @@ def ledger_epsilon(store, client_id: int, policy: str = TRUST_LAST_VALID) -> flo
     return eps if trusted else 0.0
 
 
-def _banzhaf_contributions(
-    values: dict[int, float], seed: int, round_num: int
-) -> dict[int, float]:
+def _banzhaf_contributions(values: dict[int, float]) -> dict[int, float]:
+    """Each scored client's Banzhaf index in the additive game whose value
+    is the sum of its members' `values`.
+
+    In an additive game a player's index is its own value (the dummy
+    property: every marginal v(S + i) - v(S) is values[i]), so a round of
+    more than EXACT_COALITION_LIMIT clients takes the value itself and
+    evaluates no coalition. Smaller rounds still enumerate all coalitions
+    with `banzhaf_exact`, whose mean of marginals can differ from the value
+    in the last ulp. The enumeration is kept because
+    `benchmarks/test_bench.py` counts the coalition evaluations of a traced
+    run of its 6-client ledger-long workload, and so that ledger-long's
+    `reputation.csv` keeps its enumerated bits.
+    """
+    if len(values) > EXACT_COALITION_LIMIT:
+        return values
     ids = sorted(values)
-    n = len(ids)
     utility = additive_utility({p: values[i] for p, i in enumerate(ids)})
-    if n <= EXACT_COALITION_LIMIT:
-        zetas = banzhaf_exact(utility, n)
-    else:
-        seeds = [_mix(seed, round_num, 7000 + p) for p in range(n)]
-        zetas = banzhaf_mc(utility, n, MC_SAMPLES, seeds)
-    return dict(zip(ids, zetas.tolist()))
+    return dict(zip(ids, banzhaf_exact(utility, len(ids)).tolist()))
 
 
 def _round_labels(
@@ -301,7 +306,7 @@ def run_round(
     values = {
         i: realized_value(realized[i], by_id[i].theta, params) for i in local_models
     }
-    zetas = _banzhaf_contributions(values, seed, state.round)
+    zetas = _banzhaf_contributions(values)
     epsilons = {}
     for i in sorted(zetas):
         epsilons[i] = update_reputation(eps_prev[i], zetas[i], state.rep_params)
@@ -328,15 +333,12 @@ def _bid_round(
     """One baseline round: every client bids its cost of `target_q` times a
     margin drawn uniformly from [1.0, 1.3], in population order; `rule`
     picks `params.k_select` winners, and each is paid its bid."""
-    rng = np.random.default_rng((seed, round_num))
-    bids = {
-        c.id: cost(target_q, c.theta, params.delta) * (1.0 + 0.3 * rng.random())
-        for c in population
-    }
+    costs = {c.id: cost(target_q, c.theta, params.delta) for c in population}
+    margins = np.random.default_rng((seed, round_num)).random(len(population)).tolist()
+    bids = {i: costs[i] * (1.0 + 0.3 * m) for i, m in zip(costs, margins)}
     winners = rule(bids, params.k_select, _mix(seed, round_num, 99))
-    thetas = {c.id: c.theta for c in population}
     contracts = {i: Contract(target_q, bids[i]) for i in winners}
-    utilities = {i: bids[i] - cost(target_q, thetas[i], params.delta) for i in winners}
+    utilities = {i: bids[i] - costs[i] for i in winners}
     return RoundReport(
         round=round_num,
         selected=winners,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import statistics
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ledger import _apply, _hash_calls, appends, edits
 
-from flmarket import auction
+from flmarket import auction, reputation
 from flmarket.auction import (
     TRUST_POLICIES,
     ClientProfile,
@@ -21,10 +22,12 @@ from flmarket.auction import (
     run_robustness,
     run_round,
     SimulationState,
+    _banzhaf_contributions,
     _bid_round,
     _cheapest,
     _fresh_state,
     _uniform,
+    realized_value,
 )
 from flmarket.config import ExperimentConfig
 from flmarket.flsim import (
@@ -52,6 +55,7 @@ from flmarket.mechanism import (
     solve,
     solve_complete,
 )
+from flmarket.reputation import additive_utility, banzhaf_mc
 
 
 def small_config(**overrides):
@@ -196,9 +200,7 @@ class TestRunRound:
             assert state.accuracy == evaluate_accuracy(state.model.weights[None], test)[0]
 
     @pytest.mark.parametrize(
-        "n, path",
-        [(auction.EXACT_COALITION_LIMIT, "banzhaf_exact"),
-         (auction.EXACT_COALITION_LIMIT + 2, "banzhaf_mc")],
+        "n, path", [(auction.EXACT_COALITION_LIMIT, "banzhaf_exact")]
     )
     def test_one_banzhaf_call_scores_every_client(self, monkeypatch, n, path):
         calls, evals = [], []
@@ -217,8 +219,7 @@ class TestRunRound:
 
             return call
 
-        for name in ("banzhaf_exact", "banzhaf_mc"):
-            monkeypatch.setattr(auction, name, spy(name))
+        monkeypatch.setattr(auction, path, spy(path))
         config = small_config(n_clients=n)
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
@@ -226,8 +227,29 @@ class TestRunRound:
         rep = run_round(population, params, _fresh_state(config, test), seed=5)
         assert len(rep.epsilons) == n
         assert calls == [path]
-        rows = n << (n - 1) if path == "banzhaf_exact" else n * auction.MC_SAMPLES
+        rows = n << (n - 1)
         assert evals == [rows, rows]
+
+    def test_large_round_scores_each_client_by_its_value(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a round above the limit evaluated a coalition")
+
+        monkeypatch.setattr(auction, "banzhaf_exact", forbidden)
+        monkeypatch.setattr(reputation, "banzhaf_exact", forbidden)
+        monkeypatch.setattr(reputation, "banzhaf_mc", forbidden)
+        n = auction.EXACT_COALITION_LIMIT + 2
+        config = small_config(n_clients=n)
+        population, test = build_population(config, seed=5)
+        # Complete information: every client accepts, so all n are scored.
+        params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
+        state = _fresh_state(config, test)
+        rep = run_round(population, params, state, seed=5)
+        assert len(state.ledger.records) == n
+        zetas = {r.client_id: r.zeta for r in state.ledger.records}
+        assert sorted(zetas) == sorted(rep.realized_q) == list(range(n))
+        for c in population:
+            value = realized_value(rep.realized_q[c.id], c.theta, params)
+            assert struct.pack("<d", zetas[c.id]) == struct.pack("<d", value)
 
     def test_scaffold_commits_only_the_aggregated_clients(self):
         # Complete information: all six clients accept, and k = 2 are aggregated.
@@ -260,6 +282,26 @@ class TestRunRound:
             assert set(rep.epsilons) == set(rep.realized_q)
             for i, eps in rep.epsilons.items():
                 assert eps == ledger_epsilon(state.ledger, i)
+
+
+class TestBanzhafContributions:
+    # Realized values are surpluses of accuracy changes, so |value| <= 1 at
+    # the default market; 64 samples is what a large round once drew.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.integers(auction.EXACT_COALITION_LIMIT + 1, 40).flatmap(
+            lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_matches_the_monte_carlo_primitive(self, values, seed):
+        n = len(values)
+        game = dict(enumerate(values))
+        seeds = [seed + p for p in range(n)]
+        mc = banzhaf_mc(additive_utility(game), n, 64, seeds)
+        zetas = _banzhaf_contributions(game)
+        assert sorted(zetas) == list(range(n))
+        assert np.allclose([zetas[p] for p in range(n)], mc, rtol=0.0, atol=1e-12)
 
 
 class TestRealizedContribution:

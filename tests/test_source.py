@@ -127,3 +127,29 @@ def test_mechanism_names_are_spelled_only_in_the_table():
         if isinstance(node, ast.Constant) and node.value in names and id(node) not in keys
     ]
     assert spelled == [], "mechanism names outside auction.MECHANISMS: " + ", ".join(spelled)
+
+
+
+def _callee(node):
+    """The name `f` that a call `f(...)` or `m.f(...)` calls, else None."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def test_only_small_rounds_enumerate_coalitions():
+    # A round above auction.EXACT_COALITION_LIMIT scores by the additive
+    # game's closed form, so the Monte Carlo estimator has no caller and
+    # exact enumeration has one, for the rounds at or below the limit.
+    calls = {
+        name: [
+            f"{path.stem}.{scope}"
+            for path in SOURCES
+            for scope in _scopes_where(
+                ast.parse(path.read_text(), filename=str(path)),
+                lambda node: _callee(node) == name,
+            )
+        ]
+        for name in ("banzhaf_exact", "banzhaf_mc")
+    }
+    assert calls == {"banzhaf_exact": ["auction._banzhaf_contributions"], "banzhaf_mc": []}
