@@ -7,10 +7,16 @@ score realized contributions with the Banzhaf index, and append updated
 reputations to the ledger.
 
 The offer (contracts, client utilities, accepted set) depends only on the
-clients' thetas and the market, never on round state, and everything after
-it is the same under every regime. So the harness plays one trajectory of
-rounds for each distinct accepted set, and each `ours-*` regime with that
-set prices the shared rounds with its own contracts.
+clients' thetas and the market, never on round state, so each cell makes it
+once and hands it to every round. Everything after it is the same under
+every regime, so the harness plays one trajectory of rounds for each
+distinct accepted set, and each `ours-*` regime with that set prices the
+shared rounds with its own contracts.
+
+A seed's population is fixed for a whole run, and so are its poisoners'
+flipped labels: `build_population` draws every round's flips once, and one
+pass over the seeds (`run_tables`) runs each seed's grid cells, reputation
+trace and tamper cells on that one population.
 
 The two buyers'-market baselines are rows of the same table: each holds its
 winner rule, and one bid round (`_bid_round`) plays either. Every client
@@ -23,6 +29,8 @@ from __future__ import annotations
 import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,11 +113,13 @@ class ClientProfile:
     id: int
     theta: float
     dataset: SyntheticDataset
-    poison_cfg: PoisonConfig | None = None  # None means honest
+    # A poisoner's labels for each round, bit-packed one round per row
+    # (`_flipped_labels`); None means honest.
+    flipped_labels: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def honest(self) -> bool:
-        return self.poison_cfg is None
+        return self.flipped_labels is None
 
 
 @dataclass
@@ -206,30 +216,47 @@ def _banzhaf_contributions(values: dict[int, float]) -> dict[int, float]:
     return dict(zip(ids, banzhaf_exact(utility, len(ids)).tolist()))
 
 
-def _round_labels(
-    accepted: list[ClientProfile], state: SimulationState, seed: int
-) -> np.ndarray | None:
+def _flipped_labels(
+    dataset: SyntheticDataset, cfg: PoisonConfig, seed: int, client_id: int, rounds: int
+) -> np.ndarray:
+    """A poisoner's labels for rounds 0..rounds-1, bit-packed into a
+    (rounds, ceil(len(dataset) / 8)) uint8 array: row r packs `poison` of
+    its clean labels under the `_mix(seed, r, client_id)` draws."""
+    flipped = np.empty(len(dataset), dtype=bool)
+    packed = np.empty((rounds, (len(dataset) + 7) // 8), dtype=np.uint8)
+    for r in range(rounds):
+        packed[r] = np.packbits(poison(dataset.labels, cfg, _mix(seed, r, client_id), flipped))
+    return packed
+
+
+def _round_labels(accepted: list[ClientProfile], state: SimulationState) -> np.ndarray | None:
     """The label block the accepted clients train on this round: None (the
     population's own) if none is a poisoner, else `state.poisoned_labels`
-    with each accepted poisoner's row flipped anew from its clean labels by
-    the round's `_mix(seed, round, id)` draws. The accepted datasets are
-    rows of one population from `generate_population`, which is not
-    changed."""
-    poisoners = [c for c in accepted if c.poison_cfg is not None]
+    with each accepted poisoner's row overwritten by its flipped labels of
+    the round. The accepted datasets are rows of one population from
+    `generate_population`, which is not changed."""
+    poisoners = [c for c in accepted if not c.honest]
     if not poisoners:
         return None
     if state.poisoned_labels is None:
         state.poisoned_labels = poisoners[0].dataset.label_block.copy()
     for c in poisoners:
         d = c.dataset
-        out = state.poisoned_labels[d.row, 0, : len(d)]
-        poison(d.labels, c.poison_cfg, _mix(seed, state.round, c.id), out)
+        state.poisoned_labels[d.row, 0, : len(d)] = np.unpackbits(
+            c.flipped_labels[state.round], count=len(d)
+        )
     return state.poisoned_labels
 
 
-def _offer(
-    population: list[ClientProfile], params: MarketParams
-) -> tuple[dict[int, Contract], dict[int, float], list[ClientProfile]]:
+class Offer(NamedTuple):
+    """A regime's offer to a population, fixed for a whole cell."""
+
+    contracts: dict[int, Contract]  # each client's contract
+    utilities: dict[int, float]  # each client's utility from its contract
+    accepted: list[ClientProfile]  # the clients that accept, in population order
+
+
+def _offer(population: list[ClientProfile], params: MarketParams) -> Offer:
     """Each client's contract under the regime of `params`, its utility
     from that contract, and the clients that accept (utility >= 0), in
     population order. Depends on no round state."""
@@ -238,7 +265,7 @@ def _offer(
         c.id: client_utility(contracts[c.id], c.theta, params.delta) for c in population
     }
     accepted = [c for c in population if utilities[c.id] >= 0.0]
-    return contracts, utilities, accepted
+    return Offer(contracts, utilities, accepted)
 
 
 def _prices(
@@ -259,12 +286,13 @@ def run_round(
     population: list[ClientProfile],
     params: MarketParams,
     state: SimulationState,
-    seed: int,
+    offer: Offer,
 ) -> RoundReport:
-    """One full auction + training + reputation round."""
+    """One full auction + training + reputation round, under the cell's
+    `offer` (`_offer(population, params)`)."""
     if not population:
         raise ValueError("population must be non-empty")
-    contracts, utilities, accepted = _offer(population, params)
+    contracts, utilities, accepted = offer
     if not accepted:
         raise RuntimeError("no client accepted its contract")
 
@@ -279,7 +307,7 @@ def run_round(
     by_id = {c.id: c for c in population}
     trained = local_train(
         state.model, [c.dataset for c in accepted], state.agg, state.server_variate,
-        state.variates, _round_labels(accepted, state, seed),
+        state.variates, _round_labels(accepted, state),
     )
     local_models = {c.id: m for c, m in zip(accepted, trained)}
     new_global = aggregate(
@@ -356,7 +384,8 @@ def build_population(config, seed: int) -> tuple[list[ClientProfile], SyntheticD
     """Deterministic population for one experiment seed.
 
     Efficiencies are uniform on [theta_min, theta_max]; the first
-    poison_count clients are label-flipping poisoners.
+    poison_count clients are label-flipping poisoners, whose flipped labels
+    for every one of the config's rounds are drawn here.
     """
     rng = np.random.default_rng(seed)
     thetas = (
@@ -364,12 +393,13 @@ def build_population(config, seed: int) -> tuple[list[ClientProfile], SyntheticD
         + (config.theta_max - config.theta_min) * rng.random(config.n_clients)
     ).tolist()
     datasets, test = generate_population(config.n_clients, thetas, seed)
+    flip = PoisonConfig(config.poison_flip_rate)
     profiles = []
     for i, (theta, data) in enumerate(zip(thetas, datasets)):
-        pcfg = (
-            PoisonConfig(config.poison_flip_rate) if i < config.poison_count else None
+        flipped = (
+            _flipped_labels(data, flip, seed, i, config.rounds) if i < config.poison_count else None
         )
-        profiles.append(ClientProfile(i, theta, data, pcfg))
+        profiles.append(ClientProfile(i, theta, data, flipped))
     return profiles, test
 
 
@@ -412,11 +442,21 @@ def run_cell(
         return [
             _bid_round(population, row, target_q, params, seed, r) for r in range(config.rounds)
         ]
+    return _play(config, population, test, params, _offer(population, params), ledger_mode,
+                 tamper_cfg)
+
+
+def _play(
+    config, population: list[ClientProfile], test: SyntheticDataset, params: MarketParams,
+    offer: Offer, ledger_mode: str = "chained", tamper_cfg=None,
+) -> list[RoundReport]:
+    """The rounds of an `ours-*` cell under its one `offer`, from a fresh
+    state; with `tamper_cfg`, the ledger is attacked after every round."""
     state = _fresh_state(config, test, ledger_mode)
     reports = []
     for _ in range(config.rounds):
-        reports.append(run_round(population, params, state, seed))
-        if tamper_cfg is not None and len(state.ledger.records) > 0:
+        reports.append(run_round(population, params, state, offer))
+        if tamper_cfg is not None:
             tamper_attack(state.ledger, tamper_cfg)
     return reports
 
@@ -444,57 +484,59 @@ def _ours_cells(
     """The reports of every `ours-*` mechanism's (k, seed) cell.
 
     Mechanisms whose offers are accepted by the same clients play one
-    trajectory: `run_cell` under the first of them in config order, whose
-    reports the others re-price with their own contracts. A mechanism whose
+    trajectory: the first of them in config order plays its rounds, and the
+    others re-price its reports with their own contracts. A mechanism whose
     accepted set differs plays its own.
     """
     groups: dict[tuple[int, ...], list] = {}
     for mechanism in config.mechanisms_ours():
         params = _market(config, mechanism, k)
-        contracts, utilities, accepted = _offer(population, params)
-        groups.setdefault(tuple(c.id for c in accepted), []).append(
-            (mechanism, params, contracts, utilities)
+        offer = _offer(population, params)
+        groups.setdefault(tuple(c.id for c in offer.accepted), []).append(
+            (mechanism, params, offer)
         )
     out = {}
-    for group in groups.values():
-        leader = group[0][0]
-        out[leader] = played = run_cell(config, leader, k, seed, population, test)
-        for mechanism, params, contracts, utilities in group[1:]:
+    for (leader, params, offer), *others in groups.values():
+        out[leader] = played = _play(config, population, test, params, offer)
+        for mechanism, params, offer in others:
             out[mechanism] = [
-                replace(rep, **_prices(rep.selected, contracts, utilities, params))
+                replace(rep, **_prices(rep.selected, offer.contracts, offer.utilities, params))
                 for rep in played
             ]
     return out
 
 
-def run_experiment(config) -> tuple[list[dict], list[dict]]:
-    """Full mechanism-comparison grid.
+# ---------------------------------------------------------------------------
+# A seed's share of each output table, and the tables assembled from them
+# ---------------------------------------------------------------------------
 
-    Returns per-round rows and a summary with mean and population-std of
-    total server utility per (mechanism, k) over the config's seeds.
-    """
-    if config.rounds == 0:
-        return [], []
+def _grid_cells(
+    config, seed: int, population: list[ClientProfile], test: SyntheticDataset
+) -> dict[tuple[int, str], tuple[list[dict], float]]:
+    """Every (k, mechanism) cell of the seed: its per-round rows and its
+    total server utility."""
+    out = {}
+    for k in config.k_values:
+        ours = _ours_cells(config, k, seed, population, test)
+        for mechanism in config.mechanisms:
+            if mechanism in ours:
+                reports = ours[mechanism]
+            else:
+                reports = run_cell(config, mechanism, k, seed, population, test)
+            rows = [
+                {"mechanism": mechanism, "k": k, "seed": seed, "round": rep.round,
+                 "server_utility": rep.server_utility, "accuracy": rep.accuracy_global,
+                 "n_selected": len(rep.selected)}
+                for rep in reports
+            ]
+            out[k, mechanism] = rows, _total(reports)
+    return out
 
-    def cells(seed, population, test):
-        out = {}
-        for k in config.k_values:
-            ours = _ours_cells(config, k, seed, population, test)
-            for mechanism in config.mechanisms:
-                if mechanism in ours:
-                    reports = ours[mechanism]
-                else:
-                    reports = run_cell(config, mechanism, k, seed, population, test)
-                rows = [
-                    {"mechanism": mechanism, "k": k, "seed": seed, "round": rep.round,
-                     "server_utility": rep.server_utility, "accuracy": rep.accuracy_global,
-                     "n_selected": len(rep.selected)}
-                    for rep in reports
-                ]
-                out[k, mechanism] = rows, _total(reports)
-        return out
 
-    by_seed = _per_seed(config, cells)
+def _grid_tables(config, by_seed: dict) -> tuple[list[dict], list[dict]]:
+    """The per-round rows, in (k, mechanism, seed) order, and the summary:
+    mean and population-std of total server utility per (mechanism, k)
+    over the config's seeds."""
     round_rows, summary = [], []
     for k in config.k_values:
         for mechanism in config.mechanisms:
@@ -514,17 +556,15 @@ def run_experiment(config) -> tuple[list[dict], list[dict]]:
     return round_rows, summary
 
 
-def run_reputation_trace(config, seed: int) -> list[dict]:
-    """Per-round reputation of every client, for trajectory plots, under
-    the config's first `ours-*` mechanism (none: no rows).
-
-    A client that never accepts its contract is never scored and reads 0.
-    """
-    ours = config.mechanisms_ours()
-    if not ours:
-        return []
-    population, test = build_population(config, seed)
-    reports = run_cell(config, ours[0], config.k_values[0], seed, population, test)
+def _trace_rows(
+    config, seed: int, population: list[ClientProfile], test: SyntheticDataset
+) -> list[dict]:
+    """`run_reputation_trace`'s rows, played on the seed's population: the
+    cell of the config's first `ours-*` mechanism, which the caller checks
+    exists, at the first k."""
+    reports = run_cell(
+        config, config.mechanisms_ours()[0], config.k_values[0], seed, population, test
+    )
     return [
         {"round": rep.round, "client": c.id, "epsilon": rep.epsilons.get(c.id, 0.0),
          "behavior": "honest" if c.honest else "poisoner"}
@@ -533,30 +573,100 @@ def run_reputation_trace(config, seed: int) -> list[dict]:
     ]
 
 
-def run_robustness(config) -> list[dict]:
-    """Tamper-robustness grid: mean total server utility per
-    (alpha, beta, ledger_mode) cell over the config's seeds."""
-    mechanism = config.mechanisms_ours()[0]
-    k = config.k_values[0]
-    grid = [
+def _tamper_grid(config) -> list[tuple[float, float, str]]:
+    return [
         (alpha, beta, mode)
         for alpha in config.tamper_alphas
         for beta in config.tamper_betas
         for mode in config.ledger_modes
     ]
 
-    def totals(seed, population, test):
-        return {
-            (alpha, beta, mode): _total(
-                run_cell(config, mechanism, k, seed, population, test,
-                         ledger_mode=mode, tamper_cfg=TamperConfig(alpha, beta, seed))
-            )
-            for alpha, beta, mode in grid
-        }
 
-    by_seed = _per_seed(config, totals)
+def _tamper_totals(
+    config, seed: int, population: list[ClientProfile], test: SyntheticDataset
+) -> dict[tuple[float, float, str], float]:
+    """Total server utility of each tamper cell of the seed: the first
+    `ours-*` mechanism at the first k, on the cell's store, attacked after
+    every round."""
+    mechanism = config.mechanisms_ours()[0]
+    k = config.k_values[0]
+    return {
+        (alpha, beta, mode): _total(
+            run_cell(config, mechanism, k, seed, population, test,
+                     ledger_mode=mode, tamper_cfg=TamperConfig(alpha, beta, seed))
+        )
+        for alpha, beta, mode in _tamper_grid(config)
+    }
+
+
+def _robustness_rows(config, by_seed: dict) -> list[dict]:
+    """Mean total server utility of each tamper cell over the config's seeds."""
     return [
         {"alpha": alpha, "beta": beta, "ledger_mode": mode,
          "mean_utility": statistics.fmean(by_seed[s][alpha, beta, mode] for s in config.seeds)}
-        for alpha, beta, mode in grid
+        for alpha, beta, mode in _tamper_grid(config)
     ]
+
+
+class Tables(NamedTuple):
+    """The rows of every table a run writes."""
+
+    rounds: list[dict]
+    summary: list[dict]
+    reputation: list[dict]  # the first seed's reputation trace
+    robustness: list[dict]  # empty without a tamper grid
+
+
+def run_tables(config) -> Tables:
+    """Every table of one run, from one pass over the distinct seeds: each
+    seed's population is built once, and its grid cells, its tamper cells
+    and, for the first seed, the reputation trace's cell all run on it.
+    With `rounds = 0` the grid and the trace are empty."""
+    play = config.rounds > 0
+    trace_seed = config.seeds[0] if play and config.mechanisms_ours() else None
+    tamper = bool(config.tamper_alphas)
+    if not (play or tamper):
+        return Tables([], [], [], [])
+
+    def run_seed(seed, population, test):
+        return (
+            _grid_cells(config, seed, population, test) if play else {},
+            _trace_rows(config, seed, population, test) if seed == trace_seed else [],
+            _tamper_totals(config, seed, population, test) if tamper else {},
+        )
+
+    by_seed = _per_seed(config, run_seed)
+    cells, traces, totals = (dict(zip(by_seed, part)) for part in zip(*by_seed.values()))
+    return Tables(
+        *(_grid_tables(config, cells) if play else ([], [])),
+        traces[config.seeds[0]],
+        _robustness_rows(config, totals),
+    )
+
+
+def run_experiment(config) -> tuple[list[dict], list[dict]]:
+    """Full mechanism-comparison grid.
+
+    Returns per-round rows and a summary with mean and population-std of
+    total server utility per (mechanism, k) over the config's seeds.
+    """
+    if config.rounds == 0:
+        return [], []
+    return _grid_tables(config, _per_seed(config, partial(_grid_cells, config)))
+
+
+def run_reputation_trace(config, seed: int) -> list[dict]:
+    """Per-round reputation of every client, for trajectory plots, under
+    the config's first `ours-*` mechanism (none: no rows).
+
+    A client that never accepts its contract is never scored and reads 0.
+    """
+    if not config.mechanisms_ours():
+        return []
+    return _trace_rows(config, seed, *build_population(config, seed))
+
+
+def run_robustness(config) -> list[dict]:
+    """Tamper-robustness grid: mean total server utility per
+    (alpha, beta, ledger_mode) cell over the config's seeds."""
+    return _robustness_rows(config, _per_seed(config, partial(_tamper_totals, config)))

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .auction import run_experiment, run_reputation_trace, run_robustness
+from .auction import run_tables
 from .config import ConfigError, ExperimentConfig, parse_config
 from .ledger import HashChainLedger
 from .mechanism import MarketParams, Regime, solve
@@ -35,8 +35,9 @@ def _write_csv(path: Path, header_comment: str, columns: list[str], rows: list[d
 
 
 def cmd_run(config: ExperimentConfig) -> int:
-    """Run the config's grids and write their CSVs; raises ConfigError,
-    before any cell runs, if `output_dir` cannot be created."""
+    """Run the config's grids in one pass over its seeds and write their
+    CSVs once every cell has run, so a run that fails writes none; raises
+    ConfigError, before any cell runs, if `output_dir` cannot be created."""
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -44,35 +45,31 @@ def cmd_run(config: ExperimentConfig) -> int:
         raise ConfigError(f"output_dir {str(out)!r} cannot be created: {exc.strerror}") from exc
     stamp = f"config_sha={config.digest()} seeds={','.join(map(str, config.seeds))}"
 
-    round_rows, summary_rows = run_experiment(config)
+    tables = run_tables(config)
     _write_csv(
         out / "rounds.csv",
         stamp,
         ["mechanism", "k", "seed", "round", "server_utility", "accuracy", "n_selected"],
-        round_rows,
+        tables.rounds,
     )
     _write_csv(
         out / "summary.csv",
         stamp,
         ["mechanism", "k", "mean_utility", "std_utility"],
-        summary_rows,
+        tables.summary,
     )
-    if config.rounds > 0:
-        trace_rows = run_reputation_trace(config, config.seeds[0])
-    else:
-        trace_rows = []
     _write_csv(
         out / "reputation.csv",
         stamp,
         ["round", "client", "epsilon", "behavior"],
-        trace_rows,
+        tables.reputation,
     )
-    if config.tamper_alphas and config.tamper_betas:
+    if config.tamper_alphas:
         _write_csv(
             out / "robustness.csv",
             stamp,
             ["alpha", "beta", "ledger_mode", "mean_utility"],
-            run_robustness(config),
+            tables.robustness,
         )
     return 0
 

@@ -85,7 +85,16 @@ class ExperimentConfig:
         bad = set(self.mechanisms) - MECHANISMS.keys()
         if bad:
             raise ConfigError(f"unknown mechanisms {sorted(bad)}")
-        if self.tamper_alphas and self.tamper_betas and not self.mechanisms_ours():
+        if bool(self.tamper_alphas) != bool(self.tamper_betas):
+            empty, given = (
+                ("tamper_alphas", "tamper_betas") if self.tamper_betas
+                else ("tamper_betas", "tamper_alphas")
+            )
+            raise ConfigError(
+                f"{empty} must list at least one value when {given} is set: "
+                "a tamper grid is tamper_alphas x tamper_betas"
+            )
+        if self.tamper_alphas and not self.mechanisms_ours():
             raise ConfigError(
                 "a tamper grid (tamper_alphas, tamper_betas) needs an ours-* mechanism"
             )
@@ -97,9 +106,8 @@ class ExperimentConfig:
                 self.aggregation, self.local_epochs, self.learning_rate, self.prox_mu
             )
             PoisonConfig(self.poison_flip_rate)
-            # A neutral partner checks each list even when the other is empty.
-            for alpha in self.tamper_alphas or [0.0]:
-                for beta in self.tamper_betas or [1.0]:
+            for alpha in self.tamper_alphas:
+                for beta in self.tamper_betas:
                     TamperConfig(alpha, beta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -15,6 +15,7 @@ was edited), and only `read_reputation` re-hashes the client's whole history.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import math
 import struct
@@ -224,6 +225,15 @@ class PlainStore(_IndexedStore):
 STORES = {"chained": HashChainLedger, "vulnerable": PlainStore}
 
 
+@functools.lru_cache(maxsize=4)
+def _tie_break(seed: int, n: int) -> tuple[int, ...]:
+    """tamper_attack's tie-break ranks of n clients in id order, a
+    permutation of range(n) drawn from `seed`: fixed for a cell, whose
+    client set stops changing after its first round, so drawn once per
+    (seed, n), and a tuple, so no caller can change a later call's."""
+    return tuple(np.random.default_rng(seed).permutation(n).tolist())
+
+
 def tamper_attack(store, cfg: TamperConfig) -> list[tuple[int, int, float, float]]:
     """Inflate the latest stored epsilon of the lowest-reputation clients.
 
@@ -238,8 +248,7 @@ def tamper_attack(store, cfg: TamperConfig) -> list[tuple[int, int, float, float
         raise ValueError("cannot attack an empty store")
     clients = store.client_ids()
     n_attacked = math.ceil(cfg.alpha * len(clients))
-    rng = np.random.default_rng(cfg.seed)
-    tie_break = {c: t for c, t in zip(clients, rng.permutation(len(clients)))}
+    tie_break = dict(zip(clients, _tie_break(cfg.seed, len(clients))))
     records = store.records
     # A client ranks by its last record, the epsilon read_reputation reports.
     last = {c: store.positions(c)[-1] for c in clients}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ledger import _apply, _hash_calls, appends, edits
 
-from flmarket import auction, reputation
+from flmarket import auction, cli, reputation
 from flmarket.auction import (
     TRUST_POLICIES,
     ClientProfile,
@@ -25,11 +25,13 @@ from flmarket.auction import (
     _banzhaf_contributions,
     _bid_round,
     _cheapest,
+    _flipped_labels,
     _fresh_state,
+    _offer,
     _uniform,
     realized_value,
 )
-from flmarket.config import ExperimentConfig
+from flmarket.config import ExperimentConfig, parse_config
 from flmarket.flsim import (
     AggregationConfig,
     Aggregator,
@@ -88,7 +90,7 @@ def single_client_setup(theta=1.0, regime=Regime.COMPLETE):
 class TestRunRound:
     def test_single_top_type_client_fixture(self):
         population, params, state = single_client_setup()
-        report = run_round(population, params, state, seed=0)
+        report = run_round(population, params, state, _offer(population, params))
         assert report.selected == [0]
         assert report.payments[0] == pytest.approx(0.75, abs=1e-12)
         assert report.server_utility == pytest.approx(0.75, abs=1e-12)
@@ -98,7 +100,7 @@ class TestRunRound:
         population, test = build_population(config, seed=3)
         params = MarketParams(1.0, 2.0, 8, 8, Regime.COMPLETE)
         state = _fresh_state(config, test)
-        report = run_round(population, params, state, seed=3)
+        report = run_round(population, params, state, _offer(population, params))
         # Zero-rent contracts meet the participation bound, so with k = n
         # every client is selected.
         assert sorted(report.selected) == list(range(8))
@@ -108,7 +110,7 @@ class TestRunRound:
         population, test = build_population(config, seed=1)
         params = MarketParams(1.0, 2.0, 10, 3, Regime.COMPLETE)
         state = _fresh_state(config, test)
-        report = run_round(population, params, state, seed=1)
+        report = run_round(population, params, state, _offer(population, params))
         assert report.selected == [0, 1, 2]
 
     def test_budget_identity(self):
@@ -118,8 +120,9 @@ class TestRunRound:
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.3, 2.0, 8, 4, regime)
             state = _fresh_state(config, test)
+            offer = _offer(population, params)
             for _ in range(2):
-                rep = run_round(population, params, state, seed=5)
+                rep = run_round(population, params, state, offer)
                 lhs = rep.server_utility + sum(rep.client_utilities.values())
                 rhs = sum(
                     params.lam * rep.contracts[i].q
@@ -134,8 +137,9 @@ class TestRunRound:
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.0, 2.0, 8, 5, regime)
             state = _fresh_state(config, test)
+            offer = _offer(population, params)
             for _ in range(3):
-                rep = run_round(population, params, state, seed=9)
+                rep = run_round(population, params, state, offer)
                 assert all(u >= 0.0 for u in rep.client_utilities.values())
 
     def test_regime_dominance_every_round(self):
@@ -145,9 +149,11 @@ class TestRunRound:
         params_in = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
         state_ci = _fresh_state(config, test)
         state_in = _fresh_state(config, test)
+        offer_ci = _offer(population, params_ci)
+        offer_in = _offer(population, params_in)
         for _ in range(4):
-            u_ci = run_round(population, params_ci, state_ci, seed=7).server_utility
-            u_in = run_round(population, params_in, state_in, seed=7).server_utility
+            u_ci = run_round(population, params_ci, state_ci, offer_ci).server_utility
+            u_in = run_round(population, params_in, state_in, offer_in).server_utility
             assert u_ci >= u_in - 1e-12
 
     def test_empty_population_rejected(self):
@@ -155,7 +161,7 @@ class TestRunRound:
         _, test = generate_population(1, [0.5], seed=0)
         state = SimulationState(agg=AggregationConfig(), test=test)
         with pytest.raises(ValueError):
-            run_round([], params, state, seed=0)
+            run_round([], params, state, _offer([], params))
 
     def test_determinism(self):
         config = small_config()
@@ -190,8 +196,9 @@ class TestRunRound:
         monkeypatch.setattr(auction, "evaluate_accuracy", counted)
         monkeypatch.setattr(auction, "local_train", spied)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
+        offer = _offer(population, params)
         for r in range(3):
-            rep = run_round(population, params, state, seed=3)
+            rep = run_round(population, params, state, offer)
             assert len(evaluated) == len(trained) == r + 1
             models = [m.weights for m in trained[r]] + [state.model.weights]
             assert len(models) == len(rep.realized_q) + 1
@@ -224,7 +231,8 @@ class TestRunRound:
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
         params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
-        rep = run_round(population, params, _fresh_state(config, test), seed=5)
+        state = _fresh_state(config, test)
+        rep = run_round(population, params, state, _offer(population, params))
         assert len(rep.epsilons) == n
         assert calls == [path]
         rows = n << (n - 1)
@@ -243,7 +251,7 @@ class TestRunRound:
         # Complete information: every client accepts, so all n are scored.
         params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
         state = _fresh_state(config, test)
-        rep = run_round(population, params, state, seed=5)
+        rep = run_round(population, params, state, _offer(population, params))
         assert len(state.ledger.records) == n
         zetas = {r.client_id: r.zeta for r in state.ledger.records}
         assert sorted(zetas) == sorted(rep.realized_q) == list(range(n))
@@ -260,7 +268,7 @@ class TestRunRound:
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
         state = SimulationState(agg=cfg, test=test)
         model = state.model
-        rep = run_round(population, params, state, seed=23)
+        rep = run_round(population, params, state, _offer(population, params))
         assert len(rep.realized_q) == 6 and len(rep.selected) == 2
         proposed = local_train(model, datasets, cfg, np.zeros(21), {})
         # Only the selected clients hold a variate: the c_i+ they proposed.
@@ -276,8 +284,9 @@ class TestRunRound:
         population, test = build_population(config, seed=4)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
         state = _fresh_state(config, test)
+        offer = _offer(population, params)
         for _ in range(3):
-            rep = run_round(population, params, state, seed=4)
+            rep = run_round(population, params, state, offer)
             # Every accepted client is scored, so every one has a new record.
             assert set(rep.epsilons) == set(rep.realized_q)
             for i, eps in rep.epsilons.items():
@@ -311,12 +320,16 @@ class TestRealizedContribution:
     def _run(self, rounds, thetas, seed, poisoned=(), **agg):
         datasets, test = generate_population(len(thetas), thetas, seed=seed)
         population = [
-            ClientProfile(i, t, d, PoisonConfig(1.0) if i in poisoned else None)
+            ClientProfile(
+                i, t, d,
+                _flipped_labels(d, PoisonConfig(1.0), seed, i, rounds) if i in poisoned else None,
+            )
             for i, (t, d) in enumerate(zip(thetas, datasets))
         ]
         params = MarketParams(1.0, 2.0, len(thetas), 2)
         state = SimulationState(agg=AggregationConfig(**agg), test=test)
-        reports = [run_round(population, params, state, seed) for _ in range(rounds)]
+        offer = _offer(population, params)
+        reports = [run_round(population, params, state, offer) for _ in range(rounds)]
         return population, test, reports
 
     def test_identical_models_contribute_zero(self):
@@ -344,8 +357,9 @@ class TestRealizedContribution:
 
 
 class TestPoisonedLabels:
-    """The poisoners' flipped labels are written into the state's label
-    buffer; the population's blocks are never written."""
+    """A poisoner's flipped labels are drawn for every round when its
+    population is built, and each round writes its row into the state's
+    label buffer; the population's blocks are never written."""
 
     def test_buffer_rows_are_the_flips_and_the_population_is_unchanged(self):
         config = small_config(poison_count=3, poison_flip_rate=0.8, rounds=4)
@@ -358,11 +372,16 @@ class TestPoisonedLabels:
             return [a.tobytes() for a in blocks] + [d.labels.tobytes() for d in datasets]
 
         before = snapshot()
+        for c, d in zip(population, datasets):
+            if not c.honest:
+                assert c.flipped_labels.dtype == np.uint8
+                assert c.flipped_labels.shape == (config.rounds, (len(d) + 7) // 8)
         # Complete information: every client accepts, poisoners included.
         params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
         state = _fresh_state(config, test)
+        offer = _offer(population, params)
         for r in range(config.rounds):
-            rep = run_round(population, params, state, seed)
+            rep = run_round(population, params, state, offer)
             assert len(rep.realized_q) == len(population)
             for c, d in zip(population, datasets):
                 row = state.poisoned_labels[d.row, 0]
@@ -380,8 +399,33 @@ class TestPoisonedLabels:
         config = small_config()
         population, test = build_population(config, seed=2)
         state = _fresh_state(config, test)
-        run_round(population, MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE), state, seed=2)
+        params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
+        run_round(population, params, state, _offer(population, params))
         assert state.poisoned_labels is None
+
+    def test_zero_rounds_draw_no_flips(self):
+        config = small_config(
+            rounds=0, poison_count=3, tamper_alphas=[0.5], tamper_betas=[2.0]
+        )
+        population, _ = build_population(config, seed=6)
+        poisoners = [c for c in population if not c.honest]
+        assert len(poisoners) == 3
+        for c in poisoners:
+            assert c.flipped_labels.shape == (0, (len(c.dataset) + 7) // 8)
+        tables = auction.run_tables(config)
+        assert tables[:3] == ([], [], [])
+        assert [row["mean_utility"] for row in tables.robustness] == [0.0]
+
+    def test_a_repeated_seed_draws_the_same_flips(self):
+        config = small_config(poison_count=3, seeds=[6, 6])
+        (a, _), (b, _) = build_population(config, 6), build_population(config, 6)
+        assert [c.flipped_labels.tobytes() for c in a if not c.honest] == [
+            c.flipped_labels.tobytes() for c in b if not c.honest
+        ]
+        rows, _ = run_experiment(config)
+        for k, mechanism in itertools.product(config.k_values, config.mechanisms):
+            cell = [r for r in rows if (r["k"], r["mechanism"]) == (k, mechanism)]
+            assert cell[: config.rounds] == cell[config.rounds :]
 
 
 def reference_bid_rounds(config, mechanism, k, seed):
@@ -526,7 +570,7 @@ class TestRandomized:
 
 
 class TestExperimentHarness:
-    def test_each_distinct_seed_builds_one_population(self, monkeypatch):
+    def test_each_distinct_seed_builds_one_population(self, monkeypatch, tmp_path):
         built = []
 
         def counting(config, seed):
@@ -547,6 +591,23 @@ class TestExperimentHarness:
         built.clear()
         run_robustness(config)
         assert built == [1, 0]
+        # A run builds each distinct seed's population once, and runs the
+        # grid, the first seed's reputation trace and the tamper grid on it.
+        built.clear()
+        calls = counting_run_round(monkeypatch)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "n_clients = 8\nk_select = 2, 4\nrounds = 1\nseeds = 1, 0, 1\n"
+            "theta_min = 0.2\ntheta_max = 1.0\nlocal_epochs = 2\nlearning_rate = 0.5\n"
+            "tamper_alphas = 0.5\ntamper_betas = 2.0\nledger_modes = chained, vulnerable\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        assert parse_config(path).digest() == config.digest()
+        assert cli.main(["run", str(path)]) == 0
+        assert built == [1, 0]
+        # Per distinct seed: one shared ours-* trajectory per k and one
+        # tamper cell per ledger mode; then the trace's own cell.
+        assert len(calls) == 2 * (2 + 2) + 1
 
     def test_rows_keep_k_mechanism_seed_order(self):
         config = small_config(rounds=2, seeds=[1, 0, 1], k_values=[2, 4])

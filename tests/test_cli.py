@@ -250,6 +250,9 @@ class TestRunCommand:
                 ("prox_mu = inf", "prox_mu must be nonnegative and finite"),
                 ("tamper_alphas = 0.5\ntamper_betas = inf", "beta must be positive and finite"),
                 ("mechanisms = ours-screening", "unknown mechanisms ['ours-screening']"),
+                # A tamper grid is tamper_alphas x tamper_betas: half of one is empty.
+                ("tamper_alphas = 0.3", "tamper_betas must list at least one value"),
+                ("tamper_betas = 2.0", "tamper_alphas must list at least one value"),
                 # Each payoff is finite, but 8 of them per round overflow a sum.
                 (OVERFLOWING_SUM, "overflow a utility sum"),
                 # Checked before poison_count, whose bound it would break.

@@ -20,6 +20,7 @@ from flmarket.ledger import (
     ReputationRecord,
     TamperConfig,
     UnknownClientError,
+    _tie_break,
     tamper_attack,
 )
 
@@ -173,6 +174,20 @@ class TestTamperAttack:
         assert store.read_reputation(1)[0] == 0.9
         log = tamper_attack(store, TamperConfig(alpha=0.5, beta=2.0, seed=0))
         assert log == [(0, 0, 0.5, 1.0)]
+
+    def test_a_cell_draws_its_tie_break_once(self):
+        # A cell's ledger holds the same clients after its first round, so
+        # every attack of the cell ranks ties by the one permutation.
+        _tie_break.cache_clear()
+        cfg = TamperConfig(alpha=0.5, beta=2.0, seed=77)
+        store = HashChainLedger()
+        for round_num in range(5):
+            for client in range(6):
+                store.append(round_num, client, 0.0, 0.0)  # every epsilon ties
+            expected = oracle_tamper(copy.deepcopy(store.records), cfg)
+            assert tamper_attack(store, cfg) == expected
+        assert _tie_break.cache_info()[:2] == (4, 1)  # hits, misses
+        assert isinstance(_tie_break(77, 6), tuple)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

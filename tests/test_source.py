@@ -153,3 +153,33 @@ def test_only_small_rounds_enumerate_coalitions():
         for name in ("banzhaf_exact", "banzhaf_mc")
     }
     assert calls == {"banzhaf_exact": ["auction._banzhaf_contributions"], "banzhaf_mc": []}
+
+
+def _auction_functions():
+    """auction.py's module-level functions by name."""
+    tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_rounds_do_no_per_cell_work():
+    # A cell's offer and a poisoner's flipped labels are fixed for the whole
+    # cell, so run_round, and every auction function it reaches, neither
+    # prices the population nor draws random numbers: both happen once per
+    # cell or per population, before the rounds.
+    functions = _auction_functions()
+    reached, todo = set(), ["run_round"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo.extend(
+            callee for node in ast.walk(functions[name])
+            if (callee := _callee(node)) in functions and callee not in reached
+        )
+    calls = sorted(
+        f"{name} calls {callee}"
+        for name in reached
+        for node in ast.walk(functions[name])
+        if (callee := _callee(node)) in {"_offer", "poison", "default_rng"}
+    )
+    assert "_round_labels" in reached
+    assert calls == [], f"per-round fixed work: {calls}"
