@@ -29,7 +29,6 @@ from __future__ import annotations
 import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -461,19 +460,6 @@ def _play(
     return reports
 
 
-def _per_seed(config, run_seed) -> dict:
-    """`run_seed(seed, population, test)` for each distinct seed, keyed by seed.
-
-    Each seed's population is built once and freed when `run_seed` returns,
-    before the next one is built, so `run_seed` returns per-cell results,
-    not populations or reports.
-    """
-    return {
-        seed: run_seed(seed, *build_population(config, seed))
-        for seed in dict.fromkeys(config.seeds)
-    }
-
-
 def _total(reports: list[RoundReport]) -> float:
     return sum(rep.server_utility for rep in reports)
 
@@ -509,6 +495,24 @@ def _ours_cells(
 # ---------------------------------------------------------------------------
 # A seed's share of each output table, and the tables assembled from them
 # ---------------------------------------------------------------------------
+
+class Tables(NamedTuple):
+    """One list per table a run writes, each written as `<field>.csv`: its
+    rows (`run_tables`) or its column names (`COLUMNS`)."""
+
+    rounds: list
+    summary: list
+    reputation: list  # the first listed seed's reputation trace
+    robustness: list  # empty without a tamper grid
+
+
+COLUMNS = Tables(
+    rounds=["mechanism", "k", "seed", "round", "server_utility", "accuracy", "n_selected"],
+    summary=["mechanism", "k", "mean_utility", "std_utility"],
+    reputation=["round", "client", "epsilon", "behavior"],
+    robustness=["alpha", "beta", "ledger_mode", "mean_utility"],
+)
+
 
 def _grid_cells(
     config, seed: int, population: list[ClientProfile], test: SyntheticDataset
@@ -559,9 +563,10 @@ def _grid_tables(config, by_seed: dict) -> tuple[list[dict], list[dict]]:
 def _trace_rows(
     config, seed: int, population: list[ClientProfile], test: SyntheticDataset
 ) -> list[dict]:
-    """`run_reputation_trace`'s rows, played on the seed's population: the
-    cell of the config's first `ours-*` mechanism, which the caller checks
-    exists, at the first k."""
+    """Per-round reputation of every client, for trajectory plots: the cell
+    of the config's first `ours-*` mechanism, which the caller checks
+    exists, at the first k, played on the seed's population. A client that
+    never accepts its contract is never scored and reads 0."""
     reports = run_cell(
         config, config.mechanisms_ours()[0], config.k_values[0], seed, population, test
     )
@@ -608,65 +613,31 @@ def _robustness_rows(config, by_seed: dict) -> list[dict]:
     ]
 
 
-class Tables(NamedTuple):
-    """The rows of every table a run writes."""
-
-    rounds: list[dict]
-    summary: list[dict]
-    reputation: list[dict]  # the first seed's reputation trace
-    robustness: list[dict]  # empty without a tamper grid
-
-
 def run_tables(config) -> Tables:
-    """Every table of one run, from one pass over the distinct seeds: each
-    seed's population is built once, and its grid cells, its tamper cells
-    and, for the first seed, the reputation trace's cell all run on it.
-    With `rounds = 0` the grid and the trace are empty."""
+    """Every table of one run, from one pass over the distinct seeds.
+
+    Each seed's population is built once, and its grid cells, its tamper
+    cells and, for the first listed seed, the reputation trace's cell all
+    run on it; it is freed before the next seed's is built. With
+    `rounds = 0` the grid and the trace are empty.
+    """
     play = config.rounds > 0
     trace_seed = config.seeds[0] if play and config.mechanisms_ours() else None
     tamper = bool(config.tamper_alphas)
     if not (play or tamper):
         return Tables([], [], [], [])
-
-    def run_seed(seed, population, test):
-        return (
-            _grid_cells(config, seed, population, test) if play else {},
-            _trace_rows(config, seed, population, test) if seed == trace_seed else [],
-            _tamper_totals(config, seed, population, test) if tamper else {},
-        )
-
-    by_seed = _per_seed(config, run_seed)
-    cells, traces, totals = (dict(zip(by_seed, part)) for part in zip(*by_seed.values()))
+    cells, trace, totals = {}, [], {}
+    for seed in dict.fromkeys(config.seeds):
+        population, test = build_population(config, seed)
+        if play:
+            cells[seed] = _grid_cells(config, seed, population, test)
+        if seed == trace_seed:
+            trace = _trace_rows(config, seed, population, test)
+        if tamper:
+            totals[seed] = _tamper_totals(config, seed, population, test)
+        del population, test  # before the next seed's population is built
     return Tables(
         *(_grid_tables(config, cells) if play else ([], [])),
-        traces[config.seeds[0]],
+        trace,
         _robustness_rows(config, totals),
     )
-
-
-def run_experiment(config) -> tuple[list[dict], list[dict]]:
-    """Full mechanism-comparison grid.
-
-    Returns per-round rows and a summary with mean and population-std of
-    total server utility per (mechanism, k) over the config's seeds.
-    """
-    if config.rounds == 0:
-        return [], []
-    return _grid_tables(config, _per_seed(config, partial(_grid_cells, config)))
-
-
-def run_reputation_trace(config, seed: int) -> list[dict]:
-    """Per-round reputation of every client, for trajectory plots, under
-    the config's first `ours-*` mechanism (none: no rows).
-
-    A client that never accepts its contract is never scored and reads 0.
-    """
-    if not config.mechanisms_ours():
-        return []
-    return _trace_rows(config, seed, *build_population(config, seed))
-
-
-def run_robustness(config) -> list[dict]:
-    """Tamper-robustness grid: mean total server utility per
-    (alpha, beta, ledger_mode) cell over the config's seeds."""
-    return _robustness_rows(config, _per_seed(config, partial(_tamper_totals, config)))

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .auction import run_tables
+from .auction import COLUMNS, run_tables
 from .config import ConfigError, ExperimentConfig, parse_config
 from .ledger import HashChainLedger
 from .mechanism import MarketParams, Regime, solve
@@ -46,31 +46,9 @@ def cmd_run(config: ExperimentConfig) -> int:
     stamp = f"config_sha={config.digest()} seeds={','.join(map(str, config.seeds))}"
 
     tables = run_tables(config)
-    _write_csv(
-        out / "rounds.csv",
-        stamp,
-        ["mechanism", "k", "seed", "round", "server_utility", "accuracy", "n_selected"],
-        tables.rounds,
-    )
-    _write_csv(
-        out / "summary.csv",
-        stamp,
-        ["mechanism", "k", "mean_utility", "std_utility"],
-        tables.summary,
-    )
-    _write_csv(
-        out / "reputation.csv",
-        stamp,
-        ["round", "client", "epsilon", "behavior"],
-        tables.reputation,
-    )
-    if config.tamper_alphas:
-        _write_csv(
-            out / "robustness.csv",
-            stamp,
-            ["alpha", "beta", "ledger_mode", "mean_utility"],
-            tables.robustness,
-        )
+    for name, columns, rows in zip(tables._fields, COLUMNS, tables):
+        if name != "robustness" or config.tamper_alphas:
+            _write_csv(out / f"{name}.csv", stamp, columns, rows)
     return 0
 
 

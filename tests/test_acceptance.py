@@ -6,10 +6,11 @@ pytest's output capture.
 
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from flmarket.auction import run_experiment, run_reputation_trace, run_robustness
+from flmarket.auction import run_tables
 from flmarket.cli import main
 from flmarket.config import ExperimentConfig
 from flmarket.flsim import Aggregator
@@ -66,8 +67,9 @@ def ordering_config(**overrides) -> ExperimentConfig:
 
 
 def summary_by_mechanism(config) -> dict:
-    _, summary = run_experiment(config)
-    return {(row["mechanism"], row["k"]): row["mean_utility"] for row in summary}
+    return {
+        (row["mechanism"], row["k"]): row["mean_utility"] for row in run_tables(config).summary
+    }
 
 
 def check_ordering(by, k_values) -> tuple[bool, float]:
@@ -225,7 +227,7 @@ def test_criterion_8_poisoning_detection():
     config.validate()
     separated = 0
     for seed in config.seeds:
-        rows = run_reputation_trace(config, seed)
+        rows = run_tables(replace(config, seeds=[seed])).reputation
         final = {r["client"]: r["epsilon"] for r in rows if r["round"] == config.rounds - 1}
         behavior = {r["client"]: r["behavior"] for r in rows}
         poisoners = [final[c] for c in final if behavior[c] == "poisoner"]
@@ -268,7 +270,7 @@ def test_criterion_10_ledger_robustness():
     )
     config.validate()
     cells = {}
-    for row in run_robustness(config):
+    for row in run_tables(config).robustness:
         cells.setdefault((row["alpha"], row["beta"]), {})[row["ledger_mode"]] = row[
             "mean_utility"
         ]

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import statistics
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ from flmarket.auction import (
     build_population,
     ledger_epsilon,
     run_cell,
-    run_experiment,
-    run_reputation_trace,
-    run_robustness,
     run_round,
+    run_tables,
     SimulationState,
     _banzhaf_contributions,
     _bid_round,
@@ -412,7 +411,7 @@ class TestPoisonedLabels:
         assert len(poisoners) == 3
         for c in poisoners:
             assert c.flipped_labels.shape == (0, (len(c.dataset) + 7) // 8)
-        tables = auction.run_tables(config)
+        tables = run_tables(config)
         assert tables[:3] == ([], [], [])
         assert [row["mean_utility"] for row in tables.robustness] == [0.0]
 
@@ -422,7 +421,7 @@ class TestPoisonedLabels:
         assert [c.flipped_labels.tobytes() for c in a if not c.honest] == [
             c.flipped_labels.tobytes() for c in b if not c.honest
         ]
-        rows, _ = run_experiment(config)
+        rows = run_tables(config).rounds
         for k, mechanism in itertools.product(config.k_values, config.mechanisms):
             cell = [r for r in rows if (r["k"], r["mechanism"]) == (k, mechanism)]
             assert cell[: config.rounds] == cell[config.rounds :]
@@ -571,11 +570,15 @@ class TestRandomized:
 
 class TestExperimentHarness:
     def test_each_distinct_seed_builds_one_population(self, monkeypatch, tmp_path):
-        built = []
+        built, freed, alive = [], [], []
 
         def counting(config, seed):
+            # Whether every earlier seed's population was freed by now.
+            freed.append(all(ref() is None for ref in alive))
             built.append(seed)
-            return build_population(config, seed)
+            population, test = build_population(config, seed)
+            alive.append(weakref.ref(population[0]))
+            return population, test
 
         monkeypatch.setattr(auction, "build_population", counting)
         config = small_config(
@@ -586,14 +589,8 @@ class TestExperimentHarness:
             tamper_betas=[2.0],
             ledger_modes=["chained", "vulnerable"],
         )
-        run_experiment(config)
-        assert built == [1, 0]
-        built.clear()
-        run_robustness(config)
-        assert built == [1, 0]
         # A run builds each distinct seed's population once, and runs the
         # grid, the first seed's reputation trace and the tamper grid on it.
-        built.clear()
         calls = counting_run_round(monkeypatch)
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -604,14 +601,14 @@ class TestExperimentHarness:
         )
         assert parse_config(path).digest() == config.digest()
         assert cli.main(["run", str(path)]) == 0
-        assert built == [1, 0]
+        assert built == [1, 0] and freed == [True, True]
         # Per distinct seed: one shared ours-* trajectory per k and one
         # tamper cell per ledger mode; then the trace's own cell.
         assert len(calls) == 2 * (2 + 2) + 1
 
     def test_rows_keep_k_mechanism_seed_order(self):
         config = small_config(rounds=2, seeds=[1, 0, 1], k_values=[2, 4])
-        rows, summary = run_experiment(config)
+        rows, summary, *_ = run_tables(config)
         cells = [
             key
             for key, _ in itertools.groupby(
@@ -631,18 +628,15 @@ class TestExperimentHarness:
 
     def test_zero_rounds_yields_empty_outputs(self):
         config = small_config(rounds=0)
-        rows, summary = run_experiment(config)
-        assert rows == [] and summary == []
+        assert run_tables(config) == ([], [], [], [])
 
     def test_end_to_end_determinism(self):
         config = small_config(rounds=2, seeds=[0])
-        a = run_experiment(config)
-        b = run_experiment(config)
-        assert a == b
+        assert run_tables(config) == run_tables(config)
 
     def test_summary_shape(self):
         config = small_config(rounds=1, seeds=[0])
-        _, summary = run_experiment(config)
+        summary = run_tables(config).summary
         assert len(summary) == 4  # one row per mechanism at the single k
         assert {row["mechanism"] for row in summary} == {
             "ours-complete",
@@ -652,12 +646,15 @@ class TestExperimentHarness:
         }
 
     def test_reputation_trace_covers_all_clients_each_round(self):
-        config = small_config(rounds=2, poison_count=2)
-        rows = run_reputation_trace(config, seed=0)
+        config = small_config(rounds=2, poison_count=2, seeds=[1, 0])
+        rows = run_tables(config).reputation
         assert len(rows) == 2 * config.n_clients
         behaviors = {r["client"]: r["behavior"] for r in rows}
         assert behaviors[0] == behaviors[1] == "poisoner"
         assert behaviors[5] == "honest"
+        # The trace is the first listed seed's.
+        assert rows == run_tables(dataclasses.replace(config, seeds=[1])).reputation
+        assert rows != run_tables(dataclasses.replace(config, seeds=[0])).reputation
 
     def test_poisoners_sink_below_honest(self):
         config = small_config(
@@ -668,7 +665,7 @@ class TestExperimentHarness:
             poison_flip_rate=0.9,
             theta_min=0.5,
         )
-        rows = run_reputation_trace(config, seed=0)
+        rows = run_tables(config).reputation
         final = {r["client"]: r["epsilon"] for r in rows if r["round"] == 4}
         poisoners = [final[c] for c in (0, 1)]
         honest = [final[c] for c in range(2, 10)]
@@ -682,14 +679,14 @@ class TestExperimentHarness:
             tamper_betas=[2.0],
             ledger_modes=["chained", "vulnerable"],
         )
-        rows = run_robustness(config)
+        rows = run_tables(config).robustness
         assert len(rows) == 2
         assert {r["ledger_mode"] for r in rows} == {"chained", "vulnerable"}
 
 
 
 def oracle_rows(config):
-    """run_experiment's rows with every cell played on its own by run_cell."""
+    """run_tables' grid rows with every cell played on its own by run_cell."""
     populations = {seed: build_population(config, seed) for seed in set(config.seeds)}
     return [
         {"mechanism": mechanism, "k": k, "seed": seed, "round": rep.round,
@@ -728,7 +725,7 @@ class TestSharedTrajectory:
     )
     def test_equals_each_regime_played_alone(self, overrides):
         config = small_config(rounds=3, seeds=[1, 0, 1], k_values=[2, 4], **overrides)
-        rows, _ = run_experiment(config)
+        rows = run_tables(config).rounds
         assert rows == oracle_rows(config)
         for seed in dict.fromkeys(config.seeds):
             population, test = build_population(config, seed)
@@ -750,8 +747,9 @@ class TestSharedTrajectory:
     def test_equal_accepted_sets_play_one_trajectory(self, monkeypatch):
         config = small_config(seeds=[0])
         calls = counting_run_round(monkeypatch)
-        run_experiment(config)
-        assert calls == [Regime.COMPLETE] * config.rounds
+        run_tables(config)
+        # The grid's one shared trajectory, then the reputation trace's cell.
+        assert calls == [Regime.COMPLETE] * config.rounds * 2
 
     def test_a_differing_accepted_set_plays_its_own(self, monkeypatch):
         config = small_config(seeds=[0], poison_count=2)
@@ -767,8 +765,12 @@ class TestSharedTrajectory:
 
         monkeypatch.setattr(auction, "solve", underpaying)
         calls = counting_run_round(monkeypatch)
-        rows, _ = run_experiment(config)
-        assert calls == [Regime.COMPLETE] * config.rounds + [Regime.INCOMPLETE] * config.rounds
+        rows = run_tables(config).rounds
+        # The grid's two trajectories, then the reputation trace's cell.
+        assert calls == (
+            [Regime.COMPLETE] * config.rounds + [Regime.INCOMPLETE] * config.rounds
+            + [Regime.COMPLETE] * config.rounds
+        )
         assert rows == oracle_rows(config)
         alone = {m: run_cell(config, m, 4, 0, population, test) for m in config.mechanisms_ours()}
         assert auction._ours_cells(config, 4, 0, population, test) == alone

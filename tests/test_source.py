@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import flmarket
+import flmarket.auction
 
 SOURCES = sorted(Path(flmarket.__file__).parent.glob("*.py"))
 
@@ -56,6 +57,21 @@ def _module_uses_by_scope(tree, module):
         )
 
     return _scopes_where(tree, uses)
+
+
+def test_package_init_imports_no_submodule():
+    # Callers import the submodule they use, so the package re-exports no
+    # name and importing it loads none of the simulator.
+    init = Path(flmarket.__file__)
+    imports = [
+        f"__init__.py:{node.lineno}"
+        for node in ast.walk(ast.parse(init.read_text(), filename=str(init)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "flmarket")
+        or isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "flmarket" for alias in node.names)
+    ]
+    assert imports == [], "flmarket/__init__.py imports its submodules: " + ", ".join(imports)
 
 
 LEDGER = Path(flmarket.__file__).parent / "ledger.py"
