@@ -326,7 +326,7 @@ def run_round(
     # Contributions are measured against the model the clients started
     # from, so the per-round improvement signal stays attributable.
     *accuracies, acc_global = evaluate_accuracy(
-        np.stack([m.weights for m in trained] + [new_global.weights]), state.test
+        np.array([m.weights for m in trained] + [new_global.weights]), state.test
     )
     realized = {c.id: acc - state.accuracy for c, acc in zip(accepted, accuracies)}
 
@@ -354,14 +354,14 @@ def run_round(
 
 
 def _bid_round(
-    population: list[ClientProfile], rule: WinnerRule, target_q: float, params: MarketParams,
+    costs: dict[int, float], rule: WinnerRule, target_q: float, params: MarketParams,
     seed: int, round_num: int,
 ) -> RoundReport:
-    """One baseline round: every client bids its cost of `target_q` times a
-    margin drawn uniformly from [1.0, 1.3], in population order; `rule`
-    picks `params.k_select` winners, and each is paid its bid."""
-    costs = {c.id: cost(target_q, c.theta, params.delta) for c in population}
-    margins = np.random.default_rng((seed, round_num)).random(len(population)).tolist()
+    """One baseline round: every client bids its cost of `target_q`
+    (`costs`, by client id in population order) times a margin drawn
+    uniformly from [1.0, 1.3], in population order; `rule` picks
+    `params.k_select` winners, and each is paid its bid."""
+    margins = np.random.default_rng((seed, round_num)).random(len(costs)).tolist()
     bids = {i: costs[i] * (1.0 + 0.3 * m) for i, m in zip(costs, margins)}
     winners = rule(bids, params.k_select, _mix(seed, round_num, 99))
     contracts = {i: Contract(target_q, bids[i]) for i in winners}
@@ -415,6 +415,8 @@ def _fresh_state(config, test: SyntheticDataset, ledger_mode: str = "chained") -
 
 
 def _target_q(population: list[ClientProfile], params: MarketParams) -> float:
+    """The baselines' target output: the median complete-information output.
+    It reads neither k nor the winner rule."""
     return statistics.median(solve_complete(c.theta, params).q for c in population)
 
 
@@ -430,17 +432,20 @@ def _market(config, mechanism: str, k: int) -> MarketParams:
 def run_cell(
     config, mechanism: str, k: int, seed: int, population: list[ClientProfile],
     test: SyntheticDataset, ledger_mode: str = "chained", tamper_cfg=None,
+    target_q: float | None = None,
 ) -> list[RoundReport]:
     """All rounds of one (mechanism, k, seed) experiment cell, run on the
     seed's population and test set from `build_population`. Neither is
-    changed, so one population serves every cell of its seed."""
+    changed, so one population serves every cell of its seed. A baseline
+    cell takes the seed's `target_q` if given, else computes it, and
+    computes each client's cost of it once for all its rounds."""
     params = _market(config, mechanism, k)
     row = MECHANISMS[mechanism]
     if not isinstance(row, Regime):
-        target_q = _target_q(population, params)
-        return [
-            _bid_round(population, row, target_q, params, seed, r) for r in range(config.rounds)
-        ]
+        if target_q is None:
+            target_q = _target_q(population, params)
+        costs = {c.id: cost(target_q, c.theta, params.delta) for c in population}
+        return [_bid_round(costs, row, target_q, params, seed, r) for r in range(config.rounds)]
     return _play(config, population, test, params, _offer(population, params), ledger_mode,
                  tamper_cfg)
 
@@ -464,10 +469,19 @@ def _total(reports: list[RoundReport]) -> float:
     return sum(rep.server_utility for rep in reports)
 
 
+def _offers(config, population: list[ClientProfile]) -> dict[str, Offer]:
+    """Each `ours-*` mechanism's offer to the population. `solve` reads no
+    k, so the offer made in the first k's market serves every k."""
+    k = config.k_values[0]
+    return {m: _offer(population, _market(config, m, k)) for m in config.mechanisms_ours()}
+
+
 def _ours_cells(
-    config, k: int, seed: int, population: list[ClientProfile], test: SyntheticDataset
+    config, k: int, population: list[ClientProfile], test: SyntheticDataset,
+    offers: dict[str, Offer],
 ) -> dict[str, list[RoundReport]]:
-    """The reports of every `ours-*` mechanism's (k, seed) cell.
+    """The reports of every `ours-*` mechanism's cell at k, under its offer
+    from `_offers` and its own market at k.
 
     Mechanisms whose offers are accepted by the same clients play one
     trajectory: the first of them in config order plays its rounds, and the
@@ -477,7 +491,7 @@ def _ours_cells(
     groups: dict[tuple[int, ...], list] = {}
     for mechanism in config.mechanisms_ours():
         params = _market(config, mechanism, k)
-        offer = _offer(population, params)
+        offer = offers[mechanism]
         groups.setdefault(tuple(c.id for c in offer.accepted), []).append(
             (mechanism, params, offer)
         )
@@ -518,15 +532,22 @@ def _grid_cells(
     config, seed: int, population: list[ClientProfile], test: SyntheticDataset
 ) -> dict[tuple[int, str], tuple[list[dict], float]]:
     """Every (k, mechanism) cell of the seed: its per-round rows and its
-    total server utility."""
+    total server utility. Neither the `ours-*` offers nor the baselines'
+    target output read k or the winner rule, so each is made once per seed."""
     out = {}
+    offers = _offers(config, population)
+    target_q = None  # the baselines', made by the first baseline cell
     for k in config.k_values:
-        ours = _ours_cells(config, k, seed, population, test)
+        ours = _ours_cells(config, k, population, test, offers)
         for mechanism in config.mechanisms:
             if mechanism in ours:
                 reports = ours[mechanism]
             else:
-                reports = run_cell(config, mechanism, k, seed, population, test)
+                if target_q is None:
+                    target_q = _target_q(population, _market(config, mechanism, k))
+                reports = run_cell(
+                    config, mechanism, k, seed, population, test, target_q=target_q
+                )
             rows = [
                 {"mechanism": mechanism, "k": k, "seed": seed, "round": rep.round,
                  "server_utility": rep.server_utility, "accuracy": rep.accuracy_global,

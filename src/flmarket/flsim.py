@@ -26,6 +26,12 @@ TEST_OWNER = -1
 # round nearly doubled the CPU time of a 40-client grid. Products of at
 # most 16 rows stay on the calling thread.
 EVAL_ROWS = 16
+# Bytes of design block that local training runs its epochs over at a
+# time. A block that fits in L2 stays in cache across the epochs: on a Xeon
+# with 2 MB of L2 per core, an epoch of clients with about 400 samples each
+# cost 4.5 us a client in 1 MB blocks, against 6.7 us in one 2.6 MB block
+# of 40 clients and 7.8 us in one 4.1 MB block of 64.
+TRAIN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -183,21 +189,30 @@ def local_train(
     """Run local gradient-descent epochs on logistic loss for every client at once.
 
     Each epoch is two batched matrix-vector products over the feature-major
-    (n, d + 1, m_max) design block, w_i @ X_i and X_i @ r_i; padded columns
+    (n, d + 1, m_max) design block, -w_i @ X_i and X_i @ r_i; padded columns
     are all zero, bias included, so they add nothing to the gradient. The
-    epoch writes only into buffers allocated once per call: the logits turn
-    into residuals in place (clipped sigmoid minus labels), and the gradient
-    is scaled and applied in place, so no epoch allocates an array. FedProx
-    adds prox_mu * (w - w_global) to the gradient. Scaffold corrects each
-    step with (c - c_i), where c is `server_variate` and c_i is
-    `variates[owner]` (zeros where either is missing), and each returned
-    model carries the client's proposed c_i+ (option II) as `variate`.
-    `labels`, if given, stands in for the label block of the datasets'
-    population (see `_blocks`). The design and label blocks, global
-    weights and variates are only read; committing the variates is the
-    caller's. Returns one local model per dataset, in order; raises
+    clients train in blocks of at most TRAIN_BLOCK_BYTES of design, each a
+    view of the whole block, all epochs of one block before the next; the
+    clients are independent, so the block size changes no bit. The epoch
+    writes only into buffers allocated once per call, so no epoch allocates
+    an array. FedProx adds prox_mu * (w - w_global) to the gradient.
+    Scaffold corrects each step with (c - c_i), where c is `server_variate`
+    and c_i is `variates[owner]` (zeros where either is missing), and each
+    returned model carries the client's proposed c_i+ (option II) as
+    `variate`. `labels`, if given, stands in for the label block of the
+    datasets' population (see `_blocks`). The design and label blocks,
+    global weights and variates are only read; committing the variates is
+    the caller's. Returns one local model per dataset, in order; raises
     FloatingPointError, naming the clients, if any trained weight is not
     finite (a learning rate that diverges).
+
+    The loop keeps the negated weights -w, so the first product gives the
+    negated logits -z and sigmoid(z) = 1 / (1 + exp(-z)) needs one clamp,
+    -z <= 40. A second clamp, z <= 40, would change no bit: from z of about
+    37 on, 1 + exp(-z) already rounds to 1. Negation is exact through every
+    product, sum and step, so each weight has the bits of the step
+    w -= lr * grad, save that a weight of exactly zero may carry the other
+    sign.
     """
     if not datasets:
         raise ValueError("cannot train on zero datasets")
@@ -205,45 +220,53 @@ def local_train(
     n, dim, rows = x.shape
     counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
     w_global = global_model.weights
-    w = np.tile(w_global, (n, 1))
     lr = cfg.learning_rate
-
+    prox = cfg.algo is Aggregator.FEDPROX
+    correction = None
     if cfg.algo is Aggregator.SCAFFOLD:
         zero = np.zeros_like(w_global)
         c = zero if server_variate is None else server_variate
         c_i = np.stack([(variates or {}).get(d.owner, zero) for d in datasets])
         correction = c - c_i
-    elif cfg.algo is Aggregator.FEDPROX:
-        pull = np.empty_like(w)
 
-    # The epoch buffers: logits that become residuals, (n, 1, m_max), seen
-    # as columns by the second product; and the gradient, (n, d + 1).
-    w_rows = w[:, None, :]
-    residual = np.empty((n, 1, rows))
-    residual_cols = residual.reshape(n, rows, 1)
-    grad_cols = np.empty((n, dim, 1))
-    grad = grad_cols[:, :, 0]
+    # The trained negated weights, (n, d + 1), and the epoch buffers of one
+    # block of clients, which every block reuses: logits that become
+    # residuals, (b, 1, m_max), seen as columns by the second product; the
+    # gradient, (b, d + 1); and FedProx's pull.
+    nw = np.empty((n, dim))
+    np.negative(w_global, out=nw)
+    step = min(n, max(1, TRAIN_BLOCK_BYTES // x[0].nbytes))
+    residual = np.empty((step, 1, rows))
+    grad_cols = np.empty((step, dim, 1))
+    pull = np.empty((step, dim))
     # A diverging run overflows here; the finiteness check below names it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.local_epochs):
-            np.matmul(w_rows, x, out=residual)
-            np.maximum(residual, -40.0, out=residual)
-            np.minimum(residual, 40.0, out=residual)
-            np.negative(residual, out=residual)
-            np.exp(residual, out=residual)
-            residual += 1.0
-            np.divide(1.0, residual, out=residual)
-            residual -= y
-            np.matmul(x, residual_cols, out=grad_cols)
-            grad /= counts
-            if cfg.algo is Aggregator.FEDPROX:
-                np.subtract(w, w_global, out=pull)
-                pull *= cfg.prox_mu
-                grad += pull
-            elif cfg.algo is Aggregator.SCAFFOLD:
-                grad += correction
-            grad *= lr
-            w -= grad
+        for lo in range(0, n, step):
+            block = slice(lo, lo + step)
+            xb, yb, nwb, count = x[block], y[block], nw[block], counts[block]
+            b = len(xb)
+            res, res_cols = residual[:b], residual[:b].reshape(b, rows, 1)
+            grad_b, pull_b = grad_cols[:b], pull[:b]
+            grad, nw_rows = grad_b[:, :, 0], nwb[:, None, :]
+            shift = None if correction is None else correction[block]
+            for _ in range(cfg.local_epochs):
+                np.matmul(nw_rows, xb, out=res)
+                np.minimum(res, 40.0, out=res)
+                np.exp(res, out=res)
+                res += 1.0
+                np.divide(1.0, res, out=res)
+                res -= yb
+                np.matmul(xb, res_cols, out=grad_b)
+                grad /= count
+                if prox:
+                    np.add(nwb, w_global, out=pull_b)
+                    pull_b *= cfg.prox_mu
+                    grad -= pull_b
+                elif shift is not None:
+                    grad += shift
+                grad *= lr
+                nwb += grad
+    w = np.negative(nw, out=nw)
     if not np.isfinite(w).all():
         diverged = [d.owner for d, row in zip(datasets, w) if not np.isfinite(row).all()]
         raise FloatingPointError(
@@ -270,7 +293,7 @@ def aggregate(
     if len(models) != len(sample_counts):
         raise ValueError("models and sample_counts must have equal length")
     counts = np.asarray(sample_counts, dtype=float)
-    stacked = np.stack([m.weights for m in models])
+    stacked = np.array([m.weights for m in models])
     with np.errstate(over="ignore", invalid="ignore"):
         merged = (counts[:, None] * stacked).sum(axis=0) / counts.sum()
     if not np.isfinite(merged).all():
@@ -290,8 +313,8 @@ def evaluate_accuracy(weights: np.ndarray, test: SyntheticDataset) -> list[float
     for start in range(0, len(weights), EVAL_ROWS):
         rows = slice(start, start + EVAL_ROWS)
         np.matmul(weights[rows], test.block, out=logits[rows])
-    correct = np.count_nonzero((logits > 0.0) == test.labels, axis=1)
-    return (correct / len(test)).tolist()
+    hits = (logits > 0.0) == test.labels
+    return [int(np.count_nonzero(row)) / len(test) for row in hits]
 
 
 def poison(labels: np.ndarray, cfg: PoisonConfig, seed: int, out: np.ndarray) -> np.ndarray:

@@ -468,6 +468,12 @@ def reference_bid_rounds(config, mechanism, k, seed):
     return reports
 
 
+def bid_round(population, rule, target_q, params, seed, round_num):
+    """`_bid_round` on the population's costs of `target_q`."""
+    costs = {c.id: cost(target_q, c.theta, params.delta) for c in population}
+    return _bid_round(costs, rule, target_q, params, seed, round_num)
+
+
 def _equal_theta_population(n, theta=0.5):
     datasets, _ = generate_population(n, [theta] * n, seed=0)
     return [ClientProfile(i, theta, d) for i, d in enumerate(datasets)]
@@ -491,7 +497,7 @@ def _never_below_cost(rule):
     population = [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
     params = MarketParams(1.0, 2.0, 4, 2)
     for r in range(5):
-        rep = _bid_round(population, rule, 1.2, params, seed=6, round_num=r)
+        rep = bid_round(population, rule, 1.2, params, seed=6, round_num=r)
         for i in rep.selected:
             assert rep.payments[i] >= cost(1.2, thetas[i], 2.0)
             assert rep.client_utilities[i] == rep.payments[i] - cost(1.2, thetas[i], 2.0)
@@ -514,7 +520,7 @@ class TestPriceFirst:
         config = small_config(n_clients=10)
         population, _ = build_population(config, 2)
         seen = {}
-        rep = _bid_round(
+        rep = bid_round(
             population, _spied(_cheapest, seen), 1.0, MarketParams(1.0, 2.0, 10, 4), 2, 1
         )
         assert len(seen) == 10 and len(rep.selected) == 4
@@ -530,7 +536,7 @@ class TestPriceFirst:
     def test_everyone_wins_when_k_equals_population(self):
         assert sorted(_cheapest({0: 1.0, 1: 2.0, 2: 3.0}, 3, 0)) == [0, 1, 2]
         population = _equal_theta_population(5)
-        rep = _bid_round(population, _cheapest, 1.0, MarketParams(1.0, 2.0, 5, 5), 3, 0)
+        rep = bid_round(population, _cheapest, 1.0, MarketParams(1.0, 2.0, 5, 5), 3, 0)
         assert sorted(rep.selected) == list(range(5))
 
     def test_cost_anchored_bids_never_pay_below_cost(self):
@@ -543,14 +549,14 @@ class TestRandomized:
         assert _uniform(bids, 2, 4) == _uniform(bids, 2, 4)
         population = _equal_theta_population(5)
         params = MarketParams(1.0, 2.0, 5, 2)
-        assert _bid_round(population, _uniform, 1.0, params, 4, 0) == _bid_round(
+        assert bid_round(population, _uniform, 1.0, params, 4, 0) == bid_round(
             population, _uniform, 1.0, params, 4, 0
         )
 
     def test_everyone_wins_when_k_equals_population(self):
         assert sorted(_uniform(dict.fromkeys(range(5), 1.0), 5, 1)) == list(range(5))
         population = _equal_theta_population(5)
-        rep = _bid_round(population, _uniform, 1.0, MarketParams(1.0, 2.0, 5, 5), 1, 0)
+        rep = bid_round(population, _uniform, 1.0, MarketParams(1.0, 2.0, 5, 5), 1, 0)
         assert sorted(rep.selected) == list(range(5))
 
     def test_winners_never_paid_below_cost(self):
@@ -729,8 +735,9 @@ class TestSharedTrajectory:
         assert rows == oracle_rows(config)
         for seed in dict.fromkeys(config.seeds):
             population, test = build_population(config, seed)
+            offers = auction._offers(config, population)
             for k in config.k_values:
-                shared = auction._ours_cells(config, k, seed, population, test)
+                shared = auction._ours_cells(config, k, population, test, offers)
                 alone = {
                     m: run_cell(config, m, k, seed, population, test)
                     for m in config.mechanisms_ours()
@@ -773,7 +780,8 @@ class TestSharedTrajectory:
         )
         assert rows == oracle_rows(config)
         alone = {m: run_cell(config, m, 4, 0, population, test) for m in config.mechanisms_ours()}
-        assert auction._ours_cells(config, 4, 0, population, test) == alone
+        offers = auction._offers(config, population)
+        assert auction._ours_cells(config, 4, population, test, offers) == alone
         assert any(rejected.id in rep.epsilons for rep in alone["ours-complete"])
         assert all(rejected.id not in rep.epsilons for rep in alone["ours-incomplete"])
 

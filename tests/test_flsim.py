@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flmarket import flsim
 from flmarket.flsim import (
     EVAL_ROWS,
     AggregationConfig,
@@ -139,21 +140,25 @@ class TestLocalTrain:
     def test_epochs_allocate_no_row_sized_array(self, algo):
         """The residual is the only (clients, rows) array a call allocates
         (the labels are the population's block), and the epochs add none,
-        however many there are."""
+        however many there are: a call's peak of traced memory is the same
+        at 1 epoch as at 30."""
         datasets, labels = mixed_clients(20)
         cfg, server_variate, variates = train_config(algo, 20)
-        cfg = dataclasses.replace(cfg, local_epochs=30)
         row_sized = datasets[0].block[:, 0].nbytes
         model = init_model()
-        local_train(model, datasets, cfg, server_variate, variates, labels)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            local_train(model, datasets, cfg, server_variate, variates, labels)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * row_sized
+
+        def peak(epochs):
+            cfg_e = dataclasses.replace(cfg, local_epochs=epochs)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                local_train(model, datasets, cfg_e, server_variate, variates, labels)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        peak(30)
+        assert peak(30) == peak(1) < 3 * row_sized
 
     def test_local_train_leaves_variate_inputs_unchanged(self):
         datasets, _ = mixed_clients(2)
@@ -200,6 +205,53 @@ def reference_train(global_model, data, cfg, server_variate, variates, labels=No
         c_new = c_i - c_global + (w_global - w) / (cfg.local_epochs * lr)
         return ModelParams(w, c_new)
     return ModelParams(w)
+
+
+def clamped_train(global_model, datasets, cfg, server_variate, variates, labels):
+    """The batched epoch that the negated-logit one replaced, kept as an
+    oracle: it steps the weights w themselves, clamps the logits to
+    [-40, 40] on both sides before negating them, and trains every client
+    in one block."""
+    x, y = _blocks(datasets, labels)
+    n, dim, rows = x.shape
+    counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
+    w_global = global_model.weights
+    w = np.tile(w_global, (n, 1))
+    lr = cfg.learning_rate
+    if cfg.algo is Aggregator.SCAFFOLD:
+        zero = np.zeros_like(w_global)
+        c = zero if server_variate is None else server_variate
+        c_i = np.stack([(variates or {}).get(d.owner, zero) for d in datasets])
+    residual = np.empty((n, 1, rows))
+    grad_cols = np.empty((n, dim, 1))
+    grad = grad_cols[:, :, 0]
+    for _ in range(cfg.local_epochs):
+        np.matmul(w[:, None, :], x, out=residual)
+        np.maximum(residual, -40.0, out=residual)
+        np.minimum(residual, 40.0, out=residual)
+        np.negative(residual, out=residual)
+        np.exp(residual, out=residual)
+        residual += 1.0
+        np.divide(1.0, residual, out=residual)
+        residual -= y
+        np.matmul(x, residual.reshape(n, rows, 1), out=grad_cols)
+        grad /= counts
+        if cfg.algo is Aggregator.FEDPROX:
+            grad += (w - w_global) * cfg.prox_mu
+        elif cfg.algo is Aggregator.SCAFFOLD:
+            grad += c - c_i
+        grad *= lr
+        w -= grad
+    if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
+        c_new = c_i - c + (w_global - w) / (cfg.local_epochs * lr)
+        return [ModelParams(weights, variate) for weights, variate in zip(w, c_new)]
+    return [ModelParams(weights) for weights in w]
+
+
+def model_bytes(models):
+    return [
+        (m.weights.tobytes(), None if m.variate is None else m.variate.tobytes()) for m in models
+    ]
 
 
 def mixed_clients(dim):
@@ -270,6 +322,33 @@ class TestBatchedTrain:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             local_train(init_model(), [], AggregationConfig())
+
+    @pytest.mark.parametrize("saturated", [False, True], ids=["spread", "saturated"])
+    @pytest.mark.parametrize("clients_per_block", [1, 3, 4])
+    @pytest.mark.parametrize("algo", list(Aggregator))
+    def test_trains_the_bits_of_the_clamped_epoch(
+        self, algo, clients_per_block, saturated, monkeypatch
+    ):
+        """Negated logits under one clamp give the weights and variates of
+        the two-sided clamp, byte for byte, whatever the client block: one
+        client, a ragged last block, or the whole population.
+
+        A spread start puts logits beyond -40 and +40. A saturated start
+        puts every logit at -100 on all-zero labels, so every residual is
+        the clamped sigmoid(-40) and the step shows the clamp's bits."""
+        datasets, labels = mixed_clients(20)
+        block = datasets[0].block
+        monkeypatch.setattr(flsim, "TRAIN_BLOCK_BYTES", clients_per_block * block[0].nbytes)
+        cfg, server_variate, variates = train_config(algo, 20)
+        model = ModelParams(6.0 * np.random.default_rng(8).normal(size=21))
+        if saturated:
+            model = ModelParams(np.r_[np.zeros(20), -100.0])
+            labels = np.zeros_like(labels)
+        logits = np.concatenate([d.design @ model.weights for d in datasets])
+        assert (logits < -40.0).any() and (logits > 40.0).any() != saturated
+        trained = local_train(model, datasets, cfg, server_variate, variates, labels)
+        oracle = clamped_train(model, datasets, cfg, server_variate, variates, labels)
+        assert model_bytes(trained) == model_bytes(oracle)
 
 
 class TestDesignBlock:
