@@ -1,22 +1,21 @@
 """Round orchestration for the buyers'-market auction, plus baselines.
 
-Each round: offer regime-appropriate contracts, filter by the clients'
-participation condition, select the top-k accepted clients by
-ledger-verified reputation, run one federated-learning aggregation round,
+Each round: offer regime-appropriate contracts, select the top-k clients
+by ledger-verified reputation, run one federated-learning aggregation round,
 score realized contributions with the Banzhaf index, and append updated
 reputations to the ledger.
 
-The offer (contracts, client utilities, accepted set) depends only on the
-clients' thetas and the market, never on round state, so each cell makes it
-once and hands it to every round. Everything after it is the same under
-every regime, so the harness plays one trajectory of rounds for each
-distinct accepted set, and each `ours-*` regime with that set prices the
-shared rounds with its own contracts.
+The offer (contracts and client utilities) depends only on the clients'
+thetas and the market, never on round state or k, so each seed makes it
+once for every round of its cells. Participation holds by construction,
+checked once per offer (`_offer`): every client accepts every `ours-*`
+offer. So one trajectory of rounds per (seed, k) serves every regime: the
+first plays it, and each other prices its rounds with its own contracts.
 
 A seed's population is fixed for a whole run, and so are its poisoners'
 flipped labels: `build_population` draws every round's flips once, and one
 pass over the seeds (`run_tables`) runs each seed's grid cells, reputation
-trace and tamper cells on that one population.
+trace and tamper cells on that one population, under its one set of offers.
 
 The two buyers'-market baselines are rows of the same table: each holds its
 winner rule, and one bid round (`_bid_round`) plays either. Every client
@@ -140,8 +139,8 @@ class SimulationState:
     ledger, the Scaffold control variates (the server's c and each
     aggregated client's c_i; a client without one reads zeros), and the
     label buffer the poisoners' flipped labels are written into: a copy of
-    the population's label block, made by the first round with an accepted
-    poisoner."""
+    the population's label block, made by the first round of a population
+    with a poisoner."""
 
     agg: AggregationConfig
     test: SyntheticDataset
@@ -228,13 +227,13 @@ def _flipped_labels(
     return packed
 
 
-def _round_labels(accepted: list[ClientProfile], state: SimulationState) -> np.ndarray | None:
-    """The label block the accepted clients train on this round: None (the
-    population's own) if none is a poisoner, else `state.poisoned_labels`
-    with each accepted poisoner's row overwritten by its flipped labels of
-    the round. The accepted datasets are rows of one population from
-    `generate_population`, which is not changed."""
-    poisoners = [c for c in accepted if not c.honest]
+def _round_labels(population: list[ClientProfile], state: SimulationState) -> np.ndarray | None:
+    """The label block the population trains on this round: None (its own)
+    if no client is a poisoner, else `state.poisoned_labels` with each
+    poisoner's row overwritten by its flipped labels of the round. The
+    datasets are rows of one population from `generate_population`, which
+    is not changed."""
+    poisoners = [c for c in population if not c.honest]
     if not poisoners:
         return None
     if state.poisoned_labels is None:
@@ -252,19 +251,25 @@ class Offer(NamedTuple):
 
     contracts: dict[int, Contract]  # each client's contract
     utilities: dict[int, float]  # each client's utility from its contract
-    accepted: list[ClientProfile]  # the clients that accept, in population order
 
 
 def _offer(population: list[ClientProfile], params: MarketParams) -> Offer:
-    """Each client's contract under the regime of `params`, its utility
-    from that contract, and the clients that accept (utility >= 0), in
-    population order. Depends on no round state."""
+    """Each client's contract under the regime of `params` and its utility
+    from that contract; depends on no round state. Complete information
+    pays exactly the cost and incomplete the cost plus a nonnegative rent,
+    so every client accepts; raises RuntimeError, naming the regime and the
+    clients, if a utility is below 0."""
     contracts = {c.id: solve(c.theta, params) for c in population}
     utilities = {
         c.id: client_utility(contracts[c.id], c.theta, params.delta) for c in population
     }
-    accepted = [c for c in population if utilities[c.id] >= 0.0]
-    return Offer(contracts, utilities, accepted)
+    declined = [i for i, u in utilities.items() if u < 0.0]
+    if declined:
+        raise RuntimeError(
+            f"{params.regime.value}-information contracts leave clients {declined} "
+            "below their participation utility of 0"
+        )
+    return Offer(contracts, utilities)
 
 
 def _prices(
@@ -288,31 +293,25 @@ def run_round(
     offer: Offer,
 ) -> RoundReport:
     """One full auction + training + reputation round, under the cell's
-    `offer` (`_offer(population, params)`)."""
+    `offer` (`_offer(population, params)`), which every client accepts."""
     if not population:
         raise ValueError("population must be non-empty")
-    contracts, utilities, accepted = offer
-    if not accepted:
-        raise RuntimeError("no client accepted its contract")
 
     eps_prev = {
-        c.id: ledger_epsilon(state.ledger, c.id, state.trust_policy) for c in accepted
+        c.id: ledger_epsilon(state.ledger, c.id, state.trust_policy) for c in population
     }
-    k = min(params.k_select, len(accepted))
-    selected = select_top_k(eps_prev, k)
+    selected = select_top_k(eps_prev, min(params.k_select, len(population)))
 
-    # Every accepted client trains a candidate local model and is scored;
-    # only the selected top-k are aggregated into the global model and paid.
-    by_id = {c.id: c for c in population}
+    # Every client trains a candidate local model and is scored; only the
+    # selected top-k are aggregated into the global model and paid.
     trained = local_train(
-        state.model, [c.dataset for c in accepted], state.agg, state.server_variate,
-        state.variates, _round_labels(accepted, state),
+        state.model, [c.dataset for c in population], state.agg, state.server_variate,
+        state.variates, _round_labels(population, state),
     )
-    local_models = {c.id: m for c, m in zip(accepted, trained)}
+    local_models = {c.id: m for c, m in zip(population, trained)}
+    sample_counts = {c.id: len(c.dataset) for c in population}
     new_global = aggregate(
-        [local_models[i] for i in selected],
-        [len(by_id[i].dataset) for i in selected],
-        state.agg,
+        [local_models[i] for i in selected], [sample_counts[i] for i in selected], state.agg
     )
     # Scaffold: only the aggregated clients S commit their proposed c_i+, and
     # c moves by (1/N) * sum over S of c_i+ - c_i, N the population size.
@@ -328,11 +327,9 @@ def run_round(
     *accuracies, acc_global = evaluate_accuracy(
         np.array([m.weights for m in trained] + [new_global.weights]), state.test
     )
-    realized = {c.id: acc - state.accuracy for c, acc in zip(accepted, accuracies)}
+    realized = {c.id: acc - state.accuracy for c, acc in zip(population, accuracies)}
 
-    values = {
-        i: realized_value(realized[i], by_id[i].theta, params) for i in local_models
-    }
+    values = {c.id: realized_value(realized[c.id], c.theta, params) for c in population}
     zetas = _banzhaf_contributions(values)
     epsilons = {}
     for i in sorted(zetas):
@@ -345,7 +342,7 @@ def run_round(
         realized_q=realized,
         epsilons=epsilons,
         accuracy_global=acc_global,
-        **_prices(selected, contracts, utilities, params),
+        **_prices(selected, offer.contracts, offer.utilities, params),
     )
     state.model = new_global
     state.accuracy = acc_global
@@ -431,14 +428,14 @@ def _market(config, mechanism: str, k: int) -> MarketParams:
 
 def run_cell(
     config, mechanism: str, k: int, seed: int, population: list[ClientProfile],
-    test: SyntheticDataset, ledger_mode: str = "chained", tamper_cfg=None,
-    target_q: float | None = None,
+    test: SyntheticDataset, target_q: float | None = None,
 ) -> list[RoundReport]:
     """All rounds of one (mechanism, k, seed) experiment cell, run on the
     seed's population and test set from `build_population`. Neither is
-    changed, so one population serves every cell of its seed. A baseline
-    cell takes the seed's `target_q` if given, else computes it, and
-    computes each client's cost of it once for all its rounds."""
+    changed, so one population serves every cell of its seed. An `ours-*`
+    cell makes its own offer. A baseline cell takes the seed's `target_q`
+    if given, else computes it, and computes each client's cost of it once
+    for all its rounds."""
     params = _market(config, mechanism, k)
     row = MECHANISMS[mechanism]
     if not isinstance(row, Regime):
@@ -446,8 +443,7 @@ def run_cell(
             target_q = _target_q(population, params)
         costs = {c.id: cost(target_q, c.theta, params.delta) for c in population}
         return [_bid_round(costs, row, target_q, params, seed, r) for r in range(config.rounds)]
-    return _play(config, population, test, params, _offer(population, params), ledger_mode,
-                 tamper_cfg)
+    return _play(config, population, test, params, _offer(population, params))
 
 
 def _play(
@@ -470,8 +466,9 @@ def _total(reports: list[RoundReport]) -> float:
 
 
 def _offers(config, population: list[ClientProfile]) -> dict[str, Offer]:
-    """Each `ours-*` mechanism's offer to the population. `solve` reads no
-    k, so the offer made in the first k's market serves every k."""
+    """Each `ours-*` mechanism's offer to the seed's population, made once
+    for every cell of the seed. `solve` reads no k, so the offer made in the
+    first k's market serves every k."""
     k = config.k_values[0]
     return {m: _offer(population, _market(config, m, k)) for m in config.mechanisms_ours()}
 
@@ -481,28 +478,20 @@ def _ours_cells(
     offers: dict[str, Offer],
 ) -> dict[str, list[RoundReport]]:
     """The reports of every `ours-*` mechanism's cell at k, under its offer
-    from `_offers` and its own market at k.
-
-    Mechanisms whose offers are accepted by the same clients play one
-    trajectory: the first of them in config order plays its rounds, and the
-    others re-price its reports with their own contracts. A mechanism whose
-    accepted set differs plays its own.
-    """
-    groups: dict[tuple[int, ...], list] = {}
-    for mechanism in config.mechanisms_ours():
-        params = _market(config, mechanism, k)
+    from `_offers` and its own market at k, from one trajectory: every
+    client accepts every offer, so the first `ours-*` mechanism in config
+    order plays the rounds, and the others re-price its reports with their
+    own contracts."""
+    leader, *others = offers
+    played = _play(config, population, test, _market(config, leader, k), offers[leader])
+    out = {leader: played}
+    for mechanism in others:
         offer = offers[mechanism]
-        groups.setdefault(tuple(c.id for c in offer.accepted), []).append(
-            (mechanism, params, offer)
-        )
-    out = {}
-    for (leader, params, offer), *others in groups.values():
-        out[leader] = played = _play(config, population, test, params, offer)
-        for mechanism, params, offer in others:
-            out[mechanism] = [
-                replace(rep, **_prices(rep.selected, offer.contracts, offer.utilities, params))
-                for rep in played
-            ]
+        out[mechanism] = [
+            replace(rep, **_prices(rep.selected, offer.contracts, offer.utilities,
+                                   _market(config, mechanism, k)))
+            for rep in played
+        ]
     return out
 
 
@@ -529,16 +518,17 @@ COLUMNS = Tables(
 
 
 def _grid_cells(
-    config, seed: int, population: list[ClientProfile], test: SyntheticDataset
+    config, seed: int, population: list[ClientProfile], test: SyntheticDataset,
+    offers: dict[str, Offer],
 ) -> dict[tuple[int, str], tuple[list[dict], float]]:
     """Every (k, mechanism) cell of the seed: its per-round rows and its
-    total server utility. Neither the `ours-*` offers nor the baselines'
-    target output read k or the winner rule, so each is made once per seed."""
+    total server utility, under the seed's `ours-*` offers from `_offers`.
+    The baselines' target output reads neither k nor the winner rule, so it
+    is made once per seed."""
     out = {}
-    offers = _offers(config, population)
     target_q = None  # the baselines', made by the first baseline cell
     for k in config.k_values:
-        ours = _ours_cells(config, k, population, test, offers)
+        ours = _ours_cells(config, k, population, test, offers) if offers else {}
         for mechanism in config.mechanisms:
             if mechanism in ours:
                 reports = ours[mechanism]
@@ -581,18 +571,22 @@ def _grid_tables(config, by_seed: dict) -> tuple[list[dict], list[dict]]:
     return round_rows, summary
 
 
+def _first_ours(config, offers: dict[str, Offer]) -> tuple[MarketParams, Offer]:
+    """The market and offer of the trace's and every tamper cell's: the first
+    `ours-*` mechanism, which the caller checks exists, at the first k."""
+    mechanism = config.mechanisms_ours()[0]
+    return _market(config, mechanism, config.k_values[0]), offers[mechanism]
+
+
 def _trace_rows(
-    config, seed: int, population: list[ClientProfile], test: SyntheticDataset
+    config, population: list[ClientProfile], test: SyntheticDataset, offers: dict[str, Offer]
 ) -> list[dict]:
     """Per-round reputation of every client, for trajectory plots: the cell
-    of the config's first `ours-*` mechanism, which the caller checks
-    exists, at the first k, played on the seed's population. A client that
-    never accepts its contract is never scored and reads 0."""
-    reports = run_cell(
-        config, config.mechanisms_ours()[0], config.k_values[0], seed, population, test
-    )
+    of `_first_ours`, played on the seed's population. Every client accepts
+    its contract, so every client is scored every round."""
+    reports = _play(config, population, test, *_first_ours(config, offers))
     return [
-        {"round": rep.round, "client": c.id, "epsilon": rep.epsilons.get(c.id, 0.0),
+        {"round": rep.round, "client": c.id, "epsilon": rep.epsilons[c.id],
          "behavior": "honest" if c.honest else "poisoner"}
         for rep in reports
         for c in population
@@ -609,17 +603,15 @@ def _tamper_grid(config) -> list[tuple[float, float, str]]:
 
 
 def _tamper_totals(
-    config, seed: int, population: list[ClientProfile], test: SyntheticDataset
+    config, seed: int, population: list[ClientProfile], test: SyntheticDataset,
+    offers: dict[str, Offer],
 ) -> dict[tuple[float, float, str], float]:
-    """Total server utility of each tamper cell of the seed: the first
-    `ours-*` mechanism at the first k, on the cell's store, attacked after
-    every round."""
-    mechanism = config.mechanisms_ours()[0]
-    k = config.k_values[0]
+    """Total server utility of each tamper cell of the seed: the cell of
+    `_first_ours`, on the cell's store, attacked after every round."""
+    params, offer = _first_ours(config, offers)
     return {
         (alpha, beta, mode): _total(
-            run_cell(config, mechanism, k, seed, population, test,
-                     ledger_mode=mode, tamper_cfg=TamperConfig(alpha, beta, seed))
+            _play(config, population, test, params, offer, mode, TamperConfig(alpha, beta, seed))
         )
         for alpha, beta, mode in _tamper_grid(config)
     }
@@ -637,10 +629,10 @@ def _robustness_rows(config, by_seed: dict) -> list[dict]:
 def run_tables(config) -> Tables:
     """Every table of one run, from one pass over the distinct seeds.
 
-    Each seed's population is built once, and its grid cells, its tamper
-    cells and, for the first listed seed, the reputation trace's cell all
-    run on it; it is freed before the next seed's is built. With
-    `rounds = 0` the grid and the trace are empty.
+    Each seed's population and `ours-*` offers are made once, and its grid
+    cells, its tamper cells and, for the first listed seed, the reputation
+    trace's cell all run on them; they are freed before the next seed's
+    are made. With `rounds = 0` the grid and the trace are empty.
     """
     play = config.rounds > 0
     trace_seed = config.seeds[0] if play and config.mechanisms_ours() else None
@@ -650,13 +642,14 @@ def run_tables(config) -> Tables:
     cells, trace, totals = {}, [], {}
     for seed in dict.fromkeys(config.seeds):
         population, test = build_population(config, seed)
+        offers = _offers(config, population)
         if play:
-            cells[seed] = _grid_cells(config, seed, population, test)
+            cells[seed] = _grid_cells(config, seed, population, test, offers)
         if seed == trace_seed:
-            trace = _trace_rows(config, seed, population, test)
+            trace = _trace_rows(config, population, test, offers)
         if tamper:
-            totals[seed] = _tamper_totals(config, seed, population, test)
-        del population, test  # before the next seed's population is built
+            totals[seed] = _tamper_totals(config, seed, population, test, offers)
+        del population, test, offers  # before the next seed's population is built
     return Tables(
         *(_grid_tables(config, cells) if play else ([], [])),
         trace,

@@ -5,11 +5,13 @@ digest covers the previous record's digest, so any in-place edit of a past
 record is detectable. The digest was SHA-256 of the same bytes before, so a
 ledger file saved with SHA-256 digests reads as tampered at index 0.
 PlainStore is the deliberately vulnerable comparison: same interface, no
-integrity checking. Both index each client's record positions, so a read
-touches only that client's records: `read_last_valid` re-hashes from the
-client's newest record back to the first intact one (one hash when nothing
-was edited), and only `read_reputation` re-hashes the client's whole history.
-`verify` and both reads judge a record by one integrity check, `_sound`.
+integrity checking. Both index each client's record positions and share one
+read path, which judges a record by the store's `_intact`, so a read touches
+only that client's records: `read_last_valid` re-hashes from the client's
+newest record back to the first intact one (one hash when nothing was
+edited), and only `read_reputation` re-hashes the client's whole history.
+On the chain, `verify` and both reads judge a record by one integrity
+check, `_sound`; the plain store takes every record as intact.
 """
 
 from __future__ import annotations
@@ -132,6 +134,22 @@ class _IndexedStore:
         self._drop_truncated()
         return sorted(self._positions)
 
+    def read_reputation(self, client_id: int) -> tuple[float, bool]:
+        """Latest stored epsilon plus whether every record of the client is
+        intact (the store's `_intact`); each read checks all of them, oldest
+        first, up to the first that fails."""
+        positions = self.positions(client_id)
+        trusted = all(self._intact(i, client_id) for i in positions)
+        return self.records[positions[-1]].epsilon, trusted
+
+    def read_last_valid(self, client_id: int) -> float | None:
+        """Epsilon from the client's most recent intact record, or None if
+        none is."""
+        for i in reversed(self.positions(client_id)):
+            if self._intact(i, client_id):
+                return self.records[i].epsilon
+        return None
+
 
 class HashChainLedger(_IndexedStore):
     """Append-only hash-chained store for reputation records."""
@@ -159,21 +177,10 @@ class HashChainLedger(_IndexedStore):
         integrity check."""
         return self.records[idx].client_id == client_id and self._sound(idx)
 
-    def read_reputation(self, client_id: int) -> tuple[float, bool]:
-        """Latest stored epsilon plus whether every record of the client
-        verifies; each read re-hashes all of them, oldest first, up to the
-        first that fails."""
-        positions = self.positions(client_id)
-        trusted = all(self._intact(i, client_id) for i in positions)
-        return self.records[positions[-1]].epsilon, trusted
-
-    def read_last_valid(self, client_id: int) -> float | None:
-        """Epsilon from the client's most recent record that still verifies,
-        or None if every record of the client is tampered."""
-        for i in reversed(self.positions(client_id)):
-            if self._intact(i, client_id):
-                return self.records[i].epsilon
-        return None
+    # Bound in the class itself: `benchmarks/tracer.py` times these reads
+    # by rebinding them in the class that it names.
+    read_reputation = _IndexedStore.read_reputation
+    read_last_valid = _IndexedStore.read_last_valid
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -213,12 +220,11 @@ class PlainStore(_IndexedStore):
     def append(self, round: int, client_id: int, zeta: float, epsilon: float) -> ReputationRecord:
         return self._push(ReputationRecord(round, client_id, zeta, epsilon))
 
-    def read_reputation(self, client_id: int) -> tuple[float, bool]:
-        return self.read_last_valid(client_id), True
+    def _intact(self, idx: int, client_id: int) -> bool:
+        """With no digests, every record reads as intact."""
+        return True
 
-    def read_last_valid(self, client_id: int) -> float:
-        """Newest stored epsilon: with no digests, every record reads as intact."""
-        return self.records[self.positions(client_id)[-1]].epsilon
+    read_reputation = _IndexedStore.read_reputation  # as in HashChainLedger
 
 
 # The store behind each ledger mode a config may name.

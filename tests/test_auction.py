@@ -632,6 +632,30 @@ class TestExperimentHarness:
             (m, k) for k in config.k_values for m in config.mechanisms
         ]
 
+    @pytest.mark.parametrize(
+        "mechanisms", [["ours-complete"], list(auction.MECHANISMS)], ids=["one-ours", "all"]
+    )
+    def test_each_seed_solves_each_offer_once(self, monkeypatch, mechanisms):
+        solved = []
+
+        def counted(theta, params):
+            solved.append(params.regime)
+            return solve(theta, params)
+
+        monkeypatch.setattr(auction, "solve", counted)
+        config = small_config(
+            seeds=[1, 0],
+            mechanisms=mechanisms,
+            tamper_alphas=[0.5],
+            tamper_betas=[2.0],
+            ledger_modes=["chained", "vulnerable"],
+        )
+        tables = run_tables(config)
+        assert tables.reputation and len(tables.robustness) == 2
+        # The grid, the trace and both tamper cells share each seed's offers.
+        regimes = [auction.MECHANISMS[m] for m in config.mechanisms_ours()]
+        assert solved == [r for _ in config.seeds for r in regimes for _ in range(config.n_clients)]
+
     def test_zero_rounds_yields_empty_outputs(self):
         config = small_config(rounds=0)
         assert run_tables(config) == ([], [], [], [])
@@ -717,8 +741,9 @@ def counting_run_round(monkeypatch):
 
 
 class TestSharedTrajectory:
-    """Regimes that accept the same clients play one trajectory of rounds
-    and differ only in pricing; each must equal its own run_cell."""
+    """Every client accepts every `ours-*` offer, so the regimes play one
+    trajectory of rounds and differ only in pricing; each must equal its
+    own run_cell."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -751,20 +776,20 @@ class TestSharedTrajectory:
                     assert a.contracts != b.contracts and a.payments != b.payments
                     assert a.server_utility != b.server_utility
 
-    def test_equal_accepted_sets_play_one_trajectory(self, monkeypatch):
+    def test_one_trajectory_per_seed_and_k(self, monkeypatch):
         config = small_config(seeds=[0])
         calls = counting_run_round(monkeypatch)
         run_tables(config)
         # The grid's one shared trajectory, then the reputation trace's cell.
         assert calls == [Regime.COMPLETE] * config.rounds * 2
 
-    def test_a_differing_accepted_set_plays_its_own(self, monkeypatch):
-        config = small_config(seeds=[0], poison_count=2)
-        population, test = build_population(config, 0)
+    def test_an_offer_below_participation_stops_the_run(self, monkeypatch, tmp_path):
+        config = small_config(seeds=[0], poison_count=2, output_dir=str(tmp_path / "out"))
+        population, _ = build_population(config, 0)
         rejected = population[3]
 
         def underpaying(theta, params):
-            # The incomplete regime pays client 3 nothing, so it declines.
+            # The incomplete regime pays client 3 nothing, so it would decline.
             contract = solve(theta, params)
             if params.regime is Regime.INCOMPLETE and theta == rejected.theta:
                 return dataclasses.replace(contract, r=0.0)
@@ -772,18 +797,18 @@ class TestSharedTrajectory:
 
         monkeypatch.setattr(auction, "solve", underpaying)
         calls = counting_run_round(monkeypatch)
-        rows = run_tables(config).rounds
-        # The grid's two trajectories, then the reputation trace's cell.
-        assert calls == (
-            [Regime.COMPLETE] * config.rounds + [Regime.INCOMPLETE] * config.rounds
-            + [Regime.COMPLETE] * config.rounds
+        with pytest.raises(RuntimeError, match=r"incomplete.*\[3\]"):
+            run_tables(config)
+        assert calls == []
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "n_clients = 8\nk_select = 4\nrounds = 3\nseeds = 0\npoison_count = 2\n"
+            "theta_min = 0.2\ntheta_max = 1.0\nlocal_epochs = 2\nlearning_rate = 0.5\n"
+            f"output_dir = {tmp_path / 'out'}\n"
         )
-        assert rows == oracle_rows(config)
-        alone = {m: run_cell(config, m, 4, 0, population, test) for m in config.mechanisms_ours()}
-        offers = auction._offers(config, population)
-        assert auction._ours_cells(config, 4, population, test, offers) == alone
-        assert any(rejected.id in rep.epsilons for rep in alone["ours-complete"])
-        assert all(rejected.id not in rep.epsilons for rep in alone["ours-incomplete"])
+        assert parse_config(path).digest() == config.digest()
+        assert cli.main(["run", str(path)]) == 1
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestMechanismTable:

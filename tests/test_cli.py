@@ -312,7 +312,9 @@ class TestRunCommand:
         (tmp_path / "file").write_text("")
         body = small_config(tmp_path).replace(str(tmp_path / "out"), str(tmp_path / target))
         evaluated = []
-        monkeypatch.setattr(auction, "run_cell", lambda *args, **kw: evaluated.append(args))
+        # Every cell plays through one of these: an `ours-*` round or a bid round.
+        for name in ("run_cell", "run_round", "_bid_round"):
+            monkeypatch.setattr(auction, name, lambda *args, **kw: evaluated.append(args))
         assert main(["run", str(write_config(tmp_path, body))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: output_dir") and str(tmp_path / target) in err

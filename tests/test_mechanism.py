@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from flmarket.mechanism import (
     Contract,
@@ -11,7 +11,9 @@ from flmarket.mechanism import (
     cost,
     ic_diagnostic,
     information_rent,
+    largest_term,
     server_utility_per_client,
+    solve,
     solve_complete,
     solve_incomplete,
 )
@@ -67,6 +69,24 @@ class TestClientUtility:
 
     def test_full_extraction_contract(self):
         assert client_utility(Contract(1.5, 0.75), 1.0, 2.0) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestParticipation:
+    """Every type takes its contract: complete information pays exactly the
+    cost, incomplete information the cost plus a nonnegative rent."""
+
+    @given(
+        theta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        log_lam=st.floats(-300.0, 300.0),
+        log_delta=st.floats(-300.0, 300.0),
+    )
+    def test_utility_is_zero_or_a_nonnegative_rent(self, theta, log_lam, log_delta):
+        lam, delta = 10.0**log_lam, 10.0**log_delta
+        assume(math.isfinite(largest_term(lam, delta)))
+        complete = params_with(lam, delta, Regime.COMPLETE)
+        incomplete = params_with(lam, delta, Regime.INCOMPLETE)
+        assert client_utility(solve(theta, complete), theta, delta) == 0.0
+        assert client_utility(solve(theta, incomplete), theta, delta) >= 0.0
 
 
 class TestServerSide:
