@@ -1,16 +1,19 @@
 """Round orchestration for the buyers'-market auction, plus baselines.
 
-Each round: offer regime-appropriate contracts, select the top-k clients
-by ledger-verified reputation, run one federated-learning aggregation round,
-score realized contributions with the Banzhaf index, and append updated
-reputations to the ledger.
+A round is played, then priced. Playing (`run_round`) selects the top-k
+clients by ledger-verified reputation, runs one federated-learning
+aggregation round, scores realized contributions with the Banzhaf index and
+appends the updated reputations to the ledger; its `RoundReport` holds only
+what was played. Pricing (`_server_utility`) sums the server's payoff from
+the selected clients' contracts, and every mechanism prices its rounds
+through it.
 
-The offer (contracts and client utilities) depends only on the clients'
-thetas and the market, never on round state or k, so each seed makes it
-once for every round of its cells. Participation holds by construction,
-checked once per offer (`_offer`): every client accepts every `ours-*`
-offer. So one trajectory of rounds per (seed, k) serves every regime: the
-first plays it, and each other prices its rounds with its own contracts.
+An `ours-*` mechanism's contracts (`_offer`) depend only on the clients'
+thetas and the market, never on round state or k, so each seed solves them
+once. Participation holds by construction, checked once per offer: every
+client accepts every `ours-*` contract, so the regime does not enter a
+round. One trajectory per (seed, k) is played, and each `ours-*` mechanism
+prices it with its own contracts.
 
 A seed's population is fixed for a whole run, and so are its poisoners'
 flipped labels: `build_population` draws every round's flips once, and one
@@ -20,14 +23,15 @@ trace and tamper cells on that one population, under its one set of offers.
 The two buyers'-market baselines are rows of the same table: each holds its
 winner rule, and one bid round (`_bid_round`) plays either. Every client
 bids its cost at the median complete-information output times a random
-margin, the rule picks the winners, and each winner is paid its bid.
+margin, the rule picks the winners, and each winner is paid its bid: the
+round's contracts are the winners' bids.
 """
 
 from __future__ import annotations
 
 import statistics
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -122,15 +126,13 @@ class ClientProfile:
 
 @dataclass
 class RoundReport:
+    """What one round played; no regime's prices are in it."""
+
     round: int
     selected: list[int]
-    contracts: dict[int, Contract]
     realized_q: dict[int, float]
-    payments: dict[int, float]
-    server_utility: float
-    client_utilities: dict[int, float]
     epsilons: dict[int, float]  # reputation appended this round, per scored client
-    accuracy_global: float | None = None
+    accuracy_global: float
 
 
 @dataclass
@@ -246,54 +248,40 @@ def _round_labels(population: list[ClientProfile], state: SimulationState) -> np
     return state.poisoned_labels
 
 
-class Offer(NamedTuple):
-    """A regime's offer to a population, fixed for a whole cell."""
-
-    contracts: dict[int, Contract]  # each client's contract
-    utilities: dict[int, float]  # each client's utility from its contract
-
-
-def _offer(population: list[ClientProfile], params: MarketParams) -> Offer:
-    """Each client's contract under the regime of `params` and its utility
-    from that contract; depends on no round state. Complete information
-    pays exactly the cost and incomplete the cost plus a nonnegative rent,
-    so every client accepts; raises RuntimeError, naming the regime and the
-    clients, if a utility is below 0."""
+def _offer(population: list[ClientProfile], params: MarketParams) -> dict[int, Contract]:
+    """Each client's contract under the regime of `params`; depends on no
+    round state. Complete information pays exactly the cost and incomplete
+    the cost plus a nonnegative rent, so every client accepts; raises
+    RuntimeError, naming the regime and the clients, if a client's utility
+    from its contract is below 0."""
     contracts = {c.id: solve(c.theta, params) for c in population}
-    utilities = {
-        c.id: client_utility(contracts[c.id], c.theta, params.delta) for c in population
-    }
-    declined = [i for i, u in utilities.items() if u < 0.0]
+    declined = [
+        c.id for c in population if client_utility(contracts[c.id], c.theta, params.delta) < 0.0
+    ]
     if declined:
         raise RuntimeError(
             f"{params.regime.value}-information contracts leave clients {declined} "
             "below their participation utility of 0"
         )
-    return Offer(contracts, utilities)
+    return contracts
 
 
-def _prices(
-    selected: list[int], contracts: dict[int, Contract], utilities: dict[int, float],
-    params: MarketParams,
-) -> dict:
-    """The `RoundReport` fields a regime's offer sets for a round's selected
-    clients: contracts, payments, server utility and client utilities."""
-    return dict(
-        contracts=contracts,
-        payments={i: contracts[i].r for i in selected},
-        server_utility=sum(server_utility_per_client(contracts[i], params) for i in selected),
-        client_utilities={i: utilities[i] for i in selected},
-    )
+def _server_utility(
+    selected: list[int], contracts: dict[int, Contract], params: MarketParams
+) -> float:
+    """The server's payoff from a round: the sum, in selection order, of its
+    payoff from each selected client's contract."""
+    return sum(server_utility_per_client(contracts[i], params) for i in selected)
 
 
 def run_round(
     population: list[ClientProfile],
     params: MarketParams,
     state: SimulationState,
-    offer: Offer,
 ) -> RoundReport:
-    """One full auction + training + reputation round, under the cell's
-    `offer` (`_offer(population, params)`), which every client accepts."""
+    """One round played: selection, training, aggregation, evaluation,
+    Banzhaf scoring and ledger append. Every client accepts its contract, so
+    no regime enters the round, and nothing is priced here."""
     if not population:
         raise ValueError("population must be non-empty")
 
@@ -303,7 +291,8 @@ def run_round(
     selected = select_top_k(eps_prev, min(params.k_select, len(population)))
 
     # Every client trains a candidate local model and is scored; only the
-    # selected top-k are aggregated into the global model and paid.
+    # selected top-k are aggregated into the global model (and paid, once a
+    # mechanism prices the round).
     trained = local_train(
         state.model, [c.dataset for c in population], state.agg, state.server_variate,
         state.variates, _round_labels(population, state),
@@ -342,7 +331,6 @@ def run_round(
         realized_q=realized,
         epsilons=epsilons,
         accuracy_global=acc_global,
-        **_prices(selected, offer.contracts, offer.utilities, params),
     )
     state.model = new_global
     state.accuracy = acc_global
@@ -353,23 +341,16 @@ def run_round(
 def _bid_round(
     costs: dict[int, float], rule: WinnerRule, target_q: float, params: MarketParams,
     seed: int, round_num: int,
-) -> RoundReport:
-    """One baseline round: every client bids its cost of `target_q`
-    (`costs`, by client id in population order) times a margin drawn
-    uniformly from [1.0, 1.3], in population order; `rule` picks
-    `params.k_select` winners, and each is paid its bid."""
+) -> dict[int, Contract]:
+    """One baseline round's winners and their pay-as-bid contracts, in the
+    rule's order: every client bids its cost of `target_q` (`costs`, by
+    client id in population order) times a margin drawn uniformly from
+    [1.0, 1.3], in population order; `rule` picks `params.k_select`
+    winners, and each is paid its bid for `target_q`."""
     margins = np.random.default_rng((seed, round_num)).random(len(costs)).tolist()
     bids = {i: costs[i] * (1.0 + 0.3 * m) for i, m in zip(costs, margins)}
     winners = rule(bids, params.k_select, _mix(seed, round_num, 99))
-    contracts = {i: Contract(target_q, bids[i]) for i in winners}
-    utilities = {i: bids[i] - costs[i] for i in winners}
-    return RoundReport(
-        round=round_num,
-        selected=winners,
-        realized_q={i: target_q for i in winners},
-        epsilons={},
-        **_prices(winners, contracts, utilities, params),
-    )
+    return {i: Contract(target_q, bids[i]) for i in winners}
 
 
 # ---------------------------------------------------------------------------
@@ -417,82 +398,93 @@ def _target_q(population: list[ClientProfile], params: MarketParams) -> float:
     return statistics.median(solve_complete(c.theta, params).q for c in population)
 
 
-def _market(config, mechanism: str, k: int) -> MarketParams:
-    """The market of a (mechanism, k) cell; a baseline's has the default regime."""
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    row = MECHANISMS[mechanism]
-    regime = row if isinstance(row, Regime) else Regime.COMPLETE
+def _market(config, k: int, regime: Regime = Regime.COMPLETE) -> MarketParams:
+    """The market at k under `regime`. A round plays the same in every
+    regime's market, so only pricing reads the regime; a baseline prices in
+    the default one."""
     return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
 
 
 def run_cell(
     config, mechanism: str, k: int, seed: int, population: list[ClientProfile],
     test: SyntheticDataset, target_q: float | None = None,
-) -> list[RoundReport]:
-    """All rounds of one (mechanism, k, seed) experiment cell, run on the
-    seed's population and test set from `build_population`. Neither is
-    changed, so one population serves every cell of its seed. An `ours-*`
-    cell makes its own offer. A baseline cell takes the seed's `target_q`
-    if given, else computes it, and computes each client's cost of it once
-    for all its rounds."""
-    params = _market(config, mechanism, k)
+) -> list[dict]:
+    """The `rounds.csv` rows of one (mechanism, k, seed) experiment cell, run
+    on its own on the seed's population and test set from
+    `build_population`. Neither is changed, so one population serves every
+    cell of its seed. An `ours-*` cell makes its own offer. A baseline cell
+    takes the seed's `target_q` if given, else computes it, and computes
+    each client's cost of it once for all its rounds."""
     row = MECHANISMS[mechanism]
-    if not isinstance(row, Regime):
-        if target_q is None:
-            target_q = _target_q(population, params)
-        costs = {c.id: cost(target_q, c.theta, params.delta) for c in population}
-        return [_bid_round(costs, row, target_q, params, seed, r) for r in range(config.rounds)]
-    return _play(config, population, test, params, _offer(population, params))
+    if isinstance(row, Regime):
+        params = _market(config, k, row)
+        contracts = _offer(population, params)
+        return _rows(
+            mechanism, k, seed, params,
+            ((rep.round, rep.selected, contracts, rep.accuracy_global)
+             for rep in _play(config, population, test, params)),
+        )
+    params = _market(config, k)
+    if target_q is None:
+        target_q = _target_q(population, params)
+    costs = {c.id: cost(target_q, c.theta, params.delta) for c in population}
+    # A bid round selects exactly the holders of its contracts.
+    bid_rounds = (_bid_round(costs, row, target_q, params, seed, r) for r in range(config.rounds))
+    return _rows(mechanism, k, seed, params, ((r, c, c, None) for r, c in enumerate(bid_rounds)))
+
+
+def _rows(mechanism: str, k: int, seed: int, params: MarketParams, rounds) -> list[dict]:
+    """A cell's `rounds.csv` rows, one per (round, selected, contracts,
+    accuracy) of `rounds`, each priced by `_server_utility` in `params`."""
+    return [
+        {"mechanism": mechanism, "k": k, "seed": seed, "round": r,
+         "server_utility": _server_utility(selected, contracts, params),
+         "accuracy": accuracy, "n_selected": len(selected)}
+        for r, selected, contracts, accuracy in rounds
+    ]
 
 
 def _play(
     config, population: list[ClientProfile], test: SyntheticDataset, params: MarketParams,
-    offer: Offer, ledger_mode: str = "chained", tamper_cfg=None,
+    ledger_mode: str = "chained", tamper_cfg=None,
 ) -> list[RoundReport]:
-    """The rounds of an `ours-*` cell under its one `offer`, from a fresh
-    state; with `tamper_cfg`, the ledger is attacked after every round."""
+    """The played rounds of an `ours-*` trajectory in the market `params`,
+    from a fresh state; with `tamper_cfg`, the ledger is attacked after
+    every round."""
     state = _fresh_state(config, test, ledger_mode)
     reports = []
     for _ in range(config.rounds):
-        reports.append(run_round(population, params, state, offer))
+        reports.append(run_round(population, params, state))
         if tamper_cfg is not None:
             tamper_attack(state.ledger, tamper_cfg)
     return reports
 
 
-def _total(reports: list[RoundReport]) -> float:
-    return sum(rep.server_utility for rep in reports)
-
-
-def _offers(config, population: list[ClientProfile]) -> dict[str, Offer]:
-    """Each `ours-*` mechanism's offer to the seed's population, made once
-    for every cell of the seed. `solve` reads no k, so the offer made in the
-    first k's market serves every k."""
+def _offers(config, population: list[ClientProfile]) -> dict[str, dict[int, Contract]]:
+    """Each `ours-*` mechanism's contracts for the seed's population, solved
+    once for every cell of the seed. `solve` reads no k, so the contracts
+    solved in the first k's market serve every k."""
     k = config.k_values[0]
-    return {m: _offer(population, _market(config, m, k)) for m in config.mechanisms_ours()}
+    return {
+        m: _offer(population, _market(config, k, MECHANISMS[m])) for m in config.mechanisms_ours()
+    }
 
 
 def _ours_cells(
-    config, k: int, population: list[ClientProfile], test: SyntheticDataset,
-    offers: dict[str, Offer],
-) -> dict[str, list[RoundReport]]:
-    """The reports of every `ours-*` mechanism's cell at k, under its offer
-    from `_offers` and its own market at k, from one trajectory: every
-    client accepts every offer, so the first `ours-*` mechanism in config
-    order plays the rounds, and the others re-price its reports with their
-    own contracts."""
-    leader, *others = offers
-    played = _play(config, population, test, _market(config, leader, k), offers[leader])
-    out = {leader: played}
-    for mechanism in others:
-        offer = offers[mechanism]
-        out[mechanism] = [
-            replace(rep, **_prices(rep.selected, offer.contracts, offer.utilities,
-                                   _market(config, mechanism, k)))
-            for rep in played
-        ]
-    return out
+    config, k: int, seed: int, population: list[ClientProfile], test: SyntheticDataset,
+    offers: dict[str, dict[int, Contract]],
+) -> dict[str, list[dict]]:
+    """The rows of every `ours-*` mechanism's cell at k: one trajectory,
+    played in the market at k, priced with each mechanism's contracts from
+    `_offers` in its own market at k."""
+    reports = _play(config, population, test, _market(config, k))
+    return {
+        mechanism: _rows(
+            mechanism, k, seed, _market(config, k, MECHANISMS[mechanism]),
+            ((rep.round, rep.selected, contracts, rep.accuracy_global) for rep in reports),
+        )
+        for mechanism, contracts in offers.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -519,32 +511,23 @@ COLUMNS = Tables(
 
 def _grid_cells(
     config, seed: int, population: list[ClientProfile], test: SyntheticDataset,
-    offers: dict[str, Offer],
-) -> dict[tuple[int, str], tuple[list[dict], float]]:
-    """Every (k, mechanism) cell of the seed: its per-round rows and its
-    total server utility, under the seed's `ours-*` offers from `_offers`.
-    The baselines' target output reads neither k nor the winner rule, so it
-    is made once per seed."""
+    offers: dict[str, dict[int, Contract]],
+) -> dict[tuple[int, str], list[dict]]:
+    """The rows of every (k, mechanism) cell of the seed, under the seed's
+    `ours-*` contracts from `_offers`. The baselines' target output reads
+    neither k nor the winner rule, so it is made once per seed."""
     out = {}
     target_q = None  # the baselines', made by the first baseline cell
     for k in config.k_values:
-        ours = _ours_cells(config, k, population, test, offers) if offers else {}
+        cells = _ours_cells(config, k, seed, population, test, offers) if offers else {}
         for mechanism in config.mechanisms:
-            if mechanism in ours:
-                reports = ours[mechanism]
-            else:
+            if mechanism not in cells:
                 if target_q is None:
-                    target_q = _target_q(population, _market(config, mechanism, k))
-                reports = run_cell(
+                    target_q = _target_q(population, _market(config, k))
+                cells[mechanism] = run_cell(
                     config, mechanism, k, seed, population, test, target_q=target_q
                 )
-            rows = [
-                {"mechanism": mechanism, "k": k, "seed": seed, "round": rep.round,
-                 "server_utility": rep.server_utility, "accuracy": rep.accuracy_global,
-                 "n_selected": len(rep.selected)}
-                for rep in reports
-            ]
-            out[k, mechanism] = rows, _total(reports)
+            out[k, mechanism] = cells[mechanism]
     return out
 
 
@@ -557,34 +540,26 @@ def _grid_tables(config, by_seed: dict) -> tuple[list[dict], list[dict]]:
         for mechanism in config.mechanisms:
             totals = []
             for seed in config.seeds:
-                rows, total = by_seed[seed][k, mechanism]
+                rows = by_seed[seed][k, mechanism]
                 round_rows.extend(rows)
-                totals.append(total)
+                totals.append(sum(row["server_utility"] for row in rows))
             summary.append(
                 {
                     "mechanism": mechanism,
                     "k": k,
                     "mean_utility": statistics.fmean(totals),
-                    "std_utility": statistics.pstdev(totals) if len(totals) > 1 else 0.0,
+                    "std_utility": statistics.pstdev(totals),
                 }
             )
     return round_rows, summary
 
 
-def _first_ours(config, offers: dict[str, Offer]) -> tuple[MarketParams, Offer]:
-    """The market and offer of the trace's and every tamper cell's: the first
-    `ours-*` mechanism, which the caller checks exists, at the first k."""
-    mechanism = config.mechanisms_ours()[0]
-    return _market(config, mechanism, config.k_values[0]), offers[mechanism]
-
-
-def _trace_rows(
-    config, population: list[ClientProfile], test: SyntheticDataset, offers: dict[str, Offer]
-) -> list[dict]:
-    """Per-round reputation of every client, for trajectory plots: the cell
-    of `_first_ours`, played on the seed's population. Every client accepts
-    its contract, so every client is scored every round."""
-    reports = _play(config, population, test, *_first_ours(config, offers))
+def _trace_rows(config, population: list[ClientProfile], test: SyntheticDataset) -> list[dict]:
+    """Per-round reputation of every client, for trajectory plots: the
+    shared `ours-*` trajectory at the first k, played on the seed's
+    population. Every client accepts its contract, so every client is scored
+    every round."""
+    reports = _play(config, population, test, _market(config, config.k_values[0]))
     return [
         {"round": rep.round, "client": c.id, "epsilon": rep.epsilons[c.id],
          "behavior": "honest" if c.honest else "poisoner"}
@@ -604,14 +579,19 @@ def _tamper_grid(config) -> list[tuple[float, float, str]]:
 
 def _tamper_totals(
     config, seed: int, population: list[ClientProfile], test: SyntheticDataset,
-    offers: dict[str, Offer],
+    offers: dict[str, dict[int, Contract]],
 ) -> dict[tuple[float, float, str], float]:
-    """Total server utility of each tamper cell of the seed: the cell of
-    `_first_ours`, on the cell's store, attacked after every round."""
-    params, offer = _first_ours(config, offers)
+    """Total server utility of each tamper cell of the seed: the first
+    `ours-*` mechanism, which the caller checks exists, at the first k, on
+    the cell's store, attacked after every round."""
+    mechanism = config.mechanisms_ours()[0]
+    params = _market(config, config.k_values[0], MECHANISMS[mechanism])
     return {
-        (alpha, beta, mode): _total(
-            _play(config, population, test, params, offer, mode, TamperConfig(alpha, beta, seed))
+        (alpha, beta, mode): sum(
+            _server_utility(rep.selected, offers[mechanism], params)
+            for rep in _play(
+                config, population, test, params, mode, TamperConfig(alpha, beta, seed)
+            )
         )
         for alpha, beta, mode in _tamper_grid(config)
     }
@@ -629,9 +609,9 @@ def _robustness_rows(config, by_seed: dict) -> list[dict]:
 def run_tables(config) -> Tables:
     """Every table of one run, from one pass over the distinct seeds.
 
-    Each seed's population and `ours-*` offers are made once, and its grid
-    cells, its tamper cells and, for the first listed seed, the reputation
-    trace's cell all run on them; they are freed before the next seed's
+    Each seed's population and `ours-*` contracts are made once, and its
+    grid cells, its tamper cells and, for the first listed seed, the
+    reputation trace all run on them; they are freed before the next seed's
     are made. With `rounds = 0` the grid and the trace are empty.
     """
     play = config.rounds > 0
@@ -646,7 +626,7 @@ def run_tables(config) -> Tables:
         if play:
             cells[seed] = _grid_cells(config, seed, population, test, offers)
         if seed == trace_seed:
-            trace = _trace_rows(config, population, test, offers)
+            trace = _trace_rows(config, population, test)
         if tamper:
             totals[seed] = _tamper_totals(config, seed, population, test, offers)
         del population, test, offers  # before the next seed's population is built

@@ -14,7 +14,6 @@ from flmarket import auction, cli, reputation
 from flmarket.auction import (
     TRUST_POLICIES,
     ClientProfile,
-    RoundReport,
     build_population,
     ledger_epsilon,
     run_cell,
@@ -27,6 +26,7 @@ from flmarket.auction import (
     _flipped_labels,
     _fresh_state,
     _offer,
+    _server_utility,
     _uniform,
     realized_value,
 )
@@ -51,12 +51,13 @@ from flmarket.mechanism import (
     Contract,
     MarketParams,
     Regime,
+    client_utility,
     cost,
     server_utility_per_client,
     solve,
     solve_complete,
 )
-from flmarket.reputation import additive_utility, banzhaf_mc
+from flmarket.reputation import ReputationParams, additive_utility, banzhaf_mc
 
 
 def small_config(**overrides):
@@ -89,17 +90,20 @@ def single_client_setup(theta=1.0, regime=Regime.COMPLETE):
 class TestRunRound:
     def test_single_top_type_client_fixture(self):
         population, params, state = single_client_setup()
-        report = run_round(population, params, state, _offer(population, params))
+        contracts = _offer(population, params)
+        report = run_round(population, params, state)
         assert report.selected == [0]
-        assert report.payments[0] == pytest.approx(0.75, abs=1e-12)
-        assert report.server_utility == pytest.approx(0.75, abs=1e-12)
+        assert contracts[0].r == pytest.approx(0.75, abs=1e-12)
+        assert _server_utility(report.selected, contracts, params) == pytest.approx(
+            0.75, abs=1e-12
+        )
 
     def test_complete_information_contracts_all_accepted(self):
         config = small_config()
         population, test = build_population(config, seed=3)
         params = MarketParams(1.0, 2.0, 8, 8, Regime.COMPLETE)
         state = _fresh_state(config, test)
-        report = run_round(population, params, state, _offer(population, params))
+        report = run_round(population, params, state)
         # Zero-rent contracts meet the participation bound, so with k = n
         # every client is selected.
         assert sorted(report.selected) == list(range(8))
@@ -109,7 +113,7 @@ class TestRunRound:
         population, test = build_population(config, seed=1)
         params = MarketParams(1.0, 2.0, 10, 3, Regime.COMPLETE)
         state = _fresh_state(config, test)
-        report = run_round(population, params, state, _offer(population, params))
+        report = run_round(population, params, state)
         assert report.selected == [0, 1, 2]
 
     def test_budget_identity(self):
@@ -119,13 +123,14 @@ class TestRunRound:
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.3, 2.0, 8, 4, regime)
             state = _fresh_state(config, test)
-            offer = _offer(population, params)
+            contracts = _offer(population, params)
             for _ in range(2):
-                rep = run_round(population, params, state, offer)
-                lhs = rep.server_utility + sum(rep.client_utilities.values())
+                rep = run_round(population, params, state)
+                lhs = _server_utility(rep.selected, contracts, params) + sum(
+                    client_utility(contracts[i], thetas[i], params.delta) for i in rep.selected
+                )
                 rhs = sum(
-                    params.lam * rep.contracts[i].q
-                    - cost(rep.contracts[i].q, thetas[i], params.delta)
+                    params.lam * contracts[i].q - cost(contracts[i].q, thetas[i], params.delta)
                     for i in rep.selected
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -133,26 +138,31 @@ class TestRunRound:
     def test_no_selected_client_has_negative_utility(self):
         config = small_config(theta_min=0.0)
         population, test = build_population(config, seed=9)
+        thetas = {c.id: c.theta for c in population}
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.0, 2.0, 8, 5, regime)
             state = _fresh_state(config, test)
-            offer = _offer(population, params)
+            contracts = _offer(population, params)
             for _ in range(3):
-                rep = run_round(population, params, state, offer)
-                assert all(u >= 0.0 for u in rep.client_utilities.values())
+                rep = run_round(population, params, state)
+                assert all(
+                    client_utility(contracts[i], thetas[i], params.delta) >= 0.0
+                    for i in rep.selected
+                )
 
     def test_regime_dominance_every_round(self):
         config = small_config(rounds=4)
         population, test = build_population(config, seed=7)
         params_ci = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
         params_in = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
-        state_ci = _fresh_state(config, test)
-        state_in = _fresh_state(config, test)
+        state = _fresh_state(config, test)
         offer_ci = _offer(population, params_ci)
         offer_in = _offer(population, params_in)
+        # Both regimes price the one trajectory every client accepts.
         for _ in range(4):
-            u_ci = run_round(population, params_ci, state_ci, offer_ci).server_utility
-            u_in = run_round(population, params_in, state_in, offer_in).server_utility
+            selected = run_round(population, params_ci, state).selected
+            u_ci = _server_utility(selected, offer_ci, params_ci)
+            u_in = _server_utility(selected, offer_in, params_in)
             assert u_ci >= u_in - 1e-12
 
     def test_empty_population_rejected(self):
@@ -160,21 +170,20 @@ class TestRunRound:
         _, test = generate_population(1, [0.5], seed=0)
         state = SimulationState(agg=AggregationConfig(), test=test)
         with pytest.raises(ValueError):
-            run_round([], params, state, _offer([], params))
+            run_round([], params, state)
 
     def test_determinism(self):
         config = small_config()
         population, test = build_population(config, seed=11)
-        reports_a = run_cell(config, "ours-incomplete", 4, 11, population, test)
+        params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
+        rows_a = run_cell(config, "ours-incomplete", 4, 11, population, test)
+        reports_a = auction._play(config, population, test, params)
         # A population that already ran a cell runs the next one unchanged.
-        reports_b = run_cell(config, "ours-incomplete", 4, 11, population, test)
-        reports_c = run_cell(config, "ours-incomplete", 4, 11, *build_population(config, 11))
-        for reports in (reports_b, reports_c):
-            assert [r.server_utility for r in reports] == [
-                r.server_utility for r in reports_a
-            ]
-            assert [r.selected for r in reports] == [r.selected for r in reports_a]
-            assert [r.epsilons for r in reports] == [r.epsilons for r in reports_a]
+        assert run_cell(config, "ours-incomplete", 4, 11, population, test) == rows_a
+        assert auction._play(config, population, test, params) == reports_a
+        fresh = build_population(config, 11)
+        assert run_cell(config, "ours-incomplete", 4, 11, *fresh) == rows_a
+        assert auction._play(config, *fresh, params) == reports_a
 
     def test_each_model_is_evaluated_once(self, monkeypatch):
         """One evaluation per round scores every accepted client's local
@@ -195,9 +204,8 @@ class TestRunRound:
         monkeypatch.setattr(auction, "evaluate_accuracy", counted)
         monkeypatch.setattr(auction, "local_train", spied)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
-        offer = _offer(population, params)
         for r in range(3):
-            rep = run_round(population, params, state, offer)
+            rep = run_round(population, params, state)
             assert len(evaluated) == len(trained) == r + 1
             models = [m.weights for m in trained[r]] + [state.model.weights]
             assert len(models) == len(rep.realized_q) + 1
@@ -231,7 +239,7 @@ class TestRunRound:
         # Complete information: every client accepts, so all n are scored.
         params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
         state = _fresh_state(config, test)
-        rep = run_round(population, params, state, _offer(population, params))
+        rep = run_round(population, params, state)
         assert len(rep.epsilons) == n
         assert calls == [path]
         rows = n << (n - 1)
@@ -250,7 +258,7 @@ class TestRunRound:
         # Complete information: every client accepts, so all n are scored.
         params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
         state = _fresh_state(config, test)
-        rep = run_round(population, params, state, _offer(population, params))
+        rep = run_round(population, params, state)
         assert len(state.ledger.records) == n
         zetas = {r.client_id: r.zeta for r in state.ledger.records}
         assert sorted(zetas) == sorted(rep.realized_q) == list(range(n))
@@ -267,7 +275,7 @@ class TestRunRound:
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
         state = SimulationState(agg=cfg, test=test)
         model = state.model
-        rep = run_round(population, params, state, _offer(population, params))
+        rep = run_round(population, params, state)
         assert len(rep.realized_q) == 6 and len(rep.selected) == 2
         proposed = local_train(model, datasets, cfg, np.zeros(21), {})
         # Only the selected clients hold a variate: the c_i+ they proposed.
@@ -283,9 +291,8 @@ class TestRunRound:
         population, test = build_population(config, seed=4)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
         state = _fresh_state(config, test)
-        offer = _offer(population, params)
         for _ in range(3):
-            rep = run_round(population, params, state, offer)
+            rep = run_round(population, params, state)
             # Every accepted client is scored, so every one has a new record.
             assert set(rep.epsilons) == set(rep.realized_q)
             for i, eps in rep.epsilons.items():
@@ -327,8 +334,7 @@ class TestRealizedContribution:
         ]
         params = MarketParams(1.0, 2.0, len(thetas), 2)
         state = SimulationState(agg=AggregationConfig(**agg), test=test)
-        offer = _offer(population, params)
-        reports = [run_round(population, params, state, offer) for _ in range(rounds)]
+        reports = [run_round(population, params, state) for _ in range(rounds)]
         return population, test, reports
 
     def test_identical_models_contribute_zero(self):
@@ -378,9 +384,8 @@ class TestPoisonedLabels:
         # Complete information: every client accepts, poisoners included.
         params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
         state = _fresh_state(config, test)
-        offer = _offer(population, params)
         for r in range(config.rounds):
-            rep = run_round(population, params, state, offer)
+            rep = run_round(population, params, state)
             assert len(rep.realized_q) == len(population)
             for c, d in zip(population, datasets):
                 row = state.poisoned_labels[d.row, 0]
@@ -399,7 +404,7 @@ class TestPoisonedLabels:
         population, test = build_population(config, seed=2)
         state = _fresh_state(config, test)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
-        run_round(population, params, state, _offer(population, params))
+        run_round(population, params, state)
         assert state.poisoned_labels is None
 
     def test_zero_rounds_draw_no_flips(self):
@@ -431,12 +436,12 @@ def reference_bid_rounds(config, mechanism, k, seed):
     """The earlier pay-as-bid and uniform baseline rounds, kept as an oracle:
     every client bids its cost times a margin drawn in population order, the
     k cheapest (ties by id) or k uniformly drawn clients win, and each
-    winner is paid its bid."""
+    winner is paid its bid. Returns the target output and each round's
+    winners' contracts, in the winner rule's order."""
     population, _ = build_population(config, seed)
     params = MarketParams(config.lam, config.delta, config.n_clients, k)
-    thetas = {c.id: c.theta for c in population}
     target_q = statistics.median(solve_complete(c.theta, params).q for c in population)
-    reports = []
+    rounds = []
     for r in range(config.rounds):
         rng = np.random.default_rng((seed, r))
         prices = {
@@ -448,24 +453,8 @@ def reference_bid_rounds(config, mechanism, k, seed):
         else:
             draw = np.random.default_rng(auction._mix(seed, r, 99))
             winners = sorted(draw.choice(sorted(prices), size=k, replace=False).tolist())
-        contracts = {i: Contract(target_q, prices[i]) for i in winners}
-        reports.append(
-            RoundReport(
-                round=r,
-                selected=winners,
-                contracts=contracts,
-                realized_q={i: target_q for i in winners},
-                payments={i: prices[i] for i in winners},
-                server_utility=sum(
-                    server_utility_per_client(c, params) for c in contracts.values()
-                ),
-                client_utilities={
-                    i: prices[i] - cost(target_q, thetas[i], config.delta) for i in winners
-                },
-                epsilons={},
-            )
-        )
-    return reports
+        rounds.append({i: Contract(target_q, prices[i]) for i in winners})
+    return target_q, rounds
 
 
 def bid_round(population, rule, target_q, params, seed, round_num):
@@ -490,17 +479,20 @@ def _spied(rule, seen):
 
 
 def _never_below_cost(rule):
-    """Five rounds of `rule` over spread thetas: every winner's payment
-    covers its cost, and its utility is exactly the difference."""
+    """Five rounds of `rule` over spread thetas: each of the k winners is
+    contracted for the target output, and its payment covers its cost of
+    it, so its utility is nonnegative."""
     thetas = [0.1, 0.5, 0.9, 1.0]
     datasets, _ = generate_population(4, thetas, seed=0)
     population = [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
     params = MarketParams(1.0, 2.0, 4, 2)
     for r in range(5):
-        rep = bid_round(population, rule, 1.2, params, seed=6, round_num=r)
-        for i in rep.selected:
-            assert rep.payments[i] >= cost(1.2, thetas[i], 2.0)
-            assert rep.client_utilities[i] == rep.payments[i] - cost(1.2, thetas[i], 2.0)
+        contracts = bid_round(population, rule, 1.2, params, seed=6, round_num=r)
+        assert len(contracts) == 2
+        for i, contract in contracts.items():
+            assert contract.q == 1.2
+            assert contract.r >= cost(1.2, thetas[i], 2.0)
+            assert client_utility(contract, thetas[i], 2.0) >= 0.0
 
 
 class TestBidRound:
@@ -510,8 +502,21 @@ class TestBidRound:
     def test_run_cell_matches_the_reference_rounds(self, mechanism, seed, k):
         config = small_config(rounds=4, k_values=[k])
         population, test = build_population(config, seed)
-        reports = run_cell(config, mechanism, k, seed, population, test)
-        assert reports == reference_bid_rounds(config, mechanism, k, seed)
+        target_q, rounds = reference_bid_rounds(config, mechanism, k, seed)
+        params = MarketParams(config.lam, config.delta, config.n_clients, k)
+        played = [
+            bid_round(population, auction.MECHANISMS[mechanism], target_q, params, seed, r)
+            for r in range(config.rounds)
+        ]
+        assert played == rounds
+        # dict equality ignores order; the winner rule's order is the keys'.
+        assert [list(c) for c in played] == [list(c) for c in rounds]
+        assert run_cell(config, mechanism, k, seed, population, test) == [
+            {"mechanism": mechanism, "k": k, "seed": seed, "round": r,
+             "server_utility": sum(server_utility_per_client(c, params) for c in won.values()),
+             "accuracy": None, "n_selected": k}
+            for r, won in enumerate(rounds)
+        ]
 
 
 class TestPriceFirst:
@@ -520,15 +525,16 @@ class TestPriceFirst:
         config = small_config(n_clients=10)
         population, _ = build_population(config, 2)
         seen = {}
-        rep = bid_round(
-            population, _spied(_cheapest, seen), 1.0, MarketParams(1.0, 2.0, 10, 4), 2, 1
-        )
-        assert len(seen) == 10 and len(rep.selected) == 4
-        losers = set(seen) - set(rep.selected)
-        assert max(seen[i] for i in rep.selected) <= min(seen[i] for i in losers)
-        assert rep.payments == {i: seen[i] for i in rep.selected}
-        assert rep.contracts == {i: Contract(1.0, seen[i]) for i in rep.selected}
-        assert rep.server_utility == sum(1.0 - seen[i] for i in rep.selected)
+        params = MarketParams(1.0, 2.0, 10, 4)
+        contracts = bid_round(population, _spied(_cheapest, seen), 1.0, params, 2, 1)
+        winners = list(contracts)
+        assert len(seen) == 10 and len(winners) == 4
+        # The winners come cheapest first, and each is paid its bid.
+        assert winners == sorted(winners, key=lambda i: (seen[i], i))
+        losers = set(seen) - set(winners)
+        assert max(seen[i] for i in winners) <= min(seen[i] for i in losers)
+        assert contracts == {i: Contract(1.0, seen[i]) for i in winners}
+        assert _server_utility(winners, contracts, params) == sum(1.0 - seen[i] for i in winners)
 
     def test_equal_bids_tie_break_by_id(self):
         assert _cheapest({2: 2.0, 0: 2.0, 1: 2.0}, 2, 0) == [0, 1]
@@ -536,8 +542,8 @@ class TestPriceFirst:
     def test_everyone_wins_when_k_equals_population(self):
         assert sorted(_cheapest({0: 1.0, 1: 2.0, 2: 3.0}, 3, 0)) == [0, 1, 2]
         population = _equal_theta_population(5)
-        rep = bid_round(population, _cheapest, 1.0, MarketParams(1.0, 2.0, 5, 5), 3, 0)
-        assert sorted(rep.selected) == list(range(5))
+        contracts = bid_round(population, _cheapest, 1.0, MarketParams(1.0, 2.0, 5, 5), 3, 0)
+        assert sorted(contracts) == list(range(5))
 
     def test_cost_anchored_bids_never_pay_below_cost(self):
         _never_below_cost(_cheapest)
@@ -556,8 +562,8 @@ class TestRandomized:
     def test_everyone_wins_when_k_equals_population(self):
         assert sorted(_uniform(dict.fromkeys(range(5), 1.0), 5, 1)) == list(range(5))
         population = _equal_theta_population(5)
-        rep = bid_round(population, _uniform, 1.0, MarketParams(1.0, 2.0, 5, 5), 1, 0)
-        assert sorted(rep.selected) == list(range(5))
+        contracts = bid_round(population, _uniform, 1.0, MarketParams(1.0, 2.0, 5, 5), 1, 0)
+        assert sorted(contracts) == list(range(5))
 
     def test_winners_never_paid_below_cost(self):
         _never_below_cost(_uniform)
@@ -674,6 +680,8 @@ class TestExperimentHarness:
             "price-first",
             "randomized",
         }
+        # One seed's total has no spread.
+        assert all(row["std_utility"] == 0.0 for row in summary)
 
     def test_reputation_trace_covers_all_clients_each_round(self):
         config = small_config(rounds=2, poison_count=2, seeds=[1, 0])
@@ -719,14 +727,65 @@ def oracle_rows(config):
     """run_tables' grid rows with every cell played on its own by run_cell."""
     populations = {seed: build_population(config, seed) for seed in set(config.seeds)}
     return [
-        {"mechanism": mechanism, "k": k, "seed": seed, "round": rep.round,
-         "server_utility": rep.server_utility, "accuracy": rep.accuracy_global,
-         "n_selected": len(rep.selected)}
+        row
         for k in config.k_values
         for mechanism in config.mechanisms
         for seed in config.seeds
-        for rep in run_cell(config, mechanism, k, seed, *populations[seed])
+        for row in run_cell(config, mechanism, k, seed, *populations[seed])
     ]
+
+
+def reference_trace_and_robustness(config):
+    """run_tables' reputation trace and robustness rows, each cell played on
+    its own from a fresh population and a fresh offer: the first `ours-*`
+    mechanism at the first k, in a plain round loop that prices each round
+    itself, then the mean over the listed seeds, repeats included."""
+    mechanism = config.mechanisms_ours()[0]
+    params = MarketParams(
+        config.lam, config.delta, config.n_clients, config.k_values[0],
+        auction.MECHANISMS[mechanism],
+    )
+    stores = {"chained": HashChainLedger, "vulnerable": PlainStore}
+
+    def play(seed, mode="chained", tamper=None):
+        population, test = build_population(config, seed)
+        contracts = _offer(population, params)
+        state = SimulationState(
+            agg=AggregationConfig(
+                config.aggregation, config.local_epochs, config.learning_rate, config.prox_mu
+            ),
+            test=test,
+            ledger=stores[mode](),
+            rep_params=ReputationParams(config.w1, config.w2),
+            trust_policy=config.trust_policy,
+        )
+        reports, total = [], 0
+        for _ in range(config.rounds):
+            reports.append(run_round(population, params, state))
+            total += sum(
+                server_utility_per_client(contracts[i], params) for i in reports[-1].selected
+            )
+            if tamper is not None:
+                tamper_attack(state.ledger, tamper)
+        return population, reports, total
+
+    population, reports, _ = play(config.seeds[0])
+    trace = [
+        {"round": rep.round, "client": c.id, "epsilon": rep.epsilons[c.id],
+         "behavior": "honest" if c.honest else "poisoner"}
+        for rep in reports
+        for c in population
+    ]
+    robustness = [
+        {"alpha": alpha, "beta": beta, "ledger_mode": mode,
+         "mean_utility": statistics.fmean(
+             play(seed, mode, TamperConfig(alpha, beta, seed))[2] for seed in config.seeds
+         )}
+        for alpha in config.tamper_alphas
+        for beta in config.tamper_betas
+        for mode in config.ledger_modes
+    ]
+    return trace, robustness
 
 
 def counting_run_round(monkeypatch):
@@ -740,20 +799,23 @@ def counting_run_round(monkeypatch):
     return calls
 
 
+SHARED_TRAJECTORY_CONFIGS = pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(aggregation=Aggregator.FEDAVG),
+        dict(aggregation=Aggregator.FEDPROX, prox_mu=0.1, poison_count=2, trust_policy="zero"),
+        dict(aggregation=Aggregator.SCAFFOLD, poison_count=2, trust_policy="last_valid"),
+    ],
+    ids=["fedavg", "fedprox-poisoners-zero", "scaffold-poisoners-last_valid"],
+)
+
+
 class TestSharedTrajectory:
     """Every client accepts every `ours-*` offer, so the regimes play one
     trajectory of rounds and differ only in pricing; each must equal its
     own run_cell."""
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(aggregation=Aggregator.FEDAVG),
-            dict(aggregation=Aggregator.FEDPROX, prox_mu=0.1, poison_count=2, trust_policy="zero"),
-            dict(aggregation=Aggregator.SCAFFOLD, poison_count=2, trust_policy="last_valid"),
-        ],
-        ids=["fedavg", "fedprox-poisoners-zero", "scaffold-poisoners-last_valid"],
-    )
+    @SHARED_TRAJECTORY_CONFIGS
     def test_equals_each_regime_played_alone(self, overrides):
         config = small_config(rounds=3, seeds=[1, 0, 1], k_values=[2, 4], **overrides)
         rows = run_tables(config).rounds
@@ -762,7 +824,7 @@ class TestSharedTrajectory:
             population, test = build_population(config, seed)
             offers = auction._offers(config, population)
             for k in config.k_values:
-                shared = auction._ours_cells(config, k, population, test, offers)
+                shared = auction._ours_cells(config, k, seed, population, test, offers)
                 alone = {
                     m: run_cell(config, m, k, seed, population, test)
                     for m in config.mechanisms_ours()
@@ -770,11 +832,21 @@ class TestSharedTrajectory:
                 assert shared == alone
                 complete, incomplete = shared["ours-complete"], shared["ours-incomplete"]
                 for a, b in zip(complete, incomplete):
-                    assert (a.selected, a.accuracy_global, a.epsilons) == (
-                        b.selected, b.accuracy_global, b.epsilons
+                    assert (a["round"], a["accuracy"], a["n_selected"]) == (
+                        b["round"], b["accuracy"], b["n_selected"]
                     )
-                    assert a.contracts != b.contracts and a.payments != b.payments
-                    assert a.server_utility != b.server_utility
+                    assert a["mechanism"] != b["mechanism"]
+                    assert a["server_utility"] != b["server_utility"]
+
+    @SHARED_TRAJECTORY_CONFIGS
+    def test_trace_and_tamper_cells_equal_cells_played_alone(self, overrides):
+        config = small_config(
+            rounds=3, seeds=[1, 0, 1], k_values=[2, 4], tamper_alphas=[0.25, 0.5],
+            tamper_betas=[2.0], ledger_modes=["chained", "vulnerable"], **overrides,
+        )
+        tables = run_tables(config)
+        assert len(tables.robustness) == 4
+        assert (tables.reputation, tables.robustness) == reference_trace_and_robustness(config)
 
     def test_one_trajectory_per_seed_and_k(self, monkeypatch):
         config = small_config(seeds=[0])
@@ -816,19 +888,24 @@ class TestMechanismTable:
     def test_each_name_validates_and_runs_a_round(self, mechanism):
         config = small_config(rounds=1, seeds=[0], mechanisms=[mechanism])
         population, test = build_population(config, 0)
-        reports = run_cell(config, mechanism, 4, 0, population, test)
-        assert [rep.round for rep in reports] == [0]
+        rows = run_cell(config, mechanism, 4, 0, population, test)
+        assert [(r["mechanism"], r["k"], r["seed"], r["round"]) for r in rows] == [
+            (mechanism, 4, 0, 0)
+        ]
+        assert rows[0]["n_selected"] == 4
         row = auction.MECHANISMS[mechanism]
         ours = isinstance(row, Regime)
         assert config.mechanisms_ours() == ([mechanism] if ours else [])
         if ours:
+            # The round's top 4 are priced with the regime's own contracts.
             params = MarketParams(config.lam, config.delta, config.n_clients, 4, row)
-            assert reports[0].contracts == {c.id: solve(c.theta, params) for c in population}
+            contracts = {c.id: solve(c.theta, params) for c in population}
+            selected = run_round(population, params, _fresh_state(config, test)).selected
+            assert rows[0]["server_utility"] == _server_utility(selected, contracts, params)
+            assert 0.0 <= rows[0]["accuracy"] <= 1.0
         else:
-            # A baseline round scores nobody and contracts only its winners.
-            assert reports[0].epsilons == {}
-            assert sorted(reports[0].contracts) == sorted(reports[0].selected)
-            assert len(reports[0].selected) == 4
+            # A baseline round trains nothing.
+            assert rows[0]["accuracy"] is None
 
     def test_baseline_rows_hold_their_winner_rules(self):
         baselines = {m: row for m, row in auction.MECHANISMS.items() if not isinstance(row, Regime)}

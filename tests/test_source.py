@@ -181,7 +181,8 @@ def test_rounds_do_no_per_cell_work():
     # A cell's offer and a poisoner's flipped labels are fixed for the whole
     # cell, so run_round, and every auction function it reaches, neither
     # prices the population nor draws random numbers: both happen once per
-    # cell or per population, before the rounds.
+    # cell or per population, before the rounds. Nor does it price the
+    # round: a round is played once and priced by each mechanism after.
     functions = _auction_functions()
     reached, todo = set(), ["run_round"]
     while todo:
@@ -195,7 +196,25 @@ def test_rounds_do_no_per_cell_work():
         f"{name} calls {callee}"
         for name in reached
         for node in ast.walk(functions[name])
-        if (callee := _callee(node)) in {"_offer", "poison", "default_rng"}
+        if (callee := _callee(node))
+        in {"_offer", "poison", "default_rng", "_server_utility", "server_utility_per_client",
+            "client_utility"}
     )
     assert "_round_labels" in reached
     assert calls == [], f"per-round fixed work: {calls}"
+
+
+def test_rounds_are_priced_in_one_place():
+    # Every mechanism prices its rounds through auction._server_utility, so
+    # no two of them can sum the server's payoff differently.
+    calls = [
+        f"{path.stem}.{scope}"
+        for path in SOURCES
+        for scope in _scopes_where(
+            ast.parse(path.read_text(), filename=str(path)),
+            lambda node: _callee(node) == "server_utility_per_client",
+        )
+    ]
+    assert calls == ["auction._server_utility"], (
+        f"server_utility_per_client called outside auction._server_utility: {calls}"
+    )
