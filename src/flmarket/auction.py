@@ -20,6 +20,13 @@ flipped labels: `build_population` draws every round's flips once, and one
 pass over the seeds (`run_tables`) runs each seed's grid cells, reputation
 trace and tamper cells on that one population, under its one set of offers.
 
+Given the seed, the model a round starts from is fixed by the sequence of
+ordered selections aggregated so far, and so are its accuracy, the Scaffold
+variates, the round's poisoned labels and the local models trained from it.
+So a seed's cells play their rounds on one `ModelTree` keyed by that
+history, and each node's training and evaluation is done once, by the first
+cell to reach it; every cell keeps its own ledger, selection and scoring.
+
 The two buyers'-market baselines are rows of the same table: each holds its
 winner rule, and one bid round (`_bid_round`) plays either. Every client
 bids its cost at the median complete-information output times a random
@@ -30,8 +37,9 @@ round's contracts are the winners' bids.
 from __future__ import annotations
 
 import statistics
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -135,29 +143,85 @@ class RoundReport:
     accuracy_global: float
 
 
-@dataclass
-class SimulationState:
-    """Mutable cross-round state: global model and its test accuracy,
-    ledger, the Scaffold control variates (the server's c and each
-    aggregated client's c_i; a client without one reads zeros), and the
-    label buffer the poisoners' flipped labels are written into: a copy of
-    the population's label block, made by the first round of a population
-    with a poisoner."""
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """`array`, marked read-only: a node's arrays are shared by every cell
+    that reaches it."""
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(eq=False, slots=True)
+class ModelNode:
+    """The model state one selection history of a seed reaches: the global
+    weights a round starts from and their test accuracy, the server's
+    Scaffold variate c and each aggregated client's committed c_i (a client
+    without one reads zeros). A round played from here aggregates the
+    selected clients' local models into the child keyed by the selection, in
+    selection order (`children`). Nothing here changes once the node is
+    made: its arrays are read-only, `variates` is a read-only mapping, and a
+    round commits new variates into its child's own mapping.
+
+    The round's local models are filled on the first visit, which trains
+    every client from `weights`, and never change after: `local_weights` is
+    the (clients, d + 1) stack of local weights in population order,
+    `local_variates` the clients' proposed c_i+ beside it (None unless
+    Scaffold trained them), and `local_accuracies` their test accuracies."""
+
+    weights: np.ndarray
+    accuracy: float
+    server_variate: np.ndarray
+    variates: Mapping[int, np.ndarray]
+    local_weights: np.ndarray | None = None
+    local_variates: np.ndarray | None = None
+    local_accuracies: np.ndarray | None = None
+    children: dict[tuple[int, ...], ModelNode] = field(default_factory=dict)
+
+
+@dataclass(eq=False)
+class ModelTree:
+    """Every selection history the cells of one population play, as a tree
+    of `ModelNode`s rooted at the untrained model, with what fixes the
+    nodes' content besides the population: the training hyperparameters and
+    the held-out test set. It also holds the one label buffer the
+    population's poisoners' flipped labels are written into
+    (`_round_labels`): a copy of the population's label block, made by the
+    first round trained with a poisoner. `run_tables` makes one tree per
+    seed, beside the seed's population, and frees both together."""
 
     agg: AggregationConfig
     test: SyntheticDataset
-    ledger: HashChainLedger | PlainStore = field(default_factory=HashChainLedger)
-    rep_params: ReputationParams = field(default_factory=ReputationParams)
-    model: ModelParams = field(default_factory=init_model)
-    trust_policy: str = TRUST_LAST_VALID
-    server_variate: np.ndarray = field(default_factory=lambda: np.zeros(FEATURE_DIM + 1))
-    variates: dict[int, np.ndarray] = field(default_factory=dict)
-    poisoned_labels: np.ndarray | None = field(default=None, repr=False)
-    round: int = 0
-    accuracy: float = field(init=False)  # test accuracy of `model`
+    root: ModelNode = field(init=False)
+    poisoned_labels: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.accuracy = evaluate_accuracy(self.model.weights[None], self.test)[0]
+        weights = _frozen(init_model().weights)
+        self.root = ModelNode(
+            weights,
+            evaluate_accuracy(weights[None], self.test)[0],
+            _frozen(np.zeros(FEATURE_DIM + 1)),
+            MappingProxyType({}),
+        )
+
+
+@dataclass
+class SimulationState:
+    """One cell's own cross-round state: its ledger, trust policy,
+    reputation parameters and round counter, and the node of `tree` that
+    its selections have reached. A cell starts at the root in round 0, so
+    its round counter is its node's depth. The model state (weights,
+    accuracy, Scaffold variates) is the node's, shared with every cell of
+    the tree that selected alike; a state built on a fresh tree shares
+    nothing."""
+
+    tree: ModelTree
+    ledger: HashChainLedger | PlainStore = field(default_factory=HashChainLedger)
+    rep_params: ReputationParams = field(default_factory=ReputationParams)
+    trust_policy: str = TRUST_LAST_VALID
+    round: int = 0
+    node: ModelNode = field(init=False)
+
+    def __post_init__(self):
+        self.node = self.tree.root
 
 
 def _mix(seed: int, round_num: int, salt: int) -> int:
@@ -229,23 +293,25 @@ def _flipped_labels(
     return packed
 
 
-def _round_labels(population: list[ClientProfile], state: SimulationState) -> np.ndarray | None:
-    """The label block the population trains on this round: None (its own)
-    if no client is a poisoner, else `state.poisoned_labels` with each
-    poisoner's row overwritten by its flipped labels of the round. The
+def _round_labels(
+    population: list[ClientProfile], tree: ModelTree, round_num: int
+) -> np.ndarray | None:
+    """The label block the population trains on in round `round_num`: None
+    (its own) if no client is a poisoner, else `tree.poisoned_labels` with
+    each poisoner's row overwritten by its flipped labels of the round. The
     datasets are rows of one population from `generate_population`, which
     is not changed."""
     poisoners = [c for c in population if not c.honest]
     if not poisoners:
         return None
-    if state.poisoned_labels is None:
-        state.poisoned_labels = poisoners[0].dataset.label_block.copy()
+    if tree.poisoned_labels is None:
+        tree.poisoned_labels = poisoners[0].dataset.label_block.copy()
     for c in poisoners:
         d = c.dataset
-        state.poisoned_labels[d.row, 0, : len(d)] = np.unpackbits(
-            c.flipped_labels[state.round], count=len(d)
+        tree.poisoned_labels[d.row, 0, : len(d)] = np.unpackbits(
+            c.flipped_labels[round_num], count=len(d)
         )
-    return state.poisoned_labels
+    return tree.poisoned_labels
 
 
 def _offer(population: list[ClientProfile], params: MarketParams) -> dict[int, Contract]:
@@ -274,6 +340,62 @@ def _server_utility(
     return sum(server_utility_per_client(contracts[i], params) for i in selected)
 
 
+def _child(
+    population: list[ClientProfile], tree: ModelTree, node: ModelNode, selected: list[int],
+    round_num: int,
+) -> ModelNode:
+    """The node that aggregating `selected`, in their order, reaches from
+    `node` in round `round_num`: the known child, or else a new one. The
+    key is the ordered selection because aggregation and the Scaffold
+    variate sum add in that order.
+
+    The first visit to `node` trains every client from its weights and
+    evaluates the local models and the new global model in one evaluation.
+    A later visit that selects anew only aggregates its stored local models
+    and evaluates the new global model.
+    """
+    key = tuple(selected)
+    child = node.children.get(key)
+    if child is not None:
+        return child
+    local_weights, local_variates = node.local_weights, node.local_variates
+    first_visit = local_weights is None
+    if first_visit:
+        trained = local_train(
+            ModelParams(node.weights), [c.dataset for c in population], tree.agg,
+            node.server_variate, node.variates, _round_labels(population, tree, round_num),
+        )
+        local_weights = _frozen(np.array([m.weights for m in trained]))
+        # local_train proposes a c_i+ for every client or (not Scaffold) for none.
+        if trained[0].variate is not None:
+            local_variates = _frozen(np.array([m.variate for m in trained]))
+    rows = {c.id: p for p, c in enumerate(population)}
+    new_global = aggregate(
+        [ModelParams(local_weights[rows[i]]) for i in selected],
+        [len(population[rows[i]].dataset) for i in selected], tree.agg,
+    )
+    server_variate, variates = node.server_variate, node.variates
+    # Scaffold: only the aggregated clients S commit their proposed c_i+, and
+    # c moves by (1/N) * sum over S of c_i+ - c_i, N the population size.
+    if local_variates is not None:
+        proposed = {i: local_variates[rows[i]] for i in selected}
+        deltas = [v - variates.get(i, 0.0) for i, v in proposed.items()]
+        server_variate = _frozen(server_variate + np.sum(deltas, axis=0) / len(population))
+        variates = MappingProxyType(variates | proposed)
+    if first_visit:
+        *accuracies, accuracy = evaluate_accuracy(
+            np.vstack([local_weights, new_global.weights]), tree.test
+        )
+        # Filled in one step, once nothing of the round can raise.
+        node.local_weights, node.local_variates = local_weights, local_variates
+        node.local_accuracies = _frozen(np.array(accuracies))
+    else:
+        (accuracy,) = evaluate_accuracy(new_global.weights[None], tree.test)
+    child = ModelNode(_frozen(new_global.weights), accuracy, server_variate, variates)
+    node.children[key] = child
+    return child
+
+
 def run_round(
     population: list[ClientProfile],
     params: MarketParams,
@@ -281,7 +403,15 @@ def run_round(
 ) -> RoundReport:
     """One round played: selection, training, aggregation, evaluation,
     Banzhaf scoring and ledger append. Every client accepts its contract, so
-    no regime enters the round, and nothing is priced here."""
+    no regime enters the round, and nothing is priced here.
+
+    Selection, the ledger reads, scoring and the appends are the cell's own.
+    Training and evaluation are the tree's: the cell moves to the child
+    node its selection reaches (`_child`), which trains and evaluates only
+    what no earlier visit to the node has. Every client trains a candidate
+    local model and is scored; only the selected top-k are aggregated into
+    the global model (and paid, once a mechanism prices the round).
+    """
     if not population:
         raise ValueError("population must be non-empty")
 
@@ -289,34 +419,13 @@ def run_round(
         c.id: ledger_epsilon(state.ledger, c.id, state.trust_policy) for c in population
     }
     selected = select_top_k(eps_prev, min(params.k_select, len(population)))
-
-    # Every client trains a candidate local model and is scored; only the
-    # selected top-k are aggregated into the global model (and paid, once a
-    # mechanism prices the round).
-    trained = local_train(
-        state.model, [c.dataset for c in population], state.agg, state.server_variate,
-        state.variates, _round_labels(population, state),
-    )
-    local_models = {c.id: m for c, m in zip(population, trained)}
-    sample_counts = {c.id: len(c.dataset) for c in population}
-    new_global = aggregate(
-        [local_models[i] for i in selected], [sample_counts[i] for i in selected], state.agg
-    )
-    # Scaffold: only the aggregated clients S commit their proposed c_i+, and
-    # c moves by (1/N) * sum over S of c_i+ - c_i, N the population size.
-    # local_train proposes a c_i+ for every client or (not Scaffold) for none.
-    proposed = {i: local_models[i].variate for i in selected}
-    if proposed[selected[0]] is not None:
-        deltas = [v - state.variates.get(i, 0.0) for i, v in proposed.items()]
-        state.server_variate = state.server_variate + np.sum(deltas, axis=0) / len(population)
-        state.variates.update(proposed)
-    # One evaluation scores every local model and the new global model.
+    node = state.node
+    child = _child(population, state.tree, node, selected, state.round)
     # Contributions are measured against the model the clients started
     # from, so the per-round improvement signal stays attributable.
-    *accuracies, acc_global = evaluate_accuracy(
-        np.array([m.weights for m in trained] + [new_global.weights]), state.test
+    realized = dict(
+        zip([c.id for c in population], (node.local_accuracies - node.accuracy).tolist())
     )
-    realized = {c.id: acc - state.accuracy for c, acc in zip(population, accuracies)}
 
     values = {c.id: realized_value(realized[c.id], c.theta, params) for c in population}
     zetas = _banzhaf_contributions(values)
@@ -330,10 +439,9 @@ def run_round(
         selected=selected,
         realized_q=realized,
         epsilons=epsilons,
-        accuracy_global=acc_global,
+        accuracy_global=child.accuracy,
     )
-    state.model = new_global
-    state.accuracy = acc_global
+    state.node = child
     state.round += 1
     return report
 
@@ -380,12 +488,19 @@ def build_population(config, seed: int) -> tuple[list[ClientProfile], SyntheticD
     return profiles, test
 
 
-def _fresh_state(config, test: SyntheticDataset, ledger_mode: str = "chained") -> SimulationState:
-    return SimulationState(
-        agg=AggregationConfig(
+def _model_tree(config, test: SyntheticDataset) -> ModelTree:
+    """A fresh tree of the config's training on `test`, for one population."""
+    return ModelTree(
+        AggregationConfig(
             config.aggregation, config.local_epochs, config.learning_rate, config.prox_mu
         ),
-        test=test,
+        test,
+    )
+
+
+def _fresh_state(config, tree: ModelTree, ledger_mode: str = "chained") -> SimulationState:
+    return SimulationState(
+        tree=tree,
         ledger=STORES[ledger_mode](),
         rep_params=ReputationParams(config.w1, config.w2),
         trust_policy=config.trust_policy,
@@ -412,7 +527,8 @@ def run_cell(
     """The `rounds.csv` rows of one (mechanism, k, seed) experiment cell, run
     on its own on the seed's population and test set from
     `build_population`. Neither is changed, so one population serves every
-    cell of its seed. An `ours-*` cell makes its own offer. A baseline cell
+    cell of its seed. An `ours-*` cell makes its own offer and plays on a
+    fresh `ModelTree`, sharing no training with any other cell. A baseline cell
     takes the seed's `target_q` if given, else computes it, and computes
     each client's cost of it once for all its rounds."""
     row = MECHANISMS[mechanism]
@@ -422,7 +538,7 @@ def run_cell(
         return _rows(
             mechanism, k, seed, params,
             ((rep.round, rep.selected, contracts, rep.accuracy_global)
-             for rep in _play(config, population, test, params)),
+             for rep in _play(config, population, _model_tree(config, test), params)),
         )
     params = _market(config, k)
     if target_q is None:
@@ -445,13 +561,13 @@ def _rows(mechanism: str, k: int, seed: int, params: MarketParams, rounds) -> li
 
 
 def _play(
-    config, population: list[ClientProfile], test: SyntheticDataset, params: MarketParams,
+    config, population: list[ClientProfile], tree: ModelTree, params: MarketParams,
     ledger_mode: str = "chained", tamper_cfg=None,
 ) -> list[RoundReport]:
     """The played rounds of an `ours-*` trajectory in the market `params`,
-    from a fresh state; with `tamper_cfg`, the ledger is attacked after
-    every round."""
-    state = _fresh_state(config, test, ledger_mode)
+    from a fresh state on the population's `tree`; with `tamper_cfg`, the
+    ledger is attacked after every round."""
+    state = _fresh_state(config, tree, ledger_mode)
     reports = []
     for _ in range(config.rounds):
         reports.append(run_round(population, params, state))
@@ -471,13 +587,13 @@ def _offers(config, population: list[ClientProfile]) -> dict[str, dict[int, Cont
 
 
 def _ours_cells(
-    config, k: int, seed: int, population: list[ClientProfile], test: SyntheticDataset,
+    config, k: int, seed: int, population: list[ClientProfile], tree: ModelTree,
     offers: dict[str, dict[int, Contract]],
 ) -> dict[str, list[dict]]:
     """The rows of every `ours-*` mechanism's cell at k: one trajectory,
     played in the market at k, priced with each mechanism's contracts from
     `_offers` in its own market at k."""
-    reports = _play(config, population, test, _market(config, k))
+    reports = _play(config, population, tree, _market(config, k))
     return {
         mechanism: _rows(
             mechanism, k, seed, _market(config, k, MECHANISMS[mechanism]),
@@ -510,7 +626,7 @@ COLUMNS = Tables(
 
 
 def _grid_cells(
-    config, seed: int, population: list[ClientProfile], test: SyntheticDataset,
+    config, seed: int, population: list[ClientProfile], tree: ModelTree,
     offers: dict[str, dict[int, Contract]],
 ) -> dict[tuple[int, str], list[dict]]:
     """The rows of every (k, mechanism) cell of the seed, under the seed's
@@ -519,13 +635,13 @@ def _grid_cells(
     out = {}
     target_q = None  # the baselines', made by the first baseline cell
     for k in config.k_values:
-        cells = _ours_cells(config, k, seed, population, test, offers) if offers else {}
+        cells = _ours_cells(config, k, seed, population, tree, offers) if offers else {}
         for mechanism in config.mechanisms:
             if mechanism not in cells:
                 if target_q is None:
                     target_q = _target_q(population, _market(config, k))
                 cells[mechanism] = run_cell(
-                    config, mechanism, k, seed, population, test, target_q=target_q
+                    config, mechanism, k, seed, population, tree.test, target_q=target_q
                 )
             out[k, mechanism] = cells[mechanism]
     return out
@@ -554,12 +670,12 @@ def _grid_tables(config, by_seed: dict) -> tuple[list[dict], list[dict]]:
     return round_rows, summary
 
 
-def _trace_rows(config, population: list[ClientProfile], test: SyntheticDataset) -> list[dict]:
+def _trace_rows(config, population: list[ClientProfile], tree: ModelTree) -> list[dict]:
     """Per-round reputation of every client, for trajectory plots: the
     shared `ours-*` trajectory at the first k, played on the seed's
     population. Every client accepts its contract, so every client is scored
     every round."""
-    reports = _play(config, population, test, _market(config, config.k_values[0]))
+    reports = _play(config, population, tree, _market(config, config.k_values[0]))
     return [
         {"round": rep.round, "client": c.id, "epsilon": rep.epsilons[c.id],
          "behavior": "honest" if c.honest else "poisoner"}
@@ -578,7 +694,7 @@ def _tamper_grid(config) -> list[tuple[float, float, str]]:
 
 
 def _tamper_totals(
-    config, seed: int, population: list[ClientProfile], test: SyntheticDataset,
+    config, seed: int, population: list[ClientProfile], tree: ModelTree,
     offers: dict[str, dict[int, Contract]],
 ) -> dict[tuple[float, float, str], float]:
     """Total server utility of each tamper cell of the seed: the first
@@ -590,7 +706,7 @@ def _tamper_totals(
         (alpha, beta, mode): sum(
             _server_utility(rep.selected, offers[mechanism], params)
             for rep in _play(
-                config, population, test, params, mode, TamperConfig(alpha, beta, seed)
+                config, population, tree, params, mode, TamperConfig(alpha, beta, seed)
             )
         )
         for alpha, beta, mode in _tamper_grid(config)
@@ -609,10 +725,11 @@ def _robustness_rows(config, by_seed: dict) -> list[dict]:
 def run_tables(config) -> Tables:
     """Every table of one run, from one pass over the distinct seeds.
 
-    Each seed's population and `ours-*` contracts are made once, and its
-    grid cells, its tamper cells and, for the first listed seed, the
-    reputation trace all run on them; they are freed before the next seed's
-    are made. With `rounds = 0` the grid and the trace are empty.
+    Each seed's population, `ModelTree` and `ours-*` contracts are made
+    once, and its grid cells, its tamper cells and, for the first listed
+    seed, the reputation trace all run on them, so each selection history
+    of the seed is trained once; they are freed before the next seed's are
+    made. With `rounds = 0` the grid and the trace are empty.
     """
     play = config.rounds > 0
     trace_seed = config.seeds[0] if play and config.mechanisms_ours() else None
@@ -622,14 +739,15 @@ def run_tables(config) -> Tables:
     cells, trace, totals = {}, [], {}
     for seed in dict.fromkeys(config.seeds):
         population, test = build_population(config, seed)
+        tree = _model_tree(config, test)
         offers = _offers(config, population)
         if play:
-            cells[seed] = _grid_cells(config, seed, population, test, offers)
+            cells[seed] = _grid_cells(config, seed, population, tree, offers)
         if seed == trace_seed:
-            trace = _trace_rows(config, population, test)
+            trace = _trace_rows(config, population, tree)
         if tamper:
-            totals[seed] = _tamper_totals(config, seed, population, test, offers)
-        del population, test, offers  # before the next seed's population is built
+            totals[seed] = _tamper_totals(config, seed, population, tree, offers)
+        del population, test, tree, offers  # before the next seed's are made
     return Tables(
         *(_grid_tables(config, cells) if play else ([], [])),
         trace,

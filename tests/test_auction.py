@@ -14,6 +14,7 @@ from flmarket import auction, cli, reputation
 from flmarket.auction import (
     TRUST_POLICIES,
     ClientProfile,
+    ModelTree,
     build_population,
     ledger_epsilon,
     run_cell,
@@ -25,6 +26,7 @@ from flmarket.auction import (
     _cheapest,
     _flipped_labels,
     _fresh_state,
+    _model_tree,
     _offer,
     _server_utility,
     _uniform,
@@ -34,6 +36,7 @@ from flmarket.config import ExperimentConfig, parse_config
 from flmarket.flsim import (
     AggregationConfig,
     Aggregator,
+    ModelParams,
     PoisonConfig,
     evaluate_accuracy,
     generate_population,
@@ -83,7 +86,7 @@ def single_client_setup(theta=1.0, regime=Regime.COMPLETE):
     datasets, test = generate_population(1, [theta], seed=0)
     population = [ClientProfile(0, theta, datasets[0])]
     params = MarketParams(1.0, 2.0, 1, 1, regime)
-    state = SimulationState(agg=AggregationConfig(local_epochs=2), test=test)
+    state = SimulationState(ModelTree(AggregationConfig(local_epochs=2), test))
     return population, params, state
 
 
@@ -102,7 +105,7 @@ class TestRunRound:
         config = small_config()
         population, test = build_population(config, seed=3)
         params = MarketParams(1.0, 2.0, 8, 8, Regime.COMPLETE)
-        state = _fresh_state(config, test)
+        state = _fresh_state(config, _model_tree(config, test))
         report = run_round(population, params, state)
         # Zero-rent contracts meet the participation bound, so with k = n
         # every client is selected.
@@ -112,7 +115,7 @@ class TestRunRound:
         config = small_config(n_clients=10, k_values=[3])
         population, test = build_population(config, seed=1)
         params = MarketParams(1.0, 2.0, 10, 3, Regime.COMPLETE)
-        state = _fresh_state(config, test)
+        state = _fresh_state(config, _model_tree(config, test))
         report = run_round(population, params, state)
         assert report.selected == [0, 1, 2]
 
@@ -122,7 +125,7 @@ class TestRunRound:
         thetas = {c.id: c.theta for c in population}
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.3, 2.0, 8, 4, regime)
-            state = _fresh_state(config, test)
+            state = _fresh_state(config, _model_tree(config, test))
             contracts = _offer(population, params)
             for _ in range(2):
                 rep = run_round(population, params, state)
@@ -141,7 +144,7 @@ class TestRunRound:
         thetas = {c.id: c.theta for c in population}
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.0, 2.0, 8, 5, regime)
-            state = _fresh_state(config, test)
+            state = _fresh_state(config, _model_tree(config, test))
             contracts = _offer(population, params)
             for _ in range(3):
                 rep = run_round(population, params, state)
@@ -155,7 +158,7 @@ class TestRunRound:
         population, test = build_population(config, seed=7)
         params_ci = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
         params_in = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
-        state = _fresh_state(config, test)
+        state = _fresh_state(config, _model_tree(config, test))
         offer_ci = _offer(population, params_ci)
         offer_in = _offer(population, params_in)
         # Both regimes price the one trajectory every client accepts.
@@ -168,7 +171,7 @@ class TestRunRound:
     def test_empty_population_rejected(self):
         params = MarketParams(1.0, 2.0, 1, 1)
         _, test = generate_population(1, [0.5], seed=0)
-        state = SimulationState(agg=AggregationConfig(), test=test)
+        state = SimulationState(ModelTree(AggregationConfig(), test))
         with pytest.raises(ValueError):
             run_round([], params, state)
 
@@ -177,20 +180,21 @@ class TestRunRound:
         population, test = build_population(config, seed=11)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
         rows_a = run_cell(config, "ours-incomplete", 4, 11, population, test)
-        reports_a = auction._play(config, population, test, params)
+        reports_a = auction._play(config, population, _model_tree(config, test), params)
         # A population that already ran a cell runs the next one unchanged.
         assert run_cell(config, "ours-incomplete", 4, 11, population, test) == rows_a
-        assert auction._play(config, population, test, params) == reports_a
-        fresh = build_population(config, 11)
-        assert run_cell(config, "ours-incomplete", 4, 11, *fresh) == rows_a
-        assert auction._play(config, *fresh, params) == reports_a
+        assert auction._play(config, population, _model_tree(config, test), params) == reports_a
+        fresh_population, fresh_test = build_population(config, 11)
+        assert run_cell(config, "ours-incomplete", 4, 11, fresh_population, fresh_test) == rows_a
+        fresh_tree = _model_tree(config, fresh_test)
+        assert auction._play(config, fresh_population, fresh_tree, params) == reports_a
 
     def test_each_model_is_evaluated_once(self, monkeypatch):
         """One evaluation per round scores every accepted client's local
         model, in order, and then the new global model, each exactly once."""
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=3)
-        state = _fresh_state(config, test)
+        state = _fresh_state(config, _model_tree(config, test))
         evaluated, trained = [], []
 
         def counted(weights, data):
@@ -207,11 +211,11 @@ class TestRunRound:
         for r in range(3):
             rep = run_round(population, params, state)
             assert len(evaluated) == len(trained) == r + 1
-            models = [m.weights for m in trained[r]] + [state.model.weights]
+            models = [m.weights for m in trained[r]] + [state.node.weights]
             assert len(models) == len(rep.realized_q) + 1
             assert evaluated[r].tobytes() == np.stack(models).tobytes()
-            assert state.accuracy == rep.accuracy_global
-            assert state.accuracy == evaluate_accuracy(state.model.weights[None], test)[0]
+            assert state.node.accuracy == rep.accuracy_global
+            assert state.node.accuracy == evaluate_accuracy(state.node.weights[None], test)[0]
 
     @pytest.mark.parametrize(
         "n, path", [(auction.EXACT_COALITION_LIMIT, "banzhaf_exact")]
@@ -238,7 +242,7 @@ class TestRunRound:
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
         params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
-        state = _fresh_state(config, test)
+        state = _fresh_state(config, _model_tree(config, test))
         rep = run_round(population, params, state)
         assert len(rep.epsilons) == n
         assert calls == [path]
@@ -257,7 +261,7 @@ class TestRunRound:
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
         params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
-        state = _fresh_state(config, test)
+        state = _fresh_state(config, _model_tree(config, test))
         rep = run_round(population, params, state)
         assert len(state.ledger.records) == n
         zetas = {r.client_id: r.zeta for r in state.ledger.records}
@@ -273,24 +277,24 @@ class TestRunRound:
         population = [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
         params = MarketParams(1.0, 2.0, 6, 2, Regime.COMPLETE)
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
-        state = SimulationState(agg=cfg, test=test)
-        model = state.model
+        state = SimulationState(ModelTree(cfg, test))
+        model = ModelParams(state.node.weights)
         rep = run_round(population, params, state)
         assert len(rep.realized_q) == 6 and len(rep.selected) == 2
         proposed = local_train(model, datasets, cfg, np.zeros(21), {})
         # Only the selected clients hold a variate: the c_i+ they proposed.
-        assert sorted(state.variates) == sorted(rep.selected)
+        assert sorted(state.node.variates) == sorted(rep.selected)
         for i in rep.selected:
-            assert np.array_equal(state.variates[i], proposed[i].variate)
+            assert np.array_equal(state.node.variates[i], proposed[i].variate)
         # c <- c + (1/N) * sum over S of (c_i+ - c_i), from c = c_i = 0.
         expected = sum(proposed[i].variate for i in rep.selected) / len(population)
-        assert np.allclose(state.server_variate, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(state.node.server_variate, expected, rtol=0.0, atol=1e-12)
 
     def test_epsilons_are_what_the_ledger_holds(self):
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=4)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
-        state = _fresh_state(config, test)
+        state = _fresh_state(config, _model_tree(config, test))
         for _ in range(3):
             rep = run_round(population, params, state)
             # Every accepted client is scored, so every one has a new record.
@@ -333,7 +337,7 @@ class TestRealizedContribution:
             for i, (t, d) in enumerate(zip(thetas, datasets))
         ]
         params = MarketParams(1.0, 2.0, len(thetas), 2)
-        state = SimulationState(agg=AggregationConfig(**agg), test=test)
+        state = SimulationState(ModelTree(AggregationConfig(**agg), test))
         reports = [run_round(population, params, state) for _ in range(rounds)]
         return population, test, reports
 
@@ -363,8 +367,8 @@ class TestRealizedContribution:
 
 class TestPoisonedLabels:
     """A poisoner's flipped labels are drawn for every round when its
-    population is built, and each round writes its row into the state's
-    label buffer; the population's blocks are never written."""
+    population is built, and each round that trains writes its row into its
+    tree's label buffer; the population's blocks are never written."""
 
     def test_buffer_rows_are_the_flips_and_the_population_is_unchanged(self):
         config = small_config(poison_count=3, poison_flip_rate=0.8, rounds=4)
@@ -383,12 +387,12 @@ class TestPoisonedLabels:
                 assert c.flipped_labels.shape == (config.rounds, (len(d) + 7) // 8)
         # Complete information: every client accepts, poisoners included.
         params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
-        state = _fresh_state(config, test)
+        state = _fresh_state(config, _model_tree(config, test))
         for r in range(config.rounds):
             rep = run_round(population, params, state)
             assert len(rep.realized_q) == len(population)
             for c, d in zip(population, datasets):
-                row = state.poisoned_labels[d.row, 0]
+                row = state.tree.poisoned_labels[d.row, 0]
                 expected = d.labels
                 if not c.honest:
                     flips = np.random.default_rng(auction._mix(seed, r, c.id)).random(len(d)) < 0.8
@@ -402,10 +406,10 @@ class TestPoisonedLabels:
     def test_an_honest_round_needs_no_buffer(self):
         config = small_config()
         population, test = build_population(config, seed=2)
-        state = _fresh_state(config, test)
+        state = _fresh_state(config, _model_tree(config, test))
         params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
         run_round(population, params, state)
-        assert state.poisoned_labels is None
+        assert state.tree.poisoned_labels is None
 
     def test_zero_rounds_draw_no_flips(self):
         config = small_config(
@@ -735,57 +739,109 @@ def oracle_rows(config):
     ]
 
 
-def reference_trace_and_robustness(config):
-    """run_tables' reputation trace and robustness rows, each cell played on
-    its own from a fresh population and a fresh offer: the first `ours-*`
-    mechanism at the first k, in a plain round loop that prices each round
-    itself, then the mean over the listed seeds, repeats included."""
-    mechanism = config.mechanisms_ours()[0]
-    params = MarketParams(
-        config.lam, config.delta, config.n_clients, config.k_values[0],
-        auction.MECHANISMS[mechanism],
+def reference_tables(config, played=None):
+    """run_tables' four tables with every cell played alone, in plain loops.
+
+    For every listed seed, repeats included, each (k, mechanism) cell, the
+    reputation trace (the first seed's first `ours-*` mechanism at the first
+    k) and each tamper cell (every seed's, the same mechanism and k, attacked
+    after every round) builds a fresh population. An `ours-*` cell solves
+    its own offer and plays on its own fresh state and `ModelTree`, pricing
+    each round itself; a baseline cell is `reference_bid_rounds`. If
+    `played` is given, each `ours-*` cell appends (kind, seed, its rounds'
+    selections) to it, kind being "grid", "trace" or "tamper".
+    """
+    played = [] if played is None else played
+    agg = AggregationConfig(
+        config.aggregation, config.local_epochs, config.learning_rate, config.prox_mu
     )
     stores = {"chained": HashChainLedger, "vulnerable": PlainStore}
 
-    def play(seed, mode="chained", tamper=None):
+    def market(k, mechanism):
+        row = auction.MECHANISMS[mechanism]
+        regime = row if isinstance(row, Regime) else Regime.COMPLETE
+        return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
+
+    def play(kind, seed, k, mechanism, mode="chained", tamper=None):
+        """An `ours-*` cell's population, reports and per-round utilities."""
         population, test = build_population(config, seed)
-        contracts = _offer(population, params)
+        params = market(k, mechanism)
+        contracts = {c.id: solve(c.theta, params) for c in population}
         state = SimulationState(
-            agg=AggregationConfig(
-                config.aggregation, config.local_epochs, config.learning_rate, config.prox_mu
-            ),
-            test=test,
+            ModelTree(agg, test),
             ledger=stores[mode](),
             rep_params=ReputationParams(config.w1, config.w2),
             trust_policy=config.trust_policy,
         )
-        reports, total = [], 0
+        reports, utilities = [], []
         for _ in range(config.rounds):
-            reports.append(run_round(population, params, state))
-            total += sum(
-                server_utility_per_client(contracts[i], params) for i in reports[-1].selected
+            rep = run_round(population, params, state)
+            reports.append(rep)
+            utilities.append(
+                sum(server_utility_per_client(contracts[i], params) for i in rep.selected)
             )
             if tamper is not None:
                 tamper_attack(state.ledger, tamper)
-        return population, reports, total
+        played.append((kind, seed, [rep.selected for rep in reports]))
+        return population, reports, utilities
 
-    population, reports, _ = play(config.seeds[0])
-    trace = [
-        {"round": rep.round, "client": c.id, "epsilon": rep.epsilons[c.id],
-         "behavior": "honest" if c.honest else "poisoner"}
-        for rep in reports
-        for c in population
-    ]
-    robustness = [
-        {"alpha": alpha, "beta": beta, "ledger_mode": mode,
-         "mean_utility": statistics.fmean(
-             play(seed, mode, TamperConfig(alpha, beta, seed))[2] for seed in config.seeds
-         )}
-        for alpha in config.tamper_alphas
-        for beta in config.tamper_betas
-        for mode in config.ledger_modes
-    ]
-    return trace, robustness
+    rounds, summary = [], []
+    if config.rounds:
+        for k in config.k_values:
+            for mechanism in config.mechanisms:
+                totals = []
+                for seed in config.seeds:
+                    if isinstance(auction.MECHANISMS[mechanism], Regime):
+                        _, reports, utilities = play("grid", seed, k, mechanism)
+                        cell = [
+                            (rep.round, u, rep.accuracy_global, len(rep.selected))
+                            for rep, u in zip(reports, utilities)
+                        ]
+                    else:
+                        params = market(k, mechanism)
+                        _, won = reference_bid_rounds(config, mechanism, k, seed)
+                        cell = [
+                            (r, sum(server_utility_per_client(c, params) for c in w.values()),
+                             None, len(w))
+                            for r, w in enumerate(won)
+                        ]
+                    for r, utility, accuracy, n_selected in cell:
+                        rounds.append(
+                            {"mechanism": mechanism, "k": k, "seed": seed, "round": r,
+                             "server_utility": utility, "accuracy": accuracy,
+                             "n_selected": n_selected}
+                        )
+                    totals.append(sum(utility for _, utility, _, _ in cell))
+                summary.append(
+                    {"mechanism": mechanism, "k": k, "mean_utility": statistics.fmean(totals),
+                     "std_utility": statistics.pstdev(totals)}
+                )
+
+    trace = []
+    first = config.mechanisms_ours()[:1]
+    if config.rounds and first:
+        population, reports, _ = play("trace", config.seeds[0], config.k_values[0], first[0])
+        trace = [
+            {"round": rep.round, "client": c.id, "epsilon": rep.epsilons[c.id],
+             "behavior": "honest" if c.honest else "poisoner"}
+            for rep in reports
+            for c in population
+        ]
+
+    robustness = []
+    for alpha in config.tamper_alphas:
+        for beta in config.tamper_betas:
+            for mode in config.ledger_modes:
+                totals = [
+                    sum(play("tamper", seed, config.k_values[0], first[0], mode,
+                             TamperConfig(alpha, beta, seed))[2])
+                    for seed in config.seeds
+                ]
+                robustness.append(
+                    {"alpha": alpha, "beta": beta, "ledger_mode": mode,
+                     "mean_utility": statistics.fmean(totals)}
+                )
+    return auction.Tables(rounds, summary, trace, robustness)
 
 
 def counting_run_round(monkeypatch):
@@ -824,7 +880,8 @@ class TestSharedTrajectory:
             population, test = build_population(config, seed)
             offers = auction._offers(config, population)
             for k in config.k_values:
-                shared = auction._ours_cells(config, k, seed, population, test, offers)
+                tree = _model_tree(config, test)
+                shared = auction._ours_cells(config, k, seed, population, tree, offers)
                 alone = {
                     m: run_cell(config, m, k, seed, population, test)
                     for m in config.mechanisms_ours()
@@ -846,7 +903,7 @@ class TestSharedTrajectory:
         )
         tables = run_tables(config)
         assert len(tables.robustness) == 4
-        assert (tables.reputation, tables.robustness) == reference_trace_and_robustness(config)
+        assert tables == reference_tables(config)
 
     def test_one_trajectory_per_seed_and_k(self, monkeypatch):
         config = small_config(seeds=[0])
@@ -883,6 +940,162 @@ class TestSharedTrajectory:
         assert list((tmp_path / "out").iterdir()) == []
 
 
+@st.composite
+def small_configs(draw):
+    """Small validated configs over every axis run_tables shares work on."""
+    n = draw(st.integers(1, 6))
+    mechanisms = draw(
+        st.lists(st.sampled_from(list(auction.MECHANISMS)), min_size=1, max_size=4, unique=True)
+    )
+    ours = any(isinstance(auction.MECHANISMS[m], Regime) for m in mechanisms)
+    side = draw(st.sampled_from([0, 1, 2] if ours else [0]))  # the tamper grid is side x side
+    return small_config(
+        n_clients=n,
+        k_values=draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True)),
+        rounds=draw(st.integers(0, 3)),
+        seeds=draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)),
+        aggregation=draw(st.sampled_from(list(Aggregator))),
+        prox_mu=0.1,
+        poison_count=draw(st.integers(0, n)),
+        mechanisms=mechanisms,
+        tamper_alphas=draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=side,
+                                    max_size=side, unique=True)),
+        tamper_betas=draw(st.lists(st.sampled_from([1.5, 3.0]), min_size=side, max_size=side,
+                                   unique=True)),
+        ledger_modes=draw(st.permutations(["chained", "vulnerable"])),
+        trust_policy=draw(st.sampled_from(TRUST_POLICIES)),
+    )
+
+
+class TestWholeRunOracle:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(config=small_configs())
+    def test_run_tables_equals_every_cell_played_alone(self, config):
+        tables = run_tables(config)
+        assert tables == reference_tables(config)
+        assert run_tables(config) == tables
+
+
+def _local_train_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return local_train(*args)
+
+    monkeypatch.setattr(auction, "local_train", counted)
+    return calls
+
+
+class TestModelTree:
+    """A seed's cells share one tree of model states keyed by selection
+    history, so each history's round is trained once."""
+
+    CONFIG = dict(
+        aggregation=Aggregator.SCAFFOLD, poison_count=2, rounds=3, seeds=[1, 0, 1],
+        k_values=[2, 4], tamper_alphas=[0.25, 0.5], tamper_betas=[2.0],
+    )
+
+    def test_each_history_trains_once(self, monkeypatch):
+        config = small_config(**self.CONFIG)
+        played = []
+        expected = reference_tables(config, played)
+        calls = _local_train_calls(monkeypatch)
+        assert run_tables(config) == expected
+
+        def nodes(cells):
+            """Each (seed, selections so far) a round is played from."""
+            return {
+                (seed, tuple(map(tuple, selections[:r])))
+                for _, seed, selections in cells
+                for r in range(len(selections))
+            }
+
+        every = nodes(played)
+        assert len(calls) == len(every)
+        # Cells do share training, and the trace replays only known nodes.
+        assert len(every) < sum(len(selections) for _, _, selections in played)
+        assert nodes(cell for cell in played if cell[0] != "trace") == every
+
+    def test_the_trace_cell_trains_nothing(self, monkeypatch):
+        config = small_config(**self.CONFIG)
+        population, test = build_population(config, 1)
+        tree = _model_tree(config, test)
+        offers = auction._offers(config, population)
+        auction._grid_cells(config, 1, population, tree, offers)
+        calls = _local_train_calls(monkeypatch)
+        assert auction._trace_rows(config, population, tree)
+        assert calls == []
+
+    def test_a_new_selection_from_a_known_node_evaluates_one_row(self, monkeypatch):
+        config = small_config(poison_count=2)
+        population, test = build_population(config, seed=3)
+        tree = _model_tree(config, test)
+        wide, narrow = MarketParams(1.0, 2.0, 8, 4), MarketParams(1.0, 2.0, 8, 2)
+        first = _fresh_state(config, tree)
+        run_round(population, wide, first)
+        evaluated = []
+
+        def counted(weights, data):
+            evaluated.append(weights.copy())
+            return evaluate_accuracy(weights, data)
+
+        monkeypatch.setattr(auction, "evaluate_accuracy", counted)
+        calls = _local_train_calls(monkeypatch)
+        second = _fresh_state(config, tree)
+        rep = run_round(population, narrow, second)
+        # The root is known, so the second cell's new selection is
+        # aggregated from its stored local models and only the new global
+        # model is evaluated.
+        assert rep.selected == [0, 1] and second.node is not first.node
+        assert calls == [] and len(evaluated) == 1
+        assert evaluated[0].tobytes() == second.node.weights[None].tobytes()
+        # It plays exactly as a cell on a tree of its own.
+        alone = _fresh_state(config, _model_tree(config, test))
+        assert run_round(population, narrow, alone) == rep
+        assert alone.node.weights.tobytes() == second.node.weights.tobytes()
+        # A third cell repeating the selection evaluates nothing new.
+        evaluated.clear()
+        third = _fresh_state(config, tree)
+        assert run_round(population, narrow, third) == rep
+        assert third.node is second.node and evaluated == [] and len(calls) == 1
+
+    def test_nodes_are_read_only(self):
+        config = small_config(aggregation=Aggregator.SCAFFOLD, poison_count=2)
+        population, test = build_population(config, seed=3)
+        tree = _model_tree(config, test)
+        state = _fresh_state(config, tree)
+        params = MarketParams(1.0, 2.0, 8, 4)
+        first, second = (run_round(population, params, state).selected for _ in range(2))
+        (child,) = tree.root.children.values()
+        for node in (tree.root, child, state.node):
+            arrays = [node.weights, node.server_variate, *node.variates.values()]
+            if node is not state.node:  # a node whose round was played
+                arrays += [node.local_weights, node.local_variates, node.local_accuracies]
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+            with pytest.raises(TypeError):
+                node.variates[0] = np.zeros(21)
+        # A round commits its variates into the child, not the node it left,
+        # and the child keeps the variates of the clients it did not select.
+        assert len(tree.root.variates) == 0
+        assert sorted(child.variates) == sorted(first) == [0, 1, 2, 3]
+        assert set(second) != set(first)
+        assert sorted(state.node.variates) == sorted(set(first) | set(second))
+        for i in set(first) - set(second):
+            assert state.node.variates[i] is child.variates[i]
+
+    def test_a_lone_state_has_a_root_of_its_own(self):
+        config = small_config()
+        population, test = build_population(config, seed=3)
+        a, b = (_fresh_state(config, _model_tree(config, test)) for _ in range(2))
+        assert a.node is not b.node
+        params = MarketParams(1.0, 2.0, 8, 4)
+        assert run_round(population, params, a) == run_round(population, params, b)
+        assert a.node is not b.node
+
+
 class TestMechanismTable:
     @pytest.mark.parametrize("mechanism", list(auction.MECHANISMS))
     def test_each_name_validates_and_runs_a_round(self, mechanism):
@@ -900,7 +1113,8 @@ class TestMechanismTable:
             # The round's top 4 are priced with the regime's own contracts.
             params = MarketParams(config.lam, config.delta, config.n_clients, 4, row)
             contracts = {c.id: solve(c.theta, params) for c in population}
-            selected = run_round(population, params, _fresh_state(config, test)).selected
+            state = _fresh_state(config, _model_tree(config, test))
+            selected = run_round(population, params, state).selected
             assert rows[0]["server_utility"] == _server_utility(selected, contracts, params)
             assert 0.0 <= rows[0]["accuracy"] <= 1.0
         else:

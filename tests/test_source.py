@@ -1,6 +1,7 @@
 """Design rules of the package source that no behavioural test can see."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -218,3 +219,47 @@ def test_rounds_are_priced_in_one_place():
     assert calls == ["auction._server_utility"], (
         f"server_utility_per_client called outside auction._server_utility: {calls}"
     )
+
+
+# The tables auction.py names at module level; every other module-level
+# name it binds holds an immutable value.
+AUCTION_TABLES = {"MECHANISMS", "COLUMNS", "TRUST_POLICIES"}
+
+
+def _immutable(value):
+    if isinstance(value, tuple):
+        return all(map(_immutable, value))
+    return isinstance(value, (int, float, str, bytes, frozenset, type(None), types.GenericAlias))
+
+
+def test_auction_keeps_no_module_level_state():
+    # Work shared between cells lives in objects the harness makes and
+    # frees per seed (a population, its ModelTree). A module-level container
+    # would outlive them and leak between runs in one process, and an id()
+    # key would outlive the object it named.
+    tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
+    bound = [
+        name.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    ]
+    assert AUCTION_TABLES <= set(bound)
+    mutable = [
+        name for name in bound
+        if name not in AUCTION_TABLES and not _immutable(getattr(flmarket.auction, name))
+    ]
+    assert mutable == [], f"auction.py binds module-level mutable values: {mutable}"
+    rebinding = [
+        f"auction.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Global)
+    ]
+    assert rebinding == [], "auction.py rebinds module-level names: " + ", ".join(rebinding)
+    ids = [
+        f"auction.{scope}"
+        for scope in _scopes_where(
+            tree, lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"
+        )
+    ]
+    assert ids == [], f"auction.py calls id(): {ids}"
