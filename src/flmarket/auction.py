@@ -31,7 +31,9 @@ The two buyers'-market baselines are rows of the same table: each holds its
 winner rule, and one bid round (`_bid_round`) plays either. Every client
 bids its cost at the median complete-information output times a random
 margin, the rule picks the winners, and each winner is paid its bid: the
-round's contracts are the winners' bids.
+round's contracts are the winners' bids. That output and each client's cost
+of it read neither k nor the rule, so each seed makes them once
+(`_bid_costs`), and `run_cell` plays one baseline cell on them.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _uniform(bids: dict[int, float], k: int, seed: int) -> list[int]:
 # A baseline's winner rule: (bids by client id, k, seed) -> the k winners.
 WinnerRule = Callable[[dict[int, float], int, int], list[int]]
 
-# Every mechanism `run_cell` runs, in the default order of a grid. An
+# Every mechanism a grid plays, in the default order of a grid. An
 # `ours-*` name maps to the information regime its contracts are solved
 # under; a baseline maps to its winner rule.
 MECHANISMS: dict[str, Regime | WinnerRule] = {
@@ -210,7 +212,8 @@ class SimulationState:
     its selections have reached. A cell starts at the root in round 0, so
     its round counter is its node's depth. The model state (weights,
     accuracy, Scaffold variates) is the node's, shared with every cell of
-    the tree that selected alike; a state built on a fresh tree shares
+    the tree that selected alike. The harness plays every cell's state on
+    its seed's tree (`_play`); a state built on a fresh tree shares
     nothing."""
 
     tree: ModelTree
@@ -507,12 +510,6 @@ def _fresh_state(config, tree: ModelTree, ledger_mode: str = "chained") -> Simul
     )
 
 
-def _target_q(population: list[ClientProfile], params: MarketParams) -> float:
-    """The baselines' target output: the median complete-information output.
-    It reads neither k nor the winner rule."""
-    return statistics.median(solve_complete(c.theta, params).q for c in population)
-
-
 def _market(config, k: int, regime: Regime = Regime.COMPLETE) -> MarketParams:
     """The market at k under `regime`. A round plays the same in every
     regime's market, so only pricing reads the regime; a baseline prices in
@@ -520,32 +517,28 @@ def _market(config, k: int, regime: Regime = Regime.COMPLETE) -> MarketParams:
     return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
 
 
+def _bid_costs(config, population: list[ClientProfile]) -> tuple[float, dict[int, float]]:
+    """The baselines' target output, the median complete-information output,
+    and each client's cost of it, by client id in population order. Neither
+    reads k or the winner rule, so a seed makes them once for every baseline
+    cell."""
+    params = _market(config, config.k_values[0])
+    target_q = statistics.median(solve_complete(c.theta, params).q for c in population)
+    return target_q, {c.id: cost(target_q, c.theta, params.delta) for c in population}
+
+
 def run_cell(
-    config, mechanism: str, k: int, seed: int, population: list[ClientProfile],
-    test: SyntheticDataset, target_q: float | None = None,
+    config, mechanism: str, k: int, seed: int, target_q: float, costs: dict[int, float]
 ) -> list[dict]:
-    """The `rounds.csv` rows of one (mechanism, k, seed) experiment cell, run
-    on its own on the seed's population and test set from
-    `build_population`. Neither is changed, so one population serves every
-    cell of its seed. An `ours-*` cell makes its own offer and plays on a
-    fresh `ModelTree`, sharing no training with any other cell. A baseline cell
-    takes the seed's `target_q` if given, else computes it, and computes
-    each client's cost of it once for all its rounds."""
-    row = MECHANISMS[mechanism]
-    if isinstance(row, Regime):
-        params = _market(config, k, row)
-        contracts = _offer(population, params)
-        return _rows(
-            mechanism, k, seed, params,
-            ((rep.round, rep.selected, contracts, rep.accuracy_global)
-             for rep in _play(config, population, _model_tree(config, test), params)),
-        )
+    """The `rounds.csv` rows of one baseline (mechanism, k, seed) cell: a bid
+    round under the mechanism's winner rule for every round, on the seed's
+    target output and costs from `_bid_costs`. The mechanism stays a
+    positional argument, because `benchmarks/tracer.py` labels this span by
+    it."""
     params = _market(config, k)
-    if target_q is None:
-        target_q = _target_q(population, params)
-    costs = {c.id: cost(target_q, c.theta, params.delta) for c in population}
+    rule = MECHANISMS[mechanism]
     # A bid round selects exactly the holders of its contracts.
-    bid_rounds = (_bid_round(costs, row, target_q, params, seed, r) for r in range(config.rounds))
+    bid_rounds = (_bid_round(costs, rule, target_q, params, seed, r) for r in range(config.rounds))
     return _rows(mechanism, k, seed, params, ((r, c, c, None) for r, c in enumerate(bid_rounds)))
 
 
@@ -627,22 +620,17 @@ COLUMNS = Tables(
 
 def _grid_cells(
     config, seed: int, population: list[ClientProfile], tree: ModelTree,
-    offers: dict[str, dict[int, Contract]],
+    offers: dict[str, dict[int, Contract]], bids: tuple[float, dict[int, float]] | None,
 ) -> dict[tuple[int, str], list[dict]]:
-    """The rows of every (k, mechanism) cell of the seed, under the seed's
-    `ours-*` contracts from `_offers`. The baselines' target output reads
-    neither k nor the winner rule, so it is made once per seed."""
+    """The rows of every (k, mechanism) cell of the seed: the `ours-*` cells
+    under the seed's contracts from `_offers`, the baselines on its target
+    output and costs from `_bid_costs` (None if no baseline is listed)."""
     out = {}
-    target_q = None  # the baselines', made by the first baseline cell
     for k in config.k_values:
         cells = _ours_cells(config, k, seed, population, tree, offers) if offers else {}
         for mechanism in config.mechanisms:
             if mechanism not in cells:
-                if target_q is None:
-                    target_q = _target_q(population, _market(config, k))
-                cells[mechanism] = run_cell(
-                    config, mechanism, k, seed, population, tree.test, target_q=target_q
-                )
+                cells[mechanism] = run_cell(config, mechanism, k, seed, *bids)
             out[k, mechanism] = cells[mechanism]
     return out
 
@@ -725,13 +713,15 @@ def _robustness_rows(config, by_seed: dict) -> list[dict]:
 def run_tables(config) -> Tables:
     """Every table of one run, from one pass over the distinct seeds.
 
-    Each seed's population, `ModelTree` and `ours-*` contracts are made
+    Each seed's population, `ModelTree`, `ours-*` contracts and, if a
+    baseline is listed, the baselines' target output and costs are made
     once, and its grid cells, its tamper cells and, for the first listed
     seed, the reputation trace all run on them, so each selection history
     of the seed is trained once; they are freed before the next seed's are
     made. With `rounds = 0` the grid and the trace are empty.
     """
     play = config.rounds > 0
+    baselines = play and config.mechanisms != config.mechanisms_ours()
     trace_seed = config.seeds[0] if play and config.mechanisms_ours() else None
     tamper = bool(config.tamper_alphas)
     if not (play or tamper):
@@ -741,13 +731,14 @@ def run_tables(config) -> Tables:
         population, test = build_population(config, seed)
         tree = _model_tree(config, test)
         offers = _offers(config, population)
+        bids = _bid_costs(config, population) if baselines else None
         if play:
-            cells[seed] = _grid_cells(config, seed, population, tree, offers)
+            cells[seed] = _grid_cells(config, seed, population, tree, offers, bids)
         if seed == trace_seed:
             trace = _trace_rows(config, population, tree)
         if tamper:
             totals[seed] = _tamper_totals(config, seed, population, tree, offers)
-        del population, test, tree, offers  # before the next seed's are made
+        del population, test, tree, offers, bids  # before the next seed's are made
     return Tables(
         *(_grid_tables(config, cells) if play else ([], [])),
         trace,

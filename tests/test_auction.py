@@ -179,13 +179,10 @@ class TestRunRound:
         config = small_config()
         population, test = build_population(config, seed=11)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
-        rows_a = run_cell(config, "ours-incomplete", 4, 11, population, test)
         reports_a = auction._play(config, population, _model_tree(config, test), params)
-        # A population that already ran a cell runs the next one unchanged.
-        assert run_cell(config, "ours-incomplete", 4, 11, population, test) == rows_a
+        # A population that already played a cell plays the next one unchanged.
         assert auction._play(config, population, _model_tree(config, test), params) == reports_a
         fresh_population, fresh_test = build_population(config, 11)
-        assert run_cell(config, "ours-incomplete", 4, 11, fresh_population, fresh_test) == rows_a
         fresh_tree = _model_tree(config, fresh_test)
         assert auction._play(config, fresh_population, fresh_tree, params) == reports_a
 
@@ -400,7 +397,8 @@ class TestPoisonedLabels:
                 assert row[: len(d)].tobytes() == expected.tobytes()
                 assert not np.any(row[len(d):])
             assert snapshot() == before
-        run_cell(config, "ours-complete", 4, seed, population, test)
+        # A whole cell on a tree of its own writes only that tree's buffer.
+        auction._play(config, population, _model_tree(config, test), params)
         assert snapshot() == before
 
     def test_an_honest_round_needs_no_buffer(self):
@@ -502,10 +500,10 @@ def _never_below_cost(rule):
 class TestBidRound:
     @pytest.mark.parametrize("mechanism", ["price-first", "randomized"])
     @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("k", [2, 5, 8])  # k < n and k = n
     def test_run_cell_matches_the_reference_rounds(self, mechanism, seed, k):
-        config = small_config(rounds=4, k_values=[k])
-        population, test = build_population(config, seed)
+        config = small_config(rounds=4, k_values=[k], seeds=[seed], mechanisms=[mechanism])
+        population, _ = build_population(config, seed)
         target_q, rounds = reference_bid_rounds(config, mechanism, k, seed)
         params = MarketParams(config.lam, config.delta, config.n_clients, k)
         played = [
@@ -515,12 +513,35 @@ class TestBidRound:
         assert played == rounds
         # dict equality ignores order; the winner rule's order is the keys'.
         assert [list(c) for c in played] == [list(c) for c in rounds]
-        assert run_cell(config, mechanism, k, seed, population, test) == [
+        expected = [
             {"mechanism": mechanism, "k": k, "seed": seed, "round": r,
              "server_utility": sum(server_utility_per_client(c, params) for c in won.values()),
              "accuracy": None, "n_selected": k}
             for r, won in enumerate(rounds)
         ]
+        bids = auction._bid_costs(config, population)
+        assert bids[0] == target_q
+        assert run_cell(config, mechanism, k, seed, *bids) == expected
+        assert run_tables(config).rounds == expected
+
+    @pytest.mark.parametrize(
+        "mechanisms, costed",
+        [(list(auction.MECHANISMS), True), (["ours-complete", "ours-incomplete"], False)],
+        ids=["with-baselines", "ours-only"],
+    )
+    def test_each_seed_costs_each_client_once(self, monkeypatch, mechanisms, costed):
+        calls = []
+
+        def counted(q, theta, delta):
+            calls.append(theta)
+            return cost(q, theta, delta)
+
+        monkeypatch.setattr(auction, "cost", counted)
+        config = small_config(seeds=[1, 0, 1], k_values=[2, 4], mechanisms=mechanisms)
+        run_tables(config)
+        # Every (k, baseline) cell of a seed bids on one set of costs.
+        thetas = [c.theta for seed in (1, 0) for c in build_population(config, seed)[0]]
+        assert calls == (thetas if costed else [])
 
 
 class TestPriceFirst:
@@ -727,18 +748,6 @@ class TestExperimentHarness:
 
 
 
-def oracle_rows(config):
-    """run_tables' grid rows with every cell played on its own by run_cell."""
-    populations = {seed: build_population(config, seed) for seed in set(config.seeds)}
-    return [
-        row
-        for k in config.k_values
-        for mechanism in config.mechanisms
-        for seed in config.seeds
-        for row in run_cell(config, mechanism, k, seed, *populations[seed])
-    ]
-
-
 def reference_tables(config, played=None):
     """run_tables' four tables with every cell played alone, in plain loops.
 
@@ -869,13 +878,12 @@ SHARED_TRAJECTORY_CONFIGS = pytest.mark.parametrize(
 class TestSharedTrajectory:
     """Every client accepts every `ours-*` offer, so the regimes play one
     trajectory of rounds and differ only in pricing; each must equal its
-    own run_cell."""
+    cell played alone by `reference_tables`."""
 
     @SHARED_TRAJECTORY_CONFIGS
     def test_equals_each_regime_played_alone(self, overrides):
         config = small_config(rounds=3, seeds=[1, 0, 1], k_values=[2, 4], **overrides)
-        rows = run_tables(config).rounds
-        assert rows == oracle_rows(config)
+        reference = reference_tables(config).rounds
         for seed in dict.fromkeys(config.seeds):
             population, test = build_population(config, seed)
             offers = auction._offers(config, population)
@@ -883,10 +891,11 @@ class TestSharedTrajectory:
                 tree = _model_tree(config, test)
                 shared = auction._ours_cells(config, k, seed, population, tree, offers)
                 alone = {
-                    m: run_cell(config, m, k, seed, population, test)
+                    m: [r for r in reference if (r["k"], r["mechanism"], r["seed"]) == (k, m, seed)]
                     for m in config.mechanisms_ours()
                 }
-                assert shared == alone
+                # A repeated seed's cell is listed once per repeat.
+                assert shared == {m: rows[: config.rounds] for m, rows in alone.items()}
                 complete, incomplete = shared["ours-complete"], shared["ours-incomplete"]
                 for a, b in zip(complete, incomplete):
                     assert (a["round"], a["accuracy"], a["n_selected"]) == (
@@ -904,6 +913,30 @@ class TestSharedTrajectory:
         tables = run_tables(config)
         assert len(tables.robustness) == 4
         assert tables == reference_tables(config)
+
+    def test_each_seed_attacks_its_tamper_cells_with_its_own_seed(self, monkeypatch):
+        # The seed only breaks ties among equal reputations, which these
+        # cells never hold, so no table shows it: the attacks are recorded.
+        attacks = []
+
+        def recorded(store, cfg):
+            attacks.append((cfg, type(store)))
+            return tamper_attack(store, cfg)
+
+        monkeypatch.setattr(auction, "tamper_attack", recorded)
+        config = small_config(
+            rounds=2, seeds=[1, 0, 1], k_values=[2, 4], tamper_alphas=[0.25, 0.5],
+            tamper_betas=[2.0, 3.0], ledger_modes=["chained", "vulnerable"],
+        )
+        run_tables(config)
+        assert attacks == [
+            (TamperConfig(alpha, beta, seed), auction.STORES[mode])
+            for seed in (1, 0)
+            for alpha in config.tamper_alphas
+            for beta in config.tamper_betas
+            for mode in config.ledger_modes
+            for _ in range(config.rounds)
+        ]
 
     def test_one_trajectory_per_seed_and_k(self, monkeypatch):
         config = small_config(seeds=[0])
@@ -1022,7 +1055,8 @@ class TestModelTree:
         population, test = build_population(config, 1)
         tree = _model_tree(config, test)
         offers = auction._offers(config, population)
-        auction._grid_cells(config, 1, population, tree, offers)
+        bids = auction._bid_costs(config, population)
+        auction._grid_cells(config, 1, population, tree, offers, bids)
         calls = _local_train_calls(monkeypatch)
         assert auction._trace_rows(config, population, tree)
         assert calls == []
@@ -1101,7 +1135,7 @@ class TestMechanismTable:
     def test_each_name_validates_and_runs_a_round(self, mechanism):
         config = small_config(rounds=1, seeds=[0], mechanisms=[mechanism])
         population, test = build_population(config, 0)
-        rows = run_cell(config, mechanism, 4, 0, population, test)
+        rows = run_tables(config).rounds
         assert [(r["mechanism"], r["k"], r["seed"], r["round"]) for r in rows] == [
             (mechanism, 4, 0, 0)
         ]

@@ -172,6 +172,18 @@ def test_only_small_rounds_enumerate_coalitions():
     assert calls == {"banzhaf_exact": ["auction._banzhaf_contributions"], "banzhaf_mc": []}
 
 
+def test_each_cell_plays_through_one_path():
+    # A seed's contracts are solved once (`_offers`) and its tree is made
+    # once (`run_tables`), and every `ours-*` round is played by `_play`, so
+    # no cell has a second way to price, train or play.
+    tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
+    callers = {
+        name: _scopes_where(tree, lambda node, name=name: _callee(node) == name)
+        for name in ("_offer", "_model_tree", "run_round")
+    }
+    assert callers == {"_offer": ["_offers"], "_model_tree": ["run_tables"], "run_round": ["_play"]}
+
+
 def _auction_functions():
     """auction.py's module-level functions by name."""
     tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
