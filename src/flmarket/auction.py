@@ -39,9 +39,8 @@ of it read neither k nor the rule, so each seed makes them once
 from __future__ import annotations
 
 import statistics
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +74,6 @@ from .mechanism import (
     cost,
     server_utility_per_client,
     solve,
-    solve_complete,
 )
 from .reputation import (
     ReputationParams,
@@ -156,12 +154,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class ModelNode:
     """The model state one selection history of a seed reaches: the global
     weights a round starts from and their test accuracy, the server's
-    Scaffold variate c and each aggregated client's committed c_i (a client
-    without one reads zeros). A round played from here aggregates the
-    selected clients' local models into the child keyed by the selection, in
-    selection order (`children`). Nothing here changes once the node is
-    made: its arrays are read-only, `variates` is a read-only mapping, and a
-    round commits new variates into its child's own mapping.
+    Scaffold variate c and the clients' committed c_i, one (clients, d + 1)
+    array whose row i is client i's (zeros until client i is aggregated). A
+    round played from here aggregates the selected clients' local models
+    into the child keyed by the selection, in selection order (`children`).
+    Nothing here changes once the node is made: its arrays are read-only,
+    and a round commits new variates into its child's own copy.
 
     The round's local models are filled on the first visit, which trains
     every client from `weights`, and never change after: `local_weights` is
@@ -172,7 +170,7 @@ class ModelNode:
     weights: np.ndarray
     accuracy: float
     server_variate: np.ndarray
-    variates: Mapping[int, np.ndarray]
+    variates: np.ndarray
     local_weights: np.ndarray | None = None
     local_variates: np.ndarray | None = None
     local_accuracies: np.ndarray | None = None
@@ -182,16 +180,17 @@ class ModelNode:
 @dataclass(eq=False)
 class ModelTree:
     """Every selection history the cells of one population play, as a tree
-    of `ModelNode`s rooted at the untrained model, with what fixes the
-    nodes' content besides the population: the training hyperparameters and
-    the held-out test set. It also holds the one label buffer the
-    population's poisoners' flipped labels are written into
-    (`_round_labels`): a copy of the population's label block, made by the
-    first round trained with a poisoner. `run_tables` makes one tree per
-    seed, beside the seed's population, and frees both together."""
+    of `ModelNode`s rooted at the untrained model and zero variates (a c_i
+    for each of the population's `clients`), with what fixes the nodes'
+    content besides the population: the training hyperparameters and the
+    held-out test set. It also holds the one label buffer the population's
+    poisoners' flipped labels are written into (`_round_labels`): a copy of
+    the population's label block, made by the first round trained with a
+    poisoner. `run_tables` makes one tree per seed beside its population."""
 
     agg: AggregationConfig
     test: SyntheticDataset
+    clients: int
     root: ModelNode = field(init=False)
     poisoned_labels: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -201,7 +200,7 @@ class ModelTree:
             weights,
             evaluate_accuracy(weights[None], self.test)[0],
             _frozen(np.zeros(FEATURE_DIM + 1)),
-            MappingProxyType({}),
+            _frozen(np.zeros((self.clients, FEATURE_DIM + 1))),
         )
 
 
@@ -355,7 +354,8 @@ def _child(
     The first visit to `node` trains every client from its weights and
     evaluates the local models and the new global model in one evaluation.
     A later visit that selects anew only aggregates its stored local models
-    and evaluates the new global model.
+    and evaluates the new global model. A client's rows are read by its id,
+    which is its position in the population (`build_population`).
     """
     key = tuple(selected)
     child = node.children.get(key)
@@ -364,27 +364,26 @@ def _child(
     local_weights, local_variates = node.local_weights, node.local_variates
     first_visit = local_weights is None
     if first_visit:
-        trained = local_train(
-            ModelParams(node.weights), [c.dataset for c in population], tree.agg,
+        local_weights, local_variates = local_train(
+            node.weights, [c.dataset for c in population], tree.agg,
             node.server_variate, node.variates, _round_labels(population, tree, round_num),
         )
-        local_weights = _frozen(np.array([m.weights for m in trained]))
-        # local_train proposes a c_i+ for every client or (not Scaffold) for none.
-        if trained[0].variate is not None:
-            local_variates = _frozen(np.array([m.variate for m in trained]))
-    rows = {c.id: p for p, c in enumerate(population)}
+        _frozen(local_weights)
+        if local_variates is not None:
+            _frozen(local_variates)
     new_global = aggregate(
-        [ModelParams(local_weights[rows[i]]) for i in selected],
-        [len(population[rows[i]].dataset) for i in selected], tree.agg,
+        [ModelParams(local_weights[i]) for i in selected],
+        [len(population[i].dataset) for i in selected], tree.agg,
     )
     server_variate, variates = node.server_variate, node.variates
     # Scaffold: only the aggregated clients S commit their proposed c_i+, and
     # c moves by (1/N) * sum over S of c_i+ - c_i, N the population size.
     if local_variates is not None:
-        proposed = {i: local_variates[rows[i]] for i in selected}
-        deltas = [v - variates.get(i, 0.0) for i, v in proposed.items()]
+        deltas = local_variates[selected] - variates[selected]
         server_variate = _frozen(server_variate + np.sum(deltas, axis=0) / len(population))
-        variates = MappingProxyType(variates | proposed)
+        variates = variates.copy()
+        variates[selected] = local_variates[selected]
+        _frozen(variates)
     if first_visit:
         *accuracies, accuracy = evaluate_accuracy(
             np.vstack([local_weights, new_global.weights]), tree.test
@@ -424,11 +423,9 @@ def run_round(
     selected = select_top_k(eps_prev, min(params.k_select, len(population)))
     node = state.node
     child = _child(population, state.tree, node, selected, state.round)
-    # Contributions are measured against the model the clients started
-    # from, so the per-round improvement signal stays attributable.
-    realized = dict(
-        zip([c.id for c in population], (node.local_accuracies - node.accuracy).tolist())
-    )
+    # Contributions (row i is client i's) are measured against the model the
+    # clients started from, so the per-round improvement signal stays attributable.
+    realized = dict(enumerate((node.local_accuracies - node.accuracy).tolist()))
 
     values = {c.id: realized_value(realized[c.id], c.theta, params) for c in population}
     zetas = _banzhaf_contributions(values)
@@ -498,6 +495,7 @@ def _model_tree(config, test: SyntheticDataset) -> ModelTree:
             config.aggregation, config.local_epochs, config.learning_rate, config.prox_mu
         ),
         test,
+        config.n_clients,
     )
 
 
@@ -511,20 +509,21 @@ def _fresh_state(config, tree: ModelTree, ledger_mode: str = "chained") -> Simul
 
 
 def _market(config, k: int, regime: Regime = Regime.COMPLETE) -> MarketParams:
-    """The market at k under `regime`. A round plays the same in every
-    regime's market, so only pricing reads the regime; a baseline prices in
-    the default one."""
+    """The market at k under `regime`. Only `solve` reads the regime, so
+    only `_offers` names one: rounds are played, bid and priced in the
+    default market at k."""
     return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
 
 
-def _bid_costs(config, population: list[ClientProfile]) -> tuple[float, dict[int, float]]:
-    """The baselines' target output, the median complete-information output,
-    and each client's cost of it, by client id in population order. Neither
-    reads k or the winner rule, so a seed makes them once for every baseline
-    cell."""
-    params = _market(config, config.k_values[0])
-    target_q = statistics.median(solve_complete(c.theta, params).q for c in population)
-    return target_q, {c.id: cost(target_q, c.theta, params.delta) for c in population}
+def _bid_costs(
+    config, population: list[ClientProfile], complete: dict[int, Contract]
+) -> tuple[float, dict[int, float]]:
+    """The baselines' target output, the median output of the seed's
+    complete-information contracts `complete` (from `_offers`), and each
+    client's cost of it, by client id in population order. Neither reads k
+    or the winner rule, so a seed makes them once for every baseline cell."""
+    target_q = statistics.median(complete[c.id].q for c in population)
+    return target_q, {c.id: cost(target_q, c.theta, config.delta) for c in population}
 
 
 def run_cell(
@@ -569,30 +568,34 @@ def _play(
     return reports
 
 
-def _offers(config, population: list[ClientProfile]) -> dict[str, dict[int, Contract]]:
-    """Each `ours-*` mechanism's contracts for the seed's population, solved
-    once for every cell of the seed. `solve` reads no k, so the contracts
-    solved in the first k's market serve every k."""
+def _offers(
+    config, population: list[ClientProfile], baselines: bool
+) -> dict[Regime, dict[int, Contract]]:
+    """Each regime's contracts for the seed's population, solved once for
+    every cell of the seed: each listed `ours-*` mechanism's regime, and the
+    complete one if `baselines`, whose outputs fix their target output
+    (`_bid_costs`). `solve` reads no k, so the first k's market serves all."""
+    regimes = [MECHANISMS[m] for m in config.mechanisms_ours()] + [Regime.COMPLETE] * baselines
     k = config.k_values[0]
-    return {
-        m: _offer(population, _market(config, k, MECHANISMS[m])) for m in config.mechanisms_ours()
-    }
+    return {r: _offer(population, _market(config, k, r)) for r in dict.fromkeys(regimes)}
 
 
 def _ours_cells(
     config, k: int, seed: int, population: list[ClientProfile], tree: ModelTree,
-    offers: dict[str, dict[int, Contract]],
+    offers: dict[Regime, dict[int, Contract]],
 ) -> dict[str, list[dict]]:
     """The rows of every `ours-*` mechanism's cell at k: one trajectory,
-    played in the market at k, priced with each mechanism's contracts from
-    `_offers` in its own market at k."""
-    reports = _play(config, population, tree, _market(config, k))
+    played in the market at k and priced there with each mechanism's
+    contracts from `_offers`."""
+    params = _market(config, k)
+    reports = _play(config, population, tree, params)
     return {
         mechanism: _rows(
-            mechanism, k, seed, _market(config, k, MECHANISMS[mechanism]),
-            ((rep.round, rep.selected, contracts, rep.accuracy_global) for rep in reports),
+            mechanism, k, seed, params,
+            ((rep.round, rep.selected, offers[MECHANISMS[mechanism]], rep.accuracy_global)
+             for rep in reports),
         )
-        for mechanism, contracts in offers.items()
+        for mechanism in config.mechanisms_ours()
     }
 
 
@@ -620,14 +623,14 @@ COLUMNS = Tables(
 
 def _grid_cells(
     config, seed: int, population: list[ClientProfile], tree: ModelTree,
-    offers: dict[str, dict[int, Contract]], bids: tuple[float, dict[int, float]] | None,
+    offers: dict[Regime, dict[int, Contract]], bids: tuple[float, dict[int, float]] | None,
 ) -> dict[tuple[int, str], list[dict]]:
     """The rows of every (k, mechanism) cell of the seed: the `ours-*` cells
     under the seed's contracts from `_offers`, the baselines on its target
     output and costs from `_bid_costs` (None if no baseline is listed)."""
-    out = {}
+    out, ours = {}, config.mechanisms_ours()
     for k in config.k_values:
-        cells = _ours_cells(config, k, seed, population, tree, offers) if offers else {}
+        cells = _ours_cells(config, k, seed, population, tree, offers) if ours else {}
         for mechanism in config.mechanisms:
             if mechanism not in cells:
                 cells[mechanism] = run_cell(config, mechanism, k, seed, *bids)
@@ -683,16 +686,16 @@ def _tamper_grid(config) -> list[tuple[float, float, str]]:
 
 def _tamper_totals(
     config, seed: int, population: list[ClientProfile], tree: ModelTree,
-    offers: dict[str, dict[int, Contract]],
+    offers: dict[Regime, dict[int, Contract]],
 ) -> dict[tuple[float, float, str], float]:
     """Total server utility of each tamper cell of the seed: the first
     `ours-*` mechanism, which the caller checks exists, at the first k, on
     the cell's store, attacked after every round."""
-    mechanism = config.mechanisms_ours()[0]
-    params = _market(config, config.k_values[0], MECHANISMS[mechanism])
+    contracts = offers[MECHANISMS[config.mechanisms_ours()[0]]]
+    params = _market(config, config.k_values[0])
     return {
         (alpha, beta, mode): sum(
-            _server_utility(rep.selected, offers[mechanism], params)
+            _server_utility(rep.selected, contracts, params)
             for rep in _play(
                 config, population, tree, params, mode, TamperConfig(alpha, beta, seed)
             )
@@ -730,8 +733,8 @@ def run_tables(config) -> Tables:
     for seed in dict.fromkeys(config.seeds):
         population, test = build_population(config, seed)
         tree = _model_tree(config, test)
-        offers = _offers(config, population)
-        bids = _bid_costs(config, population) if baselines else None
+        offers = _offers(config, population, baselines)
+        bids = _bid_costs(config, population, offers[Regime.COMPLETE]) if baselines else None
         if play:
             cells[seed] = _grid_cells(config, seed, population, tree, offers, bids)
         if seed == trace_seed:

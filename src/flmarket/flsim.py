@@ -19,7 +19,6 @@ CLASS_SEPARATION = 4.0  # distance between class means; Bayes accuracy ~0.977
 NOISE_SCALE = 0.4
 BASE_SAMPLES = 200
 TEST_SAMPLES = 2000
-TEST_OWNER = -1
 # Models per evaluation product. The OpenBLAS that numpy ships hands a
 # (rows, 21) @ (21, 2000) product to a second thread from about 24 rows on,
 # and that thread then spins between rounds: one product of 41 models a
@@ -44,16 +43,16 @@ class SyntheticDataset:
     `label_block[row, 0, :len(self)]`, where `block` is a feature-major,
     zero-padded (clients, d + 1, rows) array that holds a whole population
     and `label_block` the (clients, 1, rows) labels beside it, so a round
-    trains every client on the two blocks as they are. The held-out test
-    set's `block` is its own feature-major (d + 1, rows) design, `design`
-    its view, and its `labels` a boolean row, so one product with `block`
+    trains every client on the two blocks as they are. A generated client's
+    `row` is its position in the population. The held-out test set's
+    `block` is its own feature-major (d + 1, rows) design, `design` its
+    view, and its `labels` a boolean row, so one product with `block`
     evaluates a stack of models. A dataset built on its own has no block
     and keeps its sample-major design.
     """
 
     design: np.ndarray  # (n, d + 1), last column all ones
     labels: np.ndarray  # (n,) values in {0, 1}
-    owner: int  # client id, or TEST_OWNER for the held-out test set
     true_labels: np.ndarray | None = None  # pre-noise labels, for diagnostics
     block: np.ndarray | None = field(default=None, repr=False)
     label_block: np.ndarray | None = field(default=None, repr=False)
@@ -76,7 +75,6 @@ class SyntheticDataset:
 @dataclass
 class ModelParams:
     weights: np.ndarray  # (d + 1,), last entry is the bias
-    variate: np.ndarray | None = None  # Scaffold: the client's proposed c_i+
 
 
 def init_model(dim: int = FEATURE_DIM) -> ModelParams:
@@ -146,10 +144,10 @@ def generate_population(
         design = block[i, :, :n].T
         label_block[i, 0, :n], y = draw(design, (1.0 - theta) * NOISE_SCALE)
         labels = label_block[i, 0, :n]
-        datasets.append(SyntheticDataset(design, labels, i, y, block, label_block, i))
+        datasets.append(SyntheticDataset(design, labels, y, block, label_block, i))
     test_block = np.empty((FEATURE_DIM + 1, TEST_SAMPLES))
     labels, y = draw(test_block.T, 0.0)
-    return datasets, SyntheticDataset(test_block.T, labels == 1, TEST_OWNER, y, test_block)
+    return datasets, SyntheticDataset(test_block.T, labels == 1, y, test_block)
 
 
 def _blocks(
@@ -182,10 +180,10 @@ def _blocks(
 
 
 def local_train(
-    global_model: ModelParams, datasets: list[SyntheticDataset], cfg: AggregationConfig,
-    server_variate: np.ndarray | None = None, variates: dict[int, np.ndarray] | None = None,
+    weights: np.ndarray, datasets: list[SyntheticDataset], cfg: AggregationConfig,
+    server_variate: np.ndarray | None = None, variates: np.ndarray | None = None,
     labels: np.ndarray | None = None,
-) -> list[ModelParams]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Run local gradient-descent epochs on logistic loss for every client at once.
 
     Each epoch is two batched matrix-vector products over the feature-major
@@ -197,14 +195,14 @@ def local_train(
     writes only into buffers allocated once per call, so no epoch allocates
     an array. FedProx adds prox_mu * (w - w_global) to the gradient.
     Scaffold corrects each step with (c - c_i), where c is `server_variate`
-    and c_i is `variates[owner]` (zeros where either is missing), and each
-    returned model carries the client's proposed c_i+ (option II) as
-    `variate`. `labels`, if given, stands in for the label block of the
-    datasets' population (see `_blocks`). The design and label blocks,
-    global weights and variates are only read; committing the variates is
-    the caller's. Returns one local model per dataset, in order; raises
-    FloatingPointError, naming the clients, if any trained weight is not
-    finite (a learning rate that diverges).
+    and c_i is row i of `variates`, the c_i of `datasets[i]` (zeros where
+    either is None). `labels`, if given, stands in for the label block of
+    the datasets' population (see `_blocks`). Every input is only read;
+    committing the variates is the caller's. Returns the (n, d + 1) local
+    weights, row i trained on `datasets[i]`, and beside them the proposed
+    c_i+ (option II), None unless Scaffold trained with a learning rate
+    above 0; raises FloatingPointError, naming the clients by position, if
+    any trained weight is not finite (a learning rate that diverges).
 
     The loop keeps the negated weights -w, so the first product gives the
     negated logits -z and sigmoid(z) = 1 / (1 + exp(-z)) needs one clamp,
@@ -219,14 +217,13 @@ def local_train(
     x, y = _blocks(datasets, labels)
     n, dim, rows = x.shape
     counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
-    w_global = global_model.weights
+    w_global = weights
     lr = cfg.learning_rate
     prox = cfg.algo is Aggregator.FEDPROX
     correction = None
     if cfg.algo is Aggregator.SCAFFOLD:
-        zero = np.zeros_like(w_global)
-        c = zero if server_variate is None else server_variate
-        c_i = np.stack([(variates or {}).get(d.owner, zero) for d in datasets])
+        c = np.zeros_like(w_global) if server_variate is None else server_variate
+        c_i = np.zeros((n, dim)) if variates is None else variates
         correction = c - c_i
 
     # The trained negated weights, (n, d + 1), and the epoch buffers of one
@@ -268,16 +265,15 @@ def local_train(
                 nwb += grad
     w = np.negative(nw, out=nw)
     if not np.isfinite(w).all():
-        diverged = [d.owner for d, row in zip(datasets, w) if not np.isfinite(row).all()]
+        diverged = np.flatnonzero(~np.isfinite(w).all(axis=1)).tolist()
         raise FloatingPointError(
             f"local training diverged: clients {diverged} have non-finite weights "
             f"after {cfg.local_epochs} epochs at learning_rate = {lr!r}"
         )
 
     if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
-        c_new = c_i - c + (w_global - w) / (cfg.local_epochs * lr)
-        return [ModelParams(weights, variate) for weights, variate in zip(w, c_new)]
-    return [ModelParams(weights) for weights in w]
+        return w, c_i - c + (w_global - w) / (cfg.local_epochs * lr)
+    return w, None
 
 
 def aggregate(

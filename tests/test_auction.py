@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from test_ledger import _apply, _hash_calls, appends, edits
 
 from flmarket import auction, cli, reputation
+from flmarket import mechanism as mechanism_module
 from flmarket.auction import (
     TRUST_POLICIES,
     ClientProfile,
@@ -36,7 +37,6 @@ from flmarket.config import ExperimentConfig, parse_config
 from flmarket.flsim import (
     AggregationConfig,
     Aggregator,
-    ModelParams,
     PoisonConfig,
     evaluate_accuracy,
     generate_population,
@@ -86,7 +86,7 @@ def single_client_setup(theta=1.0, regime=Regime.COMPLETE):
     datasets, test = generate_population(1, [theta], seed=0)
     population = [ClientProfile(0, theta, datasets[0])]
     params = MarketParams(1.0, 2.0, 1, 1, regime)
-    state = SimulationState(ModelTree(AggregationConfig(local_epochs=2), test))
+    state = SimulationState(ModelTree(AggregationConfig(local_epochs=2), test, 1))
     return population, params, state
 
 
@@ -171,7 +171,7 @@ class TestRunRound:
     def test_empty_population_rejected(self):
         params = MarketParams(1.0, 2.0, 1, 1)
         _, test = generate_population(1, [0.5], seed=0)
-        state = SimulationState(ModelTree(AggregationConfig(), test))
+        state = SimulationState(ModelTree(AggregationConfig(), test, 1))
         with pytest.raises(ValueError):
             run_round([], params, state)
 
@@ -208,7 +208,7 @@ class TestRunRound:
         for r in range(3):
             rep = run_round(population, params, state)
             assert len(evaluated) == len(trained) == r + 1
-            models = [m.weights for m in trained[r]] + [state.node.weights]
+            models = [*trained[r][0], state.node.weights]
             assert len(models) == len(rep.realized_q) + 1
             assert evaluated[r].tobytes() == np.stack(models).tobytes()
             assert state.node.accuracy == rep.accuracy_global
@@ -274,17 +274,21 @@ class TestRunRound:
         population = [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
         params = MarketParams(1.0, 2.0, 6, 2, Regime.COMPLETE)
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
-        state = SimulationState(ModelTree(cfg, test))
-        model = ModelParams(state.node.weights)
+        state = SimulationState(ModelTree(cfg, test, len(population)))
+        root = state.node
         rep = run_round(population, params, state)
         assert len(rep.realized_q) == 6 and len(rep.selected) == 2
-        proposed = local_train(model, datasets, cfg, np.zeros(21), {})
-        # Only the selected clients hold a variate: the c_i+ they proposed.
-        assert sorted(state.node.variates) == sorted(rep.selected)
-        for i in rep.selected:
-            assert np.array_equal(state.node.variates[i], proposed[i].variate)
+        _, proposed = local_train(root.weights, datasets, cfg, np.zeros(21), np.zeros((6, 21)))
+        # Only the selected clients' rows take a variate: the c_i+ they
+        # proposed. The other rows keep the parent's bits, all zero.
+        variates = state.node.variates
+        assert variates.shape == root.variates.shape == (6, 21) and not np.any(root.variates)
+        assert np.all(np.any(proposed[rep.selected] != 0.0, axis=1))
+        assert variates[rep.selected].tobytes() == proposed[rep.selected].tobytes()
+        unselected = sorted(set(range(6)) - set(rep.selected))
+        assert variates[unselected].tobytes() == root.variates[unselected].tobytes()
         # c <- c + (1/N) * sum over S of (c_i+ - c_i), from c = c_i = 0.
-        expected = sum(proposed[i].variate for i in rep.selected) / len(population)
+        expected = sum(proposed[i] for i in rep.selected) / len(population)
         assert np.allclose(state.node.server_variate, expected, rtol=0.0, atol=1e-12)
 
     def test_epsilons_are_what_the_ledger_holds(self):
@@ -334,7 +338,7 @@ class TestRealizedContribution:
             for i, (t, d) in enumerate(zip(thetas, datasets))
         ]
         params = MarketParams(1.0, 2.0, len(thetas), 2)
-        state = SimulationState(ModelTree(AggregationConfig(**agg), test))
+        state = SimulationState(ModelTree(AggregationConfig(**agg), test, len(thetas)))
         reports = [run_round(population, params, state) for _ in range(rounds)]
         return population, test, reports
 
@@ -347,8 +351,8 @@ class TestRealizedContribution:
         cfg = dict(local_epochs=50, learning_rate=1.0)
         population, test, (rep,) = self._run(1, [1.0, 1.0], 15, **cfg)
         for c in population:
-            local = local_train(init_model(), [c.dataset], AggregationConfig(**cfg))[0]
-            acc, start = evaluate_accuracy(np.stack([local.weights, init_model().weights]), test)
+            (local,), _ = local_train(init_model().weights, [c.dataset], AggregationConfig(**cfg))
+            acc, start = evaluate_accuracy(np.stack([local, init_model().weights]), test)
             assert rep.realized_q[c.id] == pytest.approx(acc - start, abs=1e-15)
 
     def test_fully_poisoned_local_model_contributes_negatively(self):
@@ -519,7 +523,8 @@ class TestBidRound:
              "accuracy": None, "n_selected": k}
             for r, won in enumerate(rounds)
         ]
-        bids = auction._bid_costs(config, population)
+        offers = auction._offers(config, population, True)
+        bids = auction._bid_costs(config, population, offers[Regime.COMPLETE])
         assert bids[0] == target_q
         assert run_cell(config, mechanism, k, seed, *bids) == expected
         assert run_tables(config).rounds == expected
@@ -542,6 +547,44 @@ class TestBidRound:
         # Every (k, baseline) cell of a seed bids on one set of costs.
         thetas = [c.theta for seed in (1, 0) for c in build_population(config, seed)[0]]
         assert calls == (thetas if costed else [])
+
+    @pytest.mark.parametrize(
+        "mechanisms, solved",
+        [
+            (list(auction.MECHANISMS), ["complete", "incomplete"]),
+            (["ours-incomplete", "randomized"], ["incomplete", "complete"]),
+            (["price-first"], ["complete"]),
+            (["ours-incomplete"], ["incomplete"]),
+        ],
+        ids=["all", "baseline-without-ours-complete", "baseline-only", "ours-only"],
+    )
+    def test_each_seed_solves_each_regime_once(self, monkeypatch, mechanisms, solved):
+        """The baselines' target output is read from the complete contracts
+        that `_offers` solves for the seed, whether `ours-complete` is listed
+        or not, so no client's contract is solved twice in one regime."""
+        calls = []
+
+        def counted(solver, regime):
+            def call(theta, params):
+                calls.append((regime, theta))
+                return solver(theta, params)
+
+            return call
+
+        # Wherever a solver is bound, so that a direct call is counted too.
+        for module in (mechanism_module, auction):
+            for regime in ("complete", "incomplete"):
+                solver = getattr(module, f"solve_{regime}", None)
+                if solver is not None:
+                    monkeypatch.setattr(module, f"solve_{regime}", counted(solver, regime))
+        config = small_config(seeds=[1, 0, 1], k_values=[2, 4], mechanisms=mechanisms)
+        run_tables(config)
+        assert calls == [
+            (regime, c.theta)
+            for seed in (1, 0)
+            for regime in solved
+            for c in build_population(config, seed)[0]
+        ]
 
 
 class TestPriceFirst:
@@ -777,7 +820,7 @@ def reference_tables(config, played=None):
         params = market(k, mechanism)
         contracts = {c.id: solve(c.theta, params) for c in population}
         state = SimulationState(
-            ModelTree(agg, test),
+            ModelTree(agg, test, config.n_clients),
             ledger=stores[mode](),
             rep_params=ReputationParams(config.w1, config.w2),
             trust_policy=config.trust_policy,
@@ -886,7 +929,7 @@ class TestSharedTrajectory:
         reference = reference_tables(config).rounds
         for seed in dict.fromkeys(config.seeds):
             population, test = build_population(config, seed)
-            offers = auction._offers(config, population)
+            offers = auction._offers(config, population, False)
             for k in config.k_values:
                 tree = _model_tree(config, test)
                 shared = auction._ours_cells(config, k, seed, population, tree, offers)
@@ -1054,8 +1097,8 @@ class TestModelTree:
         config = small_config(**self.CONFIG)
         population, test = build_population(config, 1)
         tree = _model_tree(config, test)
-        offers = auction._offers(config, population)
-        bids = auction._bid_costs(config, population)
+        offers = auction._offers(config, population, True)
+        bids = auction._bid_costs(config, population, offers[Regime.COMPLETE])
         auction._grid_cells(config, 1, population, tree, offers, bids)
         calls = _local_train_calls(monkeypatch)
         assert auction._trace_rows(config, population, tree)
@@ -1103,22 +1146,54 @@ class TestModelTree:
         first, second = (run_round(population, params, state).selected for _ in range(2))
         (child,) = tree.root.children.values()
         for node in (tree.root, child, state.node):
-            arrays = [node.weights, node.server_variate, *node.variates.values()]
+            arrays = [node.weights, node.server_variate, node.variates]
             if node is not state.node:  # a node whose round was played
                 arrays += [node.local_weights, node.local_variates, node.local_accuracies]
             for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1.0
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match="read-only"):
                 node.variates[0] = np.zeros(21)
+
+        def committed(node):
+            """The clients whose row of c_i is not zero."""
+            return np.flatnonzero(np.any(node.variates != 0.0, axis=1)).tolist()
+
         # A round commits its variates into the child, not the node it left,
         # and the child keeps the variates of the clients it did not select.
-        assert len(tree.root.variates) == 0
-        assert sorted(child.variates) == sorted(first) == [0, 1, 2, 3]
+        assert tree.root.variates.shape == (8, 21) and committed(tree.root) == []
+        assert committed(child) == sorted(first) == [0, 1, 2, 3]
         assert set(second) != set(first)
-        assert sorted(state.node.variates) == sorted(set(first) | set(second))
+        assert committed(state.node) == sorted(set(first) | set(second))
         for i in set(first) - set(second):
-            assert state.node.variates[i] is child.variates[i]
+            assert state.node.variates[i].tobytes() == child.variates[i].tobytes()
+        # The selected rows are the c_i+ proposed in the round each child
+        # was reached by.
+        for parent, node, selected in ((tree.root, child, first), (child, state.node, second)):
+            assert node.variates[selected].tobytes() == parent.local_variates[selected].tobytes()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(n_clients=1, k_values=[1], poison_count=1),
+            dict(n_clients=13, k_values=[3, 5], poison_count=4, theta_min=0.0),
+            dict(n_clients=40, k_values=[10], theta_min=1.0),
+        ],
+        ids=["8-clients", "1-client", "13-clients", "40-equal-clients"],
+    )
+    def test_client_ids_are_population_rows(self, overrides):
+        """`_child` reads a client's local model and variates by its id, so
+        every client's id is its position in the population and its
+        dataset's row of the population's blocks."""
+        config = small_config(**overrides)
+        for seed in (0, 7):
+            population, _ = build_population(config, seed)
+            assert len(population) == config.n_clients
+            block = population[0].dataset.block
+            for i, c in enumerate(population):
+                assert c.id == i == c.dataset.row
+                assert c.dataset.block is block
 
     def test_a_lone_state_has_a_root_of_its_own(self):
         config = small_config()

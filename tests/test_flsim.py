@@ -62,41 +62,39 @@ class TestGeneratePopulation:
 
 class TestLocalTrain:
     def _tiny_data(self):
-        return SyntheticDataset(
-            design=np.array([[1.0, -2.0, 1.0]]), labels=np.array([1]), owner=0
-        )
+        return SyntheticDataset(design=np.array([[1.0, -2.0, 1.0]]), labels=np.array([1]))
 
     def test_zero_learning_rate_is_identity(self):
         datasets, _ = generate_population(1, [0.8], seed=2)
         cfg = AggregationConfig(learning_rate=0.0)
-        model = ModelParams(np.arange(21, dtype=float))
-        out = local_train(model, [datasets[0]], cfg)[0]
-        assert np.array_equal(out.weights, model.weights)
+        weights = np.arange(21, dtype=float)
+        out, _ = local_train(weights, [datasets[0]], cfg)
+        assert np.array_equal(out[0], weights)
 
     def test_single_sample_single_step_matches_hand_gradient(self):
         data = self._tiny_data()
         w0 = np.array([0.5, -0.5, 0.1])
         cfg = AggregationConfig(algo=Aggregator.FEDAVG, local_epochs=1, learning_rate=0.3)
-        out = local_train(ModelParams(w0.copy()), [data], cfg)[0]
+        out, _ = local_train(w0.copy(), [data], cfg)
         x_aug = np.array([1.0, -2.0, 1.0])
         grad = (sigmoid(x_aug @ w0) - 1.0) * x_aug
-        assert np.allclose(out.weights, w0 - 0.3 * grad, atol=1e-12)
+        assert np.allclose(out[0], w0 - 0.3 * grad, atol=1e-12)
 
     def test_fedprox_pull_strengthens_with_mu(self):
         datasets, _ = generate_population(1, [0.9], seed=4)
-        w_global = init_model()
+        w_global = init_model().weights
         dists = []
         for mu in (0.1, 1.0, 10.0):
             cfg = AggregationConfig(
                 algo=Aggregator.FEDPROX, local_epochs=5, learning_rate=0.01, prox_mu=mu
             )
-            out = local_train(w_global, [datasets[0]], cfg)[0]
-            dists.append(np.linalg.norm(out.weights - w_global.weights))
+            out, _ = local_train(w_global, [datasets[0]], cfg)
+            dists.append(np.linalg.norm(out[0] - w_global))
         assert dists[0] >= dists[1] >= dists[2]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            SyntheticDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), owner=0)
+            SyntheticDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     def test_diverged_weights_raise_naming_the_clients(self):
         # FedProx steps multiply w - w_global by (1 - lr * mu) = -9 per epoch.
@@ -106,35 +104,36 @@ class TestLocalTrain:
         )
         with np.errstate(all="ignore"):
             with pytest.raises(FloatingPointError, match=r"clients \[0, 1, 2\] have non-finite"):
-                local_train(init_model(), datasets, cfg)
-            nan_start = ModelParams(np.full(21, np.nan))
+                local_train(init_model().weights, datasets, cfg)
+            nan_start = np.full(21, np.nan)
             with pytest.raises(FloatingPointError, match="non-finite weights"):
                 local_train(nan_start, datasets, AggregationConfig())
 
     def test_scaffold_updates_control_variates(self):
         datasets, _ = generate_population(1, [0.9], seed=6)
         cfg = AggregationConfig(algo=Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.1)
-        model = init_model()
-        server_variate, variates = np.zeros(len(model.weights)), {}
-        local = local_train(model, [datasets[0]], cfg, server_variate, variates)[0]
+        weights = init_model().weights
+        server_variate, variates = np.zeros(len(weights)), np.zeros((1, len(weights)))
+        local, proposed = local_train(weights, [datasets[0]], cfg, server_variate, variates)
         # Client 0 proposes one variate update; committing it is the caller's.
-        assert local.variate is not None
-        assert local.variate.shape == server_variate.shape
-        aggregate([local], [len(datasets[0])], cfg)
-        assert not variates and not np.any(server_variate)
+        assert proposed is not None
+        assert proposed.shape == variates.shape == (1, len(server_variate))
+        aggregate([ModelParams(local[0])], [len(datasets[0])], cfg)
+        assert not np.any(variates) and not np.any(server_variate)
         # Committing it moves c off zero.
-        assert np.any(local.variate != 0.0)
+        assert np.any(proposed[0] != 0.0)
 
     @pytest.mark.parametrize("algo", list(Aggregator))
     def test_local_train_leaves_its_inputs_unchanged(self, algo):
         datasets, labels = mixed_clients(20)
         block, label_block = datasets[0].block, datasets[0].label_block
         cfg, server_variate, variates = train_config(algo, 20)
-        model = ModelParams(0.1 * np.random.default_rng(8).normal(size=21))
-        kept = [a.tobytes() for a in (block, label_block, labels, model.weights)]
-        local = local_train(model, datasets, cfg, server_variate, variates, labels)
-        assert [a.tobytes() for a in (block, label_block, labels, model.weights)] == kept
-        assert not any(np.shares_memory(m.weights, model.weights) for m in local)
+        weights = 0.1 * np.random.default_rng(8).normal(size=21)
+        kept = [a.tobytes() for a in (block, label_block, labels, weights)]
+        local, proposed = local_train(weights, datasets, cfg, server_variate, variates, labels)
+        assert [a.tobytes() for a in (block, label_block, labels, weights)] == kept
+        assert not np.shares_memory(local, weights)
+        assert proposed is None or not np.shares_memory(proposed, variates)
 
     @pytest.mark.parametrize("algo", list(Aggregator))
     def test_epochs_allocate_no_row_sized_array(self, algo):
@@ -145,14 +144,14 @@ class TestLocalTrain:
         datasets, labels = mixed_clients(20)
         cfg, server_variate, variates = train_config(algo, 20)
         row_sized = datasets[0].block[:, 0].nbytes
-        model = init_model()
+        weights = init_model().weights
 
         def peak(epochs):
             cfg_e = dataclasses.replace(cfg, local_epochs=epochs)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                local_train(model, datasets, cfg_e, server_variate, variates, labels)
+                local_train(weights, datasets, cfg_e, server_variate, variates, labels)
                 return tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
@@ -163,12 +162,12 @@ class TestLocalTrain:
     def test_local_train_leaves_variate_inputs_unchanged(self):
         datasets, _ = mixed_clients(2)
         cfg, server_variate, variates = train_config(Aggregator.SCAFFOLD, 2)
-        kept = server_variate.copy(), {i: v.copy() for i, v in variates.items()}
-        local_train(init_model(2), datasets, cfg, server_variate, variates)
+        kept = server_variate.copy(), variates.copy()
+        local_train(init_model(2).weights, datasets, cfg, server_variate, variates)
         assert np.array_equal(server_variate, kept[0])
-        assert list(variates) == list(kept[1])
-        for i, v in variates.items():
-            assert np.array_equal(v, kept[1][i])
+        assert variates.shape == kept[1].shape
+        for v, k in zip(variates, kept[1]):
+            assert np.array_equal(v, k)
 
 
 class TestAggregationConfig:
@@ -181,18 +180,17 @@ class TestAggregationConfig:
         ]
 
 
-def reference_train(global_model, data, cfg, server_variate, variates, labels=None):
+def reference_train(w_global, data, cfg, server_variate, c_i, labels=None):
     """The one-client loop that the batched trainer replaced, reading the
-    Scaffold state from its arguments and returning the proposed c_i+. The
+    Scaffold state c and this client's c_i from its arguments. Returns the
+    local weights and the proposed c_i+ (None unless Scaffold trained). The
     client trains on its row of `labels` if given, else on its own labels."""
     x = data.design
     y = data.labels if labels is None else labels[data.row, 0, : len(data)]
     y = y.astype(float)
-    w_global = global_model.weights
     w = w_global.copy()
     lr = cfg.learning_rate
     if cfg.algo is Aggregator.SCAFFOLD:
-        c_i = variates.get(data.owner, np.zeros(len(w)))
         c_global = server_variate
     for _ in range(cfg.local_epochs):
         grad = x.T @ (sigmoid(np.clip(x @ w, -40.0, 40.0)) - y) / len(y)
@@ -202,12 +200,11 @@ def reference_train(global_model, data, cfg, server_variate, variates, labels=No
             grad = grad + (c_global - c_i)
         w = w - lr * grad
     if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
-        c_new = c_i - c_global + (w_global - w) / (cfg.local_epochs * lr)
-        return ModelParams(w, c_new)
-    return ModelParams(w)
+        return w, c_i - c_global + (w_global - w) / (cfg.local_epochs * lr)
+    return w, None
 
 
-def clamped_train(global_model, datasets, cfg, server_variate, variates, labels):
+def clamped_train(w_global, datasets, cfg, server_variate, variates, labels):
     """The batched epoch that the negated-logit one replaced, kept as an
     oracle: it steps the weights w themselves, clamps the logits to
     [-40, 40] on both sides before negating them, and trains every client
@@ -215,13 +212,11 @@ def clamped_train(global_model, datasets, cfg, server_variate, variates, labels)
     x, y = _blocks(datasets, labels)
     n, dim, rows = x.shape
     counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
-    w_global = global_model.weights
     w = np.tile(w_global, (n, 1))
     lr = cfg.learning_rate
     if cfg.algo is Aggregator.SCAFFOLD:
-        zero = np.zeros_like(w_global)
-        c = zero if server_variate is None else server_variate
-        c_i = np.stack([(variates or {}).get(d.owner, zero) for d in datasets])
+        c = np.zeros_like(w_global) if server_variate is None else server_variate
+        c_i = np.zeros((n, dim)) if variates is None else variates
     residual = np.empty((n, 1, rows))
     grad_cols = np.empty((n, dim, 1))
     grad = grad_cols[:, :, 0]
@@ -243,15 +238,13 @@ def clamped_train(global_model, datasets, cfg, server_variate, variates, labels)
         grad *= lr
         w -= grad
     if cfg.algo is Aggregator.SCAFFOLD and lr > 0.0:
-        c_new = c_i - c + (w_global - w) / (cfg.local_epochs * lr)
-        return [ModelParams(weights, variate) for weights, variate in zip(w, c_new)]
-    return [ModelParams(weights) for weights in w]
+        return w, c_i - c + (w_global - w) / (cfg.local_epochs * lr)
+    return w, None
 
 
-def model_bytes(models):
-    return [
-        (m.weights.tobytes(), None if m.variate is None else m.variate.tobytes()) for m in models
-    ]
+def model_bytes(trained):
+    weights, proposed = trained
+    return weights.tobytes(), None if proposed is None else proposed.tobytes()
 
 
 def mixed_clients(dim):
@@ -270,22 +263,25 @@ def mixed_clients(dim):
         return datasets, labels
     rng = np.random.default_rng(21)
     datasets = []
-    for owner, m in enumerate((3, 17, 8, 30)):
+    for i, m in enumerate((3, 17, 8, 30)):
         design = np.hstack([rng.normal(size=(m, dim)), np.ones((m, 1))])
         labels = rng.integers(0, 2, size=m)
-        if owner == 1:
+        if i == 1:
             labels = poison(labels, flip, 3, np.empty(m))
-        datasets.append(SyntheticDataset(design, labels, owner))
+        datasets.append(SyntheticDataset(design, labels))
     return datasets, None
 
 
 def train_config(algo, dim):
-    """Hyperparameters plus Scaffold state: the server variate c and the c_i
-    of clients 0 and 2 (clients 1 and 3 hold none, so they read zeros)."""
+    """Hyperparameters plus Scaffold state: the server variate c and the
+    clients' c_i, one row each, nonzero for clients 0 and 2 (clients 1 and 3
+    were never aggregated, so their rows are zeros)."""
     rng = np.random.default_rng(5)
     cfg = AggregationConfig(algo=algo, local_epochs=7, learning_rate=0.4, prox_mu=0.3)
     server_variate = 0.05 * rng.normal(size=dim + 1)
-    variates = {owner: 0.05 * rng.normal(size=dim + 1) for owner in (0, 2)}
+    variates = np.zeros((4, dim + 1))
+    for i in (0, 2):
+        variates[i] = 0.05 * rng.normal(size=dim + 1)
     return cfg, server_variate, variates
 
 
@@ -295,33 +291,36 @@ class TestBatchedTrain:
     def test_batch_matches_each_client_trained_alone(self, algo, dim):
         datasets, labels = mixed_clients(dim)
         assert len({len(d) for d in datasets}) == len(datasets)
-        model = ModelParams(0.1 * np.random.default_rng(8).normal(size=dim + 1))
+        weights = 0.1 * np.random.default_rng(8).normal(size=dim + 1)
         cfg, server_variate, variates = train_config(algo, dim)
-        batch = local_train(model, datasets, cfg, server_variate, variates, labels)
+        batch, batch_c = local_train(weights, datasets, cfg, server_variate, variates, labels)
+        # Client i trained alone takes its own row of the variates.
         alone = [
-            local_train(model, [d], cfg, server_variate, variates, labels)[0] for d in datasets
+            local_train(weights, [d], cfg, server_variate, variates[i : i + 1], labels)
+            for i, d in enumerate(datasets)
         ]
+        alone = [(w[0], None if c is None else c[0]) for w, c in alone]
         reference = [
-            reference_train(model, d, cfg, server_variate, variates, labels) for d in datasets
+            reference_train(weights, d, cfg, server_variate, variates[i], labels)
+            for i, d in enumerate(datasets)
         ]
-        assert len(batch) == len(datasets)
-        for b, a, r in zip(batch, alone, reference):
-            assert np.allclose(b.weights, a.weights, rtol=0.0, atol=1e-12)
-            assert np.allclose(b.weights, r.weights, rtol=0.0, atol=1e-12)
+        assert batch.shape == (len(datasets), dim + 1)
+        for b, (a, _), (r, _) in zip(batch, alone, reference):
+            assert np.allclose(b, a, rtol=0.0, atol=1e-12)
+            assert np.allclose(b, r, rtol=0.0, atol=1e-12)
         for other in (alone, reference):
             # The same clients propose the same c_i+, so the same updates c_i+ - c_i.
-            assert [b.variate is None for b in batch] == [o.variate is None for o in other]
-            for d, b, o in zip(datasets, batch, other):
-                if b.variate is not None:
-                    c_i = variates.get(d.owner, 0.0)
-                    assert np.allclose(b.variate, o.variate, rtol=0.0, atol=1e-12)
-                    assert np.allclose(b.variate - c_i, o.variate - c_i, rtol=0.0, atol=1e-12)
-        proposed = sum(b.variate is not None for b in batch)
+            assert [batch_c is None] * len(datasets) == [o is None for _, o in other]
+            if batch_c is not None:
+                for b, (_, o), c_i in zip(batch_c, other, variates):
+                    assert np.allclose(b, o, rtol=0.0, atol=1e-12)
+                    assert np.allclose(b - c_i, o - c_i, rtol=0.0, atol=1e-12)
+        proposed = 0 if batch_c is None else len(batch_c)
         assert proposed == (len(datasets) if algo is Aggregator.SCAFFOLD else 0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            local_train(init_model(), [], AggregationConfig())
+            local_train(init_model().weights, [], AggregationConfig())
 
     @pytest.mark.parametrize("saturated", [False, True], ids=["spread", "saturated"])
     @pytest.mark.parametrize("clients_per_block", [1, 3, 4])
@@ -340,14 +339,14 @@ class TestBatchedTrain:
         block = datasets[0].block
         monkeypatch.setattr(flsim, "TRAIN_BLOCK_BYTES", clients_per_block * block[0].nbytes)
         cfg, server_variate, variates = train_config(algo, 20)
-        model = ModelParams(6.0 * np.random.default_rng(8).normal(size=21))
+        weights = 6.0 * np.random.default_rng(8).normal(size=21)
         if saturated:
-            model = ModelParams(np.r_[np.zeros(20), -100.0])
+            weights = np.r_[np.zeros(20), -100.0]
             labels = np.zeros_like(labels)
-        logits = np.concatenate([d.design @ model.weights for d in datasets])
+        logits = np.concatenate([d.design @ weights for d in datasets])
         assert (logits < -40.0).any() and (logits > 40.0).any() != saturated
-        trained = local_train(model, datasets, cfg, server_variate, variates, labels)
-        oracle = clamped_train(model, datasets, cfg, server_variate, variates, labels)
+        trained = local_train(weights, datasets, cfg, server_variate, variates, labels)
+        oracle = clamped_train(weights, datasets, cfg, server_variate, variates, labels)
         assert model_bytes(trained) == model_bytes(oracle)
 
 
@@ -440,8 +439,8 @@ class TestEvaluateAccuracy:
         datasets, test = generate_population(1, [1.0], seed=9)
         # Logistic fit on clean data separates the Gaussian mixture well.
         cfg = AggregationConfig(local_epochs=200, learning_rate=1.0)
-        model = local_train(init_model(), [datasets[0]], cfg)[0]
-        assert evaluate_accuracy(model.weights[None], test)[0] > 0.9
+        weights, _ = local_train(init_model().weights, [datasets[0]], cfg)
+        assert evaluate_accuracy(weights, test)[0] > 0.9
 
     def test_zero_model_predicts_majority_class_zero(self):
         _, test = generate_population(1, [1.0], seed=10)
@@ -451,20 +450,20 @@ class TestEvaluateAccuracy:
 
     def test_returns_a_builtin_float_equal_to_the_mean(self):
         datasets, test = generate_population(2, [0.6, 0.9], seed=12)
-        models = local_train(init_model(), datasets, AggregationConfig(local_epochs=3))
-        accs = evaluate_accuracy(np.stack([m.weights for m in models]), test)
+        weights, _ = local_train(init_model().weights, datasets, AggregationConfig(local_epochs=3))
+        accs = evaluate_accuracy(weights, test)
         assert len(accs) == 2
-        for model, acc in zip(models, accs):
+        for w, acc in zip(weights, accs):
             # A numpy scalar would be written as np.float64(...) into rounds.csv.
             assert type(acc) is float
-            assert acc == np.mean((test.design @ model.weights > 0.0).astype(int) == test.labels)
+            assert acc == np.mean((test.design @ w > 0.0).astype(int) == test.labels)
 
     def test_inverted_labels_complement_accuracy(self):
         datasets, test = generate_population(1, [1.0], seed=12)
         cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
-        model = local_train(init_model(), [datasets[0]], cfg)[0]
+        weights, _ = local_train(init_model().weights, [datasets[0]], cfg)
         flipped = dataclasses.replace(test, labels=~test.labels)
-        (acc,), (acc_flipped,) = (evaluate_accuracy(model.weights[None], t) for t in (test, flipped))
+        (acc,), (acc_flipped,) = (evaluate_accuracy(weights, t) for t in (test, flipped))
         assert acc + acc_flipped == pytest.approx(1.0, abs=1e-12)
 
     def test_bounds(self):
@@ -549,6 +548,6 @@ class TestTrainingSignal:
         cfg = AggregationConfig(algo=Aggregator.FEDAVG, local_epochs=5, learning_rate=0.5)
         model = init_model()
         for _ in range(20):
-            locals_ = [local_train(model, [ds], cfg)[0] for ds in datasets]
+            locals_ = [ModelParams(local_train(model.weights, [ds], cfg)[0][0]) for ds in datasets]
             model = aggregate(locals_, [len(ds) for ds in datasets], cfg)
         assert evaluate_accuracy(model.weights[None], test)[0] > 0.9

@@ -184,6 +184,18 @@ def test_each_cell_plays_through_one_path():
     assert callers == {"_offer": ["_offers"], "_model_tree": ["run_tables"], "run_round": ["_play"]}
 
 
+def test_only_the_offers_name_a_regime():
+    # Only `solve` reads a market's regime, so rounds are played, bid and
+    # priced in the default market, and only `_offers` builds one under a
+    # named regime.
+    tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
+    calls = _scopes_where(
+        tree,
+        lambda node: _callee(node) == "_market" and (len(node.args) > 2 or bool(node.keywords)),
+    )
+    assert calls == ["_offers"]
+
+
 def _auction_functions():
     """auction.py's module-level functions by name."""
     tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
