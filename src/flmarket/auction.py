@@ -24,8 +24,9 @@ Given the seed, the model a round starts from is fixed by the sequence of
 ordered selections aggregated so far, and so are its accuracy, the Scaffold
 variates, the round's poisoned labels and the local models trained from it.
 So a seed's cells play their rounds on one `ModelTree` keyed by that
-history, and each node's training and evaluation is done once, by the first
-cell to reach it; every cell keeps its own ledger, selection and scoring.
+history, and each node's training, evaluation and Banzhaf scoring is done
+once, by the first cell to reach it; every cell keeps its own ledger,
+selection and reputation updates.
 
 The two buyers'-market baselines are rows of the same table: each holds its
 winner rule, and one bid round (`_bid_round`) plays either. Every client
@@ -165,7 +166,9 @@ class ModelNode:
     every client from `weights`, and never change after: `local_weights` is
     the (clients, d + 1) stack of local weights in population order,
     `local_variates` the clients' proposed c_i+ beside it (None unless
-    Scaffold trained them), and `local_accuracies` their test accuracies."""
+    Scaffold trained them), `local_accuracies` their test accuracies, and
+    `zetas` the clients' Banzhaf indices (`_banzhaf_contributions`), in
+    population order."""
 
     weights: np.ndarray
     accuracy: float
@@ -174,6 +177,7 @@ class ModelNode:
     local_weights: np.ndarray | None = None
     local_variates: np.ndarray | None = None
     local_accuracies: np.ndarray | None = None
+    zetas: np.ndarray | None = None
     children: dict[tuple[int, ...], ModelNode] = field(default_factory=dict)
 
 
@@ -182,15 +186,19 @@ class ModelTree:
     """Every selection history the cells of one population play, as a tree
     of `ModelNode`s rooted at the untrained model and zero variates (a c_i
     for each of the population's `clients`), with what fixes the nodes'
-    content besides the population: the training hyperparameters and the
-    held-out test set. It also holds the one label buffer the population's
-    poisoners' flipped labels are written into (`_round_labels`): a copy of
-    the population's label block, made by the first round trained with a
-    poisoner. `run_tables` makes one tree per seed beside its population."""
+    content besides the population: the training hyperparameters, the
+    held-out test set, and the market's lambda and delta, which value the
+    realized contributions a node scores (`realized_value`). It also holds
+    the one label buffer the population's poisoners' flipped labels are
+    written into (`_round_labels`): a copy of the population's label block,
+    made by the first round trained with a poisoner. `run_tables` makes one
+    tree per seed beside its population."""
 
     agg: AggregationConfig
     test: SyntheticDataset
     clients: int
+    lam: float
+    delta: float
     root: ModelNode = field(init=False)
     poisoned_labels: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -230,8 +238,9 @@ def _mix(seed: int, round_num: int, salt: int) -> int:
     return (seed * 1_000_003 + round_num * 10_007 + salt) % (1 << 63)
 
 
-def realized_value(q_hat: float, theta: float, params: MarketParams) -> float:
-    """Server surplus from a realized output, valued at production cost.
+def realized_value(q_hat: float, theta: float, params: MarketParams | ModelTree) -> float:
+    """Server surplus from a realized output, valued at production cost
+    under the lambda and delta of `params`.
 
     Defined for negative realized output (poisoned clients) and identical
     across information regimes, so reputation trajectories do not depend on
@@ -351,11 +360,13 @@ def _child(
     key is the ordered selection because aggregation and the Scaffold
     variate sum add in that order.
 
-    The first visit to `node` trains every client from its weights and
-    evaluates the local models and the new global model in one evaluation.
-    A later visit that selects anew only aggregates its stored local models
-    and evaluates the new global model. A client's rows are read by its id,
-    which is its position in the population (`build_population`).
+    The first visit to `node` trains every client from its weights,
+    evaluates the local models and the new global model in one evaluation,
+    and scores every client's realized contribution, its local model's
+    accuracy gain over `node`'s. A later visit that selects anew only
+    aggregates its stored local models and evaluates the new global model.
+    A client's rows are read by its id, which is its position in the
+    population (`build_population`).
     """
     key = tuple(selected)
     child = node.children.get(key)
@@ -388,9 +399,17 @@ def _child(
         *accuracies, accuracy = evaluate_accuracy(
             np.vstack([local_weights, new_global.weights]), tree.test
         )
+        local_accuracies = _frozen(np.array(accuracies))
+        # Measured against the model the clients started from, so the
+        # per-round improvement signal stays attributable.
+        realized = (local_accuracies - node.accuracy).tolist()
+        zetas = _banzhaf_contributions(
+            {c.id: realized_value(realized[c.id], c.theta, tree) for c in population}
+        )
         # Filled in one step, once nothing of the round can raise.
         node.local_weights, node.local_variates = local_weights, local_variates
-        node.local_accuracies = _frozen(np.array(accuracies))
+        node.local_accuracies = local_accuracies
+        node.zetas = _frozen(np.array([zetas[c.id] for c in population]))
     else:
         (accuracy,) = evaluate_accuracy(new_global.weights[None], tree.test)
     child = ModelNode(_frozen(new_global.weights), accuracy, server_variate, variates)
@@ -407,32 +426,36 @@ def run_round(
     Banzhaf scoring and ledger append. Every client accepts its contract, so
     no regime enters the round, and nothing is priced here.
 
-    Selection, the ledger reads, scoring and the appends are the cell's own.
-    Training and evaluation are the tree's: the cell moves to the child
-    node its selection reaches (`_child`), which trains and evaluates only
-    what no earlier visit to the node has. Every client trains a candidate
-    local model and is scored; only the selected top-k are aggregated into
-    the global model (and paid, once a mechanism prices the round).
+    Selection, the ledger reads, the reputation updates and the appends are
+    the cell's own. Training, evaluation and scoring are the tree's: the
+    cell moves to the child node its selection reaches (`_child`), which
+    trains, evaluates and scores only what no earlier visit to the node
+    has. Every client trains a candidate local model and is scored; only
+    the selected top-k are aggregated into the global model (and paid, once
+    a mechanism prices the round). Raises ValueError if the lambda or delta
+    of `params` is not the tree's, which its nodes were scored under.
     """
     if not population:
         raise ValueError("population must be non-empty")
+    tree = state.tree
+    if (params.lam, params.delta) != (tree.lam, tree.delta):
+        raise ValueError(
+            f"the round's market (lambda = {params.lam!r}, delta = {params.delta!r}) is not "
+            f"its tree's (lambda = {tree.lam!r}, delta = {tree.delta!r})"
+        )
 
     eps_prev = {
         c.id: ledger_epsilon(state.ledger, c.id, state.trust_policy) for c in population
     }
     selected = select_top_k(eps_prev, min(params.k_select, len(population)))
     node = state.node
-    child = _child(population, state.tree, node, selected, state.round)
-    # Contributions (row i is client i's) are measured against the model the
-    # clients started from, so the per-round improvement signal stays attributable.
+    child = _child(population, tree, node, selected, state.round)
+    # Row i of the node's arrays is client i's.
     realized = dict(enumerate((node.local_accuracies - node.accuracy).tolist()))
-
-    values = {c.id: realized_value(realized[c.id], c.theta, params) for c in population}
-    zetas = _banzhaf_contributions(values)
     epsilons = {}
-    for i in sorted(zetas):
-        epsilons[i] = update_reputation(eps_prev[i], zetas[i], state.rep_params)
-        state.ledger.append(state.round, i, zetas[i], epsilons[i])
+    for i, zeta in enumerate(node.zetas.tolist()):
+        epsilons[i] = update_reputation(eps_prev[i], zeta, state.rep_params)
+        state.ledger.append(state.round, i, zeta, epsilons[i])
 
     report = RoundReport(
         round=state.round,
@@ -496,6 +519,8 @@ def _model_tree(config, test: SyntheticDataset) -> ModelTree:
         ),
         test,
         config.n_clients,
+        config.lam,
+        config.delta,
     )
 
 

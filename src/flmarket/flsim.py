@@ -202,7 +202,9 @@ def local_train(
     weights, row i trained on `datasets[i]`, and beside them the proposed
     c_i+ (option II), None unless Scaffold trained with a learning rate
     above 0; raises FloatingPointError, naming the clients by position, if
-    any trained weight is not finite (a learning rate that diverges).
+    any trained weight is not finite (a learning rate that diverges), and
+    ValueError, naming both row counts, if `variates` is given in any shape
+    but (n, d + 1), which numpy would otherwise broadcast.
 
     The loop keeps the negated weights -w, so the first product gives the
     negated logits -z and sigmoid(z) = 1 / (1 + exp(-z)) needs one clamp,
@@ -216,6 +218,11 @@ def local_train(
         raise ValueError("cannot train on zero datasets")
     x, y = _blocks(datasets, labels)
     n, dim, rows = x.shape
+    if variates is not None and variates.shape != (n, dim):
+        raise ValueError(
+            f"variates must hold one c_i row of {dim} per dataset, shape ({n}, {dim}): "
+            f"got {variates.shape[0]} rows for {n} datasets, shape {variates.shape}"
+        )
     counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
     w_global = weights
     lr = cfg.learning_rate

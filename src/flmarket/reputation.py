@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# banzhaf_exact holds n * 2^(n-1) rows of n cells at once: 8.4M at n = 16.
+# banzhaf_exact holds the 2^n coalitions, rows of n cells, and two
+# (n, 2^(n-1)) index arrays at once: 1M cells and 1M indices at n = 16.
 EXACT_ENUMERATION_LIMIT = 16
 
 
@@ -69,23 +70,19 @@ def _evaluate(u: CoalitionUtility, masks: np.ndarray) -> np.ndarray:
     return values
 
 
-def _mean_marginals(u: CoalitionUtility, with_i: np.ndarray, without: np.ndarray) -> np.ndarray:
-    """Each player i's mean of v(S + i) - v(S) over its m rows S of
-    `without`, summed in row order. Both matrices hold n * m rows of n
-    cells: rows i*m .. i*m + m - 1 are player i's, unset in column i of
-    `without` and set in `with_i`, which otherwise equals `without`. Two
-    evaluator calls, over all n * m rows at once."""
-    n = without.shape[1]
-    m = len(without) // n
-    marginals = _evaluate(u, with_i) - _evaluate(u, without)
+def _mean(marginals: np.ndarray) -> np.ndarray:
+    """Each player's mean of its row of an (n, m) array of marginals
+    v(S + i) - v(S), summed in row order."""
     # cumsum adds left to right, as a running total over the rows would.
-    return np.cumsum(marginals.reshape(n, m), axis=1)[:, -1] / m
+    return np.cumsum(marginals, axis=1)[:, -1] / marginals.shape[1]
 
 
 def _membership_blocks(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(with_i, without) membership matrices for _mean_marginals from an
-    (n, m, n-1) block of draws: row r of player i holds bits[i, r, b] in the
-    column of the b-th other player (players in ascending order, i skipped)."""
+    """(with_i, without) membership matrices of n * m rows of n cells from
+    an (n, m, n-1) block of draws: rows i*m .. i*m + m - 1 are player i's,
+    and row r of them holds bits[i, r, b] in the column of the b-th other
+    player (players in ascending order, i skipped), unset in column i of
+    `without` and set in `with_i`."""
     n, m, _ = bits.shape
     without = np.zeros((n, m, n), dtype=bool)
     others = ~np.eye(n, dtype=bool)
@@ -96,26 +93,35 @@ def _membership_blocks(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=4)
-def _exact_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """banzhaf_exact's membership matrices, which depend only on n: built
-    once per n and read-only, so an evaluator cannot change a later call's
-    coalitions. Row `mask` of a player holds the others whose bit is set in
-    mask."""
-    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1).astype(bool)
-    blocks = _membership_blocks(np.broadcast_to(bits, (n, *bits.shape)))
-    for block in blocks:
-        block.flags.writeable = False
-    return blocks
+def _exact_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """banzhaf_exact's coalitions and marginal indices, which depend only on
+    n: built once per n and read-only, so an evaluator cannot change a
+    later call's coalitions. Row s of the (2^n, n) table holds the players
+    whose bit is set in s. Entry (i, r) of the (n, 2^(n-1)) index arrays
+    `with_i` and `without` is the table row of S + i and of S, where S
+    holds the other players whose bit is set in r (players in ascending
+    order, i skipped)."""
+    table = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    r = np.arange(1 << (n - 1))
+    below = (1 << np.arange(n))[:, None] - 1  # the bits of the players before i
+    without = (r & below) | ((r & ~below) << 1)
+    arrays = table, without | (below + 1), without
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def banzhaf_exact(u: CoalitionUtility, n: int) -> np.ndarray:
     """Exact Banzhaf indices of players 0..n-1: player i's mean marginal
-    contribution over all 2^(n-1) coalitions of the remaining players."""
+    contribution over all 2^(n-1) coalitions of the remaining players. One
+    evaluator call plays each of the 2^n coalitions once."""
     if n > EXACT_ENUMERATION_LIMIT:
         raise ValueError(
             f"exact enumeration limited to n <= {EXACT_ENUMERATION_LIMIT}, got {n}"
         )
-    return _mean_marginals(u, *_exact_blocks(n))
+    table, with_i, without = _exact_table(n)
+    values = _evaluate(u, table)
+    return _mean(values[with_i] - values[without])
 
 
 def banzhaf_mc(
@@ -134,7 +140,9 @@ def banzhaf_mc(
     bits = np.stack(
         [np.random.default_rng(seed).random((samples, n - 1)) < 0.5 for seed in seeds]
     )
-    return _mean_marginals(u, *_membership_blocks(bits))
+    with_i, without = _membership_blocks(bits)
+    # Two evaluator calls, on every player's rows at once.
+    return _mean((_evaluate(u, with_i) - _evaluate(u, without)).reshape(n, samples))
 
 
 def update_reputation(prev_epsilon: float, zeta: float, params: ReputationParams) -> float:

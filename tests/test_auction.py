@@ -60,7 +60,7 @@ from flmarket.mechanism import (
     solve,
     solve_complete,
 )
-from flmarket.reputation import ReputationParams, additive_utility, banzhaf_mc
+from flmarket.reputation import ReputationParams, additive_utility, banzhaf_exact, banzhaf_mc
 
 
 def small_config(**overrides):
@@ -86,7 +86,7 @@ def single_client_setup(theta=1.0, regime=Regime.COMPLETE):
     datasets, test = generate_population(1, [theta], seed=0)
     population = [ClientProfile(0, theta, datasets[0])]
     params = MarketParams(1.0, 2.0, 1, 1, regime)
-    state = SimulationState(ModelTree(AggregationConfig(local_epochs=2), test, 1))
+    state = SimulationState(ModelTree(AggregationConfig(local_epochs=2), test, 1, 1.0, 2.0))
     return population, params, state
 
 
@@ -120,7 +120,7 @@ class TestRunRound:
         assert report.selected == [0, 1, 2]
 
     def test_budget_identity(self):
-        config = small_config()
+        config = small_config(lam=1.3)
         population, test = build_population(config, seed=5)
         thetas = {c.id: c.theta for c in population}
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
@@ -171,7 +171,7 @@ class TestRunRound:
     def test_empty_population_rejected(self):
         params = MarketParams(1.0, 2.0, 1, 1)
         _, test = generate_population(1, [0.5], seed=0)
-        state = SimulationState(ModelTree(AggregationConfig(), test, 1))
+        state = SimulationState(ModelTree(AggregationConfig(), test, 1, 1.0, 2.0))
         with pytest.raises(ValueError):
             run_round([], params, state)
 
@@ -243,8 +243,8 @@ class TestRunRound:
         rep = run_round(population, params, state)
         assert len(rep.epsilons) == n
         assert calls == [path]
-        rows = n << (n - 1)
-        assert evals == [rows, rows]
+        # One evaluator call plays each of the 2^n coalitions once.
+        assert evals == [1 << n]
 
     def test_large_round_scores_each_client_by_its_value(self, monkeypatch):
         def forbidden(*args):
@@ -274,7 +274,7 @@ class TestRunRound:
         population = [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
         params = MarketParams(1.0, 2.0, 6, 2, Regime.COMPLETE)
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
-        state = SimulationState(ModelTree(cfg, test, len(population)))
+        state = SimulationState(ModelTree(cfg, test, len(population), 1.0, 2.0))
         root = state.node
         rep = run_round(population, params, state)
         assert len(rep.realized_q) == 6 and len(rep.selected) == 2
@@ -338,7 +338,7 @@ class TestRealizedContribution:
             for i, (t, d) in enumerate(zip(thetas, datasets))
         ]
         params = MarketParams(1.0, 2.0, len(thetas), 2)
-        state = SimulationState(ModelTree(AggregationConfig(**agg), test, len(thetas)))
+        state = SimulationState(ModelTree(AggregationConfig(**agg), test, len(thetas), 1.0, 2.0))
         reports = [run_round(population, params, state) for _ in range(rounds)]
         return population, test, reports
 
@@ -820,7 +820,7 @@ def reference_tables(config, played=None):
         params = market(k, mechanism)
         contracts = {c.id: solve(c.theta, params) for c in population}
         state = SimulationState(
-            ModelTree(agg, test, config.n_clients),
+            ModelTree(agg, test, config.n_clients, config.lam, config.delta),
             ledger=stores[mode](),
             rep_params=ReputationParams(config.w1, config.w2),
             trust_policy=config.trust_policy,
@@ -1104,6 +1104,22 @@ class TestModelTree:
         assert auction._trace_rows(config, population, tree)
         assert calls == []
 
+    def test_the_trace_cell_scores_nothing(self, monkeypatch):
+        config = small_config(**self.CONFIG)
+        population, test = build_population(config, 1)
+        tree = _model_tree(config, test)
+        offers = auction._offers(config, population, True)
+        bids = auction._bid_costs(config, population, offers[Regime.COMPLETE])
+        scored = []
+        monkeypatch.setattr(
+            auction, "banzhaf_exact", lambda *args: scored.append(args) or banzhaf_exact(*args)
+        )
+        auction._grid_cells(config, 1, population, tree, offers, bids)
+        assert scored
+        scored.clear()
+        assert auction._trace_rows(config, population, tree)
+        assert scored == []
+
     def test_a_new_selection_from_a_known_node_evaluates_one_row(self, monkeypatch):
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=3)
@@ -1203,6 +1219,51 @@ class TestModelTree:
         params = MarketParams(1.0, 2.0, 8, 4)
         assert run_round(population, params, a) == run_round(population, params, b)
         assert a.node is not b.node
+
+
+class TestNodeScoring:
+    """A node's realized values and Banzhaf indices are fixed once it is
+    trained, so its first visit scores it and every cell reads its zetas."""
+
+    def test_cells_with_different_k_append_one_nodes_zetas(self, monkeypatch):
+        config = small_config(poison_count=2)
+        population, test = build_population(config, seed=3)
+        tree = _model_tree(config, test)
+        scored = []
+        monkeypatch.setattr(
+            auction, "banzhaf_exact", lambda *args: scored.append(args) or banzhaf_exact(*args)
+        )
+        wide, narrow = (_fresh_state(config, tree) for _ in range(2))
+        run_round(population, MarketParams(1.0, 2.0, 8, 4), wide)
+        run_round(population, MarketParams(1.0, 2.0, 8, 2), narrow)
+        # Both rounds start at the root, which the first one scored.
+        assert wide.node is not narrow.node and len(scored) == 1
+        appended = (np.array([r.zeta for r in s.ledger.records]) for s in (wide, narrow))
+        assert next(appended).tobytes() == next(appended).tobytes() == tree.root.zetas.tobytes()
+        # Each cell updates its own reputations from them.
+        alone = _fresh_state(config, _model_tree(config, test))
+        run_round(population, MarketParams(1.0, 2.0, 8, 2), alone)
+        assert alone.ledger.records == narrow.ledger.records
+
+    def test_zetas_are_read_only(self):
+        config = small_config()
+        population, test = build_population(config, seed=3)
+        tree = _model_tree(config, test)
+        assert tree.root.zetas is None
+        run_round(population, MarketParams(1.0, 2.0, 8, 4), _fresh_state(config, tree))
+        assert tree.root.zetas.shape == (8,)
+        with pytest.raises(ValueError, match="read-only"):
+            tree.root.zetas[0] = 1.0
+
+    @pytest.mark.parametrize("lam, delta", [(1.3, 2.0), (1.0, 3.0)])
+    def test_a_market_other_than_the_trees_raises(self, lam, delta):
+        config = small_config()
+        population, test = build_population(config, seed=3)
+        state = _fresh_state(config, _model_tree(config, test))
+        with pytest.raises(ValueError, match="not its tree's"):
+            run_round(population, MarketParams(lam, delta, 8, 4), state)
+        assert state.round == 0 and state.ledger.records == []
+        assert state.tree.root.zetas is None
 
 
 class TestMechanismTable:

@@ -159,6 +159,15 @@ class TestLocalTrain:
         peak(30)
         assert peak(30) == peak(1) < 3 * row_sized
 
+    @pytest.mark.parametrize("shape", [(1, 21), (3, 21), (5, 21), (4, 20), (4,)])
+    def test_variates_of_another_shape_raise(self, shape):
+        # A (1, 21) block once broadcast over all four clients.
+        datasets, labels = mixed_clients(20)
+        cfg, server_variate, _ = train_config(Aggregator.SCAFFOLD, 20)
+        variates = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"got {shape[0]} rows for 4 datasets"):
+            local_train(init_model().weights, datasets, cfg, server_variate, variates, labels)
+
     def test_local_train_leaves_variate_inputs_unchanged(self):
         datasets, _ = mixed_clients(2)
         cfg, server_variate, variates = train_config(Aggregator.SCAFFOLD, 2)

@@ -1,5 +1,8 @@
-"""Golden outputs: `flmarket run` on `example.cfg` and on its Scaffold and
-FedProx variants writes exactly the recorded CSVs, provenance line included.
+"""Golden outputs: `flmarket run` on `example.cfg`, on its Scaffold and
+FedProx variants, and on its 8-client variants at k = 3 and 5 (FedAvg and
+Scaffold), writes exactly the recorded CSVs, provenance line included. The
+20-client rounds score by the additive game's closed form; the 8-client
+rounds enumerate every coalition with `banzhaf_exact`.
 
 A change meant to move an output updates its digest here and says so in
 CHANGES.md; any other change must leave every byte as it is.
@@ -34,25 +37,46 @@ DIGESTS = {
         "reputation": "2ff517c35426f9699122e4103e520f9279ce940f78045320d1b1a0f2b39dd7dc",
         "robustness": "2da16349bc11ef2352ece878b56b99481a0d8808cd11c2b92747fd0e8851763c",
     },
+    "n8-fedavg": {
+        "rounds": "87da9b85a643fccb66a29f1ee68d2d4f541f2a727434f98567d8820e5e5d7944",
+        "summary": "b71b98b880fca87ed730501f0c3d2100e65eb8c694cf6a4d30c5513807e668b9",
+        "reputation": "28ddd152785978d2e92e196f8ad80f080de167ac2610dcce946d553908b5ccf6",
+        "robustness": "9b3967711bc12a4eb349527b55d4f41c80d691d117f34c8ff02e72727bcaf281",
+    },
+    "n8-scaffold": {
+        "rounds": "f5178810acdea7df33c4ee1342be7359d296fb182ecd6aaa31adc1d0d2a454a0",
+        "summary": "84c721e3d775e739d8b84e9d9ba0d16944ffb801d14de76a77073f3b339fcabd",
+        "reputation": "9877f270c694bdf0e83ebb5f950880c5c1bfb5cb75997c5f91e4d079e6166913",
+        "robustness": "dba0124371751053acdc271b2d272fb88f5de1a86e9dab16df369d46d89c638d",
+    },
+}
+
+# The keys of `example.cfg` each case replaces, besides `output_dir`.
+VARIANTS = {
+    "fedavg": {"aggregation": "fedavg"},
+    "scaffold": {"aggregation": "scaffold"},
+    "fedprox": {"aggregation": "fedprox"},
+    "n8-fedavg": {"aggregation": "fedavg", "n_clients": "8", "k_select": "3, 5"},
+    "n8-scaffold": {"aggregation": "scaffold", "n_clients": "8", "k_select": "3, 5"},
 }
 
 
-def _variant(aggregation: str, output_dir: Path) -> str:
-    """`example.cfg` with its `aggregation` and `output_dir` replaced."""
+def _variant(case: str, output_dir: Path) -> str:
+    """`example.cfg` with the case's keys and `output_dir` replaced."""
     text = EXAMPLE.read_text()
-    for key, value in (("aggregation", aggregation), ("output_dir", output_dir)):
+    for key, value in {**VARIANTS[case], "output_dir": output_dir}.items():
         text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
         assert count == 1, key
     return text
 
 
-@pytest.mark.parametrize("aggregation", list(DIGESTS))
-def test_example_outputs_are_the_recorded_bytes(tmp_path, aggregation):
+@pytest.mark.parametrize("case", list(DIGESTS))
+def test_example_outputs_are_the_recorded_bytes(tmp_path, case):
     out = tmp_path / "out"
     path = tmp_path / "run.cfg"
-    path.write_text(_variant(aggregation, out))
+    path.write_text(_variant(case, out))
     assert main(["run", str(path)]) == 0
     written = {
         p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
     }
-    assert written == DIGESTS[aggregation]
+    assert written == DIGESTS[case]

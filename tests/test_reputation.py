@@ -90,7 +90,8 @@ class TestBanzhafExact:
         u = additive_utility({i: 1.0 for i in range(21)})
         with pytest.raises(ValueError):
             banzhaf_exact(u, 21)
-        # The n * 2^(n-1) rows are built at once, so the limit is 16 players.
+        # The 2^n coalitions and two (n, 2^(n-1)) index arrays are built at
+        # once, so the limit is 16 players.
         with pytest.raises(ValueError, match="n <= 16"):
             banzhaf_exact(additive_utility({i: 1.0 for i in range(17)}), 17)
 
@@ -103,7 +104,7 @@ class TestBanzhafExact:
             i = int(rng.integers(n))
             assert banzhaf_exact(u, n)[i] == pytest.approx(values[i], abs=1e-9)
 
-    def test_two_evaluator_calls_over_every_coalition(self):
+    def test_one_evaluator_call_over_every_coalition(self):
         seen = []
 
         def evaluate(masks):
@@ -111,18 +112,11 @@ class TestBanzhafExact:
             return masks.sum(axis=1).astype(float)
 
         banzhaf_exact(CoalitionUtility(evaluate), 5)
-        with_all, without_all = seen
-        # n * 2^(n-1) rows: player i's 16 coalitions are rows 16i..16i+15.
-        assert with_all.shape == without_all.shape == (5 * 16, 5)
-        for i, (with_i, without) in enumerate(
-            zip(with_all.reshape(5, 16, 5), without_all.reshape(5, 16, 5))
-        ):
-            assert with_i[:, i].all() and not without[:, i].any()
-            np.testing.assert_array_equal(
-                np.delete(with_i, i, axis=1), np.delete(without, i, axis=1)
-            )
-            # Row r holds the other players whose bit is set in r.
-            assert mask_index(np.delete(without, i, axis=1)).tolist() == list(range(16))
+        (table,) = seen
+        # 2^n rows: row s holds the players whose bit is set in s, so each
+        # coalition is played once.
+        assert table.shape == (32, 5) and table.dtype == bool
+        assert mask_index(table).tolist() == list(range(32))
 
     def test_second_call_returns_bit_identical_indices(self):
         u = table_utility(np.random.default_rng(8).normal(size=1 << 6), 6)
@@ -342,6 +336,46 @@ class TestBatchedMatchesReference:
                 reference_mc(lambda c: sum(values[j] for j in c), n, i, 64, seeds[i]),
                 rel=0, abs=1e-12,
             )
+
+
+def two_block_exact(u, n):
+    """banzhaf_exact's former formula, kept as its bit-level reference:
+    player i's 2^(n-1) coalitions of the others are rows 2^(n-1) * i + r of
+    two stacked membership matrices (row r holds the others whose bit is set
+    in r, players in ascending order, i skipped), with and without i; two
+    evaluator calls, and each player's marginals summed in row order."""
+    m = 1 << (n - 1)
+    bits = (np.arange(m)[:, None] >> np.arange(n - 1) & 1).astype(bool)
+    without = np.zeros((n, m, n), dtype=bool)
+    for i in range(n):
+        without[i][:, [j for j in range(n) if j != i]] = bits
+    with_i = without.copy()
+    with_i[np.arange(n), :, np.arange(n)] = True
+
+    def evaluate(masks):
+        return np.asarray(u.evaluator(masks.reshape(n * m, n)), dtype=float)
+
+    marginals = (evaluate(with_i) - evaluate(without)).reshape(n, m)
+    return np.cumsum(marginals, axis=1)[:, -1] / m
+
+
+class TestExactMatchesTwoBlockFormula:
+    """Evaluating each coalition once gives the bits of evaluating every
+    player's coalitions with and without it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=10))
+    def test_additive_games(self, values):
+        u = additive_utility(dict(enumerate(values)))
+        n = len(values)
+        assert banzhaf_exact(u, n).tobytes() == two_block_exact(u, n).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=table_games(8))
+    def test_table_games(self, game):
+        n, table = game
+        u = table_utility(table, n)
+        assert banzhaf_exact(u, n).tobytes() == two_block_exact(u, n).tobytes()
 
 
 class TestAdditiveEvaluator:
