@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import statistics
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -49,9 +49,10 @@ import numpy as np
 from .flsim import (
     FEATURE_DIM,
     AggregationConfig,
+    HeldOut,
     ModelParams,
     PoisonConfig,
-    SyntheticDataset,
+    Population,
     aggregate,
     evaluate_accuracy,
     generate_population,
@@ -120,20 +121,6 @@ MECHANISMS: dict[str, Regime | WinnerRule] = {
 
 
 @dataclass
-class ClientProfile:
-    id: int
-    theta: float
-    dataset: SyntheticDataset
-    # A poisoner's labels for each round, bit-packed one round per row
-    # (`_flipped_labels`); None means honest.
-    flipped_labels: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def honest(self) -> bool:
-        return self.flipped_labels is None
-
-
-@dataclass
 class RoundReport:
     """What one round played; no regime's prices are in it."""
 
@@ -195,7 +182,7 @@ class ModelTree:
     tree per seed beside its population."""
 
     agg: AggregationConfig
-    test: SyntheticDataset
+    test: HeldOut
     clients: int
     lam: float
     delta: float
@@ -238,9 +225,12 @@ def _mix(seed: int, round_num: int, salt: int) -> int:
     return (seed * 1_000_003 + round_num * 10_007 + salt) % (1 << 63)
 
 
-def realized_value(q_hat: float, theta: float, params: MarketParams | ModelTree) -> float:
+def realized_value(
+    q_hat: float | np.ndarray, theta: float | np.ndarray, params: MarketParams | ModelTree
+) -> float | np.ndarray:
     """Server surplus from a realized output, valued at production cost
-    under the lambda and delta of `params`.
+    under the lambda and delta of `params`: of one client from floats, or
+    elementwise from arrays, with the same bits.
 
     Defined for negative realized output (poisoned clients) and identical
     across information regimes, so reputation trajectories do not depend on
@@ -270,9 +260,9 @@ def ledger_epsilon(store, client_id: int, policy: str = TRUST_LAST_VALID) -> flo
     return eps if trusted else 0.0
 
 
-def _banzhaf_contributions(values: dict[int, float]) -> dict[int, float]:
-    """Each scored client's Banzhaf index in the additive game whose value
-    is the sum of its members' `values`.
+def _banzhaf_contributions(values: np.ndarray) -> np.ndarray:
+    """Each client's Banzhaf index, in population order, in the additive
+    game whose value is the sum of its members' `values`.
 
     In an additive game a player's index is its own value (the dummy
     property: every marginal v(S + i) - v(S) is values[i]), so a round of
@@ -286,54 +276,53 @@ def _banzhaf_contributions(values: dict[int, float]) -> dict[int, float]:
     """
     if len(values) > EXACT_COALITION_LIMIT:
         return values
-    ids = sorted(values)
-    utility = additive_utility({p: values[i] for p, i in enumerate(ids)})
-    return dict(zip(ids, banzhaf_exact(utility, len(ids)).tolist()))
+    return banzhaf_exact(additive_utility(values), len(values))
 
 
 def _flipped_labels(
-    dataset: SyntheticDataset, cfg: PoisonConfig, seed: int, client_id: int, rounds: int
+    population: Population, cfg: PoisonConfig, seed: int, rows: np.ndarray, rounds: int
 ) -> np.ndarray:
-    """A poisoner's labels for rounds 0..rounds-1, bit-packed into a
-    (rounds, ceil(len(dataset) / 8)) uint8 array: row r packs `poison` of
-    its clean labels under the `_mix(seed, r, client_id)` draws."""
-    flipped = np.empty(len(dataset), dtype=bool)
-    packed = np.empty((rounds, (len(dataset) + 7) // 8), dtype=np.uint8)
-    for r in range(rounds):
-        packed[r] = np.packbits(poison(dataset.labels, cfg, _mix(seed, r, client_id), flipped))
+    """The labels the clients in `rows` train on in rounds 0..rounds-1,
+    bit-packed into a (len(rows), rounds, ceil(m_max / 8)) uint8 array,
+    zero-padded: entry (j, r) packs `poison` of client rows[j]'s clean
+    labels under the `_mix(seed, r, rows[j])` draws."""
+    packed = np.zeros((len(rows), rounds, (population.labels.shape[2] + 7) // 8), np.uint8)
+    for j, i in enumerate(rows.tolist()):
+        clean = population.labels[i, 0, : population.counts[i]]
+        flipped = np.empty(len(clean), dtype=bool)
+        for r in range(rounds):
+            packed[j, r, : (len(clean) + 7) // 8] = np.packbits(
+                poison(clean, cfg, _mix(seed, r, i), flipped)
+            )
     return packed
 
 
-def _round_labels(
-    population: list[ClientProfile], tree: ModelTree, round_num: int
-) -> np.ndarray | None:
+def _round_labels(population: Population, tree: ModelTree, round_num: int) -> np.ndarray | None:
     """The label block the population trains on in round `round_num`: None
     (its own) if no client is a poisoner, else `tree.poisoned_labels` with
-    each poisoner's row overwritten by its flipped labels of the round. The
-    datasets are rows of one population from `generate_population`, which
-    is not changed."""
-    poisoners = [c for c in population if not c.honest]
-    if not poisoners:
+    the poisoners' rows overwritten by their flipped labels of the round.
+    The population is not changed."""
+    if not len(population.poisoners):
         return None
     if tree.poisoned_labels is None:
-        tree.poisoned_labels = poisoners[0].dataset.label_block.copy()
-    for c in poisoners:
-        d = c.dataset
-        tree.poisoned_labels[d.row, 0, : len(d)] = np.unpackbits(
-            c.flipped_labels[round_num], count=len(d)
-        )
+        tree.poisoned_labels = population.labels.copy()
+    tree.poisoned_labels[population.poisoners, 0] = np.unpackbits(
+        population.flips[:, round_num], axis=1, count=population.labels.shape[2]
+    )
     return tree.poisoned_labels
 
 
-def _offer(population: list[ClientProfile], params: MarketParams) -> dict[int, Contract]:
-    """Each client's contract under the regime of `params`; depends on no
-    round state. Complete information pays exactly the cost and incomplete
-    the cost plus a nonnegative rent, so every client accepts; raises
-    RuntimeError, naming the regime and the clients, if a client's utility
-    from its contract is below 0."""
-    contracts = {c.id: solve(c.theta, params) for c in population}
+def _offer(population: Population, params: MarketParams) -> dict[int, Contract]:
+    """Each client's contract under the regime of `params`, by client id;
+    depends on no round state. Complete information pays exactly the cost
+    and incomplete the cost plus a nonnegative rent, so every client
+    accepts; raises RuntimeError, naming the regime and the clients, if a
+    client's utility from its contract is below 0."""
+    thetas = population.thetas.tolist()
+    contracts = {i: solve(theta, params) for i, theta in enumerate(thetas)}
     declined = [
-        c.id for c in population if client_utility(contracts[c.id], c.theta, params.delta) < 0.0
+        i for i, theta in enumerate(thetas)
+        if client_utility(contracts[i], theta, params.delta) < 0.0
     ]
     if declined:
         raise RuntimeError(
@@ -352,7 +341,7 @@ def _server_utility(
 
 
 def _child(
-    population: list[ClientProfile], tree: ModelTree, node: ModelNode, selected: list[int],
+    population: Population, tree: ModelTree, node: ModelNode, selected: list[int],
     round_num: int,
 ) -> ModelNode:
     """The node that aggregating `selected`, in their order, reaches from
@@ -365,8 +354,7 @@ def _child(
     and scores every client's realized contribution, its local model's
     accuracy gain over `node`'s. A later visit that selects anew only
     aggregates its stored local models and evaluates the new global model.
-    A client's rows are read by its id, which is its position in the
-    population (`build_population`).
+    A client's rows are read by its id, which is its row in the population.
     """
     key = tuple(selected)
     child = node.children.get(key)
@@ -376,15 +364,15 @@ def _child(
     first_visit = local_weights is None
     if first_visit:
         local_weights, local_variates = local_train(
-            node.weights, [c.dataset for c in population], tree.agg,
-            node.server_variate, node.variates, _round_labels(population, tree, round_num),
+            node.weights, population, tree.agg, node.server_variate, node.variates,
+            _round_labels(population, tree, round_num),
         )
         _frozen(local_weights)
         if local_variates is not None:
             _frozen(local_variates)
     new_global = aggregate(
         [ModelParams(local_weights[i]) for i in selected],
-        [len(population[i].dataset) for i in selected], tree.agg,
+        population.counts[selected].tolist(), tree.agg,
     )
     server_variate, variates = node.server_variate, node.variates
     # Scaffold: only the aggregated clients S commit their proposed c_i+, and
@@ -402,14 +390,12 @@ def _child(
         local_accuracies = _frozen(np.array(accuracies))
         # Measured against the model the clients started from, so the
         # per-round improvement signal stays attributable.
-        realized = (local_accuracies - node.accuracy).tolist()
-        zetas = _banzhaf_contributions(
-            {c.id: realized_value(realized[c.id], c.theta, tree) for c in population}
-        )
+        realized = local_accuracies - node.accuracy
+        zetas = _banzhaf_contributions(realized_value(realized, population.thetas, tree))
         # Filled in one step, once nothing of the round can raise.
         node.local_weights, node.local_variates = local_weights, local_variates
         node.local_accuracies = local_accuracies
-        node.zetas = _frozen(np.array([zetas[c.id] for c in population]))
+        node.zetas = _frozen(zetas)
     else:
         (accuracy,) = evaluate_accuracy(new_global.weights[None], tree.test)
     child = ModelNode(_frozen(new_global.weights), accuracy, server_variate, variates)
@@ -417,11 +403,7 @@ def _child(
     return child
 
 
-def run_round(
-    population: list[ClientProfile],
-    params: MarketParams,
-    state: SimulationState,
-) -> RoundReport:
+def run_round(population: Population, params: MarketParams, state: SimulationState) -> RoundReport:
     """One round played: selection, training, aggregation, evaluation,
     Banzhaf scoring and ledger append. Every client accepts its contract, so
     no regime enters the round, and nothing is priced here.
@@ -435,8 +417,6 @@ def run_round(
     a mechanism prices the round). Raises ValueError if the lambda or delta
     of `params` is not the tree's, which its nodes were scored under.
     """
-    if not population:
-        raise ValueError("population must be non-empty")
     tree = state.tree
     if (params.lam, params.delta) != (tree.lam, tree.delta):
         raise ValueError(
@@ -444,10 +424,9 @@ def run_round(
             f"its tree's (lambda = {tree.lam!r}, delta = {tree.delta!r})"
         )
 
-    eps_prev = {
-        c.id: ledger_epsilon(state.ledger, c.id, state.trust_policy) for c in population
-    }
-    selected = select_top_k(eps_prev, min(params.k_select, len(population)))
+    n = len(population)
+    eps_prev = {i: ledger_epsilon(state.ledger, i, state.trust_policy) for i in range(n)}
+    selected = select_top_k(eps_prev, min(params.k_select, n))
     node = state.node
     child = _child(population, tree, node, selected, state.round)
     # Row i of the node's arrays is client i's.
@@ -488,8 +467,8 @@ def _bid_round(
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def build_population(config, seed: int) -> tuple[list[ClientProfile], SyntheticDataset]:
-    """Deterministic population for one experiment seed.
+def build_population(config, seed: int) -> tuple[Population, HeldOut]:
+    """Deterministic population for one experiment seed, and its test set.
 
     Efficiencies are uniform on [theta_min, theta_max]; the first
     poison_count clients are label-flipping poisoners, whose flipped labels
@@ -500,18 +479,15 @@ def build_population(config, seed: int) -> tuple[list[ClientProfile], SyntheticD
         config.theta_min
         + (config.theta_max - config.theta_min) * rng.random(config.n_clients)
     ).tolist()
-    datasets, test = generate_population(config.n_clients, thetas, seed)
-    flip = PoisonConfig(config.poison_flip_rate)
-    profiles = []
-    for i, (theta, data) in enumerate(zip(thetas, datasets)):
-        flipped = (
-            _flipped_labels(data, flip, seed, i, config.rounds) if i < config.poison_count else None
-        )
-        profiles.append(ClientProfile(i, theta, data, flipped))
-    return profiles, test
+    population, test = generate_population(config.n_clients, thetas, seed)
+    poisoners = np.arange(config.poison_count)
+    flips = _flipped_labels(
+        population, PoisonConfig(config.poison_flip_rate), seed, poisoners, config.rounds
+    )
+    return replace(population, poisoners=poisoners, flips=flips), test
 
 
-def _model_tree(config, test: SyntheticDataset) -> ModelTree:
+def _model_tree(config, test: HeldOut) -> ModelTree:
     """A fresh tree of the config's training on `test`, for one population."""
     return ModelTree(
         AggregationConfig(
@@ -541,14 +517,15 @@ def _market(config, k: int, regime: Regime = Regime.COMPLETE) -> MarketParams:
 
 
 def _bid_costs(
-    config, population: list[ClientProfile], complete: dict[int, Contract]
+    config, population: Population, complete: dict[int, Contract]
 ) -> tuple[float, dict[int, float]]:
     """The baselines' target output, the median output of the seed's
     complete-information contracts `complete` (from `_offers`), and each
     client's cost of it, by client id in population order. Neither reads k
     or the winner rule, so a seed makes them once for every baseline cell."""
-    target_q = statistics.median(complete[c.id].q for c in population)
-    return target_q, {c.id: cost(target_q, c.theta, config.delta) for c in population}
+    target_q = statistics.median(contract.q for contract in complete.values())
+    thetas = population.thetas.tolist()
+    return target_q, {i: cost(target_q, theta, config.delta) for i, theta in enumerate(thetas)}
 
 
 def run_cell(
@@ -578,7 +555,7 @@ def _rows(mechanism: str, k: int, seed: int, params: MarketParams, rounds) -> li
 
 
 def _play(
-    config, population: list[ClientProfile], tree: ModelTree, params: MarketParams,
+    config, population: Population, tree: ModelTree, params: MarketParams,
     ledger_mode: str = "chained", tamper_cfg=None,
 ) -> list[RoundReport]:
     """The played rounds of an `ours-*` trajectory in the market `params`,
@@ -594,7 +571,7 @@ def _play(
 
 
 def _offers(
-    config, population: list[ClientProfile], baselines: bool
+    config, population: Population, baselines: bool
 ) -> dict[Regime, dict[int, Contract]]:
     """Each regime's contracts for the seed's population, solved once for
     every cell of the seed: each listed `ours-*` mechanism's regime, and the
@@ -606,7 +583,7 @@ def _offers(
 
 
 def _ours_cells(
-    config, k: int, seed: int, population: list[ClientProfile], tree: ModelTree,
+    config, k: int, seed: int, population: Population, tree: ModelTree,
     offers: dict[Regime, dict[int, Contract]],
 ) -> dict[str, list[dict]]:
     """The rows of every `ours-*` mechanism's cell at k: one trajectory,
@@ -647,7 +624,7 @@ COLUMNS = Tables(
 
 
 def _grid_cells(
-    config, seed: int, population: list[ClientProfile], tree: ModelTree,
+    config, seed: int, population: Population, tree: ModelTree,
     offers: dict[Regime, dict[int, Contract]], bids: tuple[float, dict[int, float]] | None,
 ) -> dict[tuple[int, str], list[dict]]:
     """The rows of every (k, mechanism) cell of the seed: the `ours-*` cells
@@ -686,17 +663,17 @@ def _grid_tables(config, by_seed: dict) -> tuple[list[dict], list[dict]]:
     return round_rows, summary
 
 
-def _trace_rows(config, population: list[ClientProfile], tree: ModelTree) -> list[dict]:
+def _trace_rows(config, population: Population, tree: ModelTree) -> list[dict]:
     """Per-round reputation of every client, for trajectory plots: the
     shared `ours-*` trajectory at the first k, played on the seed's
     population. Every client accepts its contract, so every client is scored
     every round."""
     reports = _play(config, population, tree, _market(config, config.k_values[0]))
+    behaviors = ["honest" if h else "poisoner" for h in population.honest.tolist()]
     return [
-        {"round": rep.round, "client": c.id, "epsilon": rep.epsilons[c.id],
-         "behavior": "honest" if c.honest else "poisoner"}
+        {"round": rep.round, "client": i, "epsilon": rep.epsilons[i], "behavior": behavior}
         for rep in reports
-        for c in population
+        for i, behavior in enumerate(behaviors)
     ]
 
 
@@ -710,7 +687,7 @@ def _tamper_grid(config) -> list[tuple[float, float, str]]:
 
 
 def _tamper_totals(
-    config, seed: int, population: list[ClientProfile], tree: ModelTree,
+    config, seed: int, population: Population, tree: ModelTree,
     offers: dict[Regime, dict[int, Contract]],
 ) -> dict[tuple[float, float, str], float]:
     """Total server utility of each tamper cell of the seed: the first

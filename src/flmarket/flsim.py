@@ -33,40 +33,56 @@ EVAL_ROWS = 16
 TRAIN_BLOCK_BYTES = 1 << 20
 
 
-@dataclass
-class SyntheticDataset:
-    """Samples of one client, or the held-out test set.
+@dataclass(frozen=True, eq=False)
+class Population:
+    """One seed's clients as arrays, client i in row i of each.
 
-    `design` is the biased design matrix: the features plus a last column
-    of ones. A generated client's `design` is the view
-    `block[row, :, :len(self)].T` and its float 0/1 `labels` the view
-    `label_block[row, 0, :len(self)]`, where `block` is a feature-major,
-    zero-padded (clients, d + 1, rows) array that holds a whole population
-    and `label_block` the (clients, 1, rows) labels beside it, so a round
-    trains every client on the two blocks as they are. A generated client's
-    `row` is its position in the population. The held-out test set's
-    `block` is its own feature-major (d + 1, rows) design, `design` its
-    view, and its `labels` a boolean row, so one product with `block`
-    evaluates a stack of models. A dataset built on its own has no block
-    and keeps its sample-major design.
+    `design` is the feature-major, zero-padded (n, d + 1, m_max) block of
+    biased design matrices, the features plus a last row of ones: the first
+    `counts[i]` columns of row i are client i's samples, and its padding is
+    all zero, bias included, so it adds nothing to a gradient. `labels` is
+    the (n, 1, m_max) block of float 0/1 labels beside it, zero in the
+    padding. `poisoners` holds the rows of the label-flipping clients, and
+    `flips[j, r]` the labels the client in row `poisoners[j]` trains on in
+    round r, bit-packed (`numpy.packbits` of its `counts` labels, padded
+    with zero bytes to m_max bits). Every array is read-only, since the
+    cells of a seed share the population.
     """
 
-    design: np.ndarray  # (n, d + 1), last column all ones
-    labels: np.ndarray  # (n,) values in {0, 1}
-    true_labels: np.ndarray | None = None  # pre-noise labels, for diagnostics
-    block: np.ndarray | None = field(default=None, repr=False)
-    label_block: np.ndarray | None = field(default=None, repr=False)
-    row: int = 0
+    thetas: np.ndarray  # (n,)
+    counts: np.ndarray  # (n,) sample counts
+    design: np.ndarray
+    labels: np.ndarray
+    poisoners: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    flips: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0), dtype=np.uint8))
 
     def __post_init__(self):
-        if len(self.design) < 1:
-            raise ValueError("dataset must contain at least one sample")
-        if len(self.labels) != len(self.design):
-            raise ValueError("labels length must match design rows")
+        if len(self.counts) < 1:
+            raise ValueError("a population must hold at least one client")
+        if self.counts.min() < 1:
+            raise ValueError("every client must hold at least one sample")
+        for array in (self.thetas, self.counts, self.design, self.labels, self.poisoners,
+                      self.flips):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
     @property
-    def features(self) -> np.ndarray:
-        return self.design[:, :-1]
+    def honest(self) -> np.ndarray:
+        """(n,) boolean: whether each client trains on its own labels."""
+        mask = np.ones(len(self), dtype=bool)
+        mask[self.poisoners] = False
+        return mask
+
+
+@dataclass(frozen=True, eq=False)
+class HeldOut:
+    """The clean held-out test set: its feature-major (d + 1, m) design, so
+    one product evaluates a stack of models, and its m boolean labels."""
+
+    design: np.ndarray
+    labels: np.ndarray
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -117,8 +133,8 @@ class PoisonConfig:
 
 def generate_population(
     n_clients: int, thetas: list[float], seed: int
-) -> tuple[list[SyntheticDataset], SyntheticDataset]:
-    """Generate per-client training sets plus a clean held-out test set."""
+) -> tuple[Population, HeldOut]:
+    """Generate an honest population of clients plus a clean held-out test set."""
     if n_clients == 0:
         raise ValueError("n_clients must be positive")
     if len(thetas) != n_clients:
@@ -128,83 +144,55 @@ def generate_population(
     direction /= np.linalg.norm(direction)
     mu = (CLASS_SEPARATION / 2.0) * direction
 
-    def draw(design: np.ndarray, noise_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    def draw(design: np.ndarray, noise_rate: float) -> np.ndarray:
+        """Fill the sample-major `design` and return its noisy 0/1 labels."""
         n = len(design)
         y = rng.integers(0, 2, size=n)
-        design[:, :-1] = rng.normal(size=(n, FEATURE_DIM)) + (2 * y - 1)[:, None] * mu
+        # The bits of rng.normal(size=(n, FEATURE_DIM)), offset in place.
+        features = rng.standard_normal(size=(n, FEATURE_DIM))
+        features += (2 * y - 1)[:, None] * mu
+        design[:, :-1] = features
         design[:, -1] = 1.0
         flips = rng.random(n) < noise_rate
-        return np.where(flips, 1 - y, y), y
+        return np.where(flips, 1 - y, y)
 
-    counts = [int(round(BASE_SAMPLES * (1.0 + theta))) for theta in thetas]
-    block = np.zeros((n_clients, FEATURE_DIM + 1, max(counts)))
-    label_block = np.zeros((n_clients, 1, max(counts)))
-    datasets = []
-    for i, (theta, n) in enumerate(zip(thetas, counts)):
-        design = block[i, :, :n].T
-        label_block[i, 0, :n], y = draw(design, (1.0 - theta) * NOISE_SCALE)
-        labels = label_block[i, 0, :n]
-        datasets.append(SyntheticDataset(design, labels, y, block, label_block, i))
-    test_block = np.empty((FEATURE_DIM + 1, TEST_SAMPLES))
-    labels, y = draw(test_block.T, 0.0)
-    return datasets, SyntheticDataset(test_block.T, labels == 1, y, test_block)
-
-
-def _blocks(
-    datasets: list[SyntheticDataset], labels: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The feature-major, zero-padded (n, d + 1, m_max) design block of
-    `datasets`, in order, and the (n, 1, m_max) float label block beside it.
-
-    `labels`, if given, is a label block of the datasets' population that
-    stands in for its own (a round's poisoned labels). When the datasets
-    are exactly the rows of one population block, that block and the label
-    block are returned as they are; otherwise their rows are copied and
-    padded into new ones.
-    """
-    block = datasets[0].block
-    if (
-        block is not None
-        and len(datasets) == len(block)
-        and all(d.block is block and d.row == i for i, d in enumerate(datasets))
-    ):
-        return block, datasets[0].label_block if labels is None else labels
-    dim = datasets[0].design.shape[1]
-    rows = max(len(d) for d in datasets)
-    x = np.zeros((len(datasets), dim, rows))
-    y = np.zeros((len(datasets), 1, rows))
-    for i, d in enumerate(datasets):
-        x[i, :, : len(d)] = d.design.T
-        y[i, 0, : len(d)] = d.labels if labels is None else labels[d.row, 0, : len(d)]
-    return x, y
+    counts = np.array([int(round(BASE_SAMPLES * (1.0 + theta))) for theta in thetas])
+    design = np.zeros((n_clients, FEATURE_DIM + 1, counts.max()))
+    labels = np.zeros((n_clients, 1, counts.max()))
+    for i, (theta, m) in enumerate(zip(thetas, counts.tolist())):
+        labels[i, 0, :m] = draw(design[i, :, :m].T, (1.0 - theta) * NOISE_SCALE)
+    test = np.empty((FEATURE_DIM + 1, TEST_SAMPLES))
+    test_labels = draw(test.T, 0.0) == 1
+    population = Population(np.array(thetas, dtype=float), counts, design, labels)
+    return population, HeldOut(test, test_labels)
 
 
 def local_train(
-    weights: np.ndarray, datasets: list[SyntheticDataset], cfg: AggregationConfig,
+    weights: np.ndarray, population: Population, cfg: AggregationConfig,
     server_variate: np.ndarray | None = None, variates: np.ndarray | None = None,
     labels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run local gradient-descent epochs on logistic loss for every client at once.
 
-    Each epoch is two batched matrix-vector products over the feature-major
-    (n, d + 1, m_max) design block, -w_i @ X_i and X_i @ r_i; padded columns
-    are all zero, bias included, so they add nothing to the gradient. The
-    clients train in blocks of at most TRAIN_BLOCK_BYTES of design, each a
-    view of the whole block, all epochs of one block before the next; the
-    clients are independent, so the block size changes no bit. The epoch
-    writes only into buffers allocated once per call, so no epoch allocates
-    an array. FedProx adds prox_mu * (w - w_global) to the gradient.
-    Scaffold corrects each step with (c - c_i), where c is `server_variate`
-    and c_i is row i of `variates`, the c_i of `datasets[i]` (zeros where
-    either is None). `labels`, if given, stands in for the label block of
-    the datasets' population (see `_blocks`). Every input is only read;
-    committing the variates is the caller's. Returns the (n, d + 1) local
-    weights, row i trained on `datasets[i]`, and beside them the proposed
-    c_i+ (option II), None unless Scaffold trained with a learning rate
-    above 0; raises FloatingPointError, naming the clients by position, if
-    any trained weight is not finite (a learning rate that diverges), and
-    ValueError, naming both row counts, if `variates` is given in any shape
-    but (n, d + 1), which numpy would otherwise broadcast.
+    Each epoch is two batched matrix-vector products over the population's
+    feature-major (n, d + 1, m_max) design block, -w_i @ X_i and X_i @ r_i;
+    padded columns are all zero, bias included, so they add nothing to the
+    gradient. The clients train in blocks of at most TRAIN_BLOCK_BYTES of
+    design, each a view of the whole block, all epochs of one block before
+    the next; the clients are independent, so the block size changes no
+    bit. The epoch writes only into buffers allocated once per call, so no
+    epoch allocates an array. FedProx adds prox_mu * (w - w_global) to the
+    gradient. Scaffold corrects each step with (c - c_i), where c is
+    `server_variate` and c_i is row i of `variates`, client i's (zeros where
+    either is None). `labels`, if given, stands in for the population's
+    label block (a round's poisoned labels). Every input is only read; committing the
+    variates is the caller's. Returns the (n, d + 1) local weights, row i
+    client i's, and beside them the proposed c_i+ (option II), None unless
+    Scaffold trained with a learning rate above 0; raises
+    FloatingPointError, naming the clients by row, if any trained weight is
+    not finite (a learning rate that diverges), and ValueError, naming both
+    shapes, if `variates` is given in any shape but (n, d + 1) or `labels`
+    in any but the label block's, which numpy would otherwise broadcast.
 
     The loop keeps the negated weights -w, so the first product gives the
     negated logits -z and sigmoid(z) = 1 / (1 + exp(-z)) needs one clamp,
@@ -214,16 +202,21 @@ def local_train(
     w -= lr * grad, save that a weight of exactly zero may carry the other
     sign.
     """
-    if not datasets:
-        raise ValueError("cannot train on zero datasets")
-    x, y = _blocks(datasets, labels)
+    x, y = population.design, population.labels
     n, dim, rows = x.shape
     if variates is not None and variates.shape != (n, dim):
         raise ValueError(
-            f"variates must hold one c_i row of {dim} per dataset, shape ({n}, {dim}): "
-            f"got {variates.shape[0]} rows for {n} datasets, shape {variates.shape}"
+            f"variates must hold one c_i row of {dim} per client, shape ({n}, {dim}): "
+            f"got {variates.shape[0]} rows for {n} clients, shape {variates.shape}"
         )
-    counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
+    if labels is not None:
+        if labels.shape != y.shape:
+            raise ValueError(
+                f"labels must have the population's label-block shape {y.shape}: "
+                f"got shape {labels.shape}"
+            )
+        y = labels
+    counts = population.counts.astype(float)[:, None]
     w_global = weights
     lr = cfg.learning_rate
     prox = cfg.algo is Aggregator.FEDPROX
@@ -307,15 +300,15 @@ def aggregate(
     return ModelParams(merged)
 
 
-def evaluate_accuracy(weights: np.ndarray, test: SyntheticDataset) -> list[float]:
+def evaluate_accuracy(weights: np.ndarray, test: HeldOut) -> list[float]:
     """Test accuracy of each row of an (m, d + 1) stack of weights, as Python
-    floats. Products of the stack with the test set's feature-major block
+    floats. Products of the stack with the test set's feature-major design
     give every model's logits, and a logit > 0 predicts class 1, so ties at
     the boundary go to class 0."""
     logits = np.empty((len(weights), len(test)))
     for start in range(0, len(weights), EVAL_ROWS):
         rows = slice(start, start + EVAL_ROWS)
-        np.matmul(weights[rows], test.block, out=logits[rows])
+        np.matmul(weights[rows], test.design, out=logits[rows])
     hits = (logits > 0.0) == test.labels
     return [int(np.count_nonzero(row)) / len(test) for row in hits]
 

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_flsim import clients_of, population_of
 from test_ledger import _apply, _hash_calls, appends, edits
 
 from flmarket import auction, cli, reputation
 from flmarket import mechanism as mechanism_module
 from flmarket.auction import (
     TRUST_POLICIES,
-    ClientProfile,
     ModelTree,
     build_population,
     ledger_epsilon,
@@ -83,8 +83,7 @@ def small_config(**overrides):
 
 
 def single_client_setup(theta=1.0, regime=Regime.COMPLETE):
-    datasets, test = generate_population(1, [theta], seed=0)
-    population = [ClientProfile(0, theta, datasets[0])]
+    population, test = generate_population(1, [theta], seed=0)
     params = MarketParams(1.0, 2.0, 1, 1, regime)
     state = SimulationState(ModelTree(AggregationConfig(local_epochs=2), test, 1, 1.0, 2.0))
     return population, params, state
@@ -122,7 +121,7 @@ class TestRunRound:
     def test_budget_identity(self):
         config = small_config(lam=1.3)
         population, test = build_population(config, seed=5)
-        thetas = {c.id: c.theta for c in population}
+        thetas = population.thetas.tolist()
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.3, 2.0, 8, 4, regime)
             state = _fresh_state(config, _model_tree(config, test))
@@ -141,7 +140,7 @@ class TestRunRound:
     def test_no_selected_client_has_negative_utility(self):
         config = small_config(theta_min=0.0)
         population, test = build_population(config, seed=9)
-        thetas = {c.id: c.theta for c in population}
+        thetas = population.thetas.tolist()
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.0, 2.0, 8, 5, regime)
             state = _fresh_state(config, _model_tree(config, test))
@@ -169,11 +168,9 @@ class TestRunRound:
             assert u_ci >= u_in - 1e-12
 
     def test_empty_population_rejected(self):
-        params = MarketParams(1.0, 2.0, 1, 1)
-        _, test = generate_population(1, [0.5], seed=0)
-        state = SimulationState(ModelTree(AggregationConfig(), test, 1, 1.0, 2.0))
-        with pytest.raises(ValueError):
-            run_round([], params, state)
+        # A round plays a population, which holds at least one client.
+        with pytest.raises(ValueError, match="n_clients must be positive"):
+            build_population(dataclasses.replace(small_config(), n_clients=0), seed=0)
 
     def test_determinism(self):
         config = small_config()
@@ -263,22 +260,21 @@ class TestRunRound:
         assert len(state.ledger.records) == n
         zetas = {r.client_id: r.zeta for r in state.ledger.records}
         assert sorted(zetas) == sorted(rep.realized_q) == list(range(n))
-        for c in population:
-            value = realized_value(rep.realized_q[c.id], c.theta, params)
-            assert struct.pack("<d", zetas[c.id]) == struct.pack("<d", value)
+        for i, theta in enumerate(population.thetas.tolist()):
+            value = realized_value(rep.realized_q[i], theta, params)
+            assert struct.pack("<d", zetas[i]) == struct.pack("<d", value)
 
     def test_scaffold_commits_only_the_aggregated_clients(self):
         # Complete information: all six clients accept, and k = 2 are aggregated.
         thetas = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-        datasets, test = generate_population(6, thetas, seed=23)
-        population = [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
+        population, test = generate_population(6, thetas, seed=23)
         params = MarketParams(1.0, 2.0, 6, 2, Regime.COMPLETE)
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
         state = SimulationState(ModelTree(cfg, test, len(population), 1.0, 2.0))
         root = state.node
         rep = run_round(population, params, state)
         assert len(rep.realized_q) == 6 and len(rep.selected) == 2
-        _, proposed = local_train(root.weights, datasets, cfg, np.zeros(21), np.zeros((6, 21)))
+        _, proposed = local_train(root.weights, population, cfg, np.zeros(21), np.zeros((6, 21)))
         # Only the selected clients' rows take a variate: the c_i+ they
         # proposed. The other rows keep the parent's bits, all zero.
         variates = state.node.variates
@@ -316,12 +312,11 @@ class TestBanzhafContributions:
     )
     def test_closed_form_matches_the_monte_carlo_primitive(self, values, seed):
         n = len(values)
-        game = dict(enumerate(values))
         seeds = [seed + p for p in range(n)]
-        mc = banzhaf_mc(additive_utility(game), n, 64, seeds)
-        zetas = _banzhaf_contributions(game)
-        assert sorted(zetas) == list(range(n))
-        assert np.allclose([zetas[p] for p in range(n)], mc, rtol=0.0, atol=1e-12)
+        mc = banzhaf_mc(additive_utility(dict(enumerate(values))), n, 64, seeds)
+        zetas = _banzhaf_contributions(np.array(values))
+        assert zetas.shape == (n,)
+        assert np.allclose(zetas, mc, rtol=0.0, atol=1e-12)
 
 
 class TestRealizedContribution:
@@ -329,14 +324,10 @@ class TestRealizedContribution:
     over the global model it started the round from."""
 
     def _run(self, rounds, thetas, seed, poisoned=(), **agg):
-        datasets, test = generate_population(len(thetas), thetas, seed=seed)
-        population = [
-            ClientProfile(
-                i, t, d,
-                _flipped_labels(d, PoisonConfig(1.0), seed, i, rounds) if i in poisoned else None,
-            )
-            for i, (t, d) in enumerate(zip(thetas, datasets))
-        ]
+        population, test = generate_population(len(thetas), thetas, seed=seed)
+        poisoners = np.array(poisoned, dtype=int)
+        flips = _flipped_labels(population, PoisonConfig(1.0), seed, poisoners, rounds)
+        population = dataclasses.replace(population, poisoners=poisoners, flips=flips)
         params = MarketParams(1.0, 2.0, len(thetas), 2)
         state = SimulationState(ModelTree(AggregationConfig(**agg), test, len(thetas), 1.0, 2.0))
         reports = [run_round(population, params, state) for _ in range(rounds)]
@@ -350,10 +341,11 @@ class TestRealizedContribution:
     def test_is_a_plain_accuracy_difference(self):
         cfg = dict(local_epochs=50, learning_rate=1.0)
         population, test, (rep,) = self._run(1, [1.0, 1.0], 15, **cfg)
-        for c in population:
-            (local,), _ = local_train(init_model().weights, [c.dataset], AggregationConfig(**cfg))
+        for i, (x, y) in enumerate(clients_of(population)):
+            alone = population_of([x], [y])
+            (local,), _ = local_train(init_model().weights, alone, AggregationConfig(**cfg))
             acc, start = evaluate_accuracy(np.stack([local, init_model().weights]), test)
-            assert rep.realized_q[c.id] == pytest.approx(acc - start, abs=1e-15)
+            assert rep.realized_q[i] == pytest.approx(acc - start, abs=1e-15)
 
     def test_fully_poisoned_local_model_contributes_negatively(self):
         # Cold start selects clients 0 and 1, so the second round starts
@@ -375,31 +367,35 @@ class TestPoisonedLabels:
         config = small_config(poison_count=3, poison_flip_rate=0.8, rounds=4)
         seed = 6
         population, test = build_population(config, seed)
-        datasets = [c.dataset for c in population]
-        blocks = datasets[0].block, datasets[0].label_block
+        counts = population.counts.tolist()
+        arrays = (population.design, population.labels, population.flips)
 
         def snapshot():
-            return [a.tobytes() for a in blocks] + [d.labels.tobytes() for d in datasets]
+            return [a.tobytes() for a in arrays]
 
         before = snapshot()
-        for c, d in zip(population, datasets):
-            if not c.honest:
-                assert c.flipped_labels.dtype == np.uint8
-                assert c.flipped_labels.shape == (config.rounds, (len(d) + 7) // 8)
+        rows = population.labels.shape[2]
+        assert population.poisoners.tolist() == [0, 1, 2]
+        assert population.honest.tolist() == [False] * 3 + [True] * 5
+        assert population.flips.dtype == np.uint8
+        assert population.flips.shape == (3, config.rounds, (rows + 7) // 8)
+        for j, i in enumerate(population.poisoners.tolist()):
+            # A poisoner's packed labels of a round fill its own bytes only.
+            assert not np.any(population.flips[j, :, (counts[i] + 7) // 8 :])
         # Complete information: every client accepts, poisoners included.
         params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
         state = _fresh_state(config, _model_tree(config, test))
         for r in range(config.rounds):
             rep = run_round(population, params, state)
             assert len(rep.realized_q) == len(population)
-            for c, d in zip(population, datasets):
-                row = state.tree.poisoned_labels[d.row, 0]
-                expected = d.labels
-                if not c.honest:
-                    flips = np.random.default_rng(auction._mix(seed, r, c.id)).random(len(d)) < 0.8
-                    expected = np.where(flips, 1 - d.labels, d.labels)
-                assert row[: len(d)].tobytes() == expected.tobytes()
-                assert not np.any(row[len(d):])
+            for i, (m, honest) in enumerate(zip(counts, population.honest.tolist())):
+                row = state.tree.poisoned_labels[i, 0]
+                expected = population.labels[i, 0, :m]
+                if not honest:
+                    flips = np.random.default_rng(auction._mix(seed, r, i)).random(m) < 0.8
+                    expected = np.where(flips, 1 - expected, expected)
+                assert row[:m].tobytes() == expected.tobytes()
+                assert not np.any(row[m:])
             assert snapshot() == before
         # A whole cell on a tree of its own writes only that tree's buffer.
         auction._play(config, population, _model_tree(config, test), params)
@@ -418,10 +414,9 @@ class TestPoisonedLabels:
             rounds=0, poison_count=3, tamper_alphas=[0.5], tamper_betas=[2.0]
         )
         population, _ = build_population(config, seed=6)
-        poisoners = [c for c in population if not c.honest]
-        assert len(poisoners) == 3
-        for c in poisoners:
-            assert c.flipped_labels.shape == (0, (len(c.dataset) + 7) // 8)
+        assert population.poisoners.tolist() == [0, 1, 2]
+        rows = population.labels.shape[2]
+        assert population.flips.shape == (3, 0, (rows + 7) // 8)
         tables = run_tables(config)
         assert tables[:3] == ([], [], [])
         assert [row["mean_utility"] for row in tables.robustness] == [0.0]
@@ -429,9 +424,8 @@ class TestPoisonedLabels:
     def test_a_repeated_seed_draws_the_same_flips(self):
         config = small_config(poison_count=3, seeds=[6, 6])
         (a, _), (b, _) = build_population(config, 6), build_population(config, 6)
-        assert [c.flipped_labels.tobytes() for c in a if not c.honest] == [
-            c.flipped_labels.tobytes() for c in b if not c.honest
-        ]
+        assert len(a.poisoners) == 3
+        assert a.flips.tobytes() == b.flips.tobytes()
         rows = run_tables(config).rounds
         for k, mechanism in itertools.product(config.k_values, config.mechanisms):
             cell = [r for r in rows if (r["k"], r["mechanism"]) == (k, mechanism)]
@@ -446,13 +440,14 @@ def reference_bid_rounds(config, mechanism, k, seed):
     winners' contracts, in the winner rule's order."""
     population, _ = build_population(config, seed)
     params = MarketParams(config.lam, config.delta, config.n_clients, k)
-    target_q = statistics.median(solve_complete(c.theta, params).q for c in population)
+    thetas = population.thetas.tolist()
+    target_q = statistics.median(solve_complete(theta, params).q for theta in thetas)
     rounds = []
     for r in range(config.rounds):
         rng = np.random.default_rng((seed, r))
         prices = {
-            c.id: cost(target_q, c.theta, config.delta) * (1.0 + 0.3 * rng.random())
-            for c in population
+            i: cost(target_q, theta, config.delta) * (1.0 + 0.3 * rng.random())
+            for i, theta in enumerate(thetas)
         }
         if mechanism == "price-first":
             winners = sorted(prices, key=lambda i: (prices[i], i))[:k]
@@ -465,13 +460,13 @@ def reference_bid_rounds(config, mechanism, k, seed):
 
 def bid_round(population, rule, target_q, params, seed, round_num):
     """`_bid_round` on the population's costs of `target_q`."""
-    costs = {c.id: cost(target_q, c.theta, params.delta) for c in population}
+    thetas = population.thetas.tolist()
+    costs = {i: cost(target_q, theta, params.delta) for i, theta in enumerate(thetas)}
     return _bid_round(costs, rule, target_q, params, seed, round_num)
 
 
 def _equal_theta_population(n, theta=0.5):
-    datasets, _ = generate_population(n, [theta] * n, seed=0)
-    return [ClientProfile(i, theta, d) for i, d in enumerate(datasets)]
+    return generate_population(n, [theta] * n, seed=0)[0]
 
 
 def _spied(rule, seen):
@@ -489,8 +484,7 @@ def _never_below_cost(rule):
     contracted for the target output, and its payment covers its cost of
     it, so its utility is nonnegative."""
     thetas = [0.1, 0.5, 0.9, 1.0]
-    datasets, _ = generate_population(4, thetas, seed=0)
-    population = [ClientProfile(i, t, d) for i, (t, d) in enumerate(zip(thetas, datasets))]
+    population, _ = generate_population(4, thetas, seed=0)
     params = MarketParams(1.0, 2.0, 4, 2)
     for r in range(5):
         contracts = bid_round(population, rule, 1.2, params, seed=6, round_num=r)
@@ -545,7 +539,7 @@ class TestBidRound:
         config = small_config(seeds=[1, 0, 1], k_values=[2, 4], mechanisms=mechanisms)
         run_tables(config)
         # Every (k, baseline) cell of a seed bids on one set of costs.
-        thetas = [c.theta for seed in (1, 0) for c in build_population(config, seed)[0]]
+        thetas = [t for seed in (1, 0) for t in build_population(config, seed)[0].thetas.tolist()]
         assert calls == (thetas if costed else [])
 
     @pytest.mark.parametrize(
@@ -580,10 +574,10 @@ class TestBidRound:
         config = small_config(seeds=[1, 0, 1], k_values=[2, 4], mechanisms=mechanisms)
         run_tables(config)
         assert calls == [
-            (regime, c.theta)
+            (regime, theta)
             for seed in (1, 0)
             for regime in solved
-            for c in build_population(config, seed)[0]
+            for theta in build_population(config, seed)[0].thetas.tolist()
         ]
 
 
@@ -657,7 +651,7 @@ class TestExperimentHarness:
             freed.append(all(ref() is None for ref in alive))
             built.append(seed)
             population, test = build_population(config, seed)
-            alive.append(weakref.ref(population[0]))
+            alive.append(weakref.ref(population))
             return population, test
 
         monkeypatch.setattr(auction, "build_population", counting)
@@ -818,7 +812,7 @@ def reference_tables(config, played=None):
         """An `ours-*` cell's population, reports and per-round utilities."""
         population, test = build_population(config, seed)
         params = market(k, mechanism)
-        contracts = {c.id: solve(c.theta, params) for c in population}
+        contracts = {i: solve(theta, params) for i, theta in enumerate(population.thetas.tolist())}
         state = SimulationState(
             ModelTree(agg, test, config.n_clients, config.lam, config.delta),
             ledger=stores[mode](),
@@ -874,10 +868,10 @@ def reference_tables(config, played=None):
     if config.rounds and first:
         population, reports, _ = play("trace", config.seeds[0], config.k_values[0], first[0])
         trace = [
-            {"round": rep.round, "client": c.id, "epsilon": rep.epsilons[c.id],
-             "behavior": "honest" if c.honest else "poisoner"}
+            {"round": rep.round, "client": i, "epsilon": rep.epsilons[i],
+             "behavior": "honest" if honest else "poisoner"}
             for rep in reports
-            for c in population
+            for i, honest in enumerate(population.honest.tolist())
         ]
 
     robustness = []
@@ -991,12 +985,12 @@ class TestSharedTrajectory:
     def test_an_offer_below_participation_stops_the_run(self, monkeypatch, tmp_path):
         config = small_config(seeds=[0], poison_count=2, output_dir=str(tmp_path / "out"))
         population, _ = build_population(config, 0)
-        rejected = population[3]
+        rejected = population.thetas.tolist()[3]
 
         def underpaying(theta, params):
             # The incomplete regime pays client 3 nothing, so it would decline.
             contract = solve(theta, params)
-            if params.regime is Regime.INCOMPLETE and theta == rejected.theta:
+            if params.regime is Regime.INCOMPLETE and theta == rejected:
                 return dataclasses.replace(contract, r=0.0)
             return contract
 
@@ -1200,16 +1194,20 @@ class TestModelTree:
     )
     def test_client_ids_are_population_rows(self, overrides):
         """`_child` reads a client's local model and variates by its id, so
-        every client's id is its position in the population and its
-        dataset's row of the population's blocks."""
+        every client's id is its row of each of the population's arrays: its
+        theta drawn in id order, and the first poison_count are the
+        poisoners."""
         config = small_config(**overrides)
+        n = config.n_clients
         for seed in (0, 7):
             population, _ = build_population(config, seed)
-            assert len(population) == config.n_clients
-            block = population[0].dataset.block
-            for i, c in enumerate(population):
-                assert c.id == i == c.dataset.row
-                assert c.dataset.block is block
+            assert len(population) == n
+            arrays = (population.thetas, population.counts, population.design, population.labels)
+            assert [len(a) for a in arrays] == [n] * 4
+            draws = np.random.default_rng(seed).random(n)
+            thetas = config.theta_min + (config.theta_max - config.theta_min) * draws
+            assert population.thetas.tolist() == thetas.tolist()
+            assert population.poisoners.tolist() == list(range(config.poison_count))
 
     def test_a_lone_state_has_a_root_of_its_own(self):
         config = small_config()
@@ -1282,7 +1280,8 @@ class TestMechanismTable:
         if ours:
             # The round's top 4 are priced with the regime's own contracts.
             params = MarketParams(config.lam, config.delta, config.n_clients, 4, row)
-            contracts = {c.id: solve(c.theta, params) for c in population}
+            thetas = population.thetas.tolist()
+            contracts = {i: solve(theta, params) for i, theta in enumerate(thetas)}
             state = _fresh_state(config, _model_tree(config, test))
             selected = run_round(population, params, state).selected
             assert rows[0]["server_utility"] == _server_utility(selected, contracts, params)

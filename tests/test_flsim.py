@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,7 @@ from flmarket.flsim import (
     Aggregator,
     ModelParams,
     PoisonConfig,
-    SyntheticDataset,
-    _blocks,
+    Population,
     aggregate,
     evaluate_accuracy,
     generate_population,
@@ -28,28 +28,91 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def population_of(designs, labels):
+    """A population of clients built alone: row i holds the sample-major
+    design `designs[i]` and the labels `labels[i]`, zero-padded."""
+    counts = np.array([len(d) for d in designs])
+    x = np.zeros((len(designs), designs[0].shape[1], counts.max()))
+    y = np.zeros((len(designs), 1, counts.max()))
+    for i, (design, label) in enumerate(zip(designs, labels)):
+        x[i, :, : len(design)] = design.T
+        y[i, 0, : len(design)] = label
+    return Population(np.ones(len(designs)), counts, x, y)
+
+
+def clients_of(population, labels=None):
+    """Each client's sample-major design and its labels, from the
+    population's label block or from `labels` standing in for it."""
+    block = population.labels if labels is None else labels
+    return [
+        (population.design[i, :, :m].T, block[i, 0, :m])
+        for i, m in enumerate(population.counts.tolist())
+    ]
+
+
+def reference_draws(thetas, seed):
+    """What `generate_population` draws, as the generator that built each
+    client alone drew it: each client's (sample-major design, noisy labels,
+    pre-noise labels), then the test set's."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=20)
+    direction /= np.linalg.norm(direction)
+    mu = 2.0 * direction
+
+    def draw(n, noise_rate):
+        y = rng.integers(0, 2, size=n)
+        design = np.ones((n, 21))
+        design[:, :-1] = rng.normal(size=(n, 20)) + (2 * y - 1)[:, None] * mu
+        flips = rng.random(n) < noise_rate
+        return design, np.where(flips, 1 - y, y), y
+
+    clients = [draw(int(round(200 * (1.0 + t))), (1.0 - t) * 0.4) for t in thetas]
+    return clients, draw(2000, 0.0)
+
+
 class TestGeneratePopulation:
+    @pytest.mark.parametrize(
+        "thetas, seed",
+        [([1.0, 0.0, 0.5], 19), ([0.2, 0.5, 0.9], 11), ([0.3], 4242), ([0.95] * 40, 7)],
+    )
+    def test_population_is_the_reference_draw(self, thetas, seed):
+        """Every client's design and labels, and the test set, are the bits
+        of the generator that drew each client alone with `rng.normal`."""
+        population, test = generate_population(len(thetas), thetas, seed)
+        clients, (test_design, test_labels, _) = reference_draws(thetas, seed)
+        assert population.thetas.tolist() == thetas
+        assert population.counts.tolist() == [len(d) for d, _, _ in clients]
+        for (design, labels), (ref_design, ref_labels, _) in zip(clients_of(population), clients):
+            assert design.tobytes() == ref_design.tobytes()
+            assert labels.tobytes() == ref_labels.astype(float).tobytes()
+        assert test.design.T.tobytes() == test_design.tobytes()
+        assert test.labels.tobytes() == (test_labels == 1).tobytes()
+
     def test_top_types_get_noise_free_data(self):
-        datasets, _ = generate_population(3, [1.0, 1.0, 1.0], seed=7)
-        for ds in datasets:
-            assert np.array_equal(ds.labels, ds.true_labels)
+        population, _ = generate_population(3, [1.0, 1.0, 1.0], seed=7)
+        clients, _ = reference_draws([1.0, 1.0, 1.0], 7)
+        for (_, labels), (_, _, true_labels) in zip(clients_of(population), clients):
+            assert np.array_equal(labels, true_labels)
 
     def test_deterministic(self):
         a, test_a = generate_population(3, [0.2, 0.5, 0.9], seed=11)
         b, test_b = generate_population(3, [0.2, 0.5, 0.9], seed=11)
-        for x, y in zip(a + [test_a], b + [test_b]):
-            assert np.array_equal(x.features, y.features)
+        for x, y in ((a, b), (test_a, test_b)):
+            assert np.array_equal(x.design, y.design)
             assert np.array_equal(x.labels, y.labels)
 
     def test_noise_rate_tracks_theta(self):
-        datasets, _ = generate_population(2, [0.0, 1.0], seed=1)
-        noise = [np.mean(ds.labels != ds.true_labels) for ds in datasets]
+        population, _ = generate_population(2, [0.0, 1.0], seed=1)
+        clients, _ = reference_draws([0.0, 1.0], 1)
+        noise = [
+            np.mean(labels != true_labels)
+            for (_, labels), (_, _, true_labels) in zip(clients_of(population), clients)
+        ]
         assert noise[0] > noise[1]
 
     def test_sample_counts_scale_with_theta(self):
-        datasets, _ = generate_population(2, [0.0, 1.0], seed=3)
-        assert len(datasets[0]) == 200
-        assert len(datasets[1]) == 400
+        population, _ = generate_population(2, [0.0, 1.0], seed=3)
+        assert population.counts.tolist() == [200, 400]
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
@@ -57,80 +120,81 @@ class TestGeneratePopulation:
 
     def test_test_set_is_clean(self):
         _, test = generate_population(1, [0.5], seed=5)
-        assert np.array_equal(test.labels, test.true_labels)
+        _, (_, _, true_labels) = reference_draws([0.5], 5)
+        assert np.array_equal(test.labels, true_labels)
 
 
 class TestLocalTrain:
     def _tiny_data(self):
-        return SyntheticDataset(design=np.array([[1.0, -2.0, 1.0]]), labels=np.array([1]))
+        return population_of([np.array([[1.0, -2.0, 1.0]])], [np.array([1])])
 
     def test_zero_learning_rate_is_identity(self):
-        datasets, _ = generate_population(1, [0.8], seed=2)
+        population, _ = generate_population(1, [0.8], seed=2)
         cfg = AggregationConfig(learning_rate=0.0)
         weights = np.arange(21, dtype=float)
-        out, _ = local_train(weights, [datasets[0]], cfg)
+        out, _ = local_train(weights, population, cfg)
         assert np.array_equal(out[0], weights)
 
     def test_single_sample_single_step_matches_hand_gradient(self):
         data = self._tiny_data()
         w0 = np.array([0.5, -0.5, 0.1])
         cfg = AggregationConfig(algo=Aggregator.FEDAVG, local_epochs=1, learning_rate=0.3)
-        out, _ = local_train(w0.copy(), [data], cfg)
+        out, _ = local_train(w0.copy(), data, cfg)
         x_aug = np.array([1.0, -2.0, 1.0])
         grad = (sigmoid(x_aug @ w0) - 1.0) * x_aug
         assert np.allclose(out[0], w0 - 0.3 * grad, atol=1e-12)
 
     def test_fedprox_pull_strengthens_with_mu(self):
-        datasets, _ = generate_population(1, [0.9], seed=4)
+        population, _ = generate_population(1, [0.9], seed=4)
         w_global = init_model().weights
         dists = []
         for mu in (0.1, 1.0, 10.0):
             cfg = AggregationConfig(
                 algo=Aggregator.FEDPROX, local_epochs=5, learning_rate=0.01, prox_mu=mu
             )
-            out, _ = local_train(w_global, [datasets[0]], cfg)
+            out, _ = local_train(w_global, population, cfg)
             dists.append(np.linalg.norm(out[0] - w_global))
         assert dists[0] >= dists[1] >= dists[2]
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            SyntheticDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="at least one sample"):
+            population_of([np.zeros((0, 3))], [np.zeros(0, dtype=int)])
 
     def test_diverged_weights_raise_naming_the_clients(self):
         # FedProx steps multiply w - w_global by (1 - lr * mu) = -9 per epoch.
-        datasets, _ = generate_population(3, [0.3, 0.6, 1.0], seed=5)
+        population, _ = generate_population(3, [0.3, 0.6, 1.0], seed=5)
         cfg = AggregationConfig(
             algo=Aggregator.FEDPROX, local_epochs=400, learning_rate=10.0, prox_mu=1.0
         )
         with np.errstate(all="ignore"):
             with pytest.raises(FloatingPointError, match=r"clients \[0, 1, 2\] have non-finite"):
-                local_train(init_model().weights, datasets, cfg)
+                local_train(init_model().weights, population, cfg)
             nan_start = np.full(21, np.nan)
             with pytest.raises(FloatingPointError, match="non-finite weights"):
-                local_train(nan_start, datasets, AggregationConfig())
+                local_train(nan_start, population, AggregationConfig())
 
     def test_scaffold_updates_control_variates(self):
-        datasets, _ = generate_population(1, [0.9], seed=6)
+        population, _ = generate_population(1, [0.9], seed=6)
         cfg = AggregationConfig(algo=Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.1)
         weights = init_model().weights
         server_variate, variates = np.zeros(len(weights)), np.zeros((1, len(weights)))
-        local, proposed = local_train(weights, [datasets[0]], cfg, server_variate, variates)
+        local, proposed = local_train(weights, population, cfg, server_variate, variates)
         # Client 0 proposes one variate update; committing it is the caller's.
         assert proposed is not None
         assert proposed.shape == variates.shape == (1, len(server_variate))
-        aggregate([ModelParams(local[0])], [len(datasets[0])], cfg)
+        aggregate([ModelParams(local[0])], population.counts.tolist(), cfg)
         assert not np.any(variates) and not np.any(server_variate)
         # Committing it moves c off zero.
         assert np.any(proposed[0] != 0.0)
 
     @pytest.mark.parametrize("algo", list(Aggregator))
     def test_local_train_leaves_its_inputs_unchanged(self, algo):
-        datasets, labels = mixed_clients(20)
-        block, label_block = datasets[0].block, datasets[0].label_block
+        population, labels = mixed_clients(20)
+        block, label_block = population.design, population.labels
         cfg, server_variate, variates = train_config(algo, 20)
         weights = 0.1 * np.random.default_rng(8).normal(size=21)
         kept = [a.tobytes() for a in (block, label_block, labels, weights)]
-        local, proposed = local_train(weights, datasets, cfg, server_variate, variates, labels)
+        local, proposed = local_train(weights, population, cfg, server_variate, variates, labels)
         assert [a.tobytes() for a in (block, label_block, labels, weights)] == kept
         assert not np.shares_memory(local, weights)
         assert proposed is None or not np.shares_memory(proposed, variates)
@@ -141,9 +205,9 @@ class TestLocalTrain:
         (the labels are the population's block), and the epochs add none,
         however many there are: a call's peak of traced memory is the same
         at 1 epoch as at 30."""
-        datasets, labels = mixed_clients(20)
+        population, labels = mixed_clients(20)
         cfg, server_variate, variates = train_config(algo, 20)
-        row_sized = datasets[0].block[:, 0].nbytes
+        row_sized = population.design[:, 0].nbytes
         weights = init_model().weights
 
         def peak(epochs):
@@ -151,7 +215,7 @@ class TestLocalTrain:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                local_train(weights, datasets, cfg_e, server_variate, variates, labels)
+                local_train(weights, population, cfg_e, server_variate, variates, labels)
                 return tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
@@ -162,17 +226,31 @@ class TestLocalTrain:
     @pytest.mark.parametrize("shape", [(1, 21), (3, 21), (5, 21), (4, 20), (4,)])
     def test_variates_of_another_shape_raise(self, shape):
         # A (1, 21) block once broadcast over all four clients.
-        datasets, labels = mixed_clients(20)
+        population, labels = mixed_clients(20)
         cfg, server_variate, _ = train_config(Aggregator.SCAFFOLD, 20)
         variates = np.zeros(shape)
-        with pytest.raises(ValueError, match=rf"got {shape[0]} rows for 4 datasets"):
-            local_train(init_model().weights, datasets, cfg, server_variate, variates, labels)
+        with pytest.raises(ValueError, match=rf"got {shape[0]} rows for 4 clients"):
+            local_train(init_model().weights, population, cfg, server_variate, variates, labels)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 400), (4, 1, 399), (4, 1, 401), (3, 1, 400), (4, 400), (4, 2, 400)]
+    )
+    def test_labels_of_another_shape_raise(self, shape):
+        # A (1, 1, 400) block once trained all four clients on client 0's
+        # labels, and one column short failed only inside numpy's broadcast.
+        population, _ = mixed_clients(20)
+        assert population.labels.shape == (4, 1, 400)
+        cfg, server_variate, variates = train_config(Aggregator.SCAFFOLD, 20)
+        labels = np.zeros(shape)
+        shapes = rf"shape \(4, 1, 400\): got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=shapes):
+            local_train(init_model().weights, population, cfg, server_variate, variates, labels)
 
     def test_local_train_leaves_variate_inputs_unchanged(self):
-        datasets, _ = mixed_clients(2)
+        population, _ = mixed_clients(2)
         cfg, server_variate, variates = train_config(Aggregator.SCAFFOLD, 2)
         kept = server_variate.copy(), variates.copy()
-        local_train(init_model(2).weights, datasets, cfg, server_variate, variates)
+        local_train(init_model(2).weights, population, cfg, server_variate, variates)
         assert np.array_equal(server_variate, kept[0])
         assert variates.shape == kept[1].shape
         for v, k in zip(variates, kept[1]):
@@ -189,14 +267,13 @@ class TestAggregationConfig:
         ]
 
 
-def reference_train(w_global, data, cfg, server_variate, c_i, labels=None):
-    """The one-client loop that the batched trainer replaced, reading the
-    Scaffold state c and this client's c_i from its arguments. Returns the
-    local weights and the proposed c_i+ (None unless Scaffold trained). The
-    client trains on its row of `labels` if given, else on its own labels."""
-    x = data.design
-    y = data.labels if labels is None else labels[data.row, 0, : len(data)]
-    y = y.astype(float)
+def reference_train(w_global, x, y, cfg, server_variate, c_i):
+    """The one-client loop that the batched trainer replaced, on the
+    client's sample-major (m, d + 1) design `x` and its m labels `y`,
+    reading the Scaffold state c and this client's c_i from its arguments.
+    Returns the local weights and the proposed c_i+ (None unless Scaffold
+    trained)."""
+    y = np.asarray(y, dtype=float)
     w = w_global.copy()
     lr = cfg.learning_rate
     if cfg.algo is Aggregator.SCAFFOLD:
@@ -213,14 +290,15 @@ def reference_train(w_global, data, cfg, server_variate, c_i, labels=None):
     return w, None
 
 
-def clamped_train(w_global, datasets, cfg, server_variate, variates, labels):
+def clamped_train(w_global, population, cfg, server_variate, variates, labels):
     """The batched epoch that the negated-logit one replaced, kept as an
     oracle: it steps the weights w themselves, clamps the logits to
     [-40, 40] on both sides before negating them, and trains every client
     in one block."""
-    x, y = _blocks(datasets, labels)
+    x = population.design
+    y = population.labels if labels is None else labels
     n, dim, rows = x.shape
-    counts = np.array([len(d) for d in datasets], dtype=float)[:, None]
+    counts = population.counts.astype(float)[:, None]
     w = np.tile(w_global, (n, 1))
     lr = cfg.learning_rate
     if cfg.algo is Aggregator.SCAFFOLD:
@@ -260,25 +338,26 @@ def mixed_clients(dim):
     """Clients with different sample counts and one label-flipping poisoner,
     plus the label block to train them on (None: their own labels).
 
-    At 20 features they are one generated population, sharing its blocks,
-    and client 1's flipped labels are its row of a copy of the label block;
-    at 2 features each is built alone, client 1 with flipped labels.
+    At 20 features they are one generated population, and client 1's
+    flipped labels are its row of a copy of the label block; at 2 features
+    each client is drawn alone and padded into a population, client 1 with
+    flipped labels.
     """
     flip = PoisonConfig(0.8)
     if dim == 20:
-        datasets, _ = generate_population(4, [0.0, 0.4, 0.7, 1.0], seed=21)
-        labels = datasets[0].label_block.copy()
-        poison(datasets[1].labels, flip, 3, labels[1, 0, : len(datasets[1])])
-        return datasets, labels
+        population, _ = generate_population(4, [0.0, 0.4, 0.7, 1.0], seed=21)
+        labels = population.labels.copy()
+        m = population.counts[1]
+        poison(population.labels[1, 0, :m], flip, 3, labels[1, 0, :m])
+        return population, labels
     rng = np.random.default_rng(21)
-    datasets = []
+    designs, labels = [], []
     for i, m in enumerate((3, 17, 8, 30)):
-        design = np.hstack([rng.normal(size=(m, dim)), np.ones((m, 1))])
-        labels = rng.integers(0, 2, size=m)
+        designs.append(np.hstack([rng.normal(size=(m, dim)), np.ones((m, 1))]))
+        labels.append(rng.integers(0, 2, size=m))
         if i == 1:
-            labels = poison(labels, flip, 3, np.empty(m))
-        datasets.append(SyntheticDataset(design, labels))
-    return datasets, None
+            labels[1] = poison(labels[1], flip, 3, np.empty(m))
+    return population_of(designs, labels), None
 
 
 def train_config(algo, dim):
@@ -298,38 +377,43 @@ class TestBatchedTrain:
     @pytest.mark.parametrize("dim", [2, 20])
     @pytest.mark.parametrize("algo", list(Aggregator))
     def test_batch_matches_each_client_trained_alone(self, algo, dim):
-        datasets, labels = mixed_clients(dim)
-        assert len({len(d) for d in datasets}) == len(datasets)
+        population, labels = mixed_clients(dim)
+        clients = clients_of(population, labels)
+        assert len(set(population.counts.tolist())) == len(population)
         weights = 0.1 * np.random.default_rng(8).normal(size=dim + 1)
         cfg, server_variate, variates = train_config(algo, dim)
-        batch, batch_c = local_train(weights, datasets, cfg, server_variate, variates, labels)
-        # Client i trained alone takes its own row of the variates.
+        batch, batch_c = local_train(weights, population, cfg, server_variate, variates, labels)
+        # Client i trained alone, as a population of one, takes its own row
+        # of the variates.
         alone = [
-            local_train(weights, [d], cfg, server_variate, variates[i : i + 1], labels)
-            for i, d in enumerate(datasets)
+            local_train(weights, population_of([x], [y]), cfg, server_variate, variates[i : i + 1])
+            for i, (x, y) in enumerate(clients)
         ]
         alone = [(w[0], None if c is None else c[0]) for w, c in alone]
         reference = [
-            reference_train(weights, d, cfg, server_variate, variates[i], labels)
-            for i, d in enumerate(datasets)
+            reference_train(weights, x, y, cfg, server_variate, variates[i])
+            for i, (x, y) in enumerate(clients)
         ]
-        assert batch.shape == (len(datasets), dim + 1)
+        assert batch.shape == (len(population), dim + 1)
         for b, (a, _), (r, _) in zip(batch, alone, reference):
             assert np.allclose(b, a, rtol=0.0, atol=1e-12)
             assert np.allclose(b, r, rtol=0.0, atol=1e-12)
         for other in (alone, reference):
             # The same clients propose the same c_i+, so the same updates c_i+ - c_i.
-            assert [batch_c is None] * len(datasets) == [o is None for _, o in other]
+            assert [batch_c is None] * len(population) == [o is None for _, o in other]
             if batch_c is not None:
                 for b, (_, o), c_i in zip(batch_c, other, variates):
                     assert np.allclose(b, o, rtol=0.0, atol=1e-12)
                     assert np.allclose(b - c_i, o - c_i, rtol=0.0, atol=1e-12)
         proposed = 0 if batch_c is None else len(batch_c)
-        assert proposed == (len(datasets) if algo is Aggregator.SCAFFOLD else 0)
+        assert proposed == (len(population) if algo is Aggregator.SCAFFOLD else 0)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            local_train(init_model().weights, [], AggregationConfig())
+        # local_train takes a population, which holds at least one client.
+        with pytest.raises(ValueError, match="at least one client"):
+            Population(
+                np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, 21, 1)), np.zeros((0, 1, 1))
+            )
 
     @pytest.mark.parametrize("saturated", [False, True], ids=["spread", "saturated"])
     @pytest.mark.parametrize("clients_per_block", [1, 3, 4])
@@ -344,66 +428,69 @@ class TestBatchedTrain:
         A spread start puts logits beyond -40 and +40. A saturated start
         puts every logit at -100 on all-zero labels, so every residual is
         the clamped sigmoid(-40) and the step shows the clamp's bits."""
-        datasets, labels = mixed_clients(20)
-        block = datasets[0].block
+        population, labels = mixed_clients(20)
+        block = population.design
         monkeypatch.setattr(flsim, "TRAIN_BLOCK_BYTES", clients_per_block * block[0].nbytes)
         cfg, server_variate, variates = train_config(algo, 20)
         weights = 6.0 * np.random.default_rng(8).normal(size=21)
         if saturated:
             weights = np.r_[np.zeros(20), -100.0]
             labels = np.zeros_like(labels)
-        logits = np.concatenate([d.design @ weights for d in datasets])
+        logits = np.concatenate([x @ weights for x, _ in clients_of(population)])
         assert (logits < -40.0).any() and (logits > 40.0).any() != saturated
-        trained = local_train(weights, datasets, cfg, server_variate, variates, labels)
-        oracle = clamped_train(weights, datasets, cfg, server_variate, variates, labels)
+        trained = local_train(weights, population, cfg, server_variate, variates, labels)
+        oracle = clamped_train(weights, population, cfg, server_variate, variates, labels)
         assert model_bytes(trained) == model_bytes(oracle)
 
 
 class TestDesignBlock:
     def test_population_rows_share_one_zero_padded_block(self):
-        datasets, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
-        block, label_block = datasets[0].block, datasets[0].label_block
+        population, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
+        block, label_block = population.design, population.labels
         assert block.shape == (3, 21, 400)
         assert label_block.shape == (3, 1, 400) and label_block.dtype == float
-        for i, d in enumerate(datasets):
-            assert d.block is block and d.label_block is label_block and d.row == i
-            assert np.shares_memory(d.features, block)
-            assert np.shares_memory(d.labels, label_block)
-            assert np.array_equal(d.design, block[i, :, : len(d)].T)
-            assert np.array_equal(d.labels, label_block[i, 0, : len(d)])
-            assert np.all(d.design[:, -1] == 1.0)
-            assert not np.any(block[i, :, len(d):])
-            assert not np.any(label_block[i, 0, len(d):])
-        assert np.all(test.design[:, -1] == 1.0)
-        assert np.array_equal(test.features, test.design[:, :-1])
+        for i, m in enumerate(population.counts.tolist()):
+            assert np.all(block[i, -1, :m] == 1.0)
+            assert not np.any(block[i, :, m:])
+            assert not np.any(label_block[i, 0, m:])
+        assert np.all(test.design[-1] == 1.0)
 
     def test_whole_population_trains_on_its_block_and_test_set_is_not_copied(self):
-        datasets, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
-        block, label_block = datasets[0].block, datasets[0].label_block
-        x, y = _blocks(datasets)
-        assert x is block and y is label_block
-        # A stand-in label block is used as it is.
-        other = label_block.copy()
-        assert _blocks(datasets, other)[1] is other
-        # Any other batch (a subset, a reordering) is padded into new blocks.
+        """The population trains on its blocks as they are, with no copy of
+        the design block, and labels standing in for its own train exactly as
+        a population holding them would."""
+        population, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
+        cfg = AggregationConfig(local_epochs=3)
+        weights = init_model().weights
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trained = local_train(weights, population, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < population.design.nbytes / 4
+        other = population.labels.copy()
         other[:, 0, :] = 1.0 - other[:, 0, :]
-        for batch in (datasets[:2], datasets[::-1]):
-            for labels, flipped in ((None, False), (other, True)):
-                x, y = _blocks(batch, labels)
-                assert not np.shares_memory(x, block)
-                assert not np.shares_memory(y, label_block) and not np.shares_memory(y, other)
-                for i, d in enumerate(batch):
-                    assert np.array_equal(x[i, :, : len(d)].T, d.design)
-                    expected = 1.0 - d.labels if flipped else d.labels
-                    assert np.array_equal(y[i, 0, : len(d)], expected)
-                    assert not np.any(y[i, 0, len(d):])
-        # The held-out test set's design is a view of its feature-major
-        # block, and its labels are a boolean row.
-        assert test.block.shape == (21, len(test)) and test.block.flags.c_contiguous
-        assert test.design.base is test.block
+        flipped = population_of(
+            [x for x, _ in clients_of(population)], [y for _, y in clients_of(population, other)]
+        )
+        stand_in = local_train(weights, population, cfg, labels=other)
+        assert model_bytes(stand_in) == model_bytes(local_train(weights, flipped, cfg))
+        assert model_bytes(stand_in) != model_bytes(trained)
+        # The held-out test set's design is one feature-major block, and its
+        # labels are a boolean row.
+        assert test.design.shape == (21, len(test)) and test.design.flags.c_contiguous
         assert test.labels.dtype == bool and test.labels.shape == (len(test),)
-        assert np.array_equal(test.labels, test.true_labels)
-        assert test.label_block is None
+        _, (_, _, true_labels) = reference_draws([0.0, 1.0, 0.5], 19)
+        assert np.array_equal(test.labels, true_labels)
+
+    def test_population_is_read_only(self):
+        population, _ = generate_population(3, [0.0, 1.0, 0.5], seed=19)
+        for array in (population.thetas, population.counts, population.design,
+                      population.labels, population.poisoners, population.flips):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 class TestAggregate:
@@ -440,15 +527,15 @@ class TestAggregate:
 
 def accuracy_oracle(w, test):
     """The one-model evaluation the batched one replaced."""
-    return int(np.count_nonzero((test.design @ w > 0.0) == test.labels)) / len(test)
+    return int(np.count_nonzero((test.design.T @ w > 0.0) == test.labels)) / len(test)
 
 
 class TestEvaluateAccuracy:
     def test_bayes_direction_scores_high_on_own_data(self):
-        datasets, test = generate_population(1, [1.0], seed=9)
+        population, test = generate_population(1, [1.0], seed=9)
         # Logistic fit on clean data separates the Gaussian mixture well.
         cfg = AggregationConfig(local_epochs=200, learning_rate=1.0)
-        weights, _ = local_train(init_model().weights, [datasets[0]], cfg)
+        weights, _ = local_train(init_model().weights, population, cfg)
         assert evaluate_accuracy(weights, test)[0] > 0.9
 
     def test_zero_model_predicts_majority_class_zero(self):
@@ -458,19 +545,20 @@ class TestEvaluateAccuracy:
         assert 0.45 < acc < 0.55
 
     def test_returns_a_builtin_float_equal_to_the_mean(self):
-        datasets, test = generate_population(2, [0.6, 0.9], seed=12)
-        weights, _ = local_train(init_model().weights, datasets, AggregationConfig(local_epochs=3))
+        population, test = generate_population(2, [0.6, 0.9], seed=12)
+        cfg = AggregationConfig(local_epochs=3)
+        weights, _ = local_train(init_model().weights, population, cfg)
         accs = evaluate_accuracy(weights, test)
         assert len(accs) == 2
         for w, acc in zip(weights, accs):
             # A numpy scalar would be written as np.float64(...) into rounds.csv.
             assert type(acc) is float
-            assert acc == np.mean((test.design @ w > 0.0).astype(int) == test.labels)
+            assert acc == np.mean((test.design.T @ w > 0.0).astype(int) == test.labels)
 
     def test_inverted_labels_complement_accuracy(self):
-        datasets, test = generate_population(1, [1.0], seed=12)
+        population, test = generate_population(1, [1.0], seed=12)
         cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
-        weights, _ = local_train(init_model().weights, [datasets[0]], cfg)
+        weights, _ = local_train(init_model().weights, population, cfg)
         flipped = dataclasses.replace(test, labels=~test.labels)
         (acc,), (acc_flipped,) = (evaluate_accuracy(weights, t) for t in (test, flipped))
         assert acc + acc_flipped == pytest.approx(1.0, abs=1e-12)
@@ -503,46 +591,47 @@ class TestEvaluateAccuracy:
 
 
 class TestPoison:
-    def _data(self):
-        datasets, _ = generate_population(1, [1.0], seed=17)
-        return datasets[0]
+    def _labels(self):
+        """A generated client's clean labels."""
+        population, _ = generate_population(1, [1.0], seed=17)
+        return population.labels[0, 0, : population.counts[0]]
 
     def test_zero_rate_is_identity(self):
-        data = self._data()
-        out = poison(data.labels, PoisonConfig(0.0), 1, np.empty(len(data)))
-        assert np.array_equal(out, data.labels)
+        labels = self._labels()
+        out = poison(labels, PoisonConfig(0.0), 1, np.empty(len(labels)))
+        assert np.array_equal(out, labels)
 
     def test_full_rate_inverts_everything(self):
-        data = self._data()
-        out = poison(data.labels, PoisonConfig(1.0), 1, np.empty(len(data)))
-        assert np.array_equal(out, 1 - data.labels)
+        labels = self._labels()
+        out = poison(labels, PoisonConfig(1.0), 1, np.empty(len(labels)))
+        assert np.array_equal(out, 1 - labels)
 
     def test_half_rate_binomial_bound(self):
-        data = self._data()
-        n = len(data)
-        out = poison(data.labels, PoisonConfig(0.5), 99, np.empty(n))
-        flipped = int(np.sum(out != data.labels))
+        labels = self._labels()
+        n = len(labels)
+        out = poison(labels, PoisonConfig(0.5), 99, np.empty(n))
+        flipped = int(np.sum(out != labels))
         sigma = np.sqrt(n * 0.25)
         assert abs(flipped - n / 2) <= 3 * sigma
 
     def test_deterministic(self):
-        data = self._data()
-        a = poison(data.labels, PoisonConfig(0.4), 5, np.empty(len(data)))
-        b = poison(data.labels, PoisonConfig(0.4), 5, np.empty(len(data)))
+        labels = self._labels()
+        a = poison(labels, PoisonConfig(0.4), 5, np.empty(len(labels)))
+        b = poison(labels, PoisonConfig(0.4), 5, np.empty(len(labels)))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("rate", [0.0, 0.3, 0.8, 1.0])
     def test_writes_the_flipped_labels_into_out(self, rate):
         """`out` receives what the copying form returned, bit for bit, and
         the clean labels are left as they were."""
-        data = self._data()
-        kept = data.labels.tobytes()
-        out = np.full(len(data), 7.0)
-        assert poison(data.labels, PoisonConfig(rate), 11, out) is out
-        flips = np.random.default_rng(11).random(len(data)) < rate
-        expected = np.where(flips, 1 - data.labels, data.labels).astype(float)
+        labels = self._labels()
+        kept = labels.tobytes()
+        out = np.full(len(labels), 7.0)
+        assert poison(labels, PoisonConfig(rate), 11, out) is out
+        flips = np.random.default_rng(11).random(len(labels)) < rate
+        expected = np.where(flips, 1 - labels, labels).astype(float)
         assert out.tobytes() == expected.tobytes()
-        assert data.labels.tobytes() == kept
+        assert labels.tobytes() == kept
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -553,10 +642,11 @@ class TestTrainingSignal:
     def test_honest_federated_rounds_reach_high_accuracy(self):
         # Fixture seed: 5 honest clients, 20 FedAvg rounds.
         thetas = [1.0] * 5
-        datasets, test = generate_population(5, thetas, seed=42)
+        population, test = generate_population(5, thetas, seed=42)
+        clients = [population_of([x], [y]) for x, y in clients_of(population)]
         cfg = AggregationConfig(algo=Aggregator.FEDAVG, local_epochs=5, learning_rate=0.5)
         model = init_model()
         for _ in range(20):
-            locals_ = [ModelParams(local_train(model.weights, [ds], cfg)[0][0]) for ds in datasets]
-            model = aggregate(locals_, [len(ds) for ds in datasets], cfg)
+            locals_ = [ModelParams(local_train(model.weights, c, cfg)[0][0]) for c in clients]
+            model = aggregate(locals_, population.counts.tolist(), cfg)
         assert evaluate_accuracy(model.weights[None], test)[0] > 0.9

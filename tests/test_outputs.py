@@ -1,8 +1,11 @@
 """Golden outputs: `flmarket run` on `example.cfg`, on its Scaffold and
 FedProx variants, and on its 8-client variants at k = 3 and 5 (FedAvg and
-Scaffold), writes exactly the recorded CSVs, provenance line included. The
-20-client rounds score by the additive game's closed form; the 8-client
-rounds enumerate every coalition with `banzhaf_exact`.
+Scaffold), and on its 6-client, 40-round variants under both trust
+policies, writes exactly the recorded CSVs, provenance line included. The
+20-client rounds score by the additive game's closed form; the 8- and
+6-client rounds enumerate every coalition with `banzhaf_exact`. In the
+6-client cases the chained tamper cells' utilities differ between the two
+policies, so each policy's reads of attacked records are pinned.
 
 A change meant to move an output updates its digest here and says so in
 CHANGES.md; any other change must leave every byte as it is.
@@ -49,6 +52,18 @@ DIGESTS = {
         "reputation": "9877f270c694bdf0e83ebb5f950880c5c1bfb5cb75997c5f91e4d079e6166913",
         "robustness": "dba0124371751053acdc271b2d272fb88f5de1a86e9dab16df369d46d89c638d",
     },
+    "n6-last_valid": {
+        "rounds": "940d930d46df0f48b62017ecea0a3b1b1cdfe282a35e78e116b205056d2b9bcd",
+        "summary": "eefb439b4fdaf5f74b5f8556bce45854dd9ac97388777cc4cf6c2aa7f8028e12",
+        "reputation": "c4ef8b21c92ead306092ffb3cbdccce06d484ad8aba79f35cb5de0471d000bd2",
+        "robustness": "7e246727194b045585dc7cf320beddd1037963c8a822b81bb1fb181a3de7a129",
+    },
+    "n6-zero": {
+        "rounds": "28410b6cde37b9f7d6331c0d173e2e7edfe9c1d427a1f1c56fb504e79845d6d4",
+        "summary": "73d7ac7674dc7ba89a1ad4f34ab90046f8738a2d85d4f7043c876cd785006043",
+        "reputation": "a9357acce435b55aecb06cf0c4c07400216110f0d05d6ef97b34528b9567f683",
+        "robustness": "4563ba24a0e804b5ca50aca4401379ae810895199e14f587e9b9db8f53afde2d",
+    },
 }
 
 # The keys of `example.cfg` each case replaces, besides `output_dir`.
@@ -58,6 +73,8 @@ VARIANTS = {
     "fedprox": {"aggregation": "fedprox"},
     "n8-fedavg": {"aggregation": "fedavg", "n_clients": "8", "k_select": "3, 5"},
     "n8-scaffold": {"aggregation": "scaffold", "n_clients": "8", "k_select": "3, 5"},
+    "n6-last_valid": {"n_clients": "6", "k_select": "5", "rounds": "40"},
+    "n6-zero": {"n_clients": "6", "k_select": "5", "rounds": "40", "trust_policy": "zero"},
 }
 
 
