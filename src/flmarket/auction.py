@@ -40,7 +40,7 @@ of it read neither k nor the rule, so each seed makes them once
 from __future__ import annotations
 
 import statistics
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -95,19 +95,20 @@ TRUST_LAST_VALID = "last_valid"
 TRUST_POLICIES = (TRUST_ZERO, TRUST_LAST_VALID)
 
 
-def _cheapest(bids: dict[int, float], k: int, seed: int) -> list[int]:
+def _cheapest(bids: list[float], k: int, seed: int) -> list[int]:
     """Pay-as-bid reverse auction: the k cheapest bids win, ties by id."""
-    return sorted(bids, key=lambda i: (bids[i], i))[:k]
+    return sorted(range(len(bids)), key=lambda i: (bids[i], i))[:k]
 
 
-def _uniform(bids: dict[int, float], k: int, seed: int) -> list[int]:
+def _uniform(bids: list[float], k: int, seed: int) -> list[int]:
     """A uniformly random winner set of size k, in id order."""
     rng = np.random.default_rng(seed)
-    return sorted(rng.choice(sorted(bids), size=k, replace=False).tolist())
+    return sorted(rng.choice(len(bids), size=k, replace=False).tolist())
 
 
-# A baseline's winner rule: (bids by client id, k, seed) -> the k winners.
-WinnerRule = Callable[[dict[int, float], int, int], list[int]]
+# A baseline's winner rule: (bids in population order, k, seed) -> the k
+# winners.
+WinnerRule = Callable[[list[float], int, int], list[int]]
 
 # Every mechanism a grid plays, in the default order of a grid. An
 # `ours-*` name maps to the information regime its contracts are solved
@@ -120,14 +121,15 @@ MECHANISMS: dict[str, Regime | WinnerRule] = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class RoundReport:
-    """What one round played; no regime's prices are in it."""
+    """What one round played; no regime's prices are in it. `epsilons` is
+    the read-only array of the reputations the round appended, client i's
+    in row i, so reports are compared field by field, not with `==`."""
 
     round: int
     selected: list[int]
-    realized_q: dict[int, float]
-    epsilons: dict[int, float]  # reputation appended this round, per scored client
+    epsilons: np.ndarray
     accuracy_global: float
 
 
@@ -153,9 +155,8 @@ class ModelNode:
     every client from `weights`, and never change after: `local_weights` is
     the (clients, d + 1) stack of local weights in population order,
     `local_variates` the clients' proposed c_i+ beside it (None unless
-    Scaffold trained them), `local_accuracies` their test accuracies, and
-    `zetas` the clients' Banzhaf indices (`_banzhaf_contributions`), in
-    population order."""
+    Scaffold trained them), and `zetas` the clients' Banzhaf indices
+    (`_banzhaf_contributions`), in population order."""
 
     weights: np.ndarray
     accuracy: float
@@ -163,7 +164,6 @@ class ModelNode:
     variates: np.ndarray
     local_weights: np.ndarray | None = None
     local_variates: np.ndarray | None = None
-    local_accuracies: np.ndarray | None = None
     zetas: np.ndarray | None = None
     children: dict[tuple[int, ...], ModelNode] = field(default_factory=dict)
 
@@ -172,18 +172,18 @@ class ModelNode:
 class ModelTree:
     """Every selection history the cells of one population play, as a tree
     of `ModelNode`s rooted at the untrained model and zero variates (a c_i
-    for each of the population's `clients`), with what fixes the nodes'
-    content besides the population: the training hyperparameters, the
-    held-out test set, and the market's lambda and delta, which value the
-    realized contributions a node scores (`realized_value`). It also holds
-    the one label buffer the population's poisoners' flipped labels are
-    written into (`_round_labels`): a copy of the population's label block,
-    made by the first round trained with a poisoner. `run_tables` makes one
-    tree per seed beside its population."""
+    for each client of the population), with all that fixes the nodes'
+    content: the population, the training hyperparameters, the held-out
+    test set, and the market's lambda and delta, which value the realized
+    contributions a node scores (`realized_value`). It also holds the one
+    label buffer the population's poisoners' flipped labels are written
+    into (`_round_labels`): a copy of the population's label block, made by
+    the first round trained with a poisoner. `run_tables` makes one tree per
+    seed (`_model_tree`)."""
 
+    population: Population
     agg: AggregationConfig
     test: HeldOut
-    clients: int
     lam: float
     delta: float
     root: ModelNode = field(init=False)
@@ -195,7 +195,7 @@ class ModelTree:
             weights,
             evaluate_accuracy(weights[None], self.test)[0],
             _frozen(np.zeros(FEATURE_DIM + 1)),
-            _frozen(np.zeros((self.clients, FEATURE_DIM + 1))),
+            _frozen(np.zeros((len(self.population), FEATURE_DIM + 1))),
         )
 
 
@@ -297,11 +297,12 @@ def _flipped_labels(
     return packed
 
 
-def _round_labels(population: Population, tree: ModelTree, round_num: int) -> np.ndarray | None:
-    """The label block the population trains on in round `round_num`: None
-    (its own) if no client is a poisoner, else `tree.poisoned_labels` with
-    the poisoners' rows overwritten by their flipped labels of the round.
-    The population is not changed."""
+def _round_labels(tree: ModelTree, round_num: int) -> np.ndarray | None:
+    """The label block the tree's population trains on in round
+    `round_num`: None (its own) if no client is a poisoner, else
+    `tree.poisoned_labels` with the poisoners' rows overwritten by their
+    flipped labels of the round. The population is not changed."""
+    population = tree.population
     if not len(population.poisoners):
         return None
     if tree.poisoned_labels is None:
@@ -312,17 +313,17 @@ def _round_labels(population: Population, tree: ModelTree, round_num: int) -> np
     return tree.poisoned_labels
 
 
-def _offer(population: Population, params: MarketParams) -> dict[int, Contract]:
-    """Each client's contract under the regime of `params`, by client id;
-    depends on no round state. Complete information pays exactly the cost
-    and incomplete the cost plus a nonnegative rent, so every client
+def _offer(population: Population, params: MarketParams) -> list[Contract]:
+    """Each client's contract under the regime of `params`, in population
+    order; depends on no round state. Complete information pays exactly the
+    cost and incomplete the cost plus a nonnegative rent, so every client
     accepts; raises RuntimeError, naming the regime and the clients, if a
     client's utility from its contract is below 0."""
     thetas = population.thetas.tolist()
-    contracts = {i: solve(theta, params) for i, theta in enumerate(thetas)}
+    contracts = [solve(theta, params) for theta in thetas]
     declined = [
-        i for i, theta in enumerate(thetas)
-        if client_utility(contracts[i], theta, params.delta) < 0.0
+        i for i, (contract, theta) in enumerate(zip(contracts, thetas))
+        if client_utility(contract, theta, params.delta) < 0.0
     ]
     if declined:
         raise RuntimeError(
@@ -333,17 +334,16 @@ def _offer(population: Population, params: MarketParams) -> dict[int, Contract]:
 
 
 def _server_utility(
-    selected: list[int], contracts: dict[int, Contract], params: MarketParams
+    selected: list[int], contracts: Sequence[Contract] | dict[int, Contract],
+    params: MarketParams,
 ) -> float:
     """The server's payoff from a round: the sum, in selection order, of its
-    payoff from each selected client's contract."""
+    payoff from each selected client's contract, `contracts[i]` being client
+    i's (an offer in population order, or a bid round's winners by id)."""
     return sum(server_utility_per_client(contracts[i], params) for i in selected)
 
 
-def _child(
-    population: Population, tree: ModelTree, node: ModelNode, selected: list[int],
-    round_num: int,
-) -> ModelNode:
+def _child(tree: ModelTree, node: ModelNode, selected: list[int], round_num: int) -> ModelNode:
     """The node that aggregating `selected`, in their order, reaches from
     `node` in round `round_num`: the known child, or else a new one. The
     key is the ordered selection because aggregation and the Scaffold
@@ -356,6 +356,7 @@ def _child(
     aggregates its stored local models and evaluates the new global model.
     A client's rows are read by its id, which is its row in the population.
     """
+    population = tree.population
     key = tuple(selected)
     child = node.children.get(key)
     if child is not None:
@@ -365,7 +366,7 @@ def _child(
     if first_visit:
         local_weights, local_variates = local_train(
             node.weights, population, tree.agg, node.server_variate, node.variates,
-            _round_labels(population, tree, round_num),
+            _round_labels(tree, round_num),
         )
         _frozen(local_weights)
         if local_variates is not None:
@@ -387,14 +388,12 @@ def _child(
         *accuracies, accuracy = evaluate_accuracy(
             np.vstack([local_weights, new_global.weights]), tree.test
         )
-        local_accuracies = _frozen(np.array(accuracies))
         # Measured against the model the clients started from, so the
         # per-round improvement signal stays attributable.
-        realized = local_accuracies - node.accuracy
+        realized = np.array(accuracies) - node.accuracy
         zetas = _banzhaf_contributions(realized_value(realized, population.thetas, tree))
         # Filled in one step, once nothing of the round can raise.
         node.local_weights, node.local_variates = local_weights, local_variates
-        node.local_accuracies = local_accuracies
         node.zetas = _frozen(zetas)
     else:
         (accuracy,) = evaluate_accuracy(new_global.weights[None], tree.test)
@@ -403,62 +402,47 @@ def _child(
     return child
 
 
-def run_round(population: Population, params: MarketParams, state: SimulationState) -> RoundReport:
-    """One round played: selection, training, aggregation, evaluation,
-    Banzhaf scoring and ledger append. Every client accepts its contract, so
-    no regime enters the round, and nothing is priced here.
+def run_round(state: SimulationState, k: int) -> RoundReport:
+    """One round of the cell `state` that aggregates its top k clients:
+    selection, training, aggregation, evaluation, Banzhaf scoring and ledger
+    append. Every client accepts its contract, so no regime enters the
+    round, and nothing is priced here.
 
     Selection, the ledger reads, the reputation updates and the appends are
-    the cell's own. Training, evaluation and scoring are the tree's: the
-    cell moves to the child node its selection reaches (`_child`), which
-    trains, evaluates and scores only what no earlier visit to the node
-    has. Every client trains a candidate local model and is scored; only
-    the selected top-k are aggregated into the global model (and paid, once
-    a mechanism prices the round). Raises ValueError if the lambda or delta
-    of `params` is not the tree's, which its nodes were scored under.
+    the cell's own, in population order. Training, evaluation and scoring
+    are the tree's: the cell moves to the child node its selection reaches
+    (`_child`), which trains, evaluates and scores only what no earlier
+    visit to the node has. Every client trains a candidate local model and
+    is scored; only the selected top k are aggregated into the global model
+    (and paid, once a mechanism prices the round).
     """
-    tree = state.tree
-    if (params.lam, params.delta) != (tree.lam, tree.delta):
-        raise ValueError(
-            f"the round's market (lambda = {params.lam!r}, delta = {params.delta!r}) is not "
-            f"its tree's (lambda = {tree.lam!r}, delta = {tree.delta!r})"
-        )
-
-    n = len(population)
-    eps_prev = {i: ledger_epsilon(state.ledger, i, state.trust_policy) for i in range(n)}
-    selected = select_top_k(eps_prev, min(params.k_select, n))
     node = state.node
-    child = _child(population, tree, node, selected, state.round)
-    # Row i of the node's arrays is client i's.
-    realized = dict(enumerate((node.local_accuracies - node.accuracy).tolist()))
-    epsilons = {}
-    for i, zeta in enumerate(node.zetas.tolist()):
-        epsilons[i] = update_reputation(eps_prev[i], zeta, state.rep_params)
-        state.ledger.append(state.round, i, zeta, epsilons[i])
+    n = len(state.tree.population)
+    eps_prev = [ledger_epsilon(state.ledger, i, state.trust_policy) for i in range(n)]
+    selected = select_top_k(eps_prev, min(k, n))
+    child = _child(state.tree, node, selected, state.round)
+    # Row i of the node's zetas is client i's.
+    epsilons = _frozen(update_reputation(np.array(eps_prev), node.zetas, state.rep_params))
+    for i, (zeta, epsilon) in enumerate(zip(node.zetas.tolist(), epsilons.tolist())):
+        state.ledger.append(state.round, i, zeta, epsilon)
 
-    report = RoundReport(
-        round=state.round,
-        selected=selected,
-        realized_q=realized,
-        epsilons=epsilons,
-        accuracy_global=child.accuracy,
-    )
+    report = RoundReport(state.round, selected, epsilons, child.accuracy)
     state.node = child
     state.round += 1
     return report
 
 
 def _bid_round(
-    costs: dict[int, float], rule: WinnerRule, target_q: float, params: MarketParams,
+    costs: list[float], rule: WinnerRule, target_q: float, params: MarketParams,
     seed: int, round_num: int,
 ) -> dict[int, Contract]:
-    """One baseline round's winners and their pay-as-bid contracts, in the
-    rule's order: every client bids its cost of `target_q` (`costs`, by
-    client id in population order) times a margin drawn uniformly from
+    """One baseline round's winners and their pay-as-bid contracts, by
+    winner in the rule's order: every client bids its cost of `target_q`
+    (`costs`, in population order) times a margin drawn uniformly from
     [1.0, 1.3], in population order; `rule` picks `params.k_select`
     winners, and each is paid its bid for `target_q`."""
     margins = np.random.default_rng((seed, round_num)).random(len(costs)).tolist()
-    bids = {i: costs[i] * (1.0 + 0.3 * m) for i, m in zip(costs, margins)}
+    bids = [c * (1.0 + 0.3 * m) for c, m in zip(costs, margins)]
     winners = rule(bids, params.k_select, _mix(seed, round_num, 99))
     return {i: Contract(target_q, bids[i]) for i in winners}
 
@@ -479,7 +463,7 @@ def build_population(config, seed: int) -> tuple[Population, HeldOut]:
         config.theta_min
         + (config.theta_max - config.theta_min) * rng.random(config.n_clients)
     ).tolist()
-    population, test = generate_population(config.n_clients, thetas, seed)
+    population, test = generate_population(thetas, seed)
     poisoners = np.arange(config.poison_count)
     flips = _flipped_labels(
         population, PoisonConfig(config.poison_flip_rate), seed, poisoners, config.rounds
@@ -487,14 +471,14 @@ def build_population(config, seed: int) -> tuple[Population, HeldOut]:
     return replace(population, poisoners=poisoners, flips=flips), test
 
 
-def _model_tree(config, test: HeldOut) -> ModelTree:
-    """A fresh tree of the config's training on `test`, for one population."""
+def _model_tree(config, population: Population, test: HeldOut) -> ModelTree:
+    """A fresh tree of the config's training of `population` on `test`."""
     return ModelTree(
+        population,
         AggregationConfig(
             config.aggregation, config.local_epochs, config.learning_rate, config.prox_mu
         ),
         test,
-        config.n_clients,
         config.lam,
         config.delta,
     )
@@ -511,25 +495,24 @@ def _fresh_state(config, tree: ModelTree, ledger_mode: str = "chained") -> Simul
 
 def _market(config, k: int, regime: Regime = Regime.COMPLETE) -> MarketParams:
     """The market at k under `regime`. Only `solve` reads the regime, so
-    only `_offers` names one: rounds are played, bid and priced in the
-    default market at k."""
+    only `_offers` names one: rounds are bid and priced in the default
+    market at k."""
     return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
 
 
 def _bid_costs(
-    config, population: Population, complete: dict[int, Contract]
-) -> tuple[float, dict[int, float]]:
+    config, population: Population, complete: list[Contract]
+) -> tuple[float, list[float]]:
     """The baselines' target output, the median output of the seed's
     complete-information contracts `complete` (from `_offers`), and each
-    client's cost of it, by client id in population order. Neither reads k
-    or the winner rule, so a seed makes them once for every baseline cell."""
-    target_q = statistics.median(contract.q for contract in complete.values())
-    thetas = population.thetas.tolist()
-    return target_q, {i: cost(target_q, theta, config.delta) for i, theta in enumerate(thetas)}
+    client's cost of it, in population order. Neither reads k or the winner
+    rule, so a seed makes them once for every baseline cell."""
+    target_q = statistics.median(contract.q for contract in complete)
+    return target_q, [cost(target_q, theta, config.delta) for theta in population.thetas.tolist()]
 
 
 def run_cell(
-    config, mechanism: str, k: int, seed: int, target_q: float, costs: dict[int, float]
+    config, mechanism: str, k: int, seed: int, target_q: float, costs: list[float]
 ) -> list[dict]:
     """The `rounds.csv` rows of one baseline (mechanism, k, seed) cell: a bid
     round under the mechanism's winner rule for every round, on the seed's
@@ -555,24 +538,21 @@ def _rows(mechanism: str, k: int, seed: int, params: MarketParams, rounds) -> li
 
 
 def _play(
-    config, population: Population, tree: ModelTree, params: MarketParams,
-    ledger_mode: str = "chained", tamper_cfg=None,
+    config, tree: ModelTree, k: int, ledger_mode: str = "chained", tamper_cfg=None
 ) -> list[RoundReport]:
-    """The played rounds of an `ours-*` trajectory in the market `params`,
-    from a fresh state on the population's `tree`; with `tamper_cfg`, the
-    ledger is attacked after every round."""
+    """The played rounds of an `ours-*` trajectory at k, from a fresh state
+    on the seed's `tree`; with `tamper_cfg`, the ledger is attacked after
+    every round."""
     state = _fresh_state(config, tree, ledger_mode)
     reports = []
     for _ in range(config.rounds):
-        reports.append(run_round(population, params, state))
+        reports.append(run_round(state, k))
         if tamper_cfg is not None:
             tamper_attack(state.ledger, tamper_cfg)
     return reports
 
 
-def _offers(
-    config, population: Population, baselines: bool
-) -> dict[Regime, dict[int, Contract]]:
+def _offers(config, population: Population, baselines: bool) -> dict[Regime, list[Contract]]:
     """Each regime's contracts for the seed's population, solved once for
     every cell of the seed: each listed `ours-*` mechanism's regime, and the
     complete one if `baselines`, whose outputs fix their target output
@@ -583,14 +563,13 @@ def _offers(
 
 
 def _ours_cells(
-    config, k: int, seed: int, population: Population, tree: ModelTree,
-    offers: dict[Regime, dict[int, Contract]],
+    config, k: int, seed: int, tree: ModelTree, offers: dict[Regime, list[Contract]]
 ) -> dict[str, list[dict]]:
     """The rows of every `ours-*` mechanism's cell at k: one trajectory,
-    played in the market at k and priced there with each mechanism's
+    played at k and priced in the market at k with each mechanism's
     contracts from `_offers`."""
     params = _market(config, k)
-    reports = _play(config, population, tree, params)
+    reports = _play(config, tree, k)
     return {
         mechanism: _rows(
             mechanism, k, seed, params,
@@ -624,15 +603,15 @@ COLUMNS = Tables(
 
 
 def _grid_cells(
-    config, seed: int, population: Population, tree: ModelTree,
-    offers: dict[Regime, dict[int, Contract]], bids: tuple[float, dict[int, float]] | None,
+    config, seed: int, tree: ModelTree, offers: dict[Regime, list[Contract]],
+    bids: tuple[float, list[float]] | None,
 ) -> dict[tuple[int, str], list[dict]]:
     """The rows of every (k, mechanism) cell of the seed: the `ours-*` cells
     under the seed's contracts from `_offers`, the baselines on its target
     output and costs from `_bid_costs` (None if no baseline is listed)."""
     out, ours = {}, config.mechanisms_ours()
     for k in config.k_values:
-        cells = _ours_cells(config, k, seed, population, tree, offers) if ours else {}
+        cells = _ours_cells(config, k, seed, tree, offers) if ours else {}
         for mechanism in config.mechanisms:
             if mechanism not in cells:
                 cells[mechanism] = run_cell(config, mechanism, k, seed, *bids)
@@ -663,17 +642,17 @@ def _grid_tables(config, by_seed: dict) -> tuple[list[dict], list[dict]]:
     return round_rows, summary
 
 
-def _trace_rows(config, population: Population, tree: ModelTree) -> list[dict]:
+def _trace_rows(config, tree: ModelTree) -> list[dict]:
     """Per-round reputation of every client, for trajectory plots: the
-    shared `ours-*` trajectory at the first k, played on the seed's
-    population. Every client accepts its contract, so every client is scored
-    every round."""
-    reports = _play(config, population, tree, _market(config, config.k_values[0]))
-    behaviors = ["honest" if h else "poisoner" for h in population.honest.tolist()]
+    shared `ours-*` trajectory at the first k, played on the seed's tree.
+    Every client accepts its contract, so every client is scored every
+    round. The epsilons go in as Python floats, whose repr, unlike a numpy
+    scalar's, is the bare number the CSV holds."""
+    behaviors = ["honest" if h else "poisoner" for h in tree.population.honest.tolist()]
     return [
-        {"round": rep.round, "client": i, "epsilon": rep.epsilons[i], "behavior": behavior}
-        for rep in reports
-        for i, behavior in enumerate(behaviors)
+        {"round": rep.round, "client": i, "epsilon": epsilon, "behavior": behavior}
+        for rep in _play(config, tree, config.k_values[0])
+        for i, (epsilon, behavior) in enumerate(zip(rep.epsilons.tolist(), behaviors))
     ]
 
 
@@ -687,20 +666,18 @@ def _tamper_grid(config) -> list[tuple[float, float, str]]:
 
 
 def _tamper_totals(
-    config, seed: int, population: Population, tree: ModelTree,
-    offers: dict[Regime, dict[int, Contract]],
+    config, seed: int, tree: ModelTree, offers: dict[Regime, list[Contract]]
 ) -> dict[tuple[float, float, str], float]:
     """Total server utility of each tamper cell of the seed: the first
     `ours-*` mechanism, which the caller checks exists, at the first k, on
     the cell's store, attacked after every round."""
     contracts = offers[MECHANISMS[config.mechanisms_ours()[0]]]
-    params = _market(config, config.k_values[0])
+    k = config.k_values[0]
+    params = _market(config, k)
     return {
         (alpha, beta, mode): sum(
             _server_utility(rep.selected, contracts, params)
-            for rep in _play(
-                config, population, tree, params, mode, TamperConfig(alpha, beta, seed)
-            )
+            for rep in _play(config, tree, k, mode, TamperConfig(alpha, beta, seed))
         )
         for alpha, beta, mode in _tamper_grid(config)
     }
@@ -734,15 +711,15 @@ def run_tables(config) -> Tables:
     cells, trace, totals = {}, [], {}
     for seed in dict.fromkeys(config.seeds):
         population, test = build_population(config, seed)
-        tree = _model_tree(config, test)
+        tree = _model_tree(config, population, test)
         offers = _offers(config, population, baselines)
         bids = _bid_costs(config, population, offers[Regime.COMPLETE]) if baselines else None
         if play:
-            cells[seed] = _grid_cells(config, seed, population, tree, offers, bids)
+            cells[seed] = _grid_cells(config, seed, tree, offers, bids)
         if seed == trace_seed:
-            trace = _trace_rows(config, population, tree)
+            trace = _trace_rows(config, tree)
         if tamper:
-            totals[seed] = _tamper_totals(config, seed, population, tree, offers)
+            totals[seed] = _tamper_totals(config, seed, tree, offers)
         del population, test, tree, offers, bids  # before the next seed's are made
     return Tables(
         *(_grid_tables(config, cells) if play else ([], [])),

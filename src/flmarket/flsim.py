@@ -131,14 +131,11 @@ class PoisonConfig:
             raise ValueError("flip_rate must lie in [0, 1]")
 
 
-def generate_population(
-    n_clients: int, thetas: list[float], seed: int
-) -> tuple[Population, HeldOut]:
-    """Generate an honest population of clients plus a clean held-out test set."""
-    if n_clients == 0:
-        raise ValueError("n_clients must be positive")
-    if len(thetas) != n_clients:
-        raise ValueError("thetas length must equal n_clients")
+def generate_population(thetas: list[float], seed: int) -> tuple[Population, HeldOut]:
+    """Generate an honest population of clients, client i of theta
+    thetas[i], plus a clean held-out test set."""
+    if not len(thetas):
+        raise ValueError("a population needs at least one client: thetas is empty")
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=FEATURE_DIM)
     direction /= np.linalg.norm(direction)
@@ -157,8 +154,8 @@ def generate_population(
         return np.where(flips, 1 - y, y)
 
     counts = np.array([int(round(BASE_SAMPLES * (1.0 + theta))) for theta in thetas])
-    design = np.zeros((n_clients, FEATURE_DIM + 1, counts.max()))
-    labels = np.zeros((n_clients, 1, counts.max()))
+    design = np.zeros((len(thetas), FEATURE_DIM + 1, counts.max()))
+    labels = np.zeros((len(thetas), 1, counts.max()))
     for i, (theta, m) in enumerate(zip(thetas, counts.tolist())):
         labels[i, 0, :m] = draw(design[i, :, :m].T, (1.0 - theta) * NOISE_SCALE)
     test = np.empty((FEATURE_DIM + 1, TEST_SAMPLES))

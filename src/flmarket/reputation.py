@@ -145,16 +145,19 @@ def banzhaf_mc(
     return _mean((_evaluate(u, with_i) - _evaluate(u, without)).reshape(n, samples))
 
 
-def update_reputation(prev_epsilon: float, zeta: float, params: ReputationParams) -> float:
-    """One reputation step: epsilon' = epsilon * w1 + zeta * w2."""
+def update_reputation(
+    prev_epsilon: float | np.ndarray, zeta: float | np.ndarray, params: ReputationParams
+) -> float | np.ndarray:
+    """One reputation step: epsilon' = epsilon * w1 + zeta * w2, of one
+    client from floats, or elementwise from arrays, with the same bits."""
     return prev_epsilon * params.w1 + zeta * params.w2
 
 
-def select_top_k(epsilons: dict[int, float], k: int) -> list[int]:
-    """The k clients with highest reputation, ties broken by ascending id."""
+def select_top_k(epsilons: Sequence[float], k: int) -> list[int]:
+    """The k clients with highest reputation, ties broken by ascending id;
+    client i's reputation is epsilons[i]."""
     if k > len(epsilons):
         raise ValueError(
             f"cannot select {k} clients from a population of {len(epsilons)}"
         )
-    ranked = sorted(epsilons, key=lambda c: (-epsilons[c], c))
-    return ranked[:k]
+    return sorted(range(len(epsilons)), key=lambda c: (-epsilons[c], c))[:k]

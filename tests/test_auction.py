@@ -83,17 +83,23 @@ def small_config(**overrides):
 
 
 def single_client_setup(theta=1.0, regime=Regime.COMPLETE):
-    population, test = generate_population(1, [theta], seed=0)
+    population, test = generate_population([theta], seed=0)
     params = MarketParams(1.0, 2.0, 1, 1, regime)
-    state = SimulationState(ModelTree(AggregationConfig(local_epochs=2), test, 1, 1.0, 2.0))
-    return population, params, state
+    tree = ModelTree(population, AggregationConfig(local_epochs=2), test, 1.0, 2.0)
+    return population, params, SimulationState(tree)
+
+
+def played(reports):
+    """What each report played, its epsilons as their bytes, so that two
+    lists of reports compare with `==`."""
+    return [(r.round, r.selected, r.epsilons.tobytes(), r.accuracy_global) for r in reports]
 
 
 class TestRunRound:
     def test_single_top_type_client_fixture(self):
         population, params, state = single_client_setup()
         contracts = _offer(population, params)
-        report = run_round(population, params, state)
+        report = run_round(state, params.k_select)
         assert report.selected == [0]
         assert contracts[0].r == pytest.approx(0.75, abs=1e-12)
         assert _server_utility(report.selected, contracts, params) == pytest.approx(
@@ -104,8 +110,8 @@ class TestRunRound:
         config = small_config()
         population, test = build_population(config, seed=3)
         params = MarketParams(1.0, 2.0, 8, 8, Regime.COMPLETE)
-        state = _fresh_state(config, _model_tree(config, test))
-        report = run_round(population, params, state)
+        state = _fresh_state(config, _model_tree(config, population, test))
+        report = run_round(state, params.k_select)
         # Zero-rent contracts meet the participation bound, so with k = n
         # every client is selected.
         assert sorted(report.selected) == list(range(8))
@@ -114,8 +120,8 @@ class TestRunRound:
         config = small_config(n_clients=10, k_values=[3])
         population, test = build_population(config, seed=1)
         params = MarketParams(1.0, 2.0, 10, 3, Regime.COMPLETE)
-        state = _fresh_state(config, _model_tree(config, test))
-        report = run_round(population, params, state)
+        state = _fresh_state(config, _model_tree(config, population, test))
+        report = run_round(state, params.k_select)
         assert report.selected == [0, 1, 2]
 
     def test_budget_identity(self):
@@ -124,10 +130,10 @@ class TestRunRound:
         thetas = population.thetas.tolist()
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.3, 2.0, 8, 4, regime)
-            state = _fresh_state(config, _model_tree(config, test))
+            state = _fresh_state(config, _model_tree(config, population, test))
             contracts = _offer(population, params)
             for _ in range(2):
-                rep = run_round(population, params, state)
+                rep = run_round(state, params.k_select)
                 lhs = _server_utility(rep.selected, contracts, params) + sum(
                     client_utility(contracts[i], thetas[i], params.delta) for i in rep.selected
                 )
@@ -143,10 +149,10 @@ class TestRunRound:
         thetas = population.thetas.tolist()
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             params = MarketParams(1.0, 2.0, 8, 5, regime)
-            state = _fresh_state(config, _model_tree(config, test))
+            state = _fresh_state(config, _model_tree(config, population, test))
             contracts = _offer(population, params)
             for _ in range(3):
-                rep = run_round(population, params, state)
+                rep = run_round(state, params.k_select)
                 assert all(
                     client_utility(contracts[i], thetas[i], params.delta) >= 0.0
                     for i in rep.selected
@@ -157,38 +163,38 @@ class TestRunRound:
         population, test = build_population(config, seed=7)
         params_ci = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
         params_in = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
-        state = _fresh_state(config, _model_tree(config, test))
+        state = _fresh_state(config, _model_tree(config, population, test))
         offer_ci = _offer(population, params_ci)
         offer_in = _offer(population, params_in)
         # Both regimes price the one trajectory every client accepts.
         for _ in range(4):
-            selected = run_round(population, params_ci, state).selected
+            selected = run_round(state, params_ci.k_select).selected
             u_ci = _server_utility(selected, offer_ci, params_ci)
             u_in = _server_utility(selected, offer_in, params_in)
             assert u_ci >= u_in - 1e-12
 
     def test_empty_population_rejected(self):
         # A round plays a population, which holds at least one client.
-        with pytest.raises(ValueError, match="n_clients must be positive"):
+        with pytest.raises(ValueError, match="at least one client"):
             build_population(dataclasses.replace(small_config(), n_clients=0), seed=0)
 
     def test_determinism(self):
         config = small_config()
         population, test = build_population(config, seed=11)
-        params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
-        reports_a = auction._play(config, population, _model_tree(config, test), params)
+        reports_a = played(auction._play(config, _model_tree(config, population, test), 4))
         # A population that already played a cell plays the next one unchanged.
-        assert auction._play(config, population, _model_tree(config, test), params) == reports_a
+        again = auction._play(config, _model_tree(config, population, test), 4)
+        assert played(again) == reports_a
         fresh_population, fresh_test = build_population(config, 11)
-        fresh_tree = _model_tree(config, fresh_test)
-        assert auction._play(config, fresh_population, fresh_tree, params) == reports_a
+        fresh_tree = _model_tree(config, fresh_population, fresh_test)
+        assert played(auction._play(config, fresh_tree, 4)) == reports_a
 
     def test_each_model_is_evaluated_once(self, monkeypatch):
         """One evaluation per round scores every accepted client's local
         model, in order, and then the new global model, each exactly once."""
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=3)
-        state = _fresh_state(config, _model_tree(config, test))
+        state = _fresh_state(config, _model_tree(config, population, test))
         evaluated, trained = [], []
 
         def counted(weights, data):
@@ -203,10 +209,10 @@ class TestRunRound:
         monkeypatch.setattr(auction, "local_train", spied)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
         for r in range(3):
-            rep = run_round(population, params, state)
+            rep = run_round(state, params.k_select)
             assert len(evaluated) == len(trained) == r + 1
             models = [*trained[r][0], state.node.weights]
-            assert len(models) == len(rep.realized_q) + 1
+            assert len(models) == len(rep.epsilons) + 1
             assert evaluated[r].tobytes() == np.stack(models).tobytes()
             assert state.node.accuracy == rep.accuracy_global
             assert state.node.accuracy == evaluate_accuracy(state.node.weights[None], test)[0]
@@ -236,8 +242,8 @@ class TestRunRound:
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
         params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
-        state = _fresh_state(config, _model_tree(config, test))
-        rep = run_round(population, params, state)
+        state = _fresh_state(config, _model_tree(config, population, test))
+        rep = run_round(state, params.k_select)
         assert len(rep.epsilons) == n
         assert calls == [path]
         # One evaluator call plays each of the 2^n coalitions once.
@@ -255,25 +261,30 @@ class TestRunRound:
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
         params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
-        state = _fresh_state(config, _model_tree(config, test))
-        rep = run_round(population, params, state)
-        assert len(state.ledger.records) == n
+        state = _fresh_state(config, _model_tree(config, population, test))
+        node = state.node
+        rep = run_round(state, params.k_select)
+        assert len(state.ledger.records) == len(rep.epsilons) == n
         zetas = {r.client_id: r.zeta for r in state.ledger.records}
-        assert sorted(zetas) == sorted(rep.realized_q) == list(range(n))
-        for i, theta in enumerate(population.thetas.tolist()):
-            value = realized_value(rep.realized_q[i], theta, params)
+        assert sorted(zetas) == list(range(n))
+        assert node.zetas.tolist() == [zetas[i] for i in range(n)]
+        # Each client's realized gain: its local model's accuracy over the
+        # model the round started from.
+        gains = evaluate_accuracy(node.local_weights, test)
+        for i, (theta, accuracy) in enumerate(zip(population.thetas.tolist(), gains)):
+            value = realized_value(accuracy - node.accuracy, theta, params)
             assert struct.pack("<d", zetas[i]) == struct.pack("<d", value)
 
     def test_scaffold_commits_only_the_aggregated_clients(self):
         # Complete information: all six clients accept, and k = 2 are aggregated.
         thetas = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-        population, test = generate_population(6, thetas, seed=23)
+        population, test = generate_population(thetas, seed=23)
         params = MarketParams(1.0, 2.0, 6, 2, Regime.COMPLETE)
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
-        state = SimulationState(ModelTree(cfg, test, len(population), 1.0, 2.0))
+        state = SimulationState(ModelTree(population, cfg, test, 1.0, 2.0))
         root = state.node
-        rep = run_round(population, params, state)
-        assert len(rep.realized_q) == 6 and len(rep.selected) == 2
+        rep = run_round(state, params.k_select)
+        assert len(rep.epsilons) == 6 and len(rep.selected) == 2
         _, proposed = local_train(root.weights, population, cfg, np.zeros(21), np.zeros((6, 21)))
         # Only the selected clients' rows take a variate: the c_i+ they
         # proposed. The other rows keep the parent's bits, all zero.
@@ -291,13 +302,15 @@ class TestRunRound:
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=4)
         params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
-        state = _fresh_state(config, _model_tree(config, test))
+        state = _fresh_state(config, _model_tree(config, population, test))
         for _ in range(3):
-            rep = run_round(population, params, state)
+            rep = run_round(state, params.k_select)
             # Every accepted client is scored, so every one has a new record.
-            assert set(rep.epsilons) == set(rep.realized_q)
-            for i, eps in rep.epsilons.items():
+            assert rep.epsilons.shape == (len(population),)
+            for i, eps in enumerate(rep.epsilons.tolist()):
                 assert eps == ledger_epsilon(state.ledger, i)
+            with pytest.raises(ValueError, match="read-only"):
+                rep.epsilons[0] = 0.0
 
 
 class TestBanzhafContributions:
@@ -320,42 +333,52 @@ class TestBanzhafContributions:
 
 
 class TestRealizedContribution:
-    """`RoundReport.realized_q`: each accepted client's test-accuracy gain
-    over the global model it started the round from."""
+    """A node's realized contributions: each client's test-accuracy gain
+    over the global model it started the round from (its local model's
+    accuracy minus the node's), whose realized value is the client's zeta."""
 
     def _run(self, rounds, thetas, seed, poisoned=(), **agg):
-        population, test = generate_population(len(thetas), thetas, seed=seed)
+        """The gains of each round's start node, each checked against its
+        zetas, and the reports."""
+        population, test = generate_population(thetas, seed=seed)
         poisoners = np.array(poisoned, dtype=int)
         flips = _flipped_labels(population, PoisonConfig(1.0), seed, poisoners, rounds)
         population = dataclasses.replace(population, poisoners=poisoners, flips=flips)
-        params = MarketParams(1.0, 2.0, len(thetas), 2)
-        state = SimulationState(ModelTree(AggregationConfig(**agg), test, len(thetas), 1.0, 2.0))
-        reports = [run_round(population, params, state) for _ in range(rounds)]
-        return population, test, reports
+        tree = ModelTree(population, AggregationConfig(**agg), test, 1.0, 2.0)
+        state = SimulationState(tree)
+        gains, reports = [], []
+        for _ in range(rounds):
+            node = state.node
+            reports.append(run_round(state, 2))
+            gains.append(np.array(evaluate_accuracy(node.local_weights, test)) - node.accuracy)
+            values = realized_value(gains[-1], population.thetas, tree)
+            assert np.allclose(node.zetas, values, rtol=0.0, atol=1e-15)
+        return population, test, gains, reports
 
     def test_identical_models_contribute_zero(self):
-        _, _, reports = self._run(2, [0.5, 0.8, 1.0], 14, learning_rate=0.0)
-        for rep in reports:
-            assert rep.realized_q == {0: 0.0, 1: 0.0, 2: 0.0}
+        _, _, gains, reports = self._run(2, [0.5, 0.8, 1.0], 14, learning_rate=0.0)
+        for gain, rep in zip(gains, reports):
+            assert gain.tolist() == [0.0, 0.0, 0.0]
+            assert rep.epsilons.tolist() == [0.0, 0.0, 0.0]
 
     def test_is_a_plain_accuracy_difference(self):
         cfg = dict(local_epochs=50, learning_rate=1.0)
-        population, test, (rep,) = self._run(1, [1.0, 1.0], 15, **cfg)
+        population, test, (gain,), _ = self._run(1, [1.0, 1.0], 15, **cfg)
         for i, (x, y) in enumerate(clients_of(population)):
             alone = population_of([x], [y])
             (local,), _ = local_train(init_model().weights, alone, AggregationConfig(**cfg))
             acc, start = evaluate_accuracy(np.stack([local, init_model().weights]), test)
-            assert rep.realized_q[i] == pytest.approx(acc - start, abs=1e-15)
+            assert gain[i] == pytest.approx(acc - start, abs=1e-15)
 
     def test_fully_poisoned_local_model_contributes_negatively(self):
         # Cold start selects clients 0 and 1, so the second round starts
         # from a model trained on clean data only.
-        _, _, reports = self._run(
+        _, _, gains, reports = self._run(
             2, [1.0, 1.0, 1.0], 16, poisoned=(2,), local_epochs=50, learning_rate=1.0
         )
         assert reports[0].selected == [0, 1]
-        for rep in reports:
-            assert rep.realized_q[2] < min(0.0, rep.realized_q[0], rep.realized_q[1])
+        for gain in gains:
+            assert gain[2] < min(0.0, gain[0], gain[1])
 
 
 class TestPoisonedLabels:
@@ -384,10 +407,10 @@ class TestPoisonedLabels:
             assert not np.any(population.flips[j, :, (counts[i] + 7) // 8 :])
         # Complete information: every client accepts, poisoners included.
         params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
-        state = _fresh_state(config, _model_tree(config, test))
+        state = _fresh_state(config, _model_tree(config, population, test))
         for r in range(config.rounds):
-            rep = run_round(population, params, state)
-            assert len(rep.realized_q) == len(population)
+            rep = run_round(state, params.k_select)
+            assert len(rep.epsilons) == len(population)
             for i, (m, honest) in enumerate(zip(counts, population.honest.tolist())):
                 row = state.tree.poisoned_labels[i, 0]
                 expected = population.labels[i, 0, :m]
@@ -398,15 +421,15 @@ class TestPoisonedLabels:
                 assert not np.any(row[m:])
             assert snapshot() == before
         # A whole cell on a tree of its own writes only that tree's buffer.
-        auction._play(config, population, _model_tree(config, test), params)
+        auction._play(config, _model_tree(config, population, test), params.k_select)
         assert snapshot() == before
 
     def test_an_honest_round_needs_no_buffer(self):
         config = small_config()
         population, test = build_population(config, seed=2)
-        state = _fresh_state(config, _model_tree(config, test))
+        state = _fresh_state(config, _model_tree(config, population, test))
         params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
-        run_round(population, params, state)
+        run_round(state, params.k_select)
         assert state.tree.poisoned_labels is None
 
     def test_zero_rounds_draw_no_flips(self):
@@ -461,19 +484,19 @@ def reference_bid_rounds(config, mechanism, k, seed):
 def bid_round(population, rule, target_q, params, seed, round_num):
     """`_bid_round` on the population's costs of `target_q`."""
     thetas = population.thetas.tolist()
-    costs = {i: cost(target_q, theta, params.delta) for i, theta in enumerate(thetas)}
+    costs = [cost(target_q, theta, params.delta) for theta in thetas]
     return _bid_round(costs, rule, target_q, params, seed, round_num)
 
 
 def _equal_theta_population(n, theta=0.5):
-    return generate_population(n, [theta] * n, seed=0)[0]
+    return generate_population([theta] * n, seed=0)[0]
 
 
 def _spied(rule, seen):
     """`rule`, recording the bids it was handed into `seen`."""
 
     def spy(bids, k, seed):
-        seen.update(bids)
+        seen.update(enumerate(bids))
         return rule(bids, k, seed)
 
     return spy
@@ -484,7 +507,7 @@ def _never_below_cost(rule):
     contracted for the target output, and its payment covers its cost of
     it, so its utility is nonnegative."""
     thetas = [0.1, 0.5, 0.9, 1.0]
-    population, _ = generate_population(4, thetas, seed=0)
+    population, _ = generate_population(thetas, seed=0)
     params = MarketParams(1.0, 2.0, 4, 2)
     for r in range(5):
         contracts = bid_round(population, rule, 1.2, params, seed=6, round_num=r)
@@ -583,7 +606,7 @@ class TestBidRound:
 
 class TestPriceFirst:
     def test_lowest_bids_win_and_are_paid(self):
-        assert _cheapest({0: 5.0, 1: 3.0, 2: 7.0}, 2, 0) == [1, 0]
+        assert _cheapest([5.0, 3.0, 7.0], 2, 0) == [1, 0]
         config = small_config(n_clients=10)
         population, _ = build_population(config, 2)
         seen = {}
@@ -599,10 +622,10 @@ class TestPriceFirst:
         assert _server_utility(winners, contracts, params) == sum(1.0 - seen[i] for i in winners)
 
     def test_equal_bids_tie_break_by_id(self):
-        assert _cheapest({2: 2.0, 0: 2.0, 1: 2.0}, 2, 0) == [0, 1]
+        assert _cheapest([2.0, 2.0, 2.0], 2, 0) == [0, 1]
 
     def test_everyone_wins_when_k_equals_population(self):
-        assert sorted(_cheapest({0: 1.0, 1: 2.0, 2: 3.0}, 3, 0)) == [0, 1, 2]
+        assert sorted(_cheapest([1.0, 2.0, 3.0], 3, 0)) == [0, 1, 2]
         population = _equal_theta_population(5)
         contracts = bid_round(population, _cheapest, 1.0, MarketParams(1.0, 2.0, 5, 5), 3, 0)
         assert sorted(contracts) == list(range(5))
@@ -613,7 +636,7 @@ class TestPriceFirst:
 
 class TestRandomized:
     def test_seed_determinism(self):
-        bids = dict.fromkeys(range(5), 1.0)
+        bids = [1.0] * 5
         assert _uniform(bids, 2, 4) == _uniform(bids, 2, 4)
         population = _equal_theta_population(5)
         params = MarketParams(1.0, 2.0, 5, 2)
@@ -622,7 +645,7 @@ class TestRandomized:
         )
 
     def test_everyone_wins_when_k_equals_population(self):
-        assert sorted(_uniform(dict.fromkeys(range(5), 1.0), 5, 1)) == list(range(5))
+        assert sorted(_uniform([1.0] * 5, 5, 1)) == list(range(5))
         population = _equal_theta_population(5)
         contracts = bid_round(population, _uniform, 1.0, MarketParams(1.0, 2.0, 5, 5), 1, 0)
         assert sorted(contracts) == list(range(5))
@@ -631,7 +654,7 @@ class TestRandomized:
         _never_below_cost(_uniform)
 
     def test_uniform_win_frequency(self):
-        bids = dict.fromkeys(range(5), 1.0)
+        bids = [1.0] * 5
         wins = np.zeros(5)
         trials = 2000
         for seed in range(trials):
@@ -724,6 +747,19 @@ class TestExperimentHarness:
         regimes = [auction.MECHANISMS[m] for m in config.mechanisms_ours()]
         assert solved == [r for _ in config.seeds for r in regimes for _ in range(config.n_clients)]
 
+    def test_every_table_value_is_a_builtin_scalar(self):
+        # The oracle compares tables with `==`, which a numpy scalar passes
+        # (np.float64(0.5) == 0.5), but the CSV writer would write its repr,
+        # `np.float64(0.5)`, instead of the number.
+        config = small_config(
+            rounds=2, poison_count=2, tamper_alphas=[0.5], tamper_betas=[2.0],
+            ledger_modes=["chained", "vulnerable"],
+        )
+        tables = run_tables(config)
+        assert all(tables)
+        types = {type(v) for table in tables for row in table for v in row.values()}
+        assert types <= {int, float, str, type(None)}, types
+
     def test_zero_rounds_yields_empty_outputs(self):
         config = small_config(rounds=0)
         assert run_tables(config) == ([], [], [], [])
@@ -814,14 +850,14 @@ def reference_tables(config, played=None):
         params = market(k, mechanism)
         contracts = {i: solve(theta, params) for i, theta in enumerate(population.thetas.tolist())}
         state = SimulationState(
-            ModelTree(agg, test, config.n_clients, config.lam, config.delta),
+            ModelTree(population, agg, test, config.lam, config.delta),
             ledger=stores[mode](),
             rep_params=ReputationParams(config.w1, config.w2),
             trust_policy=config.trust_policy,
         )
         reports, utilities = [], []
         for _ in range(config.rounds):
-            rep = run_round(population, params, state)
+            rep = run_round(state, k)
             reports.append(rep)
             utilities.append(
                 sum(server_utility_per_client(contracts[i], params) for i in rep.selected)
@@ -894,7 +930,7 @@ def counting_run_round(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1].regime)
+        calls.append(args[1])
         return run_round(*args, **kwargs)
 
     monkeypatch.setattr(auction, "run_round", counted)
@@ -925,8 +961,8 @@ class TestSharedTrajectory:
             population, test = build_population(config, seed)
             offers = auction._offers(config, population, False)
             for k in config.k_values:
-                tree = _model_tree(config, test)
-                shared = auction._ours_cells(config, k, seed, population, tree, offers)
+                tree = _model_tree(config, population, test)
+                shared = auction._ours_cells(config, k, seed, tree, offers)
                 alone = {
                     m: [r for r in reference if (r["k"], r["mechanism"], r["seed"]) == (k, m, seed)]
                     for m in config.mechanisms_ours()
@@ -979,8 +1015,9 @@ class TestSharedTrajectory:
         config = small_config(seeds=[0])
         calls = counting_run_round(monkeypatch)
         run_tables(config)
-        # The grid's one shared trajectory, then the reputation trace's cell.
-        assert calls == [Regime.COMPLETE] * config.rounds * 2
+        # The grid's one shared trajectory, then the reputation trace's cell,
+        # each at the config's one k.
+        assert calls == [4] * config.rounds * 2
 
     def test_an_offer_below_participation_stops_the_run(self, monkeypatch, tmp_path):
         config = small_config(seeds=[0], poison_count=2, output_dir=str(tmp_path / "out"))
@@ -1090,37 +1127,36 @@ class TestModelTree:
     def test_the_trace_cell_trains_nothing(self, monkeypatch):
         config = small_config(**self.CONFIG)
         population, test = build_population(config, 1)
-        tree = _model_tree(config, test)
+        tree = _model_tree(config, population, test)
         offers = auction._offers(config, population, True)
         bids = auction._bid_costs(config, population, offers[Regime.COMPLETE])
-        auction._grid_cells(config, 1, population, tree, offers, bids)
+        auction._grid_cells(config, 1, tree, offers, bids)
         calls = _local_train_calls(monkeypatch)
-        assert auction._trace_rows(config, population, tree)
+        assert auction._trace_rows(config, tree)
         assert calls == []
 
     def test_the_trace_cell_scores_nothing(self, monkeypatch):
         config = small_config(**self.CONFIG)
         population, test = build_population(config, 1)
-        tree = _model_tree(config, test)
+        tree = _model_tree(config, population, test)
         offers = auction._offers(config, population, True)
         bids = auction._bid_costs(config, population, offers[Regime.COMPLETE])
         scored = []
         monkeypatch.setattr(
             auction, "banzhaf_exact", lambda *args: scored.append(args) or banzhaf_exact(*args)
         )
-        auction._grid_cells(config, 1, population, tree, offers, bids)
+        auction._grid_cells(config, 1, tree, offers, bids)
         assert scored
         scored.clear()
-        assert auction._trace_rows(config, population, tree)
+        assert auction._trace_rows(config, tree)
         assert scored == []
 
     def test_a_new_selection_from_a_known_node_evaluates_one_row(self, monkeypatch):
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=3)
-        tree = _model_tree(config, test)
-        wide, narrow = MarketParams(1.0, 2.0, 8, 4), MarketParams(1.0, 2.0, 8, 2)
+        tree = _model_tree(config, population, test)
         first = _fresh_state(config, tree)
-        run_round(population, wide, first)
+        run_round(first, 4)
         evaluated = []
 
         def counted(weights, data):
@@ -1130,7 +1166,7 @@ class TestModelTree:
         monkeypatch.setattr(auction, "evaluate_accuracy", counted)
         calls = _local_train_calls(monkeypatch)
         second = _fresh_state(config, tree)
-        rep = run_round(population, narrow, second)
+        rep = run_round(second, 2)
         # The root is known, so the second cell's new selection is
         # aggregated from its stored local models and only the new global
         # model is evaluated.
@@ -1138,27 +1174,26 @@ class TestModelTree:
         assert calls == [] and len(evaluated) == 1
         assert evaluated[0].tobytes() == second.node.weights[None].tobytes()
         # It plays exactly as a cell on a tree of its own.
-        alone = _fresh_state(config, _model_tree(config, test))
-        assert run_round(population, narrow, alone) == rep
+        alone = _fresh_state(config, _model_tree(config, population, test))
+        assert played([run_round(alone, 2)]) == played([rep])
         assert alone.node.weights.tobytes() == second.node.weights.tobytes()
         # A third cell repeating the selection evaluates nothing new.
         evaluated.clear()
         third = _fresh_state(config, tree)
-        assert run_round(population, narrow, third) == rep
+        assert played([run_round(third, 2)]) == played([rep])
         assert third.node is second.node and evaluated == [] and len(calls) == 1
 
     def test_nodes_are_read_only(self):
         config = small_config(aggregation=Aggregator.SCAFFOLD, poison_count=2)
         population, test = build_population(config, seed=3)
-        tree = _model_tree(config, test)
+        tree = _model_tree(config, population, test)
         state = _fresh_state(config, tree)
-        params = MarketParams(1.0, 2.0, 8, 4)
-        first, second = (run_round(population, params, state).selected for _ in range(2))
+        first, second = (run_round(state, 4).selected for _ in range(2))
         (child,) = tree.root.children.values()
         for node in (tree.root, child, state.node):
             arrays = [node.weights, node.server_variate, node.variates]
             if node is not state.node:  # a node whose round was played
-                arrays += [node.local_weights, node.local_variates, node.local_accuracies]
+                arrays += [node.local_weights, node.local_variates, node.zetas]
             for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1.0
@@ -1212,10 +1247,9 @@ class TestModelTree:
     def test_a_lone_state_has_a_root_of_its_own(self):
         config = small_config()
         population, test = build_population(config, seed=3)
-        a, b = (_fresh_state(config, _model_tree(config, test)) for _ in range(2))
+        a, b = (_fresh_state(config, _model_tree(config, population, test)) for _ in range(2))
         assert a.node is not b.node
-        params = MarketParams(1.0, 2.0, 8, 4)
-        assert run_round(population, params, a) == run_round(population, params, b)
+        assert played([run_round(a, 4)]) == played([run_round(b, 4)])
         assert a.node is not b.node
 
 
@@ -1226,42 +1260,32 @@ class TestNodeScoring:
     def test_cells_with_different_k_append_one_nodes_zetas(self, monkeypatch):
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=3)
-        tree = _model_tree(config, test)
+        tree = _model_tree(config, population, test)
         scored = []
         monkeypatch.setattr(
             auction, "banzhaf_exact", lambda *args: scored.append(args) or banzhaf_exact(*args)
         )
         wide, narrow = (_fresh_state(config, tree) for _ in range(2))
-        run_round(population, MarketParams(1.0, 2.0, 8, 4), wide)
-        run_round(population, MarketParams(1.0, 2.0, 8, 2), narrow)
+        run_round(wide, 4)
+        run_round(narrow, 2)
         # Both rounds start at the root, which the first one scored.
         assert wide.node is not narrow.node and len(scored) == 1
         appended = (np.array([r.zeta for r in s.ledger.records]) for s in (wide, narrow))
         assert next(appended).tobytes() == next(appended).tobytes() == tree.root.zetas.tobytes()
         # Each cell updates its own reputations from them.
-        alone = _fresh_state(config, _model_tree(config, test))
-        run_round(population, MarketParams(1.0, 2.0, 8, 2), alone)
+        alone = _fresh_state(config, _model_tree(config, population, test))
+        run_round(alone, 2)
         assert alone.ledger.records == narrow.ledger.records
 
     def test_zetas_are_read_only(self):
         config = small_config()
         population, test = build_population(config, seed=3)
-        tree = _model_tree(config, test)
+        tree = _model_tree(config, population, test)
         assert tree.root.zetas is None
-        run_round(population, MarketParams(1.0, 2.0, 8, 4), _fresh_state(config, tree))
+        run_round(_fresh_state(config, tree), 4)
         assert tree.root.zetas.shape == (8,)
         with pytest.raises(ValueError, match="read-only"):
             tree.root.zetas[0] = 1.0
-
-    @pytest.mark.parametrize("lam, delta", [(1.3, 2.0), (1.0, 3.0)])
-    def test_a_market_other_than_the_trees_raises(self, lam, delta):
-        config = small_config()
-        population, test = build_population(config, seed=3)
-        state = _fresh_state(config, _model_tree(config, test))
-        with pytest.raises(ValueError, match="not its tree's"):
-            run_round(population, MarketParams(lam, delta, 8, 4), state)
-        assert state.round == 0 and state.ledger.records == []
-        assert state.tree.root.zetas is None
 
 
 class TestMechanismTable:
@@ -1282,8 +1306,8 @@ class TestMechanismTable:
             params = MarketParams(config.lam, config.delta, config.n_clients, 4, row)
             thetas = population.thetas.tolist()
             contracts = {i: solve(theta, params) for i, theta in enumerate(thetas)}
-            state = _fresh_state(config, _model_tree(config, test))
-            selected = run_round(population, params, state).selected
+            state = _fresh_state(config, _model_tree(config, population, test))
+            selected = run_round(state, params.k_select).selected
             assert rows[0]["server_utility"] == _server_utility(selected, contracts, params)
             assert 0.0 <= rows[0]["accuracy"] <= 1.0
         else:

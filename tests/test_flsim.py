@@ -78,7 +78,7 @@ class TestGeneratePopulation:
     def test_population_is_the_reference_draw(self, thetas, seed):
         """Every client's design and labels, and the test set, are the bits
         of the generator that drew each client alone with `rng.normal`."""
-        population, test = generate_population(len(thetas), thetas, seed)
+        population, test = generate_population(thetas, seed)
         clients, (test_design, test_labels, _) = reference_draws(thetas, seed)
         assert population.thetas.tolist() == thetas
         assert population.counts.tolist() == [len(d) for d, _, _ in clients]
@@ -89,20 +89,20 @@ class TestGeneratePopulation:
         assert test.labels.tobytes() == (test_labels == 1).tobytes()
 
     def test_top_types_get_noise_free_data(self):
-        population, _ = generate_population(3, [1.0, 1.0, 1.0], seed=7)
+        population, _ = generate_population([1.0, 1.0, 1.0], seed=7)
         clients, _ = reference_draws([1.0, 1.0, 1.0], 7)
         for (_, labels), (_, _, true_labels) in zip(clients_of(population), clients):
             assert np.array_equal(labels, true_labels)
 
     def test_deterministic(self):
-        a, test_a = generate_population(3, [0.2, 0.5, 0.9], seed=11)
-        b, test_b = generate_population(3, [0.2, 0.5, 0.9], seed=11)
+        a, test_a = generate_population([0.2, 0.5, 0.9], seed=11)
+        b, test_b = generate_population([0.2, 0.5, 0.9], seed=11)
         for x, y in ((a, b), (test_a, test_b)):
             assert np.array_equal(x.design, y.design)
             assert np.array_equal(x.labels, y.labels)
 
     def test_noise_rate_tracks_theta(self):
-        population, _ = generate_population(2, [0.0, 1.0], seed=1)
+        population, _ = generate_population([0.0, 1.0], seed=1)
         clients, _ = reference_draws([0.0, 1.0], 1)
         noise = [
             np.mean(labels != true_labels)
@@ -111,15 +111,17 @@ class TestGeneratePopulation:
         assert noise[0] > noise[1]
 
     def test_sample_counts_scale_with_theta(self):
-        population, _ = generate_population(2, [0.0, 1.0], seed=3)
+        population, _ = generate_population([0.0, 1.0], seed=3)
         assert population.counts.tolist() == [200, 400]
 
     def test_empty_population_rejected(self):
-        with pytest.raises(ValueError):
-            generate_population(0, [], seed=0)
+        # The count is len(thetas), and an empty one is named, not left to
+        # numpy's zero-size reduction.
+        with pytest.raises(ValueError, match="at least one client: thetas is empty"):
+            generate_population([], 0)
 
     def test_test_set_is_clean(self):
-        _, test = generate_population(1, [0.5], seed=5)
+        _, test = generate_population([0.5], seed=5)
         _, (_, _, true_labels) = reference_draws([0.5], 5)
         assert np.array_equal(test.labels, true_labels)
 
@@ -129,7 +131,7 @@ class TestLocalTrain:
         return population_of([np.array([[1.0, -2.0, 1.0]])], [np.array([1])])
 
     def test_zero_learning_rate_is_identity(self):
-        population, _ = generate_population(1, [0.8], seed=2)
+        population, _ = generate_population([0.8], seed=2)
         cfg = AggregationConfig(learning_rate=0.0)
         weights = np.arange(21, dtype=float)
         out, _ = local_train(weights, population, cfg)
@@ -145,7 +147,7 @@ class TestLocalTrain:
         assert np.allclose(out[0], w0 - 0.3 * grad, atol=1e-12)
 
     def test_fedprox_pull_strengthens_with_mu(self):
-        population, _ = generate_population(1, [0.9], seed=4)
+        population, _ = generate_population([0.9], seed=4)
         w_global = init_model().weights
         dists = []
         for mu in (0.1, 1.0, 10.0):
@@ -162,7 +164,7 @@ class TestLocalTrain:
 
     def test_diverged_weights_raise_naming_the_clients(self):
         # FedProx steps multiply w - w_global by (1 - lr * mu) = -9 per epoch.
-        population, _ = generate_population(3, [0.3, 0.6, 1.0], seed=5)
+        population, _ = generate_population([0.3, 0.6, 1.0], seed=5)
         cfg = AggregationConfig(
             algo=Aggregator.FEDPROX, local_epochs=400, learning_rate=10.0, prox_mu=1.0
         )
@@ -174,7 +176,7 @@ class TestLocalTrain:
                 local_train(nan_start, population, AggregationConfig())
 
     def test_scaffold_updates_control_variates(self):
-        population, _ = generate_population(1, [0.9], seed=6)
+        population, _ = generate_population([0.9], seed=6)
         cfg = AggregationConfig(algo=Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.1)
         weights = init_model().weights
         server_variate, variates = np.zeros(len(weights)), np.zeros((1, len(weights)))
@@ -345,7 +347,7 @@ def mixed_clients(dim):
     """
     flip = PoisonConfig(0.8)
     if dim == 20:
-        population, _ = generate_population(4, [0.0, 0.4, 0.7, 1.0], seed=21)
+        population, _ = generate_population([0.0, 0.4, 0.7, 1.0], seed=21)
         labels = population.labels.copy()
         m = population.counts[1]
         poison(population.labels[1, 0, :m], flip, 3, labels[1, 0, :m])
@@ -445,7 +447,7 @@ class TestBatchedTrain:
 
 class TestDesignBlock:
     def test_population_rows_share_one_zero_padded_block(self):
-        population, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
+        population, test = generate_population([0.0, 1.0, 0.5], seed=19)
         block, label_block = population.design, population.labels
         assert block.shape == (3, 21, 400)
         assert label_block.shape == (3, 1, 400) and label_block.dtype == float
@@ -459,7 +461,7 @@ class TestDesignBlock:
         """The population trains on its blocks as they are, with no copy of
         the design block, and labels standing in for its own train exactly as
         a population holding them would."""
-        population, test = generate_population(3, [0.0, 1.0, 0.5], seed=19)
+        population, test = generate_population([0.0, 1.0, 0.5], seed=19)
         cfg = AggregationConfig(local_epochs=3)
         weights = init_model().weights
         tracemalloc.start()
@@ -486,7 +488,7 @@ class TestDesignBlock:
         assert np.array_equal(test.labels, true_labels)
 
     def test_population_is_read_only(self):
-        population, _ = generate_population(3, [0.0, 1.0, 0.5], seed=19)
+        population, _ = generate_population([0.0, 1.0, 0.5], seed=19)
         for array in (population.thetas, population.counts, population.design,
                       population.labels, population.poisoners, population.flips):
             with pytest.raises(ValueError, match="read-only"):
@@ -532,20 +534,20 @@ def accuracy_oracle(w, test):
 
 class TestEvaluateAccuracy:
     def test_bayes_direction_scores_high_on_own_data(self):
-        population, test = generate_population(1, [1.0], seed=9)
+        population, test = generate_population([1.0], seed=9)
         # Logistic fit on clean data separates the Gaussian mixture well.
         cfg = AggregationConfig(local_epochs=200, learning_rate=1.0)
         weights, _ = local_train(init_model().weights, population, cfg)
         assert evaluate_accuracy(weights, test)[0] > 0.9
 
     def test_zero_model_predicts_majority_class_zero(self):
-        _, test = generate_population(1, [1.0], seed=10)
+        _, test = generate_population([1.0], seed=10)
         (acc,) = evaluate_accuracy(init_model().weights[None], test)
         assert acc == pytest.approx(np.mean(test.labels == 0), abs=1e-15)
         assert 0.45 < acc < 0.55
 
     def test_returns_a_builtin_float_equal_to_the_mean(self):
-        population, test = generate_population(2, [0.6, 0.9], seed=12)
+        population, test = generate_population([0.6, 0.9], seed=12)
         cfg = AggregationConfig(local_epochs=3)
         weights, _ = local_train(init_model().weights, population, cfg)
         accs = evaluate_accuracy(weights, test)
@@ -556,7 +558,7 @@ class TestEvaluateAccuracy:
             assert acc == np.mean((test.design.T @ w > 0.0).astype(int) == test.labels)
 
     def test_inverted_labels_complement_accuracy(self):
-        population, test = generate_population(1, [1.0], seed=12)
+        population, test = generate_population([1.0], seed=12)
         cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
         weights, _ = local_train(init_model().weights, population, cfg)
         flipped = dataclasses.replace(test, labels=~test.labels)
@@ -564,7 +566,7 @@ class TestEvaluateAccuracy:
         assert acc + acc_flipped == pytest.approx(1.0, abs=1e-12)
 
     def test_bounds(self):
-        _, test = generate_population(1, [0.3], seed=13)
+        _, test = generate_population([0.3], seed=13)
         models = np.stack([np.full(21, scale) for scale in (-5.0, 0.0, 5.0)])
         for acc in evaluate_accuracy(models, test):
             assert 0.0 <= acc <= 1.0
@@ -580,7 +582,7 @@ class TestEvaluateAccuracy:
         """Each row scores what the one-model product scores, across the
         products of EVAL_ROWS rows; an all-zero row has every logit at 0,
         so it predicts class 0 everywhere."""
-        _, test = generate_population(1, [0.5], seed=31)
+        _, test = generate_population([0.5], seed=31)
         weights = scale * np.random.default_rng(seed).normal(size=(m, 21))
         zero = [i for i in zero_rows if i < m]
         weights[zero] = 0.0
@@ -593,7 +595,7 @@ class TestEvaluateAccuracy:
 class TestPoison:
     def _labels(self):
         """A generated client's clean labels."""
-        population, _ = generate_population(1, [1.0], seed=17)
+        population, _ = generate_population([1.0], seed=17)
         return population.labels[0, 0, : population.counts[0]]
 
     def test_zero_rate_is_identity(self):
@@ -642,7 +644,7 @@ class TestTrainingSignal:
     def test_honest_federated_rounds_reach_high_accuracy(self):
         # Fixture seed: 5 honest clients, 20 FedAvg rounds.
         thetas = [1.0] * 5
-        population, test = generate_population(5, thetas, seed=42)
+        population, test = generate_population(thetas, seed=42)
         clients = [population_of([x], [y]) for x, y in clients_of(population)]
         cfg = AggregationConfig(algo=Aggregator.FEDAVG, local_epochs=5, learning_rate=0.5)
         model = init_model()

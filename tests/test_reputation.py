@@ -413,6 +413,22 @@ class TestUpdateReputation:
         params = ReputationParams(w1, 1.0 - w1)
         assert update_reputation(x, x, params) == pytest.approx(x, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=40
+        ),
+        w1=st.floats(0.0, 1.0),
+    )
+    def test_arrays_step_with_the_scalar_bits(self, pairs, w1):
+        # A round updates every client in one call on its arrays; the
+        # multiply and the add each round as the one-client step does.
+        params = ReputationParams(w1, 1.0 - w1)
+        eps, zetas = np.array(pairs).T
+        stepped = update_reputation(eps, zetas, params)
+        expected = [update_reputation(e, z, params) for e, z in pairs]
+        assert stepped.tobytes() == np.array(expected).tobytes()
+
     @settings(max_examples=50)
     @given(
         eps0=st.floats(-1, 1),
@@ -435,22 +451,22 @@ class TestUpdateReputation:
 
 class TestSelectTopK:
     def test_selects_highest_reputation(self):
-        assert select_top_k({0: 0.9, 1: 0.1, 2: 0.5}, 2) == [0, 2]
+        assert select_top_k([0.9, 0.1, 0.5], 2) == [0, 2]
 
     def test_id_tie_break(self):
-        assert select_top_k({0: 0.3, 1: 0.3, 2: 0.3}, 2) == [0, 1]
+        assert select_top_k([0.3, 0.3, 0.3], 2) == [0, 1]
 
     def test_full_population_sorted_by_reputation(self):
-        assert select_top_k({0: 0.1, 1: 0.7, 2: 0.4}, 3) == [1, 2, 0]
+        assert select_top_k([0.1, 0.7, 0.4], 3) == [1, 2, 0]
 
     def test_k_exceeding_population_rejected(self):
         with pytest.raises(ValueError):
-            select_top_k({0: 0.0}, 2)
+            select_top_k([0.0], 2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
-        eps = {i: float(v) for i, v in enumerate(rng.normal(size=20))}
-        a = select_top_k(dict(eps), 7)
-        b = select_top_k(dict(eps), 7)
+        eps = rng.normal(size=20).tolist()
+        a = select_top_k(list(eps), 7)
+        b = select_top_k(list(eps), 7)
         assert a == b
 

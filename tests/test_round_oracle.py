@@ -39,7 +39,6 @@ from flmarket.auction import (
 from flmarket.config import ExperimentConfig
 from flmarket.flsim import AggregationConfig, Aggregator
 from flmarket.ledger import TamperConfig, tamper_attack
-from flmarket.mechanism import MarketParams
 
 TOL = 1e-12
 
@@ -147,6 +146,16 @@ def banzhaf(values):
     return zetas
 
 
+def realized(cell, accuracies, start):
+    """Each client's realized value, lam * q - q^2 / (1 + delta * theta),
+    of its accuracy gain q over `start`."""
+    values = []
+    for (theta, *_), acc in zip(cell.clients, accuracies):
+        q = acc - start
+        values.append(cell.lam * q - q * q / (1.0 + cell.delta * theta))
+    return values
+
+
 def reference_round(cell, rnd):
     """Play round `rnd` of `cell` and return what it played: the selection,
     the start accuracy, each client's local weights, proposed variate and
@@ -175,11 +184,7 @@ def reference_round(cell, rnd):
         for i in selected:
             cell.variates[i] = proposed[i]
     local_acc = [accuracy(w, cell.test) for w in local]
-    values = []
-    for (theta, *_), acc in zip(cell.clients, local_acc):
-        q = acc - start
-        values.append(cell.lam * q - q * q / (1.0 + cell.delta * theta))
-    zetas = banzhaf(values)
+    zetas = banzhaf(realized(cell, local_acc, start))
     epsilons = [cell.w1 * e + cell.w2 * z for e, z in zip(eps_prev, zetas)]
     for i in range(n):
         cell.append(rnd, i, zetas[i], epsilons[i])
@@ -229,8 +234,7 @@ class TestRoundOracle:
         config, mode, tampered, tamper = case
         seed, k, n = config.seeds[0], config.k_values[0], config.n_clients
         population, test = build_population(config, seed)
-        state = _fresh_state(config, _model_tree(config, test), mode)
-        params = MarketParams(config.lam, config.delta, n, k)
+        state = _fresh_state(config, _model_tree(config, population, test), mode)
         cell = ReferenceCell(
             client_data(population), held_out(test),
             AggregationConfig(config.aggregation, config.local_epochs, config.learning_rate,
@@ -240,20 +244,22 @@ class TestRoundOracle:
         )
         for rnd in range(config.rounds):
             node, start = state.node, len(state.ledger.records)
-            rep = run_round(population, params, state)
+            rep = run_round(state, k)
             ref = reference_round(cell, rnd)
             assert rep.selected == ref["selected"]
             assert rep.round == rnd
             assert math.isclose(node.accuracy, ref["start"], rel_tol=0.0, abs_tol=TOL)
             assert close(node.local_weights, ref["local"])
-            assert close(node.local_accuracies, ref["local_acc"])
+            local_acc = [accuracy(w, cell.test) for w in node.local_weights]
+            assert close(local_acc, ref["local_acc"])
             assert close(state.node.weights, ref["merged"])
             assert math.isclose(rep.accuracy_global, ref["accuracy"], rel_tol=0.0, abs_tol=TOL)
-            assert close([rep.realized_q[i] for i in range(n)],
-                         [a - ref["start"] for a in ref["local_acc"]])
+            # Each client's zeta values its local model's gain over the
+            # node the round started from.
+            assert close(node.zetas, realized(cell, local_acc, node.accuracy))
             assert close(node.zetas, ref["zetas"])
-            assert sorted(rep.epsilons) == list(range(n))
-            assert close([rep.epsilons[i] for i in range(n)], ref["epsilons"])
+            assert rep.epsilons.shape == (n,)
+            assert close(rep.epsilons, ref["epsilons"])
             assert close(state.node.server_variate, cell.server_variate)
             assert close(state.node.variates, cell.variates)
             # The round's records: fields in order, and on the chain each

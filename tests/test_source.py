@@ -202,6 +202,23 @@ def _auction_functions():
     return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
+def test_the_play_path_takes_no_population_or_market():
+    # A round reads its population from its tree and only k of a market, so
+    # neither a second population nor another lambda and delta than the
+    # tree scored under can reach it.
+    functions = _auction_functions()
+    annotated = sorted(
+        f"{name}({arg.arg}: {ast.unparse(arg.annotation)})"
+        for name in ("run_round", "_child", "_round_labels", "_play")
+        for arg in (*functions[name].args.posonlyargs, *functions[name].args.args,
+                    *functions[name].args.kwonlyargs)
+        if arg.annotation is not None
+        and {"Population", "MarketParams"}
+        & {node.id for node in ast.walk(arg.annotation) if isinstance(node, ast.Name)}
+    )
+    assert annotated == [], f"play-path parameters of a population or market: {annotated}"
+
+
 def test_rounds_do_no_per_cell_work():
     # A cell's offer and a poisoner's flipped labels are fixed for the whole
     # cell, so run_round, and every auction function it reaches, neither
