@@ -16,13 +16,14 @@ round. One trajectory per (seed, k) is played, and each `ours-*` mechanism
 prices it with its own contracts.
 
 A seed's population is fixed for a whole run, and so are its poisoners'
-flipped labels: `build_population` draws every round's flips once, and one
-pass over the seeds (`run_tables`) runs each seed's grid cells, reputation
-trace and tamper cells on that one population, under its one set of offers.
+flipped labels: `build_population` draws every round's flips once into the
+population (`Population.with_poisoners`), and one pass over the seeds
+(`run_tables`) runs each seed's grid cells, reputation trace and tamper
+cells on that one population, under its one set of offers.
 
 Given the seed, the model a round starts from is fixed by the sequence of
 ordered selections aggregated so far, and so are its accuracy, the Scaffold
-variates, the round's poisoned labels and the local models trained from it.
+variates and the local models trained from it on the round's labels.
 So a seed's cells play their rounds on one `ModelTree` keyed by that
 history, and each node's training, evaluation and Banzhaf scoring is done
 once, by the first cell to reach it; every cell keeps its own ledger,
@@ -41,7 +42,8 @@ from __future__ import annotations
 
 import statistics
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +60,6 @@ from .flsim import (
     generate_population,
     init_model,
     local_train,
-    poison,
 )
 from .ledger import (
     STORES,
@@ -175,11 +176,8 @@ class ModelTree:
     for each client of the population), with all that fixes the nodes'
     content: the population, the training hyperparameters, the held-out
     test set, and the market's lambda and delta, which value the realized
-    contributions a node scores (`realized_value`). It also holds the one
-    label buffer the population's poisoners' flipped labels are written
-    into (`_round_labels`): a copy of the population's label block, made by
-    the first round trained with a poisoner. `run_tables` makes one tree per
-    seed (`_model_tree`)."""
+    contributions a node scores (`realized_value`). `run_tables` makes one
+    tree per seed (`_model_tree`)."""
 
     population: Population
     agg: AggregationConfig
@@ -187,7 +185,6 @@ class ModelTree:
     lam: float
     delta: float
     root: ModelNode = field(init=False)
-    poisoned_labels: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         weights = _frozen(init_model().weights)
@@ -279,40 +276,6 @@ def _banzhaf_contributions(values: np.ndarray) -> np.ndarray:
     return banzhaf_exact(additive_utility(values), len(values))
 
 
-def _flipped_labels(
-    population: Population, cfg: PoisonConfig, seed: int, rows: np.ndarray, rounds: int
-) -> np.ndarray:
-    """The labels the clients in `rows` train on in rounds 0..rounds-1,
-    bit-packed into a (len(rows), rounds, ceil(m_max / 8)) uint8 array,
-    zero-padded: entry (j, r) packs `poison` of client rows[j]'s clean
-    labels under the `_mix(seed, r, rows[j])` draws."""
-    packed = np.zeros((len(rows), rounds, (population.labels.shape[2] + 7) // 8), np.uint8)
-    for j, i in enumerate(rows.tolist()):
-        clean = population.labels[i, 0, : population.counts[i]]
-        flipped = np.empty(len(clean), dtype=bool)
-        for r in range(rounds):
-            packed[j, r, : (len(clean) + 7) // 8] = np.packbits(
-                poison(clean, cfg, _mix(seed, r, i), flipped)
-            )
-    return packed
-
-
-def _round_labels(tree: ModelTree, round_num: int) -> np.ndarray | None:
-    """The label block the tree's population trains on in round
-    `round_num`: None (its own) if no client is a poisoner, else
-    `tree.poisoned_labels` with the poisoners' rows overwritten by their
-    flipped labels of the round. The population is not changed."""
-    population = tree.population
-    if not len(population.poisoners):
-        return None
-    if tree.poisoned_labels is None:
-        tree.poisoned_labels = population.labels.copy()
-    tree.poisoned_labels[population.poisoners, 0] = np.unpackbits(
-        population.flips[:, round_num], axis=1, count=population.labels.shape[2]
-    )
-    return tree.poisoned_labels
-
-
 def _offer(population: Population, params: MarketParams) -> list[Contract]:
     """Each client's contract under the regime of `params`, in population
     order; depends on no round state. Complete information pays exactly the
@@ -349,12 +312,13 @@ def _child(tree: ModelTree, node: ModelNode, selected: list[int], round_num: int
     key is the ordered selection because aggregation and the Scaffold
     variate sum add in that order.
 
-    The first visit to `node` trains every client from its weights,
-    evaluates the local models and the new global model in one evaluation,
-    and scores every client's realized contribution, its local model's
-    accuracy gain over `node`'s. A later visit that selects anew only
-    aggregates its stored local models and evaluates the new global model.
-    A client's rows are read by its id, which is its row in the population.
+    The first visit to `node` trains every client from its weights on its
+    labels of round `round_num`, evaluates the local models and the new
+    global model in one evaluation, and scores every client's realized
+    contribution, its local model's accuracy gain over `node`'s. A later
+    visit that selects anew only aggregates its stored local models and
+    evaluates the new global model. A client's rows are read by its id,
+    which is its row in the population.
     """
     population = tree.population
     key = tuple(selected)
@@ -366,7 +330,7 @@ def _child(tree: ModelTree, node: ModelNode, selected: list[int], round_num: int
     if first_visit:
         local_weights, local_variates = local_train(
             node.weights, population, tree.agg, node.server_variate, node.variates,
-            _round_labels(tree, round_num),
+            round_num=round_num,
         )
         _frozen(local_weights)
         if local_variates is not None:
@@ -414,12 +378,13 @@ def run_round(state: SimulationState, k: int) -> RoundReport:
     (`_child`), which trains, evaluates and scores only what no earlier
     visit to the node has. Every client trains a candidate local model and
     is scored; only the selected top k are aggregated into the global model
-    (and paid, once a mechanism prices the round).
+    (and paid, once a mechanism prices the round). A k above the population
+    size raises `select_top_k`'s ValueError before the state changes.
     """
     node = state.node
     n = len(state.tree.population)
     eps_prev = [ledger_epsilon(state.ledger, i, state.trust_policy) for i in range(n)]
-    selected = select_top_k(eps_prev, min(k, n))
+    selected = select_top_k(eps_prev, k)
     child = _child(state.tree, node, selected, state.round)
     # Row i of the node's zetas is client i's.
     epsilons = _frozen(update_reputation(np.array(eps_prev), node.zetas, state.rep_params))
@@ -464,11 +429,9 @@ def build_population(config, seed: int) -> tuple[Population, HeldOut]:
         + (config.theta_max - config.theta_min) * rng.random(config.n_clients)
     ).tolist()
     population, test = generate_population(thetas, seed)
+    flip = PoisonConfig(config.poison_flip_rate)
     poisoners = np.arange(config.poison_count)
-    flips = _flipped_labels(
-        population, PoisonConfig(config.poison_flip_rate), seed, poisoners, config.rounds
-    )
-    return replace(population, poisoners=poisoners, flips=flips), test
+    return population.with_poisoners(poisoners, flip, config.rounds, partial(_mix, seed)), test
 
 
 def _model_tree(config, population: Population, test: HeldOut) -> ModelTree:

@@ -9,7 +9,8 @@ clients are measurably more valuable to the global model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -41,12 +42,15 @@ class Population:
     biased design matrices, the features plus a last row of ones: the first
     `counts[i]` columns of row i are client i's samples, and its padding is
     all zero, bias included, so it adds nothing to a gradient. `labels` is
-    the (n, 1, m_max) block of float 0/1 labels beside it, zero in the
-    padding. `poisoners` holds the rows of the label-flipping clients, and
-    `flips[j, r]` the labels the client in row `poisoners[j]` trains on in
-    round r, bit-packed (`numpy.packbits` of its `counts` labels, padded
-    with zero bytes to m_max bits). Every array is read-only, since the
-    cells of a seed share the population.
+    the (n, 1, m_max) block of float 0/1 clean labels beside it, zero in
+    the padding. `poisoners` holds the rows of the label-flipping clients,
+    and `flips[j, r]` the labels the client in row `poisoners[j]` trains on
+    in round r, bit-packed (`numpy.packbits` of its `counts` labels, padded
+    with zero bytes to m_max bits): `with_poisoners` packs them, and
+    `round_labels` unpacks a round's. Every array is read-only, since the
+    cells of a seed share the population. A label block of another shape,
+    which numpy would broadcast in training, or flips of other than one row
+    per poisoner raise ValueError naming both shapes.
     """
 
     thetas: np.ndarray  # (n,)
@@ -61,6 +65,14 @@ class Population:
             raise ValueError("a population must hold at least one client")
         if self.counts.min() < 1:
             raise ValueError("every client must hold at least one sample")
+        n, _, m = self.design.shape
+        if self.labels.shape != (n, 1, m):
+            raise ValueError(f"labels must have shape {(n, 1, m)}: got shape {self.labels.shape}")
+        if len(self.flips) != len(self.poisoners):
+            raise ValueError(
+                f"flips must hold one row per poisoner, poisoners of shape "
+                f"{self.poisoners.shape}: got shape {self.flips.shape}"
+            )
         for array in (self.thetas, self.counts, self.design, self.labels, self.poisoners,
                       self.flips):
             array.flags.writeable = False
@@ -74,6 +86,36 @@ class Population:
         mask = np.ones(len(self), dtype=bool)
         mask[self.poisoners] = False
         return mask
+
+    def with_poisoners(
+        self, rows: np.ndarray, cfg: PoisonConfig, rounds: int, seed_of: Callable[[int, int], int]
+    ) -> Population:
+        """This population with the clients in `rows` flipping labels in
+        rounds 0..rounds-1: client i's labels of round r are `poison` of its
+        clean labels under seed `seed_of(r, i)`, drawn here and packed into
+        `flips`."""
+        packed = np.zeros((len(rows), rounds, (self.labels.shape[2] + 7) // 8), np.uint8)
+        for j, i in enumerate(rows.tolist()):
+            clean = self.labels[i, 0, : self.counts[i]]
+            flipped = np.empty(len(clean), dtype=bool)
+            for r in range(rounds):
+                packed[j, r, : (len(clean) + 7) // 8] = np.packbits(
+                    poison(clean, cfg, seed_of(r, i), flipped)
+                )
+        return replace(self, poisoners=rows, flips=packed)
+
+    def round_labels(self, round_num: int) -> np.ndarray:
+        """The (n, 1, m_max) label block the clients train on in round
+        `round_num`: `labels` itself if no client is a poisoner, else a new
+        copy of it with the poisoners' rows unpacked from their flips of the
+        round."""
+        if not len(self.poisoners):
+            return self.labels
+        labels = self.labels.copy()
+        labels[self.poisoners, 0] = np.unpackbits(
+            self.flips[:, round_num], axis=1, count=labels.shape[2]
+        )
+        return labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +208,8 @@ def generate_population(thetas: list[float], seed: int) -> tuple[Population, Hel
 
 def local_train(
     weights: np.ndarray, population: Population, cfg: AggregationConfig,
-    server_variate: np.ndarray | None = None, variates: np.ndarray | None = None,
-    labels: np.ndarray | None = None,
+    server_variate: np.ndarray | None = None, variates: np.ndarray | None = None, *,
+    round_num: int,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run local gradient-descent epochs on logistic loss for every client at once.
 
@@ -181,15 +223,15 @@ def local_train(
     epoch allocates an array. FedProx adds prox_mu * (w - w_global) to the
     gradient. Scaffold corrects each step with (c - c_i), where c is
     `server_variate` and c_i is row i of `variates`, client i's (zeros where
-    either is None). `labels`, if given, stands in for the population's
-    label block (a round's poisoned labels). Every input is only read; committing the
-    variates is the caller's. Returns the (n, d + 1) local weights, row i
-    client i's, and beside them the proposed c_i+ (option II), None unless
-    Scaffold trained with a learning rate above 0; raises
-    FloatingPointError, naming the clients by row, if any trained weight is
-    not finite (a learning rate that diverges), and ValueError, naming both
-    shapes, if `variates` is given in any shape but (n, d + 1) or `labels`
-    in any but the label block's, which numpy would otherwise broadcast.
+    either is None). The clients train on their labels of round
+    `round_num` (`Population.round_labels`), a poisoner's flipped ones. Every
+    input is only read; committing the variates is the caller's. Returns the
+    (n, d + 1) local weights, row i client i's, and beside them the proposed
+    c_i+ (option II), None unless Scaffold trained with a learning rate
+    above 0; raises FloatingPointError, naming the clients by row, if any
+    trained weight is not finite (a learning rate that diverges), and
+    ValueError, naming both shapes, if `variates` is given in any shape but
+    (n, d + 1), which numpy would otherwise broadcast.
 
     The loop keeps the negated weights -w, so the first product gives the
     negated logits -z and sigmoid(z) = 1 / (1 + exp(-z)) needs one clamp,
@@ -199,20 +241,13 @@ def local_train(
     w -= lr * grad, save that a weight of exactly zero may carry the other
     sign.
     """
-    x, y = population.design, population.labels
+    x, y = population.design, population.round_labels(round_num)
     n, dim, rows = x.shape
     if variates is not None and variates.shape != (n, dim):
         raise ValueError(
             f"variates must hold one c_i row of {dim} per client, shape ({n}, {dim}): "
             f"got {variates.shape[0]} rows for {n} clients, shape {variates.shape}"
         )
-    if labels is not None:
-        if labels.shape != y.shape:
-            raise ValueError(
-                f"labels must have the population's label-block shape {y.shape}: "
-                f"got shape {labels.shape}"
-            )
-        y = labels
     counts = population.counts.astype(float)[:, None]
     w_global = weights
     lr = cfg.learning_rate

@@ -25,7 +25,6 @@ from flmarket.auction import (
     _banzhaf_contributions,
     _bid_round,
     _cheapest,
-    _flipped_labels,
     _fresh_state,
     _model_tree,
     _offer,
@@ -173,6 +172,18 @@ class TestRunRound:
             u_in = _server_utility(selected, offer_in, params_in)
             assert u_ci >= u_in - 1e-12
 
+    def test_k_above_the_population_raises_and_changes_nothing(self):
+        # Config validation keeps k <= n. A k that bypasses it is not
+        # clamped: select_top_k names it before the round changes anything.
+        config = small_config()
+        population, test = build_population(config, seed=3)
+        state = _fresh_state(config, _model_tree(config, population, test))
+        run_round(state, 4)
+        node, records = state.node, len(state.ledger.records)
+        with pytest.raises(ValueError, match="cannot select 9 clients from a population of 8"):
+            run_round(state, 9)
+        assert (state.round, state.node, len(state.ledger.records)) == (1, node, records)
+
     def test_empty_population_rejected(self):
         # A round plays a population, which holds at least one client.
         with pytest.raises(ValueError, match="at least one client"):
@@ -201,8 +212,8 @@ class TestRunRound:
             evaluated.append(weights.copy())
             return evaluate_accuracy(weights, data)
 
-        def spied(*args):
-            trained.append(local_train(*args))
+        def spied(*args, **kwargs):
+            trained.append(local_train(*args, **kwargs))
             return trained[-1]
 
         monkeypatch.setattr(auction, "evaluate_accuracy", counted)
@@ -285,7 +296,9 @@ class TestRunRound:
         root = state.node
         rep = run_round(state, params.k_select)
         assert len(rep.epsilons) == 6 and len(rep.selected) == 2
-        _, proposed = local_train(root.weights, population, cfg, np.zeros(21), np.zeros((6, 21)))
+        _, proposed = local_train(
+            root.weights, population, cfg, np.zeros(21), np.zeros((6, 21)), round_num=0
+        )
         # Only the selected clients' rows take a variate: the c_i+ they
         # proposed. The other rows keep the parent's bits, all zero.
         variates = state.node.variates
@@ -341,9 +354,10 @@ class TestRealizedContribution:
         """The gains of each round's start node, each checked against its
         zetas, and the reports."""
         population, test = generate_population(thetas, seed=seed)
-        poisoners = np.array(poisoned, dtype=int)
-        flips = _flipped_labels(population, PoisonConfig(1.0), seed, poisoners, rounds)
-        population = dataclasses.replace(population, poisoners=poisoners, flips=flips)
+        population = population.with_poisoners(
+            np.array(poisoned, dtype=int), PoisonConfig(1.0), rounds,
+            lambda r, i: auction._mix(seed, r, i),
+        )
         tree = ModelTree(population, AggregationConfig(**agg), test, 1.0, 2.0)
         state = SimulationState(tree)
         gains, reports = [], []
@@ -366,7 +380,9 @@ class TestRealizedContribution:
         population, test, (gain,), _ = self._run(1, [1.0, 1.0], 15, **cfg)
         for i, (x, y) in enumerate(clients_of(population)):
             alone = population_of([x], [y])
-            (local,), _ = local_train(init_model().weights, alone, AggregationConfig(**cfg))
+            (local,), _ = local_train(
+                init_model().weights, alone, AggregationConfig(**cfg), round_num=0
+            )
             acc, start = evaluate_accuracy(np.stack([local, init_model().weights]), test)
             assert gain[i] == pytest.approx(acc - start, abs=1e-15)
 
@@ -383,8 +399,8 @@ class TestRealizedContribution:
 
 class TestPoisonedLabels:
     """A poisoner's flipped labels are drawn for every round when its
-    population is built, and each round that trains writes its row into its
-    tree's label buffer; the population's blocks are never written."""
+    population is built, and each round trains on a label block of its own
+    (`Population.round_labels`); the population's blocks are never written."""
 
     def test_buffer_rows_are_the_flips_and_the_population_is_unchanged(self):
         config = small_config(poison_count=3, poison_flip_rate=0.8, rounds=4)
@@ -411,8 +427,10 @@ class TestPoisonedLabels:
         for r in range(config.rounds):
             rep = run_round(state, params.k_select)
             assert len(rep.epsilons) == len(population)
+            labels = population.round_labels(r)
+            assert labels.shape == population.labels.shape
             for i, (m, honest) in enumerate(zip(counts, population.honest.tolist())):
-                row = state.tree.poisoned_labels[i, 0]
+                row = labels[i, 0]
                 expected = population.labels[i, 0, :m]
                 if not honest:
                     flips = np.random.default_rng(auction._mix(seed, r, i)).random(m) < 0.8
@@ -420,17 +438,41 @@ class TestPoisonedLabels:
                 assert row[:m].tobytes() == expected.tobytes()
                 assert not np.any(row[m:])
             assert snapshot() == before
-        # A whole cell on a tree of its own writes only that tree's buffer.
+        # A whole cell on a tree of its own writes nothing of the population.
         auction._play(config, _model_tree(config, population, test), params.k_select)
         assert snapshot() == before
 
+    def test_rounds_train_on_their_own_labels(self, monkeypatch):
+        """Each round trains with its own round index, so on its own
+        labels, and a round's labels keep their values once a later round's
+        are made: no round's block is written over by the next."""
+        config = small_config(poison_count=3, poison_flip_rate=0.8, rounds=4)
+        population, test = build_population(config, seed=6)
+        blocks = [population.round_labels(r) for r in range(config.rounds)]
+        kept = [block.tobytes() for block in blocks]
+        assert len(set(kept)) == config.rounds
+        for r in range(config.rounds):
+            assert population.round_labels(r).tobytes() == kept[r]
+            assert not np.shares_memory(blocks[r], population.labels)
+        assert [block.tobytes() for block in blocks] == kept
+        trained = []
+
+        def spied(weights, population, *args, round_num):
+            trained.append(round_num)
+            return local_train(weights, population, *args, round_num=round_num)
+
+        monkeypatch.setattr(auction, "local_train", spied)
+        auction._play(config, _model_tree(config, population, test), 4)
+        assert trained == list(range(config.rounds))
+
     def test_an_honest_round_needs_no_buffer(self):
+        # An honest population trains every round on its own label block,
+        # with no copy of it.
         config = small_config()
-        population, test = build_population(config, seed=2)
-        state = _fresh_state(config, _model_tree(config, population, test))
-        params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
-        run_round(state, params.k_select)
-        assert state.tree.poisoned_labels is None
+        population, _ = build_population(config, seed=2)
+        assert not len(population.poisoners)
+        for r in range(config.rounds):
+            assert population.round_labels(r) is population.labels
 
     def test_zero_rounds_draw_no_flips(self):
         config = small_config(
@@ -1086,9 +1128,9 @@ class TestWholeRunOracle:
 def _local_train_calls(monkeypatch):
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return local_train(*args)
+        return local_train(*args, **kwargs)
 
     monkeypatch.setattr(auction, "local_train", counted)
     return calls

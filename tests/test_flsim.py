@@ -40,12 +40,11 @@ def population_of(designs, labels):
     return Population(np.ones(len(designs)), counts, x, y)
 
 
-def clients_of(population, labels=None):
+def clients_of(population):
     """Each client's sample-major design and its labels, from the
-    population's label block or from `labels` standing in for it."""
-    block = population.labels if labels is None else labels
+    population's blocks."""
     return [
-        (population.design[i, :, :m].T, block[i, 0, :m])
+        (population.design[i, :, :m].T, population.labels[i, 0, :m])
         for i, m in enumerate(population.counts.tolist())
     ]
 
@@ -134,14 +133,14 @@ class TestLocalTrain:
         population, _ = generate_population([0.8], seed=2)
         cfg = AggregationConfig(learning_rate=0.0)
         weights = np.arange(21, dtype=float)
-        out, _ = local_train(weights, population, cfg)
+        out, _ = local_train(weights, population, cfg, round_num=0)
         assert np.array_equal(out[0], weights)
 
     def test_single_sample_single_step_matches_hand_gradient(self):
         data = self._tiny_data()
         w0 = np.array([0.5, -0.5, 0.1])
         cfg = AggregationConfig(algo=Aggregator.FEDAVG, local_epochs=1, learning_rate=0.3)
-        out, _ = local_train(w0.copy(), data, cfg)
+        out, _ = local_train(w0.copy(), data, cfg, round_num=0)
         x_aug = np.array([1.0, -2.0, 1.0])
         grad = (sigmoid(x_aug @ w0) - 1.0) * x_aug
         assert np.allclose(out[0], w0 - 0.3 * grad, atol=1e-12)
@@ -154,7 +153,7 @@ class TestLocalTrain:
             cfg = AggregationConfig(
                 algo=Aggregator.FEDPROX, local_epochs=5, learning_rate=0.01, prox_mu=mu
             )
-            out, _ = local_train(w_global, population, cfg)
+            out, _ = local_train(w_global, population, cfg, round_num=0)
             dists.append(np.linalg.norm(out[0] - w_global))
         assert dists[0] >= dists[1] >= dists[2]
 
@@ -170,17 +169,19 @@ class TestLocalTrain:
         )
         with np.errstate(all="ignore"):
             with pytest.raises(FloatingPointError, match=r"clients \[0, 1, 2\] have non-finite"):
-                local_train(init_model().weights, population, cfg)
+                local_train(init_model().weights, population, cfg, round_num=0)
             nan_start = np.full(21, np.nan)
             with pytest.raises(FloatingPointError, match="non-finite weights"):
-                local_train(nan_start, population, AggregationConfig())
+                local_train(nan_start, population, AggregationConfig(), round_num=0)
 
     def test_scaffold_updates_control_variates(self):
         population, _ = generate_population([0.9], seed=6)
         cfg = AggregationConfig(algo=Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.1)
         weights = init_model().weights
         server_variate, variates = np.zeros(len(weights)), np.zeros((1, len(weights)))
-        local, proposed = local_train(weights, population, cfg, server_variate, variates)
+        local, proposed = local_train(
+            weights, population, cfg, server_variate, variates, round_num=0
+        )
         # Client 0 proposes one variate update; committing it is the caller's.
         assert proposed is not None
         assert proposed.shape == variates.shape == (1, len(server_variate))
@@ -191,13 +192,15 @@ class TestLocalTrain:
 
     @pytest.mark.parametrize("algo", list(Aggregator))
     def test_local_train_leaves_its_inputs_unchanged(self, algo):
-        population, labels = mixed_clients(20)
+        population = mixed_clients(20)
         block, label_block = population.design, population.labels
         cfg, server_variate, variates = train_config(algo, 20)
         weights = 0.1 * np.random.default_rng(8).normal(size=21)
-        kept = [a.tobytes() for a in (block, label_block, labels, weights)]
-        local, proposed = local_train(weights, population, cfg, server_variate, variates, labels)
-        assert [a.tobytes() for a in (block, label_block, labels, weights)] == kept
+        kept = [a.tobytes() for a in (block, label_block, weights)]
+        local, proposed = local_train(
+            weights, population, cfg, server_variate, variates, round_num=0
+        )
+        assert [a.tobytes() for a in (block, label_block, weights)] == kept
         assert not np.shares_memory(local, weights)
         assert proposed is None or not np.shares_memory(proposed, variates)
 
@@ -207,7 +210,7 @@ class TestLocalTrain:
         (the labels are the population's block), and the epochs add none,
         however many there are: a call's peak of traced memory is the same
         at 1 epoch as at 30."""
-        population, labels = mixed_clients(20)
+        population = mixed_clients(20)
         cfg, server_variate, variates = train_config(algo, 20)
         row_sized = population.design[:, 0].nbytes
         weights = init_model().weights
@@ -217,7 +220,7 @@ class TestLocalTrain:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                local_train(weights, population, cfg_e, server_variate, variates, labels)
+                local_train(weights, population, cfg_e, server_variate, variates, round_num=0)
                 return tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
@@ -228,11 +231,13 @@ class TestLocalTrain:
     @pytest.mark.parametrize("shape", [(1, 21), (3, 21), (5, 21), (4, 20), (4,)])
     def test_variates_of_another_shape_raise(self, shape):
         # A (1, 21) block once broadcast over all four clients.
-        population, labels = mixed_clients(20)
+        population = mixed_clients(20)
         cfg, server_variate, _ = train_config(Aggregator.SCAFFOLD, 20)
         variates = np.zeros(shape)
         with pytest.raises(ValueError, match=rf"got {shape[0]} rows for 4 clients"):
-            local_train(init_model().weights, population, cfg, server_variate, variates, labels)
+            local_train(
+                init_model().weights, population, cfg, server_variate, variates, round_num=0
+            )
 
     @pytest.mark.parametrize(
         "shape", [(1, 1, 400), (4, 1, 399), (4, 1, 401), (3, 1, 400), (4, 400), (4, 2, 400)]
@@ -240,19 +245,31 @@ class TestLocalTrain:
     def test_labels_of_another_shape_raise(self, shape):
         # A (1, 1, 400) block once trained all four clients on client 0's
         # labels, and one column short failed only inside numpy's broadcast.
-        population, _ = mixed_clients(20)
+        # A population holds only a label block of its design's shape, so
+        # no such block reaches training.
+        population = mixed_clients(20)
         assert population.labels.shape == (4, 1, 400)
-        cfg, server_variate, variates = train_config(Aggregator.SCAFFOLD, 20)
         labels = np.zeros(shape)
         shapes = rf"shape \(4, 1, 400\): got shape {re.escape(str(shape))}"
         with pytest.raises(ValueError, match=shapes):
-            local_train(init_model().weights, population, cfg, server_variate, variates, labels)
+            dataclasses.replace(population, labels=labels)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_flips_of_another_row_count_raise(self, rows):
+        population = mixed_clients(20)
+        poisoners = np.array([1, 2])
+        flips = np.zeros((rows, 3, 50), dtype=np.uint8)
+        shapes = rf"poisoners of shape \(2,\): got shape \({rows}, 3, 50\)"
+        with pytest.raises(ValueError, match=shapes):
+            dataclasses.replace(population, poisoners=poisoners, flips=flips)
 
     def test_local_train_leaves_variate_inputs_unchanged(self):
-        population, _ = mixed_clients(2)
+        population = mixed_clients(2)
         cfg, server_variate, variates = train_config(Aggregator.SCAFFOLD, 2)
         kept = server_variate.copy(), variates.copy()
-        local_train(init_model(2).weights, population, cfg, server_variate, variates)
+        local_train(
+            init_model(2).weights, population, cfg, server_variate, variates, round_num=0
+        )
         assert np.array_equal(server_variate, kept[0])
         assert variates.shape == kept[1].shape
         for v, k in zip(variates, kept[1]):
@@ -292,13 +309,12 @@ def reference_train(w_global, x, y, cfg, server_variate, c_i):
     return w, None
 
 
-def clamped_train(w_global, population, cfg, server_variate, variates, labels):
+def clamped_train(w_global, population, cfg, server_variate, variates):
     """The batched epoch that the negated-logit one replaced, kept as an
     oracle: it steps the weights w themselves, clamps the logits to
     [-40, 40] on both sides before negating them, and trains every client
     in one block."""
-    x = population.design
-    y = population.labels if labels is None else labels
+    x, y = population.design, population.labels
     n, dim, rows = x.shape
     counts = population.counts.astype(float)[:, None]
     w = np.tile(w_global, (n, 1))
@@ -337,12 +353,12 @@ def model_bytes(trained):
 
 
 def mixed_clients(dim):
-    """Clients with different sample counts and one label-flipping poisoner,
-    plus the label block to train them on (None: their own labels).
+    """A population of clients with different sample counts, client 1 with
+    flipped labels.
 
-    At 20 features they are one generated population, and client 1's
-    flipped labels are its row of a copy of the label block; at 2 features
-    each client is drawn alone and padded into a population, client 1 with
+    At 20 features it is a generated population whose label block is
+    replaced by a copy with client 1's row flipped; at 2 features each
+    client is drawn alone and padded into a population, client 1 with
     flipped labels.
     """
     flip = PoisonConfig(0.8)
@@ -351,7 +367,7 @@ def mixed_clients(dim):
         labels = population.labels.copy()
         m = population.counts[1]
         poison(population.labels[1, 0, :m], flip, 3, labels[1, 0, :m])
-        return population, labels
+        return dataclasses.replace(population, labels=labels)
     rng = np.random.default_rng(21)
     designs, labels = [], []
     for i, m in enumerate((3, 17, 8, 30)):
@@ -359,7 +375,7 @@ def mixed_clients(dim):
         labels.append(rng.integers(0, 2, size=m))
         if i == 1:
             labels[1] = poison(labels[1], flip, 3, np.empty(m))
-    return population_of(designs, labels), None
+    return population_of(designs, labels)
 
 
 def train_config(algo, dim):
@@ -379,16 +395,21 @@ class TestBatchedTrain:
     @pytest.mark.parametrize("dim", [2, 20])
     @pytest.mark.parametrize("algo", list(Aggregator))
     def test_batch_matches_each_client_trained_alone(self, algo, dim):
-        population, labels = mixed_clients(dim)
-        clients = clients_of(population, labels)
+        population = mixed_clients(dim)
+        clients = clients_of(population)
         assert len(set(population.counts.tolist())) == len(population)
         weights = 0.1 * np.random.default_rng(8).normal(size=dim + 1)
         cfg, server_variate, variates = train_config(algo, dim)
-        batch, batch_c = local_train(weights, population, cfg, server_variate, variates, labels)
+        batch, batch_c = local_train(
+            weights, population, cfg, server_variate, variates, round_num=0
+        )
         # Client i trained alone, as a population of one, takes its own row
         # of the variates.
         alone = [
-            local_train(weights, population_of([x], [y]), cfg, server_variate, variates[i : i + 1])
+            local_train(
+                weights, population_of([x], [y]), cfg, server_variate, variates[i : i + 1],
+                round_num=0,
+            )
             for i, (x, y) in enumerate(clients)
         ]
         alone = [(w[0], None if c is None else c[0]) for w, c in alone]
@@ -430,18 +451,18 @@ class TestBatchedTrain:
         A spread start puts logits beyond -40 and +40. A saturated start
         puts every logit at -100 on all-zero labels, so every residual is
         the clamped sigmoid(-40) and the step shows the clamp's bits."""
-        population, labels = mixed_clients(20)
+        population = mixed_clients(20)
         block = population.design
         monkeypatch.setattr(flsim, "TRAIN_BLOCK_BYTES", clients_per_block * block[0].nbytes)
         cfg, server_variate, variates = train_config(algo, 20)
         weights = 6.0 * np.random.default_rng(8).normal(size=21)
         if saturated:
             weights = np.r_[np.zeros(20), -100.0]
-            labels = np.zeros_like(labels)
+            population = dataclasses.replace(population, labels=np.zeros_like(population.labels))
         logits = np.concatenate([x @ weights for x, _ in clients_of(population)])
         assert (logits < -40.0).any() and (logits > 40.0).any() != saturated
-        trained = local_train(weights, population, cfg, server_variate, variates, labels)
-        oracle = clamped_train(weights, population, cfg, server_variate, variates, labels)
+        trained = local_train(weights, population, cfg, server_variate, variates, round_num=0)
+        oracle = clamped_train(weights, population, cfg, server_variate, variates)
         assert model_bytes(trained) == model_bytes(oracle)
 
 
@@ -459,26 +480,27 @@ class TestDesignBlock:
 
     def test_whole_population_trains_on_its_block_and_test_set_is_not_copied(self):
         """The population trains on its blocks as they are, with no copy of
-        the design block, and labels standing in for its own train exactly as
-        a population holding them would."""
+        the design block, and a label block standing in for its own trains
+        exactly as a population built from those labels would."""
         population, test = generate_population([0.0, 1.0, 0.5], seed=19)
         cfg = AggregationConfig(local_epochs=3)
         weights = init_model().weights
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trained = local_train(weights, population, cfg)
+            trained = local_train(weights, population, cfg, round_num=0)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < population.design.nbytes / 4
         other = population.labels.copy()
         other[:, 0, :] = 1.0 - other[:, 0, :]
+        stand_in_population = dataclasses.replace(population, labels=other)
         flipped = population_of(
-            [x for x, _ in clients_of(population)], [y for _, y in clients_of(population, other)]
+            [x for x, _ in clients_of(population)], [y for _, y in clients_of(stand_in_population)]
         )
-        stand_in = local_train(weights, population, cfg, labels=other)
-        assert model_bytes(stand_in) == model_bytes(local_train(weights, flipped, cfg))
+        stand_in = local_train(weights, stand_in_population, cfg, round_num=0)
+        assert model_bytes(stand_in) == model_bytes(local_train(weights, flipped, cfg, round_num=0))
         assert model_bytes(stand_in) != model_bytes(trained)
         # The held-out test set's design is one feature-major block, and its
         # labels are a boolean row.
@@ -537,7 +559,7 @@ class TestEvaluateAccuracy:
         population, test = generate_population([1.0], seed=9)
         # Logistic fit on clean data separates the Gaussian mixture well.
         cfg = AggregationConfig(local_epochs=200, learning_rate=1.0)
-        weights, _ = local_train(init_model().weights, population, cfg)
+        weights, _ = local_train(init_model().weights, population, cfg, round_num=0)
         assert evaluate_accuracy(weights, test)[0] > 0.9
 
     def test_zero_model_predicts_majority_class_zero(self):
@@ -549,7 +571,7 @@ class TestEvaluateAccuracy:
     def test_returns_a_builtin_float_equal_to_the_mean(self):
         population, test = generate_population([0.6, 0.9], seed=12)
         cfg = AggregationConfig(local_epochs=3)
-        weights, _ = local_train(init_model().weights, population, cfg)
+        weights, _ = local_train(init_model().weights, population, cfg, round_num=0)
         accs = evaluate_accuracy(weights, test)
         assert len(accs) == 2
         for w, acc in zip(weights, accs):
@@ -560,7 +582,7 @@ class TestEvaluateAccuracy:
     def test_inverted_labels_complement_accuracy(self):
         population, test = generate_population([1.0], seed=12)
         cfg = AggregationConfig(local_epochs=50, learning_rate=1.0)
-        weights, _ = local_train(init_model().weights, population, cfg)
+        weights, _ = local_train(init_model().weights, population, cfg, round_num=0)
         flipped = dataclasses.replace(test, labels=~test.labels)
         (acc,), (acc_flipped,) = (evaluate_accuracy(weights, t) for t in (test, flipped))
         assert acc + acc_flipped == pytest.approx(1.0, abs=1e-12)
@@ -649,6 +671,8 @@ class TestTrainingSignal:
         cfg = AggregationConfig(algo=Aggregator.FEDAVG, local_epochs=5, learning_rate=0.5)
         model = init_model()
         for _ in range(20):
-            locals_ = [ModelParams(local_train(model.weights, c, cfg)[0][0]) for c in clients]
+            locals_ = [
+                ModelParams(local_train(model.weights, c, cfg, round_num=0)[0][0]) for c in clients
+            ]
             model = aggregate(locals_, population.counts.tolist(), cfg)
         assert evaluate_accuracy(model.weights[None], test)[0] > 0.9

@@ -102,6 +102,7 @@ def test_ledger_checks_integrity_in_one_predicate():
 
 
 AUCTION = Path(flmarket.__file__).parent / "auction.py"
+FLSIM = Path(flmarket.__file__).parent / "flsim.py"
 
 
 def test_auction_prices_in_one_offer():
@@ -209,7 +210,7 @@ def test_the_play_path_takes_no_population_or_market():
     functions = _auction_functions()
     annotated = sorted(
         f"{name}({arg.arg}: {ast.unparse(arg.annotation)})"
-        for name in ("run_round", "_child", "_round_labels", "_play")
+        for name in ("run_round", "_child", "_play")
         for arg in (*functions[name].args.posonlyargs, *functions[name].args.args,
                     *functions[name].args.kwonlyargs)
         if arg.annotation is not None
@@ -219,12 +220,28 @@ def test_the_play_path_takes_no_population_or_market():
     assert annotated == [], f"play-path parameters of a population or market: {annotated}"
 
 
+def _flsim_functions():
+    """flsim.py's module-level functions and methods, by dotted name."""
+    tree = ast.parse(FLSIM.read_text(), filename=str(FLSIM))
+    functions = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            functions.update(
+                (f"{node.name}.{child.name}", child)
+                for child in node.body if isinstance(child, ast.FunctionDef)
+            )
+    return functions
+
+
 def test_rounds_do_no_per_cell_work():
     # A cell's offer and a poisoner's flipped labels are fixed for the whole
-    # cell, so run_round, and every auction function it reaches, neither
-    # prices the population nor draws random numbers: both happen once per
-    # cell or per population, before the rounds. Nor does it price the
-    # round: a round is played once and priced by each mechanism after.
+    # cell, so run_round, every auction function it reaches, and the
+    # training it calls neither price the population nor draw random
+    # numbers: both happen once per cell or per population, before the
+    # rounds. Nor does a round price itself: it is played once and priced by
+    # each mechanism after.
     functions = _auction_functions()
     reached, todo = set(), ["run_round"]
     while todo:
@@ -234,16 +251,45 @@ def test_rounds_do_no_per_cell_work():
             callee for node in ast.walk(functions[name])
             if (callee := _callee(node)) in functions and callee not in reached
         )
+    training = _flsim_functions()
+    walked = {name: functions[name] for name in reached} | {
+        name: training[name] for name in ("local_train", "Population.round_labels")
+    }
     calls = sorted(
         f"{name} calls {callee}"
-        for name in reached
-        for node in ast.walk(functions[name])
+        for name, function in walked.items()
+        for node in ast.walk(function)
         if (callee := _callee(node))
-        in {"_offer", "poison", "default_rng", "_server_utility", "server_utility_per_client",
-            "client_utility"}
+        in {"_offer", "poison", "default_rng", "packbits", "_server_utility",
+            "server_utility_per_client", "client_utility"}
     )
-    assert "_round_labels" in reached
+    assert "_child" in reached
     assert calls == [], f"per-round fixed work: {calls}"
+    # The walk reaches the training: _child calls local_train, which reads
+    # the round's labels.
+    assert any(_callee(node) == "local_train" for node in ast.walk(functions["_child"]))
+    assert any(
+        _callee(node) == "round_labels" for node in ast.walk(training["local_train"])
+    )
+
+
+def test_only_the_population_packs_its_flips():
+    # Population.with_poisoners packs a poisoner's flipped labels and
+    # Population.round_labels unpacks them, so the bit layout of `flips`
+    # has one owner.
+    calls = sorted(
+        f"{path.stem}.{scope} calls {name}"
+        for path in SOURCES
+        for name in ("packbits", "unpackbits")
+        for scope in _scopes_where(
+            ast.parse(path.read_text(), filename=str(path)),
+            lambda node, name=name: _callee(node) == name,
+        )
+    )
+    assert calls == [
+        "flsim.Population.round_labels calls unpackbits",
+        "flsim.Population.with_poisoners calls packbits",
+    ]
 
 
 def test_rounds_are_priced_in_one_place():
