@@ -32,6 +32,59 @@ EVAL_ROWS = 16
 # cost 4.5 us a client in 1 MB blocks, against 6.7 us in one 2.6 MB block
 # of 40 clients and 7.8 us in one 4.1 MB block of 64.
 TRAIN_BLOCK_BYTES = 1 << 20
+# Bytes and doubles in a cache line: the unit of `_on_lines`' layout.
+LINE_BYTES = 64
+LINE_DOUBLES = LINE_BYTES // 8
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def _lines_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """`shape` with its last axis rounded up to whole cache lines."""
+    *lead, width = shape
+    return (*lead, -(-width // LINE_DOUBLES) * LINE_DOUBLES)
+
+
+def _on_lines(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float array of `shape` laid out on cache lines: its first
+    element is 64-byte aligned and every row of its last axis starts a
+    line, since the row stride is that axis rounded up to whole lines. It
+    is the view of the logical shape, of the first `shape[-1]` columns;
+    `_whole_lines` gives the rows with their zero pad columns.
+
+    Products over rows that straddle no line boundary run faster, and a
+    product that reads only the logical columns has the bits of the same
+    product on a contiguous copy."""
+    lines = _lines_shape(shape)
+    count = math.prod(lines)
+    buffer = np.zeros(count + LINE_DOUBLES - 1)
+    start = -_address(buffer) % LINE_BYTES // 8
+    return buffer[start : start + count].reshape(lines)[..., : shape[-1]]
+
+
+def _whole_lines(array: np.ndarray) -> np.ndarray:
+    """The rows of an `_on_lines` array with their pad columns: the same
+    memory, one contiguous block that an elementwise pass runs over, cut
+    from the flat buffer that `array` views (so read-only if it is)."""
+    lines = _lines_shape(array.shape)
+    start = (_address(array) - _address(array.base)) // 8
+    return array.base[start : start + math.prod(lines)].reshape(lines)
+
+
+def _laid_on_lines(array: np.ndarray) -> np.ndarray:
+    """`array` itself if it is a view of a flat buffer laid out as
+    `_on_lines` lays one out, else a copy that is."""
+    lines = _lines_shape(array.shape)
+    strides = tuple(8 * math.prod(lines[axis + 1 :]) for axis in range(len(lines)))
+    base = array.base
+    if (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == array.dtype == np.float64
+            and _address(array) % LINE_BYTES == 0 and array.strides == strides):
+        return array
+    laid = _on_lines(array.shape)
+    laid[...] = array
+    return laid
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +104,11 @@ class Population:
     cells of a seed share the population. A label block of another shape,
     which numpy would broadcast in training, or flips of other than one row
     per poisoner raise ValueError naming both shapes.
+
+    The design and label blocks are laid out on cache lines (`_on_lines`):
+    a block that is not, as one built by hand, is copied into that layout,
+    and `generate_population` builds its blocks in it, so they are not
+    copied.
     """
 
     thetas: np.ndarray  # (n,)
@@ -66,6 +124,11 @@ class Population:
         if self.counts.min() < 1:
             raise ValueError("every client must hold at least one sample")
         n, _, m = self.design.shape
+        if m != self.counts.max():
+            raise ValueError(
+                f"the design block must be as wide as the largest client, "
+                f"{self.counts.max()} samples: got shape {self.design.shape}"
+            )
         if self.labels.shape != (n, 1, m):
             raise ValueError(f"labels must have shape {(n, 1, m)}: got shape {self.labels.shape}")
         if len(self.flips) != len(self.poisoners):
@@ -73,6 +136,10 @@ class Population:
                 f"flips must hold one row per poisoner, poisoners of shape "
                 f"{self.poisoners.shape}: got shape {self.flips.shape}"
             )
+        for name in ("design", "labels"):
+            block = _laid_on_lines(getattr(self, name))
+            block.base.flags.writeable = False
+            object.__setattr__(self, name, block)
         for array in (self.thetas, self.counts, self.design, self.labels, self.poisoners,
                       self.flips):
             array.flags.writeable = False
@@ -107,11 +174,19 @@ class Population:
     def round_labels(self, round_num: int) -> np.ndarray:
         """The (n, 1, m_max) label block the clients train on in round
         `round_num`: `labels` itself if no client is a poisoner, else a new
-        copy of it with the poisoners' rows unpacked from their flips of the
-        round."""
+        copy of it on cache lines with the poisoners' rows unpacked from
+        their flips of the round. For a poisoned population a round outside
+        the rounds its flips were drawn for raises ValueError naming both."""
         if not len(self.poisoners):
             return self.labels
-        labels = self.labels.copy()
+        drawn = self.flips.shape[1]
+        if not 0 <= round_num < drawn:
+            raise ValueError(
+                f"round {round_num} has no flipped labels: the poisoners' flips "
+                f"were drawn for rounds 0..{drawn - 1} ({drawn} rounds)"
+            )
+        labels = _on_lines(self.labels.shape)
+        labels[...] = self.labels
         labels[self.poisoners, 0] = np.unpackbits(
             self.flips[:, round_num], axis=1, count=labels.shape[2]
         )
@@ -121,7 +196,8 @@ class Population:
 @dataclass(frozen=True, eq=False)
 class HeldOut:
     """The clean held-out test set: its feature-major (d + 1, m) design, so
-    one product evaluates a stack of models, and its m boolean labels."""
+    one product evaluates a stack of models, and its m boolean labels.
+    `generate_population` lays the design out on cache lines."""
 
     design: np.ndarray
     labels: np.ndarray
@@ -196,11 +272,11 @@ def generate_population(thetas: list[float], seed: int) -> tuple[Population, Hel
         return np.where(flips, 1 - y, y)
 
     counts = np.array([int(round(BASE_SAMPLES * (1.0 + theta))) for theta in thetas])
-    design = np.zeros((len(thetas), FEATURE_DIM + 1, counts.max()))
-    labels = np.zeros((len(thetas), 1, counts.max()))
+    design = _on_lines((len(thetas), FEATURE_DIM + 1, counts.max()))
+    labels = _on_lines((len(thetas), 1, counts.max()))
     for i, (theta, m) in enumerate(zip(thetas, counts.tolist())):
         labels[i, 0, :m] = draw(design[i, :, :m].T, (1.0 - theta) * NOISE_SCALE)
-    test = np.empty((FEATURE_DIM + 1, TEST_SAMPLES))
+    test = _on_lines((FEATURE_DIM + 1, TEST_SAMPLES))
     test_labels = draw(test.T, 0.0) == 1
     population = Population(np.array(thetas, dtype=float), counts, design, labels)
     return population, HeldOut(test, test_labels)
@@ -216,7 +292,12 @@ def local_train(
     Each epoch is two batched matrix-vector products over the population's
     feature-major (n, d + 1, m_max) design block, -w_i @ X_i and X_i @ r_i;
     padded columns are all zero, bias included, so they add nothing to the
-    gradient. The clients train in blocks of at most TRAIN_BLOCK_BYTES of
+    gradient. The block's rows lie on cache lines (`Population`); the
+    products read their m_max = counts.max() logical columns and no pad
+    column, since a product over a wider, zero-padded row sums in another
+    order and changes bits. The five elementwise steps run over whole,
+    contiguous rows of the residual and the label block, pad columns
+    included. The clients train in blocks of at most TRAIN_BLOCK_BYTES of
     design, each a view of the whole block, all epochs of one block before
     the next; the clients are independent, so the block size changes no
     bit. The epoch writes only into buffers allocated once per call, so no
@@ -241,7 +322,7 @@ def local_train(
     w -= lr * grad, save that a weight of exactly zero may carry the other
     sign.
     """
-    x, y = population.design, population.round_labels(round_num)
+    x, y = population.design, _whole_lines(population.round_labels(round_num))
     n, dim, rows = x.shape
     if variates is not None and variates.shape != (n, dim):
         raise ValueError(
@@ -260,12 +341,15 @@ def local_train(
 
     # The trained negated weights, (n, d + 1), and the epoch buffers of one
     # block of clients, which every block reuses: logits that become
-    # residuals, (b, 1, m_max), seen as columns by the second product; the
+    # residuals, (b, 1, m_max) on cache lines, seen as columns by the second
+    # product, and their whole lines, which the elementwise steps run over
+    # (the pad columns stay finite, and no product reads them); the
     # gradient, (b, d + 1); and FedProx's pull.
     nw = np.empty((n, dim))
     np.negative(w_global, out=nw)
     step = min(n, max(1, TRAIN_BLOCK_BYTES // x[0].nbytes))
-    residual = np.empty((step, 1, rows))
+    residual = _on_lines((step, 1, rows))
+    lines = _whole_lines(residual)
     grad_cols = np.empty((step, dim, 1))
     pull = np.empty((step, dim))
     # A diverging run overflows here; the finiteness check below names it.
@@ -274,12 +358,13 @@ def local_train(
             block = slice(lo, lo + step)
             xb, yb, nwb, count = x[block], y[block], nw[block], counts[block]
             b = len(xb)
-            res, res_cols = residual[:b], residual[:b].reshape(b, rows, 1)
+            logits, res_cols = residual[:b], residual[:b].transpose(0, 2, 1)
+            res = lines[:b]
             grad_b, pull_b = grad_cols[:b], pull[:b]
             grad, nw_rows = grad_b[:, :, 0], nwb[:, None, :]
             shift = None if correction is None else correction[block]
             for _ in range(cfg.local_epochs):
-                np.matmul(nw_rows, xb, out=res)
+                np.matmul(nw_rows, xb, out=logits)
                 np.minimum(res, 40.0, out=res)
                 np.exp(res, out=res)
                 res += 1.0

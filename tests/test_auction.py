@@ -465,6 +465,21 @@ class TestPoisonedLabels:
         auction._play(config, _model_tree(config, population, test), 4)
         assert trained == list(range(config.rounds))
 
+    def test_a_round_past_the_drawn_flips_raises(self):
+        # The flips were drawn for rounds 0 and 1: a third round, or a
+        # negative one that numpy would read from the end, names both.
+        config = small_config(poison_count=2, rounds=2)
+        population, test = build_population(config, seed=4)
+        state = _fresh_state(config, _model_tree(config, population, test))
+        for _ in range(config.rounds):
+            run_round(state, 4)
+        drawn = r"were drawn for rounds 0\.\.1 \(2 rounds\)"
+        with pytest.raises(ValueError, match=rf"round 2 has no flipped labels: .*{drawn}"):
+            run_round(state, 4)
+        for r in (-1, -2, 2, 3):
+            with pytest.raises(ValueError, match=rf"round {r} has no .*{drawn}"):
+                population.round_labels(r)
+
     def test_an_honest_round_needs_no_buffer(self):
         # An honest population trains every round on its own label block,
         # with no copy of it.

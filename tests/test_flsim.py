@@ -254,6 +254,16 @@ class TestLocalTrain:
         with pytest.raises(ValueError, match=shapes):
             dataclasses.replace(population, labels=labels)
 
+    @pytest.mark.parametrize("width", [399, 401, 408])
+    def test_a_design_block_not_as_wide_as_the_largest_client_raises(self, width):
+        # Training reads counts.max() columns of the block and whole lines of
+        # the label block beside it, so the two widths must agree.
+        population = mixed_clients(20)
+        with pytest.raises(ValueError, match=rf"largest client, 400 samples: got shape \(4, 21, {width}\)"):
+            dataclasses.replace(
+                population, design=np.zeros((4, 21, width)), labels=np.zeros((4, 1, width))
+            )
+
     @pytest.mark.parametrize("rows", [0, 1, 3])
     def test_flips_of_another_row_count_raise(self, rows):
         population = mixed_clients(20)
@@ -508,6 +518,48 @@ class TestDesignBlock:
         assert test.labels.dtype == bool and test.labels.shape == (len(test),)
         _, (_, _, true_labels) = reference_draws([0.0, 1.0, 0.5], 19)
         assert np.array_equal(test.labels, true_labels)
+
+    @pytest.mark.parametrize("widest", [369, 396, 400])
+    def test_rows_lie_on_cache_lines_and_products_keep_their_bits(self, widest, monkeypatch):
+        """Every design and label row starts a 64-byte line, in a generated
+        population, one built by hand and a poisoned round's labels; the
+        generated blocks are not copied when a population is rebuilt from
+        them. Each epoch's two products read exactly counts.max() columns of
+        the population's own block, and give the bytes of the same products
+        on contiguous copies. Widths 369, 396 and 400 (1, 4 and 0 mod 8) are
+        the workloads' at bench seed 4242; a product over the width padded
+        to whole lines would sum in another order."""
+        theta = widest / 200 - 1.0
+        population, _ = generate_population([0.3, theta, 0.6], seed=23)
+        assert population.counts.max() == widest
+        poisoned = population.with_poisoners(np.array([1]), PoisonConfig(0.5), 2, lambda r, i: r)
+        by_hand = population_of(
+            [x for x, _ in clients_of(population)], [y for _, y in clients_of(population)]
+        )
+        for block in (population.design, population.labels, poisoned.round_labels(1),
+                      by_hand.design, by_hand.labels):
+            for row in block.reshape(-1, block.shape[-1]):
+                assert row.__array_interface__["data"][0] % 64 == 0
+        assert by_hand.design.tobytes() == population.design.tobytes()
+        assert poisoned.design is population.design
+        relabelled = dataclasses.replace(population, labels=by_hand.labels)
+        assert relabelled.design is population.design and relabelled.labels is by_hand.labels
+
+        products = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            matmul(a, b, out=out)
+            design = a if a.shape[1] == 21 else b
+            assert design.shape[2] == widest and np.shares_memory(design, population.design)
+            contiguous = matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
+            products.append(out.tobytes() == contiguous.tobytes())
+
+        monkeypatch.setattr(np, "matmul", spy)
+        cfg, server_variate, variates = train_config(Aggregator.SCAFFOLD, 20)
+        weights = 0.1 * np.random.default_rng(8).normal(size=21)
+        local_train(weights, population, cfg, server_variate, variates[:3], round_num=0)
+        assert len(products) == 2 * cfg.local_epochs and all(products)
 
     def test_population_is_read_only(self):
         population, _ = generate_population([0.0, 1.0, 0.5], seed=19)
