@@ -67,7 +67,7 @@ def _on_lines(shape: tuple[int, ...]) -> np.ndarray:
 def _whole_lines(array: np.ndarray) -> np.ndarray:
     """The rows of an `_on_lines` array with their pad columns: the same
     memory, one contiguous block that an elementwise pass runs over, cut
-    from the flat buffer that `array` views (so read-only if it is)."""
+    from the flat buffer that `array` views, so read-only if that buffer is."""
     lines = _lines_shape(array.shape)
     start = (_address(array) - _address(array.base)) // 8
     return array.base[start : start + math.prod(lines)].reshape(lines)

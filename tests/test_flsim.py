@@ -259,7 +259,8 @@ class TestLocalTrain:
         # Training reads counts.max() columns of the block and whole lines of
         # the label block beside it, so the two widths must agree.
         population = mixed_clients(20)
-        with pytest.raises(ValueError, match=rf"largest client, 400 samples: got shape \(4, 21, {width}\)"):
+        shapes = rf"largest client, 400 samples: got shape \(4, 21, {width}\)"
+        with pytest.raises(ValueError, match=shapes):
             dataclasses.replace(
                 population, design=np.zeros((4, 21, width)), labels=np.zeros((4, 1, width))
             )
