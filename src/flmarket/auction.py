@@ -4,16 +4,16 @@ A round is played, then priced. Playing (`run_round`) selects the top-k
 clients by ledger-verified reputation, runs one federated-learning
 aggregation round, scores realized contributions with the Banzhaf index and
 appends the updated reputations to the ledger; its `RoundReport` holds only
-what was played. Pricing (`_server_utility`) sums the server's payoff from
-the selected clients' contracts, and every mechanism prices its rounds
-through it.
+what was played. Every price has one shape: the server's payoff from each
+client, in population order. Pricing (`_server_utility`) sums the selected
+clients' payoffs, and every mechanism prices its rounds through it.
 
 An `ours-*` mechanism's contracts (`_offer`) depend only on the clients'
-thetas and the market, never on round state or k, so each seed solves them
-once. Participation holds by construction, checked once per offer: every
-client accepts every `ours-*` contract, so the regime does not enter a
-round. One trajectory per (seed, k) is played, and each `ours-*` mechanism
-prices it with its own contracts.
+thetas and the market, never on round state or k, so each seed solves them,
+and prices them (`_prices`), once. Participation holds by construction,
+checked once per offer: every client accepts every `ours-*` contract, so
+the regime does not enter a round. One trajectory per (seed, k) is played,
+and each `ours-*` mechanism prices it with its own payoffs.
 
 A seed's population is fixed for a whole run, and so are its poisoners'
 flipped labels: `build_population` draws every round's flips once into the
@@ -30,18 +30,18 @@ once, by the first cell to reach it; every cell keeps its own ledger,
 selection and reputation updates.
 
 The two buyers'-market baselines are rows of the same table: each holds its
-winner rule, and one bid round (`_bid_round`) plays either. Every client
-bids its cost at the median complete-information output times a random
-margin, the rule picks the winners, and each winner is paid its bid: the
-round's contracts are the winners' bids. That output and each client's cost
-of it read neither k nor the rule, so each seed makes them once
-(`_bid_costs`), and `run_cell` plays one baseline cell on them.
+winner rule. Every client bids its cost at the median complete-information
+output times a random margin, the rule picks the winners, and each winner
+is paid its bid. The bids and the server's payoff from each read neither k
+nor the rule, so each seed draws them once, as a bid book (`_prices`), and
+`run_cell` plays one baseline cell by applying its rule to every round's
+bids.
 """
 
 from __future__ import annotations
 
 import statistics
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -296,14 +296,15 @@ def _offer(population: Population, params: MarketParams) -> list[Contract]:
     return contracts
 
 
-def _server_utility(
-    selected: list[int], contracts: Sequence[Contract] | dict[int, Contract],
-    params: MarketParams,
-) -> float:
-    """The server's payoff from a round: the sum, in selection order, of its
-    payoff from each selected client's contract, `contracts[i]` being client
-    i's (an offer in population order, or a bid round's winners by id)."""
-    return sum(server_utility_per_client(contracts[i], params) for i in selected)
+def _payoffs(contracts: list[Contract], params: MarketParams) -> list[float]:
+    """The server's payoff from each of `contracts`, in their order."""
+    return [server_utility_per_client(contract, params) for contract in contracts]
+
+
+def _server_utility(selected: list[int], payoffs: list[float]) -> float:
+    """The server's payoff from a round: the sum, in selection order, of
+    each selected client's payoff, `payoffs[i]` being client i's."""
+    return sum(payoffs[i] for i in selected)
 
 
 def _child(tree: ModelTree, node: ModelNode, selected: list[int], round_num: int) -> ModelNode:
@@ -397,21 +398,6 @@ def run_round(state: SimulationState, k: int) -> RoundReport:
     return report
 
 
-def _bid_round(
-    costs: list[float], rule: WinnerRule, target_q: float, params: MarketParams,
-    seed: int, round_num: int,
-) -> dict[int, Contract]:
-    """One baseline round's winners and their pay-as-bid contracts, by
-    winner in the rule's order: every client bids its cost of `target_q`
-    (`costs`, in population order) times a margin drawn uniformly from
-    [1.0, 1.3], in population order; `rule` picks `params.k_select`
-    winners, and each is paid its bid for `target_q`."""
-    margins = np.random.default_rng((seed, round_num)).random(len(costs)).tolist()
-    bids = [c * (1.0 + 0.3 * m) for c, m in zip(costs, margins)]
-    winners = rule(bids, params.k_select, _mix(seed, round_num, 99))
-    return {i: Contract(target_q, bids[i]) for i in winners}
-
-
 # ---------------------------------------------------------------------------
 # Experiment harness
 # ---------------------------------------------------------------------------
@@ -457,46 +443,38 @@ def _fresh_state(config, tree: ModelTree, ledger_mode: str = "chained") -> Simul
 
 
 def _market(config, k: int, regime: Regime = Regime.COMPLETE) -> MarketParams:
-    """The market at k under `regime`. Only `solve` reads the regime, so
-    only `_offers` names one: rounds are bid and priced in the default
-    market at k."""
+    """The market at k under `regime`, which only `solve` reads."""
     return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
 
 
-def _bid_costs(
-    config, population: Population, complete: list[Contract]
-) -> tuple[float, list[float]]:
-    """The baselines' target output, the median output of the seed's
-    complete-information contracts `complete` (from `_offers`), and each
-    client's cost of it, in population order. Neither reads k or the winner
-    rule, so a seed makes them once for every baseline cell."""
-    target_q = statistics.median(contract.q for contract in complete)
-    return target_q, [cost(target_q, theta, config.delta) for theta in population.thetas.tolist()]
+class BidRound(NamedTuple):
+    """One round of a seed's bid book: every client's bid, in population
+    order, and the server's payoff from paying it for the target output."""
+
+    bids: list[float]
+    payoffs: list[float]
 
 
-def run_cell(
-    config, mechanism: str, k: int, seed: int, target_q: float, costs: list[float]
-) -> list[dict]:
-    """The `rounds.csv` rows of one baseline (mechanism, k, seed) cell: a bid
-    round under the mechanism's winner rule for every round, on the seed's
-    target output and costs from `_bid_costs`. The mechanism stays a
-    positional argument, because `benchmarks/tracer.py` labels this span by
-    it."""
-    params = _market(config, k)
+def run_cell(mechanism: str, k: int, seed: int, book: list[BidRound]) -> list[dict]:
+    """The `rounds.csv` rows of one baseline (mechanism, k, seed) cell: each
+    round of the seed's bid book (`_prices`), won under the mechanism's rule
+    at k. The mechanism stays a positional argument, because
+    `benchmarks/tracer.py` labels this span by it."""
     rule = MECHANISMS[mechanism]
-    # A bid round selects exactly the holders of its contracts.
-    bid_rounds = (_bid_round(costs, rule, target_q, params, seed, r) for r in range(config.rounds))
-    return _rows(mechanism, k, seed, params, ((r, c, c, None) for r, c in enumerate(bid_rounds)))
+    return _rows(mechanism, k, seed, (
+        (r, rule(bids, k, _mix(seed, r, 99)), payoffs, None)
+        for r, (bids, payoffs) in enumerate(book)
+    ))
 
 
-def _rows(mechanism: str, k: int, seed: int, params: MarketParams, rounds) -> list[dict]:
-    """A cell's `rounds.csv` rows, one per (round, selected, contracts,
-    accuracy) of `rounds`, each priced by `_server_utility` in `params`."""
+def _rows(mechanism: str, k: int, seed: int, rounds) -> list[dict]:
+    """A cell's `rounds.csv` rows, one per (round, selected, payoffs,
+    accuracy) of `rounds`, each priced by `_server_utility`."""
     return [
         {"mechanism": mechanism, "k": k, "seed": seed, "round": r,
-         "server_utility": _server_utility(selected, contracts, params),
+         "server_utility": _server_utility(selected, payoffs),
          "accuracy": accuracy, "n_selected": len(selected)}
-        for r, selected, contracts, accuracy in rounds
+        for r, selected, payoffs, accuracy in rounds
     ]
 
 
@@ -519,24 +497,46 @@ def _offers(config, population: Population, baselines: bool) -> dict[Regime, lis
     """Each regime's contracts for the seed's population, solved once for
     every cell of the seed: each listed `ours-*` mechanism's regime, and the
     complete one if `baselines`, whose outputs fix their target output
-    (`_bid_costs`). `solve` reads no k, so the first k's market serves all."""
+    (`_prices`). `solve` reads no k, so the first k's market serves all."""
     regimes = [MECHANISMS[m] for m in config.mechanisms_ours()] + [Regime.COMPLETE] * baselines
     k = config.k_values[0]
     return {r: _offer(population, _market(config, k, r)) for r in dict.fromkeys(regimes)}
 
 
+def _prices(
+    config, population: Population, seed: int, baselines: bool
+) -> tuple[dict[Regime, list[float]], list[BidRound] | None]:
+    """The seed's prices, which read no k: the server's payoff from each
+    client, in population order, under each regime's contracts (`_offers`),
+    and, if `baselines`, the bid book, else None. In round r every client
+    bids its cost of the median complete-information output times a margin
+    drawn uniformly from [1.0, 1.3], in population order, from
+    `default_rng((seed, r))`; each bid is a contract for that output."""
+    market = _market(config, config.k_values[0])
+    offers = _offers(config, population, baselines)
+    payoffs = {regime: _payoffs(contracts, market) for regime, contracts in offers.items()}
+    if not baselines:
+        return payoffs, None
+    target_q = statistics.median(contract.q for contract in offers[Regime.COMPLETE])
+    costs = [cost(target_q, theta, config.delta) for theta in population.thetas.tolist()]
+    book = []
+    for r in range(config.rounds):
+        margins = np.random.default_rng((seed, r)).random(len(costs)).tolist()
+        bids = [c * (1.0 + 0.3 * m) for c, m in zip(costs, margins)]
+        book.append(BidRound(bids, _payoffs([Contract(target_q, bid) for bid in bids], market)))
+    return payoffs, book
+
+
 def _ours_cells(
-    config, k: int, seed: int, tree: ModelTree, offers: dict[Regime, list[Contract]]
+    config, k: int, seed: int, tree: ModelTree, payoffs: dict[Regime, list[float]]
 ) -> dict[str, list[dict]]:
     """The rows of every `ours-*` mechanism's cell at k: one trajectory,
-    played at k and priced in the market at k with each mechanism's
-    contracts from `_offers`."""
-    params = _market(config, k)
+    played at k and priced with each mechanism's payoffs from `_prices`."""
     reports = _play(config, tree, k)
     return {
         mechanism: _rows(
-            mechanism, k, seed, params,
-            ((rep.round, rep.selected, offers[MECHANISMS[mechanism]], rep.accuracy_global)
+            mechanism, k, seed,
+            ((rep.round, rep.selected, payoffs[MECHANISMS[mechanism]], rep.accuracy_global)
              for rep in reports),
         )
         for mechanism in config.mechanisms_ours()
@@ -566,18 +566,18 @@ COLUMNS = Tables(
 
 
 def _grid_cells(
-    config, seed: int, tree: ModelTree, offers: dict[Regime, list[Contract]],
-    bids: tuple[float, list[float]] | None,
+    config, seed: int, tree: ModelTree, payoffs: dict[Regime, list[float]],
+    book: list[BidRound] | None,
 ) -> dict[tuple[int, str], list[dict]]:
-    """The rows of every (k, mechanism) cell of the seed: the `ours-*` cells
-    under the seed's contracts from `_offers`, the baselines on its target
-    output and costs from `_bid_costs` (None if no baseline is listed)."""
+    """The rows of every (k, mechanism) cell of the seed, on its prices from
+    `_prices`: the `ours-*` cells' payoffs and the baselines' bid book
+    (None if no baseline is listed)."""
     out, ours = {}, config.mechanisms_ours()
     for k in config.k_values:
-        cells = _ours_cells(config, k, seed, tree, offers) if ours else {}
+        cells = _ours_cells(config, k, seed, tree, payoffs) if ours else {}
         for mechanism in config.mechanisms:
             if mechanism not in cells:
-                cells[mechanism] = run_cell(config, mechanism, k, seed, *bids)
+                cells[mechanism] = run_cell(mechanism, k, seed, book)
             out[k, mechanism] = cells[mechanism]
     return out
 
@@ -629,17 +629,16 @@ def _tamper_grid(config) -> list[tuple[float, float, str]]:
 
 
 def _tamper_totals(
-    config, seed: int, tree: ModelTree, offers: dict[Regime, list[Contract]]
+    config, seed: int, tree: ModelTree, payoffs: dict[Regime, list[float]]
 ) -> dict[tuple[float, float, str], float]:
     """Total server utility of each tamper cell of the seed: the first
     `ours-*` mechanism, which the caller checks exists, at the first k, on
     the cell's store, attacked after every round."""
-    contracts = offers[MECHANISMS[config.mechanisms_ours()[0]]]
+    mechanism_payoffs = payoffs[MECHANISMS[config.mechanisms_ours()[0]]]
     k = config.k_values[0]
-    params = _market(config, k)
     return {
         (alpha, beta, mode): sum(
-            _server_utility(rep.selected, contracts, params)
+            _server_utility(rep.selected, mechanism_payoffs)
             for rep in _play(config, tree, k, mode, TamperConfig(alpha, beta, seed))
         )
         for alpha, beta, mode in _tamper_grid(config)
@@ -658,8 +657,8 @@ def _robustness_rows(config, by_seed: dict) -> list[dict]:
 def run_tables(config) -> Tables:
     """Every table of one run, from one pass over the distinct seeds.
 
-    Each seed's population, `ModelTree`, `ours-*` contracts and, if a
-    baseline is listed, the baselines' target output and costs are made
+    Each seed's population, `ModelTree` and prices (`_prices`: the
+    `ours-*` payoffs and, if a baseline is listed, the bid book) are made
     once, and its grid cells, its tamper cells and, for the first listed
     seed, the reputation trace all run on them, so each selection history
     of the seed is trained once; they are freed before the next seed's are
@@ -675,15 +674,14 @@ def run_tables(config) -> Tables:
     for seed in dict.fromkeys(config.seeds):
         population, test = build_population(config, seed)
         tree = _model_tree(config, population, test)
-        offers = _offers(config, population, baselines)
-        bids = _bid_costs(config, population, offers[Regime.COMPLETE]) if baselines else None
+        payoffs, book = _prices(config, population, seed, baselines)
         if play:
-            cells[seed] = _grid_cells(config, seed, tree, offers, bids)
+            cells[seed] = _grid_cells(config, seed, tree, payoffs, book)
         if seed == trace_seed:
             trace = _trace_rows(config, tree)
         if tamper:
-            totals[seed] = _tamper_totals(config, seed, tree, offers)
-        del population, test, tree, offers, bids  # before the next seed's are made
+            totals[seed] = _tamper_totals(config, seed, tree, payoffs)
+        del population, test, tree, payoffs, book  # before the next seed's are made
     return Tables(
         *(_grid_tables(config, cells) if play else ([], [])),
         trace,

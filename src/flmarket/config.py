@@ -188,7 +188,7 @@ _PARSERS = {
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate a flat "key = value" config file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc

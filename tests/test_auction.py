@@ -23,11 +23,11 @@ from flmarket.auction import (
     run_tables,
     SimulationState,
     _banzhaf_contributions,
-    _bid_round,
     _cheapest,
     _fresh_state,
     _model_tree,
     _offer,
+    _payoffs,
     _server_utility,
     _uniform,
     realized_value,
@@ -101,7 +101,7 @@ class TestRunRound:
         report = run_round(state, params.k_select)
         assert report.selected == [0]
         assert contracts[0].r == pytest.approx(0.75, abs=1e-12)
-        assert _server_utility(report.selected, contracts, params) == pytest.approx(
+        assert _server_utility(report.selected, _payoffs(contracts, params)) == pytest.approx(
             0.75, abs=1e-12
         )
 
@@ -131,9 +131,10 @@ class TestRunRound:
             params = MarketParams(1.3, 2.0, 8, 4, regime)
             state = _fresh_state(config, _model_tree(config, population, test))
             contracts = _offer(population, params)
+            payoffs = _payoffs(contracts, params)
             for _ in range(2):
                 rep = run_round(state, params.k_select)
-                lhs = _server_utility(rep.selected, contracts, params) + sum(
+                lhs = _server_utility(rep.selected, payoffs) + sum(
                     client_utility(contracts[i], thetas[i], params.delta) for i in rep.selected
                 )
                 rhs = sum(
@@ -163,13 +164,13 @@ class TestRunRound:
         params_ci = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
         params_in = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
         state = _fresh_state(config, _model_tree(config, population, test))
-        offer_ci = _offer(population, params_ci)
-        offer_in = _offer(population, params_in)
+        payoffs_ci = _payoffs(_offer(population, params_ci), params_ci)
+        payoffs_in = _payoffs(_offer(population, params_in), params_in)
         # Both regimes price the one trajectory every client accepts.
         for _ in range(4):
             selected = run_round(state, params_ci.k_select).selected
-            u_ci = _server_utility(selected, offer_ci, params_ci)
-            u_in = _server_utility(selected, offer_in, params_in)
+            u_ci = _server_utility(selected, payoffs_ci)
+            u_in = _server_utility(selected, payoffs_in)
             assert u_ci >= u_in - 1e-12
 
     def test_k_above_the_population_raises_and_changes_nothing(self):
@@ -538,15 +539,38 @@ def reference_bid_rounds(config, mechanism, k, seed):
     return target_q, rounds
 
 
-def bid_round(population, rule, target_q, params, seed, round_num):
-    """`_bid_round` on the population's costs of `target_q`."""
-    thetas = population.thetas.tolist()
-    costs = [cost(target_q, theta, params.delta) for theta in thetas]
-    return _bid_round(costs, rule, target_q, params, seed, round_num)
+def bid_cell(config, population, rule, seed):
+    """`run_cell`'s rows at the config's k on the seed's bid book
+    (`_prices`), with `rule` as the winner rule, and every round as the rule
+    played it: the bids it was handed, their payoffs in the book, and the
+    winners it picked, in its order."""
+    _, book = auction._prices(config, population, seed, True)
+    handed = []
+
+    def spy(bids, k, rule_seed):
+        handed.append((bids, rule(bids, k, rule_seed)))
+        return handed[-1][1]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(auction.MECHANISMS, "price-first", spy)
+        rows = run_cell("price-first", config.k_values[0], seed, book)
+    assert [bids for bids, _ in handed] == [bids for bids, _ in book] and len(rows) == len(book)
+    return [(bids, payoffs, winners) for (_, winners), (bids, payoffs) in zip(handed, book)], rows
+
+
+def target_output(config, population):
+    """The baselines' target: the median complete-information output."""
+    params = MarketParams(config.lam, config.delta, config.n_clients, config.k_values[0])
+    return statistics.median(solve_complete(t, params).q for t in population.thetas.tolist())
 
 
 def _equal_theta_population(n, theta=0.5):
     return generate_population([theta] * n, seed=0)[0]
+
+
+def equal_theta_config(n, k):
+    """A one-round, baseline-only config of n clients at k."""
+    return small_config(n_clients=n, k_values=[k], rounds=1, mechanisms=["price-first"])
 
 
 def _spied(rule, seen):
@@ -565,13 +589,15 @@ def _never_below_cost(rule):
     it, so its utility is nonnegative."""
     thetas = [0.1, 0.5, 0.9, 1.0]
     population, _ = generate_population(thetas, seed=0)
-    params = MarketParams(1.0, 2.0, 4, 2)
-    for r in range(5):
-        contracts = bid_round(population, rule, 1.2, params, seed=6, round_num=r)
-        assert len(contracts) == 2
-        for i, contract in contracts.items():
-            assert contract.q == 1.2
-            assert contract.r >= cost(1.2, thetas[i], 2.0)
+    config = small_config(n_clients=4, k_values=[2], rounds=5, mechanisms=["price-first"])
+    target_q = target_output(config, population)
+    rounds, _ = bid_cell(config, population, rule, seed=6)
+    for bids, payoffs, winners in rounds:
+        assert len(winners) == 2
+        for i in winners:
+            contract = Contract(target_q, bids[i])
+            assert payoffs[i] == config.lam * target_q - bids[i]
+            assert contract.r >= cost(target_q, thetas[i], 2.0)
             assert client_utility(contract, thetas[i], 2.0) >= 0.0
 
 
@@ -584,23 +610,25 @@ class TestBidRound:
         population, _ = build_population(config, seed)
         target_q, rounds = reference_bid_rounds(config, mechanism, k, seed)
         params = MarketParams(config.lam, config.delta, config.n_clients, k)
-        played = [
-            bid_round(population, auction.MECHANISMS[mechanism], target_q, params, seed, r)
-            for r in range(config.rounds)
+        assert target_output(config, population) == target_q
+        played, _ = bid_cell(config, population, auction.MECHANISMS[mechanism], seed)
+        # Each winner, in the rule's order, is contracted for the target
+        # output at its bid, and the book holds that contract's payoff.
+        assert [
+            {i: Contract(target_q, bids[i]) for i in winners} for bids, _, winners in played
+        ] == rounds
+        assert [winners for *_, winners in played] == [list(c) for c in rounds]
+        assert [[payoffs[i] for i in winners] for _, payoffs, winners in played] == [
+            [server_utility_per_client(c, params) for c in won.values()] for won in rounds
         ]
-        assert played == rounds
-        # dict equality ignores order; the winner rule's order is the keys'.
-        assert [list(c) for c in played] == [list(c) for c in rounds]
         expected = [
             {"mechanism": mechanism, "k": k, "seed": seed, "round": r,
              "server_utility": sum(server_utility_per_client(c, params) for c in won.values()),
              "accuracy": None, "n_selected": k}
             for r, won in enumerate(rounds)
         ]
-        offers = auction._offers(config, population, True)
-        bids = auction._bid_costs(config, population, offers[Regime.COMPLETE])
-        assert bids[0] == target_q
-        assert run_cell(config, mechanism, k, seed, *bids) == expected
+        _, book = auction._prices(config, population, seed, True)
+        assert run_cell(mechanism, k, seed, book) == expected
         assert run_tables(config).rounds == expected
 
     @pytest.mark.parametrize(
@@ -664,19 +692,23 @@ class TestBidRound:
 class TestPriceFirst:
     def test_lowest_bids_win_and_are_paid(self):
         assert _cheapest([5.0, 3.0, 7.0], 2, 0) == [1, 0]
-        config = small_config(n_clients=10)
+        config = small_config(n_clients=10, rounds=2, mechanisms=["price-first"])
         population, _ = build_population(config, 2)
         seen = {}
         params = MarketParams(1.0, 2.0, 10, 4)
-        contracts = bid_round(population, _spied(_cheapest, seen), 1.0, params, 2, 1)
-        winners = list(contracts)
+        target_q = target_output(config, population)
+        rounds, rows = bid_cell(config, population, _spied(_cheapest, seen), 2)
+        _, payoffs, winners = rounds[1]
         assert len(seen) == 10 and len(winners) == 4
         # The winners come cheapest first, and each is paid its bid.
         assert winners == sorted(winners, key=lambda i: (seen[i], i))
         losers = set(seen) - set(winners)
         assert max(seen[i] for i in winners) <= min(seen[i] for i in losers)
-        assert contracts == {i: Contract(1.0, seen[i]) for i in winners}
-        assert _server_utility(winners, contracts, params) == sum(1.0 - seen[i] for i in winners)
+        assert [payoffs[i] for i in winners] == [
+            server_utility_per_client(Contract(target_q, seen[i]), params) for i in winners
+        ]
+        assert _server_utility(winners, payoffs) == sum(target_q - seen[i] for i in winners)
+        assert rows[1]["server_utility"] == _server_utility(winners, payoffs)
 
     def test_equal_bids_tie_break_by_id(self):
         assert _cheapest([2.0, 2.0, 2.0], 2, 0) == [0, 1]
@@ -684,8 +716,8 @@ class TestPriceFirst:
     def test_everyone_wins_when_k_equals_population(self):
         assert sorted(_cheapest([1.0, 2.0, 3.0], 3, 0)) == [0, 1, 2]
         population = _equal_theta_population(5)
-        contracts = bid_round(population, _cheapest, 1.0, MarketParams(1.0, 2.0, 5, 5), 3, 0)
-        assert sorted(contracts) == list(range(5))
+        [(_, _, winners)], _ = bid_cell(equal_theta_config(5, 5), population, _cheapest, 3)
+        assert sorted(winners) == list(range(5))
 
     def test_cost_anchored_bids_never_pay_below_cost(self):
         _never_below_cost(_cheapest)
@@ -696,16 +728,16 @@ class TestRandomized:
         bids = [1.0] * 5
         assert _uniform(bids, 2, 4) == _uniform(bids, 2, 4)
         population = _equal_theta_population(5)
-        params = MarketParams(1.0, 2.0, 5, 2)
-        assert bid_round(population, _uniform, 1.0, params, 4, 0) == bid_round(
-            population, _uniform, 1.0, params, 4, 0
+        config = equal_theta_config(5, 2)
+        assert bid_cell(config, population, _uniform, 4) == bid_cell(
+            config, population, _uniform, 4
         )
 
     def test_everyone_wins_when_k_equals_population(self):
         assert sorted(_uniform([1.0] * 5, 5, 1)) == list(range(5))
         population = _equal_theta_population(5)
-        contracts = bid_round(population, _uniform, 1.0, MarketParams(1.0, 2.0, 5, 5), 1, 0)
-        assert sorted(contracts) == list(range(5))
+        [(_, _, winners)], _ = bid_cell(equal_theta_config(5, 5), population, _uniform, 1)
+        assert sorted(winners) == list(range(5))
 
     def test_winners_never_paid_below_cost(self):
         _never_below_cost(_uniform)
@@ -1016,10 +1048,10 @@ class TestSharedTrajectory:
         reference = reference_tables(config).rounds
         for seed in dict.fromkeys(config.seeds):
             population, test = build_population(config, seed)
-            offers = auction._offers(config, population, False)
+            payoffs, _ = auction._prices(config, population, seed, False)
             for k in config.k_values:
                 tree = _model_tree(config, population, test)
-                shared = auction._ours_cells(config, k, seed, tree, offers)
+                shared = auction._ours_cells(config, k, seed, tree, payoffs)
                 alone = {
                     m: [r for r in reference if (r["k"], r["mechanism"], r["seed"]) == (k, m, seed)]
                     for m in config.mechanisms_ours()
@@ -1185,9 +1217,8 @@ class TestModelTree:
         config = small_config(**self.CONFIG)
         population, test = build_population(config, 1)
         tree = _model_tree(config, population, test)
-        offers = auction._offers(config, population, True)
-        bids = auction._bid_costs(config, population, offers[Regime.COMPLETE])
-        auction._grid_cells(config, 1, tree, offers, bids)
+        prices = auction._prices(config, population, 1, True)
+        auction._grid_cells(config, 1, tree, *prices)
         calls = _local_train_calls(monkeypatch)
         assert auction._trace_rows(config, tree)
         assert calls == []
@@ -1196,13 +1227,12 @@ class TestModelTree:
         config = small_config(**self.CONFIG)
         population, test = build_population(config, 1)
         tree = _model_tree(config, population, test)
-        offers = auction._offers(config, population, True)
-        bids = auction._bid_costs(config, population, offers[Regime.COMPLETE])
+        prices = auction._prices(config, population, 1, True)
         scored = []
         monkeypatch.setattr(
             auction, "banzhaf_exact", lambda *args: scored.append(args) or banzhaf_exact(*args)
         )
-        auction._grid_cells(config, 1, tree, offers, bids)
+        auction._grid_cells(config, 1, tree, *prices)
         assert scored
         scored.clear()
         assert auction._trace_rows(config, tree)
@@ -1361,11 +1391,12 @@ class TestMechanismTable:
         if ours:
             # The round's top 4 are priced with the regime's own contracts.
             params = MarketParams(config.lam, config.delta, config.n_clients, 4, row)
-            thetas = population.thetas.tolist()
-            contracts = {i: solve(theta, params) for i, theta in enumerate(thetas)}
+            contracts = [solve(theta, params) for theta in population.thetas.tolist()]
             state = _fresh_state(config, _model_tree(config, population, test))
             selected = run_round(state, params.k_select).selected
-            assert rows[0]["server_utility"] == _server_utility(selected, contracts, params)
+            assert rows[0]["server_utility"] == _server_utility(
+                selected, _payoffs(contracts, params)
+            )
             assert 0.0 <= rows[0]["accuracy"] <= 1.0
         else:
             # A baseline round trains nothing.

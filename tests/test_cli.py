@@ -312,8 +312,9 @@ class TestRunCommand:
         (tmp_path / "file").write_text("")
         body = small_config(tmp_path).replace(str(tmp_path / "out"), str(tmp_path / target))
         evaluated = []
-        # Every cell plays through one of these: an `ours-*` round or a bid round.
-        for name in ("run_cell", "run_round", "_bid_round"):
+        # Every cell runs on its seed's prices, and plays through one of
+        # these: an `ours-*` round or a baseline cell.
+        for name in ("_prices", "run_cell", "run_round"):
             monkeypatch.setattr(auction, name, lambda *args, **kw: evaluated.append(args))
         assert main(["run", str(write_config(tmp_path, body))]) == 2
         err = capsys.readouterr().err
@@ -360,6 +361,16 @@ class TestRunCommand:
             path.write_bytes(b"n_clients = 4\n# caf\xe9\n")
         assert main(["run", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_saved_with_a_byte_order_mark_runs(self, tmp_path):
+        # Windows editors save UTF-8 with a BOM, which must not read as part
+        # of the first key.
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + small_config(tmp_path).encode())
+        plain = write_config(tmp_path, small_config(tmp_path), "plain.cfg")
+        assert parse_config(path) == parse_config(plain)
+        assert main(["run", str(path)]) == 0
+        assert (tmp_path / "out" / "rounds.csv").exists()
 
     def test_invalid_config_is_a_usage_error(self, tmp_path):
         path = write_config(tmp_path, "n_clients = 3\nk_select = 9\n")

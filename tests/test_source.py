@@ -220,6 +220,20 @@ def test_the_play_path_takes_no_population_or_market():
     assert annotated == [], f"play-path parameters of a population or market: {annotated}"
 
 
+def _reached(functions, root):
+    """The names of `root` and of every function in `functions` it reaches
+    by calling a name."""
+    reached, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo.extend(
+            callee for node in ast.walk(functions[name])
+            if (callee := _callee(node)) in functions and callee not in reached
+        )
+    return reached
+
+
 def _flsim_functions():
     """flsim.py's module-level functions and methods, by dotted name."""
     tree = ast.parse(FLSIM.read_text(), filename=str(FLSIM))
@@ -243,14 +257,7 @@ def test_rounds_do_no_per_cell_work():
     # rounds. Nor does a round price itself: it is played once and priced by
     # each mechanism after.
     functions = _auction_functions()
-    reached, todo = set(), ["run_round"]
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        todo.extend(
-            callee for node in ast.walk(functions[name])
-            if (callee := _callee(node)) in functions and callee not in reached
-        )
+    reached = _reached(functions, "run_round")
     training = _flsim_functions()
     walked = {name: functions[name] for name in reached} | {
         name: training[name] for name in ("local_train", "Population.round_labels")
@@ -293,19 +300,58 @@ def test_only_the_population_packs_its_flips():
 
 
 def test_rounds_are_priced_in_one_place():
-    # Every mechanism prices its rounds through auction._server_utility, so
-    # no two of them can sum the server's payoff differently.
-    calls = [
+    # Every price has one shape, the server's payoff from each client, made
+    # by auction._payoffs alone; every rounds.csv row (auction._rows) and
+    # every tamper total sums the selected clients' payoffs through
+    # auction._server_utility, so no two mechanisms can price or sum
+    # differently.
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    calls = {
+        name: sorted(
+            f"{path.stem}.{scope}"
+            for path, tree in trees.items()
+            for scope in _scopes_where(tree, lambda node, name=name: _callee(node) == name)
+        )
+        for name in ("server_utility_per_client", "_server_utility", "_rows")
+    }
+    assert calls == {
+        "server_utility_per_client": ["auction._payoffs"],
+        "_server_utility": ["auction._rows", "auction._tamper_totals"],
+        "_rows": ["auction._ours_cells", "auction.run_cell"],
+    }
+    # Only _rows writes a row's server utility.
+    writers = [
         f"{path.stem}.{scope}"
-        for path in SOURCES
+        for path, tree in trees.items()
         for scope in _scopes_where(
-            ast.parse(path.read_text(), filename=str(path)),
-            lambda node: _callee(node) == "server_utility_per_client",
+            tree,
+            lambda node: isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "server_utility"
+                for key in node.keys
+            ),
         )
     ]
-    assert calls == ["auction._server_utility"], (
-        f"server_utility_per_client called outside auction._server_utility: {calls}"
+    assert writers == ["auction._rows"]
+
+
+def test_cells_draw_and_price_nothing():
+    # A seed's prices (auction._prices) read no k: the `ours-*` payoffs and
+    # the baselines' bid book, every round's bids and their payoffs, are made
+    # once per seed. So a cell, and every auction function it reaches by
+    # name, draws no bid, costs no output and builds no market. A baseline
+    # cell only applies its winner rule, and reaches the rule's own draw
+    # (`_uniform`'s) through the `rule` variable, not by name.
+    functions = _auction_functions()
+    calls = sorted(
+        f"{root} reaches {name}, which calls {callee}"
+        for root in ("run_cell", "_ours_cells", "_tamper_totals")
+        for name in _reached(functions, root)
+        for node in ast.walk(functions[name])
+        if (callee := _callee(node)) in {"default_rng", "cost", "_market", "MarketParams"}
     )
+    assert calls == [], f"per-cell pricing work: {calls}"
+    assert not _reached(functions, "run_cell") & {"_cheapest", "_uniform"}
+    assert any(_callee(node) == "rule" for node in ast.walk(functions["run_cell"]))
 
 
 # The tables auction.py names at module level; every other module-level

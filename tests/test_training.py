@@ -19,7 +19,8 @@ pins that portability instead, by rerunning one golden case on OpenBLAS's
 SSE-only kernel.
 
 A change meant to move training (a new coalition game, say) records the
-fixture again with `python tests/test_training.py` and says so.
+fixture again with `PYTHONPATH=src python tests/test_training.py` and says
+so.
 """
 
 import ctypes
