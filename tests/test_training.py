@@ -123,7 +123,8 @@ def test_every_case_trains_the_recorded_models(tmp_path, monkeypatch, case):
     recorded = np.load(FIXTURE)
     expected = {key.split("/", 1)[1]: recorded[key] for key in recorded if key.startswith(f"{case}/")}
     got = trained(case, tmp_path, monkeypatch)
-    atol = 0.0 if kernel() and kernel() == str(recorded["kernel"]) else ATOL
+    here = kernel()
+    atol = 0.0 if here and here == str(recorded["kernel"]) else ATOL
     assert sorted(got) == sorted(expected)
     for key, values in expected.items():
         assert got[key].shape == values.shape, key
