@@ -8,11 +8,12 @@ what was played. Every price has one shape: the server's payoff from each
 client, in population order. Pricing (`_server_utility`) sums the selected
 clients' payoffs, and every mechanism prices its rounds through it.
 
-An `ours-*` mechanism's contracts (`_offer`) depend only on the clients'
-thetas and the market, never on round state or k, so each seed solves them,
-and prices them (`_prices`), once. Participation holds by construction,
-checked once per offer: every client accepts every `ours-*` contract, so
-the regime does not enter a round. One trajectory per (seed, k) is played,
+An `ours-*` mechanism's contracts depend only on the clients' thetas and
+the market, never on round state or k, so each seed prices them once
+(`_prices`): one `solve` per regime on the population's thetas, whose
+`Contract` holds every client's terms as arrays. Participation holds by
+construction, checked once per regime: every client accepts every `ours-*`
+contract, so the regime does not enter a round. One trajectory per (seed, k) is played,
 and each `ours-*` mechanism prices it with its own payoffs.
 
 A seed's population is fixed for a whole run, and so are its poisoners'
@@ -33,9 +34,9 @@ The two buyers'-market baselines are rows of the same table: each holds its
 winner rule. Every client bids its cost at the median complete-information
 output times a random margin, the rule picks the winners, and each winner
 is paid its bid. The bids and the server's payoff from each read neither k
-nor the rule, so each seed draws them once, as a bid book (`_prices`), and
-`run_cell` plays one baseline cell by applying its rule to every round's
-bids.
+nor the rule, so each seed draws them once, as a bid book (`_prices`,
+every round's bids and payoffs in one array each), and `run_cell` plays
+one baseline cell by applying its rule to every round's bids.
 """
 
 from __future__ import annotations
@@ -276,31 +277,6 @@ def _banzhaf_contributions(values: np.ndarray) -> np.ndarray:
     return banzhaf_exact(additive_utility(values), len(values))
 
 
-def _offer(population: Population, params: MarketParams) -> list[Contract]:
-    """Each client's contract under the regime of `params`, in population
-    order; depends on no round state. Complete information pays exactly the
-    cost and incomplete the cost plus a nonnegative rent, so every client
-    accepts; raises RuntimeError, naming the regime and the clients, if a
-    client's utility from its contract is below 0."""
-    thetas = population.thetas.tolist()
-    contracts = [solve(theta, params) for theta in thetas]
-    declined = [
-        i for i, (contract, theta) in enumerate(zip(contracts, thetas))
-        if client_utility(contract, theta, params.delta) < 0.0
-    ]
-    if declined:
-        raise RuntimeError(
-            f"{params.regime.value}-information contracts leave clients {declined} "
-            "below their participation utility of 0"
-        )
-    return contracts
-
-
-def _payoffs(contracts: list[Contract], params: MarketParams) -> list[float]:
-    """The server's payoff from each of `contracts`, in their order."""
-    return [server_utility_per_client(contract, params) for contract in contracts]
-
-
 def _server_utility(selected: list[int], payoffs: list[float]) -> float:
     """The server's payoff from a round: the sum, in selection order, of
     each selected client's payoff, `payoffs[i]` being client i's."""
@@ -442,11 +418,6 @@ def _fresh_state(config, tree: ModelTree, ledger_mode: str = "chained") -> Simul
     )
 
 
-def _market(config, k: int, regime: Regime = Regime.COMPLETE) -> MarketParams:
-    """The market at k under `regime`, which only `solve` reads."""
-    return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
-
-
 class BidRound(NamedTuple):
     """One round of a seed's bid book: every client's bid, in population
     order, and the server's payoff from paying it for the target output."""
@@ -493,38 +464,43 @@ def _play(
     return reports
 
 
-def _offers(config, population: Population, baselines: bool) -> dict[Regime, list[Contract]]:
-    """Each regime's contracts for the seed's population, solved once for
-    every cell of the seed: each listed `ours-*` mechanism's regime, and the
-    complete one if `baselines`, whose outputs fix their target output
-    (`_prices`). `solve` reads no k, so the first k's market serves all."""
-    regimes = [MECHANISMS[m] for m in config.mechanisms_ours()] + [Regime.COMPLETE] * baselines
-    k = config.k_values[0]
-    return {r: _offer(population, _market(config, k, r)) for r in dict.fromkeys(regimes)}
-
-
 def _prices(
     config, population: Population, seed: int, baselines: bool
 ) -> tuple[dict[Regime, list[float]], list[BidRound] | None]:
     """The seed's prices, which read no k: the server's payoff from each
-    client, in population order, under each regime's contracts (`_offers`),
-    and, if `baselines`, the bid book, else None. In round r every client
-    bids its cost of the median complete-information output times a margin
-    drawn uniformly from [1.0, 1.3], in population order, from
-    `default_rng((seed, r))`; each bid is a contract for that output."""
-    market = _market(config, config.k_values[0])
-    offers = _offers(config, population, baselines)
-    payoffs = {regime: _payoffs(contracts, market) for regime, contracts in offers.items()}
+    client, in population order, under each listed `ours-*` regime's
+    contracts, and the complete one's if `baselines`, whose outputs fix
+    their target output; and, if `baselines`, the bid book, else None.
+    Raises RuntimeError, naming the regime and the clients, if a client's
+    utility from its contract is below 0. In round r every client bids its
+    cost of the median complete-information output times a margin drawn
+    uniformly from [1.0, 1.3], in population order, from
+    `default_rng((seed, r))`; each bid is a contract for that output. The
+    payoffs and bids are Python floats, whose repr is the bare number the
+    CSV holds."""
+    market = MarketParams(config.lam, config.delta, config.n_clients, config.k_values[0])
+    thetas = population.thetas
+    regimes = [MECHANISMS[m] for m in config.mechanisms_ours()] + [Regime.COMPLETE] * baselines
+    payoffs, outputs = {}, {}
+    for regime in dict.fromkeys(regimes):
+        contracts = solve(thetas, market, regime)
+        declined = np.flatnonzero(client_utility(contracts, thetas, config.delta) < 0.0)
+        if declined.size:
+            raise RuntimeError(
+                f"{regime.value}-information contracts leave clients {declined.tolist()} "
+                "below their participation utility of 0"
+            )
+        payoffs[regime] = server_utility_per_client(contracts, market).tolist()
+        outputs[regime] = contracts.q
     if not baselines:
         return payoffs, None
-    target_q = statistics.median(contract.q for contract in offers[Regime.COMPLETE])
-    costs = [cost(target_q, theta, config.delta) for theta in population.thetas.tolist()]
-    book = []
-    for r in range(config.rounds):
-        margins = np.random.default_rng((seed, r)).random(len(costs)).tolist()
-        bids = [c * (1.0 + 0.3 * m) for c, m in zip(costs, margins)]
-        book.append(BidRound(bids, _payoffs([Contract(target_q, bid) for bid in bids], market)))
-    return payoffs, book
+    target_q = statistics.median(outputs[Regime.COMPLETE].tolist())
+    margins = np.empty((config.rounds, len(thetas)))
+    for r, row in enumerate(margins):
+        np.random.default_rng((seed, r)).random(out=row)
+    bids = cost(target_q, thetas, config.delta) * (1.0 + 0.3 * margins)
+    bid_payoffs = server_utility_per_client(Contract(target_q, bids), market)
+    return payoffs, list(map(BidRound, bids.tolist(), bid_payoffs.tolist()))
 
 
 def _ours_cells(

@@ -70,9 +70,8 @@ def cmd_verify_ledger(path: str) -> int:
 
 
 def cmd_solve(theta: float, lam: float, delta: float, regime: str) -> int:
-    params = MarketParams(lam, delta, n_clients=1, k_select=1, regime=Regime(regime))
-    contract = solve(theta, params)
-    print(f"regime={params.regime.value} theta={theta!r} q={contract.q!r} r={contract.r!r}")
+    contract = solve(theta, MarketParams(lam, delta, n_clients=1, k_select=1), Regime(regime))
+    print(f"regime={regime} theta={theta!r} q={contract.q!r} r={contract.r!r}")
     return 0
 
 

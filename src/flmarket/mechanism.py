@@ -5,6 +5,12 @@ for a transfer r. Under complete information the client's efficiency theta
 is observable and the server extracts the full surplus; under incomplete
 information the transfer includes an information rent and output is
 distorted downward for all types below the top.
+
+Every closed form takes a float or an array: a type theta, an output q or
+a contract's terms may each be a numpy array, and an array yields each
+element's value with the bits of the float form, because each formula is
+written once and performs the same operations in the same order on both.
+A check of an array names its first bad element and that element's index.
 """
 
 from __future__ import annotations
@@ -13,15 +19,36 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+# A float, or an array of floats that a closed form maps element by element.
+Floats = float | np.ndarray
+
 
 class Regime(Enum):
     COMPLETE = "complete"
     INCOMPLETE = "incomplete"
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"efficiency theta must lie in [0, 1], got {theta}")
+def _require(ok, value, what: str) -> None:
+    """Raise ValueError(f"{what}, got {value}") unless `ok` holds. For an
+    array `value`, `ok` is its elementwise mask, and the message names the
+    first element that fails and its index."""
+    if not isinstance(value, np.ndarray):
+        if not ok:
+            raise ValueError(f"{what}, got {value}")
+    elif not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"{what}, got {value.flat[i]} at index {i}")
+
+
+def _check_theta(theta: Floats) -> None:
+    _require((0.0 <= theta) & (theta <= 1.0), theta, "efficiency theta must lie in [0, 1]")
+
+
+def _check_output(q: Floats) -> None:
+    # Only q < 0.0 fails: a NaN output passes (q != q).
+    _require((q >= 0.0) | (q != q), q, "output q must be nonnegative")
 
 
 def _check_delta(delta: float) -> None:
@@ -54,13 +81,13 @@ def largest_term(lam: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Market-level constants: valuation slope, cost shape, population sizes."""
+    """Market-level constants: valuation slope, cost shape, population
+    sizes. The information regime is not one: it is an argument of `solve`."""
 
     lam: float
     delta: float
     n_clients: int
     k_select: int
-    regime: Regime = Regime.COMPLETE
 
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
@@ -79,47 +106,50 @@ class MarketParams:
 
 @dataclass(frozen=True)
 class Contract:
-    """Output-transfer pair offered to a client."""
+    """Output-transfer pair offered to a client, or, with array terms, to
+    each client of a population."""
 
-    q: float
-    r: float
+    q: Floats
+    r: Floats
 
     def __post_init__(self):
-        if self.q < 0.0 or self.r < 0.0:
+        negative = (self.q < 0.0) | (self.r < 0.0)
+        if negative.any() if isinstance(negative, np.ndarray) else negative:
             raise ValueError("contract terms must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IcDiagnostic:
-    """Utility comparison between a truthful report and one misreport."""
+    """Utility of a client of type `true_theta` from reporting truthfully,
+    and from each report of `reported_theta`, an array over the grid, with
+    the gain of each misreport over the truth, floored at 0."""
 
     true_theta: float
-    reported_theta: float
+    reported_theta: np.ndarray
     truthful_utility: float
-    misreport_utility: float
-    violation: float
+    misreport_utility: np.ndarray
+    violation: np.ndarray
 
 
-def cost(q: float, theta: float, delta: float) -> float:
+def cost(q: Floats, theta: Floats, delta: float) -> Floats:
     """Client's cost of producing output q: q^2 / (1 + delta * theta)."""
     _check_theta(theta)
     _check_delta(delta)
-    if q < 0.0:
-        raise ValueError(f"output q must be nonnegative, got {q}")
+    _check_output(q)
     return q * q / (1.0 + delta * theta)
 
 
-def client_utility(contract: Contract, theta: float, delta: float) -> float:
+def client_utility(contract: Contract, theta: Floats, delta: float) -> Floats:
     """Quasi-linear client payoff: transfer minus production cost."""
     return contract.r - cost(contract.q, theta, delta)
 
 
-def server_utility_per_client(contract: Contract, params: MarketParams) -> float:
-    """Server's net payoff from one contract: lambda * q - r."""
+def server_utility_per_client(contract: Contract, params: MarketParams) -> Floats:
+    """Server's net payoff from a contract: lambda * q - r."""
     return params.lam * contract.q - contract.r
 
 
-def solve_complete(theta: float, params: MarketParams) -> Contract:
+def solve_complete(theta: Floats, params: MarketParams) -> Contract:
     """Optimal contract when theta is observable.
 
     Output equates marginal benefit with marginal cost, and the transfer
@@ -132,7 +162,7 @@ def solve_complete(theta: float, params: MarketParams) -> Contract:
     return Contract(q, r)
 
 
-def information_rent(theta: float, q: float, delta: float) -> float:
+def information_rent(theta: Floats, q: Floats, delta: float) -> Floats:
     """Extra payment above cost needed to elicit the client's type.
 
     Equals (1 - theta) * delta * q^2 / (1 + delta*theta)^2; zero at the
@@ -140,13 +170,12 @@ def information_rent(theta: float, q: float, delta: float) -> float:
     """
     _check_theta(theta)
     _check_delta(delta)
-    if q < 0.0:
-        raise ValueError(f"output q must be nonnegative, got {q}")
+    _check_output(q)
     denom = 1.0 + delta * theta
     return (1.0 - theta) * delta * q * q / (denom * denom)
 
 
-def solve_incomplete(theta: float, params: MarketParams) -> Contract:
+def solve_incomplete(theta: Floats, params: MarketParams) -> Contract:
     """Optimal contract when theta is private to the client.
 
     Output solves the marginal-virtual-cost condition
@@ -162,38 +191,27 @@ def solve_incomplete(theta: float, params: MarketParams) -> Contract:
     return Contract(q, r)
 
 
-def solve(theta: float, params: MarketParams) -> Contract:
-    """Optimal contract under the information regime of `params`."""
-    solver = solve_complete if params.regime is Regime.COMPLETE else solve_incomplete
+def solve(theta: Floats, params: MarketParams, regime: Regime) -> Contract:
+    """Optimal contract under the information `regime`."""
+    solver = solve_complete if regime is Regime.COMPLETE else solve_incomplete
     return solver(theta, params)
 
 
 def ic_diagnostic(
-    true_theta: float, reported_grid: list[float], params: MarketParams
-) -> list[IcDiagnostic]:
+    true_theta: float, reported_grid: list[float] | np.ndarray, params: MarketParams
+) -> IcDiagnostic:
     """Measure how much a client could gain by misreporting its type.
 
-    For each reported theta-hat, the client of type true_theta is assigned
-    the incomplete-information contract solved for theta-hat. This is a
-    measurement tool: it records violations, it does not assert they are
-    zero.
+    For each reported theta-hat of the grid, the client of type true_theta
+    is assigned the incomplete-information contract solved for theta-hat;
+    the whole grid is one array. This is a measurement tool: it records
+    violations, it does not assert they are zero.
     """
-    if not reported_grid:
+    reported = np.array(reported_grid, dtype=float)
+    if not reported.size:
         raise ValueError("reported_grid must be non-empty")
-    truthful = client_utility(
-        solve_incomplete(true_theta, params), true_theta, params.delta
-    )
-    out = []
-    for reported in reported_grid:
-        contract = solve_incomplete(reported, params)
-        misreport = client_utility(contract, true_theta, params.delta)
-        out.append(
-            IcDiagnostic(
-                true_theta=true_theta,
-                reported_theta=reported,
-                truthful_utility=truthful,
-                misreport_utility=misreport,
-                violation=max(0.0, misreport - truthful),
-            )
-        )
-    return out
+    truthful = client_utility(solve_incomplete(true_theta, params), true_theta, params.delta)
+    misreport = client_utility(solve_incomplete(reported, params), true_theta, params.delta)
+    gain = misreport - truthful
+    # Python's max(0.0, gain) for each report: a gain of -0.0 reads 0.0.
+    return IcDiagnostic(true_theta, reported, truthful, misreport, np.where(gain > 0.0, gain, 0.0))

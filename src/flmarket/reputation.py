@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,9 +36,10 @@ class CoalitionUtility:
     mode: CoalitionMode = CoalitionMode.ADDITIVE
 
 
-def additive_utility(values: dict[int, float]) -> CoalitionUtility:
-    """Utility where each member contributes a fixed per-client value; the
-    clients are 0..n-1. A row reduction, not a product, so no BLAS call."""
+def additive_utility(values: Mapping[int, float] | np.ndarray) -> CoalitionUtility:
+    """Utility where each member contributes a fixed per-client value,
+    client j's being `values[j]`, from a mapping or an array; the clients
+    are 0..n-1. A row reduction, not a product, so no BLAS call."""
     vec = np.array([values[j] for j in range(len(values))], dtype=float)
     return CoalitionUtility(
         evaluator=lambda masks: (masks * vec).sum(axis=1),

@@ -26,8 +26,6 @@ from flmarket.auction import (
     _cheapest,
     _fresh_state,
     _model_tree,
-    _offer,
-    _payoffs,
     _server_utility,
     _uniform,
     realized_value,
@@ -81,11 +79,11 @@ def small_config(**overrides):
     return config
 
 
-def single_client_setup(theta=1.0, regime=Regime.COMPLETE):
+def single_client_setup(theta=1.0):
     population, test = generate_population([theta], seed=0)
-    params = MarketParams(1.0, 2.0, 1, 1, regime)
+    config = small_config(n_clients=1, k_values=[1])
     tree = ModelTree(population, AggregationConfig(local_epochs=2), test, 1.0, 2.0)
-    return population, params, SimulationState(tree)
+    return population, config, SimulationState(tree)
 
 
 def played(reports):
@@ -96,19 +94,22 @@ def played(reports):
 
 class TestRunRound:
     def test_single_top_type_client_fixture(self):
-        population, params, state = single_client_setup()
-        contracts = _offer(population, params)
-        report = run_round(state, params.k_select)
+        population, config, state = single_client_setup()
+        payoffs, _ = auction._prices(config, population, 0, False)
+        report = run_round(state, 1)
         assert report.selected == [0]
-        assert contracts[0].r == pytest.approx(0.75, abs=1e-12)
-        assert _server_utility(report.selected, _payoffs(contracts, params)) == pytest.approx(
+        params = MarketParams(1.0, 2.0, 1, 1)
+        assert solve(population.thetas, params, Regime.COMPLETE).r.tolist() == pytest.approx(
+            [0.75], abs=1e-12
+        )
+        assert _server_utility(report.selected, payoffs[Regime.COMPLETE]) == pytest.approx(
             0.75, abs=1e-12
         )
 
     def test_complete_information_contracts_all_accepted(self):
         config = small_config()
         population, test = build_population(config, seed=3)
-        params = MarketParams(1.0, 2.0, 8, 8, Regime.COMPLETE)
+        params = MarketParams(1.0, 2.0, 8, 8)
         state = _fresh_state(config, _model_tree(config, population, test))
         report = run_round(state, params.k_select)
         # Zero-rent contracts meet the participation bound, so with k = n
@@ -118,7 +119,7 @@ class TestRunRound:
     def test_cold_start_selection_is_id_ordered(self):
         config = small_config(n_clients=10, k_values=[3])
         population, test = build_population(config, seed=1)
-        params = MarketParams(1.0, 2.0, 10, 3, Regime.COMPLETE)
+        params = MarketParams(1.0, 2.0, 10, 3)
         state = _fresh_state(config, _model_tree(config, population, test))
         report = run_round(state, params.k_select)
         assert report.selected == [0, 1, 2]
@@ -127,48 +128,44 @@ class TestRunRound:
         config = small_config(lam=1.3)
         population, test = build_population(config, seed=5)
         thetas = population.thetas.tolist()
+        params = MarketParams(1.3, 2.0, 8, 4)
+        payoffs, _ = auction._prices(config, population, 5, False)
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
-            params = MarketParams(1.3, 2.0, 8, 4, regime)
             state = _fresh_state(config, _model_tree(config, population, test))
-            contracts = _offer(population, params)
-            payoffs = _payoffs(contracts, params)
+            contracts = solve(population.thetas, params, regime)
+            q, r = contracts.q.tolist(), contracts.r.tolist()
             for _ in range(2):
                 rep = run_round(state, params.k_select)
-                lhs = _server_utility(rep.selected, payoffs) + sum(
-                    client_utility(contracts[i], thetas[i], params.delta) for i in rep.selected
+                lhs = _server_utility(rep.selected, payoffs[regime]) + sum(
+                    client_utility(Contract(q[i], r[i]), thetas[i], params.delta)
+                    for i in rep.selected
                 )
                 rhs = sum(
-                    params.lam * contracts[i].q - cost(contracts[i].q, thetas[i], params.delta)
-                    for i in rep.selected
+                    params.lam * q[i] - cost(q[i], thetas[i], params.delta) for i in rep.selected
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_no_selected_client_has_negative_utility(self):
         config = small_config(theta_min=0.0)
         population, test = build_population(config, seed=9)
-        thetas = population.thetas.tolist()
+        params = MarketParams(1.0, 2.0, 8, 5)
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
-            params = MarketParams(1.0, 2.0, 8, 5, regime)
             state = _fresh_state(config, _model_tree(config, population, test))
-            contracts = _offer(population, params)
+            contracts = solve(population.thetas, params, regime)
+            utilities = client_utility(contracts, population.thetas, params.delta).tolist()
             for _ in range(3):
                 rep = run_round(state, params.k_select)
-                assert all(
-                    client_utility(contracts[i], thetas[i], params.delta) >= 0.0
-                    for i in rep.selected
-                )
+                assert all(utilities[i] >= 0.0 for i in rep.selected)
 
     def test_regime_dominance_every_round(self):
         config = small_config(rounds=4)
         population, test = build_population(config, seed=7)
-        params_ci = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
-        params_in = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
         state = _fresh_state(config, _model_tree(config, population, test))
-        payoffs_ci = _payoffs(_offer(population, params_ci), params_ci)
-        payoffs_in = _payoffs(_offer(population, params_in), params_in)
+        payoffs, _ = auction._prices(config, population, 7, False)
+        payoffs_ci, payoffs_in = payoffs[Regime.COMPLETE], payoffs[Regime.INCOMPLETE]
         # Both regimes price the one trajectory every client accepts.
         for _ in range(4):
-            selected = run_round(state, params_ci.k_select).selected
+            selected = run_round(state, 4).selected
             u_ci = _server_utility(selected, payoffs_ci)
             u_in = _server_utility(selected, payoffs_in)
             assert u_ci >= u_in - 1e-12
@@ -219,7 +216,7 @@ class TestRunRound:
 
         monkeypatch.setattr(auction, "evaluate_accuracy", counted)
         monkeypatch.setattr(auction, "local_train", spied)
-        params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
+        params = MarketParams(1.0, 2.0, 8, 4)
         for r in range(3):
             rep = run_round(state, params.k_select)
             assert len(evaluated) == len(trained) == r + 1
@@ -253,7 +250,7 @@ class TestRunRound:
         config = small_config(n_clients=n)
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
-        params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
+        params = MarketParams(1.0, 2.0, n, 4)
         state = _fresh_state(config, _model_tree(config, population, test))
         rep = run_round(state, params.k_select)
         assert len(rep.epsilons) == n
@@ -272,7 +269,7 @@ class TestRunRound:
         config = small_config(n_clients=n)
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
-        params = MarketParams(1.0, 2.0, n, 4, Regime.COMPLETE)
+        params = MarketParams(1.0, 2.0, n, 4)
         state = _fresh_state(config, _model_tree(config, population, test))
         node = state.node
         rep = run_round(state, params.k_select)
@@ -291,7 +288,7 @@ class TestRunRound:
         # Complete information: all six clients accept, and k = 2 are aggregated.
         thetas = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         population, test = generate_population(thetas, seed=23)
-        params = MarketParams(1.0, 2.0, 6, 2, Regime.COMPLETE)
+        params = MarketParams(1.0, 2.0, 6, 2)
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
         state = SimulationState(ModelTree(population, cfg, test, 1.0, 2.0))
         root = state.node
@@ -315,7 +312,7 @@ class TestRunRound:
     def test_epsilons_are_what_the_ledger_holds(self):
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=4)
-        params = MarketParams(1.0, 2.0, 8, 4, Regime.INCOMPLETE)
+        params = MarketParams(1.0, 2.0, 8, 4)
         state = _fresh_state(config, _model_tree(config, population, test))
         for _ in range(3):
             rep = run_round(state, params.k_select)
@@ -423,7 +420,7 @@ class TestPoisonedLabels:
             # A poisoner's packed labels of a round fill its own bytes only.
             assert not np.any(population.flips[j, :, (counts[i] + 7) // 8 :])
         # Complete information: every client accepts, poisoners included.
-        params = MarketParams(1.0, 2.0, 8, 4, Regime.COMPLETE)
+        params = MarketParams(1.0, 2.0, 8, 4)
         state = _fresh_state(config, _model_tree(config, population, test))
         for r in range(config.rounds):
             rep = run_round(state, params.k_select)
@@ -640,14 +637,15 @@ class TestBidRound:
         calls = []
 
         def counted(q, theta, delta):
-            calls.append(theta)
+            calls.append(theta.tolist())
             return cost(q, theta, delta)
 
         monkeypatch.setattr(auction, "cost", counted)
         config = small_config(seeds=[1, 0, 1], k_values=[2, 4], mechanisms=mechanisms)
         run_tables(config)
-        # Every (k, baseline) cell of a seed bids on one set of costs.
-        thetas = [t for seed in (1, 0) for t in build_population(config, seed)[0].thetas.tolist()]
+        # Every (k, baseline) cell of a seed bids on one set of costs, made
+        # in one call over the seed's population.
+        thetas = [build_population(config, seed)[0].thetas.tolist() for seed in (1, 0)]
         assert calls == (thetas if costed else [])
 
     @pytest.mark.parametrize(
@@ -662,13 +660,14 @@ class TestBidRound:
     )
     def test_each_seed_solves_each_regime_once(self, monkeypatch, mechanisms, solved):
         """The baselines' target output is read from the complete contracts
-        that `_offers` solves for the seed, whether `ours-complete` is listed
-        or not, so no client's contract is solved twice in one regime."""
+        that `_prices` solves for the seed, whether `ours-complete` is listed
+        or not, so no client's contract is solved twice in one regime: each
+        regime is solved in one call over the seed's population."""
         calls = []
 
         def counted(solver, regime):
             def call(theta, params):
-                calls.append((regime, theta))
+                calls.append((regime, theta.tolist()))
                 return solver(theta, params)
 
             return call
@@ -682,10 +681,9 @@ class TestBidRound:
         config = small_config(seeds=[1, 0, 1], k_values=[2, 4], mechanisms=mechanisms)
         run_tables(config)
         assert calls == [
-            (regime, theta)
+            (regime, build_population(config, seed)[0].thetas.tolist())
             for seed in (1, 0)
             for regime in solved
-            for theta in build_population(config, seed)[0].thetas.tolist()
         ]
 
 
@@ -818,9 +816,9 @@ class TestExperimentHarness:
     def test_each_seed_solves_each_offer_once(self, monkeypatch, mechanisms):
         solved = []
 
-        def counted(theta, params):
-            solved.append(params.regime)
-            return solve(theta, params)
+        def counted(theta, params, regime):
+            solved.append((regime, theta.tolist()))
+            return solve(theta, params, regime)
 
         monkeypatch.setattr(auction, "solve", counted)
         config = small_config(
@@ -832,9 +830,13 @@ class TestExperimentHarness:
         )
         tables = run_tables(config)
         assert tables.reputation and len(tables.robustness) == 2
-        # The grid, the trace and both tamper cells share each seed's offers.
+        # The grid, the trace and both tamper cells share each seed's offers,
+        # each regime's solved in one call over the seed's population.
         regimes = [auction.MECHANISMS[m] for m in config.mechanisms_ours()]
-        assert solved == [r for _ in config.seeds for r in regimes for _ in range(config.n_clients)]
+        assert solved == [
+            (r, build_population(config, seed)[0].thetas.tolist())
+            for seed in config.seeds for r in regimes
+        ]
 
     def test_every_table_value_is_a_builtin_scalar(self):
         # The oracle compares tables with `==`, which a numpy scalar passes
@@ -931,13 +933,15 @@ def reference_tables(config, played=None):
     def market(k, mechanism):
         row = auction.MECHANISMS[mechanism]
         regime = row if isinstance(row, Regime) else Regime.COMPLETE
-        return MarketParams(config.lam, config.delta, config.n_clients, k, regime)
+        return MarketParams(config.lam, config.delta, config.n_clients, k), regime
 
     def play(kind, seed, k, mechanism, mode="chained", tamper=None):
         """An `ours-*` cell's population, reports and per-round utilities."""
         population, test = build_population(config, seed)
-        params = market(k, mechanism)
-        contracts = {i: solve(theta, params) for i, theta in enumerate(population.thetas.tolist())}
+        params, regime = market(k, mechanism)
+        contracts = {
+            i: solve(theta, params, regime) for i, theta in enumerate(population.thetas.tolist())
+        }
         state = SimulationState(
             ModelTree(population, agg, test, config.lam, config.delta),
             ledger=stores[mode](),
@@ -969,7 +973,7 @@ def reference_tables(config, played=None):
                             for rep, u in zip(reports, utilities)
                         ]
                     else:
-                        params = market(k, mechanism)
+                        params, _ = market(k, mechanism)
                         _, won = reference_bid_rounds(config, mechanism, k, seed)
                         cell = [
                             (r, sum(server_utility_per_client(c, params) for c in w.values()),
@@ -1113,11 +1117,11 @@ class TestSharedTrajectory:
         population, _ = build_population(config, 0)
         rejected = population.thetas.tolist()[3]
 
-        def underpaying(theta, params):
+        def underpaying(theta, params, regime):
             # The incomplete regime pays client 3 nothing, so it would decline.
-            contract = solve(theta, params)
-            if params.regime is Regime.INCOMPLETE and theta == rejected:
-                return dataclasses.replace(contract, r=0.0)
+            contract = solve(theta, params, regime)
+            if regime is Regime.INCOMPLETE:
+                return dataclasses.replace(contract, r=np.where(theta == rejected, 0.0, contract.r))
             return contract
 
         monkeypatch.setattr(auction, "solve", underpaying)
@@ -1390,12 +1394,12 @@ class TestMechanismTable:
         assert config.mechanisms_ours() == ([mechanism] if ours else [])
         if ours:
             # The round's top 4 are priced with the regime's own contracts.
-            params = MarketParams(config.lam, config.delta, config.n_clients, 4, row)
-            contracts = [solve(theta, params) for theta in population.thetas.tolist()]
+            params = MarketParams(config.lam, config.delta, config.n_clients, 4)
+            contracts = solve(population.thetas, params, row)
             state = _fresh_state(config, _model_tree(config, population, test))
             selected = run_round(state, params.k_select).selected
             assert rows[0]["server_utility"] == _server_utility(
-                selected, _payoffs(contracts, params)
+                selected, server_utility_per_client(contracts, params).tolist()
             )
             assert 0.0 <= rows[0]["accuracy"] <= 1.0
         else:

@@ -113,8 +113,10 @@ class TestSolveCommand:
         # q* = (1 + 2*0.5)^2 / 6
         assert f"q={(2.0 ** 2) / 6!r}" in out
 
-    def test_invalid_theta_is_a_usage_error(self):
+    def test_invalid_theta_is_a_usage_error(self, capsys):
         assert main(["solve", "--theta", "1.5"]) == 2
+        # A float's message names no index; only an array's does.
+        assert capsys.readouterr().err == "error: efficiency theta must lie in [0, 1], got 1.5\n"
 
     @pytest.mark.parametrize(
         "args",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flmarket import flsim
 from flmarket.flsim import (
     EVAL_ROWS,
+    FEATURE_DIM,
     AggregationConfig,
     Aggregator,
     ModelParams,
@@ -208,8 +209,10 @@ class TestLocalTrain:
     def test_epochs_allocate_no_row_sized_array(self, algo):
         """The residual is the only (clients, rows) array a call allocates
         (the labels are the population's block), and the epochs add none,
-        however many there are: a call's peak of traced memory is the same
-        at 1 epoch as at 30."""
+        however many there are: a call's peak of traced memory at 30 epochs
+        is within one weight row (21 doubles) of its peak at 1 epoch. The
+        slack absorbs numpy's own bookkeeping, a few bytes a call, which no
+        row-sized array fits in."""
         population = mixed_clients(20)
         cfg, server_variate, variates = train_config(algo, 20)
         row_sized = population.design[:, 0].nbytes
@@ -226,7 +229,9 @@ class TestLocalTrain:
                 tracemalloc.stop()
 
         peak(30)
-        assert peak(30) == peak(1) < 3 * row_sized
+        many, one = peak(30), peak(1)
+        assert abs(many - one) <= (FEATURE_DIM + 1) * 8
+        assert many < 3 * row_sized
 
     @pytest.mark.parametrize("shape", [(1, 21), (3, 21), (5, 21), (4, 20), (4,)])
     def test_variates_of_another_shape_raise(self, shape):

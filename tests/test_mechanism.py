@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -22,8 +24,8 @@ PARAMS = MarketParams(lam=1.0, delta=2.0, n_clients=10, k_select=3)
 GRID = [i / 1000 for i in range(1001)]
 
 
-def params_with(lam=1.0, delta=2.0, regime=Regime.COMPLETE):
-    return MarketParams(lam, delta, n_clients=10, k_select=3, regime=regime)
+def params_with(lam=1.0, delta=2.0):
+    return MarketParams(lam, delta, n_clients=10, k_select=3)
 
 
 class TestCost:
@@ -83,10 +85,9 @@ class TestParticipation:
     def test_utility_is_zero_or_a_nonnegative_rent(self, theta, log_lam, log_delta):
         lam, delta = 10.0**log_lam, 10.0**log_delta
         assume(math.isfinite(largest_term(lam, delta)))
-        complete = params_with(lam, delta, Regime.COMPLETE)
-        incomplete = params_with(lam, delta, Regime.INCOMPLETE)
-        assert client_utility(solve(theta, complete), theta, delta) == 0.0
-        assert client_utility(solve(theta, incomplete), theta, delta) >= 0.0
+        params = params_with(lam, delta)
+        assert client_utility(solve(theta, params, Regime.COMPLETE), theta, delta) == 0.0
+        assert client_utility(solve(theta, params, Regime.INCOMPLETE), theta, delta) >= 0.0
 
 
 class TestServerSide:
@@ -211,27 +212,44 @@ class TestInformationRent:
 class TestIcDiagnostic:
     def test_truthful_report_has_zero_violation(self):
         for theta in (1.0, 0.25):
-            (d,) = ic_diagnostic(theta, [theta], PARAMS)
-            assert d.violation == 0.0
-            assert d.truthful_utility == d.misreport_utility
+            d = ic_diagnostic(theta, [theta], PARAMS)
+            assert d.violation.tolist() == [0.0]
+            assert d.misreport_utility.tolist() == [d.truthful_utility]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             ic_diagnostic(0.5, [], PARAMS)
 
     def test_violation_definition(self):
-        diags = ic_diagnostic(0.5, [i / 10 for i in range(11)], PARAMS)
-        for d in diags:
-            assert d.violation == max(0.0, d.misreport_utility - d.truthful_utility)
+        d = ic_diagnostic(0.5, [i / 10 for i in range(11)], PARAMS)
+        assert d.reported_theta.tolist() == [i / 10 for i in range(11)]
+        assert d.violation.tolist() == [
+            max(0.0, misreport - d.truthful_utility) for misreport in d.misreport_utility.tolist()
+        ]
 
     def test_max_violation_regression_fixture(self):
         # Frozen from exhaustive evaluation of the 101-point grid at
         # theta=0.5, lam=1, delta=2: the transfers are not globally IC and
         # the largest gain from misreporting on this grid is the value below.
-        diags = ic_diagnostic(0.5, [i / 100 for i in range(101)], PARAMS)
-        assert max(d.violation for d in diags) == pytest.approx(
-            0.01387830888888894, abs=1e-12
-        )
+        d = ic_diagnostic(0.5, [i / 100 for i in range(101)], PARAMS)
+        assert max(d.violation.tolist()) == pytest.approx(0.01387830888888894, abs=1e-12)
+
+    def test_grid_equals_each_report_solved_alone(self):
+        grid = [i / 100 for i in range(101)]
+        d = ic_diagnostic(0.5, grid, PARAMS)
+        truthful = client_utility(solve_incomplete(0.5, PARAMS), 0.5, PARAMS.delta)
+        misreports = [
+            client_utility(solve_incomplete(reported, PARAMS), 0.5, PARAMS.delta)
+            for reported in grid
+        ]
+        assert d.truthful_utility == truthful
+        assert d.misreport_utility.tolist() == misreports
+        assert d.violation.tolist() == [max(0.0, m - truthful) for m in misreports]
+        assert max(d.violation.tolist()) == 0.01387830888888894
+
+    def test_out_of_range_report_is_named(self):
+        with pytest.raises(ValueError, match=r"got 1\.5 at index 2$"):
+            ic_diagnostic(0.5, [0.0, 1.0, 1.5, -1.0], PARAMS)
 
 
 class TestMarketParams:
@@ -251,7 +269,7 @@ class TestMarketParams:
     def test_accepted_markets_form_only_finite_terms(self, log_lam, log_delta):
         lam, delta = 10.0**log_lam, 10.0**log_delta
         try:
-            params = MarketParams(lam, delta, 1, 1, Regime.INCOMPLETE)
+            params = MarketParams(lam, delta, 1, 1)
         except ValueError:
             return
         q_top = solve_complete(1.0, params).q
@@ -267,3 +285,93 @@ class TestMarketParams:
             Contract(-0.1, 0.0)
         with pytest.raises(ValueError):
             Contract(0.0, -0.1)
+
+
+def bits(values):
+    """The bytes of `values`, a float array or a list of floats, as float64."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# Arrays of types in [0, 1] that hold both ends, in any order.
+THETA_ARRAYS = st.lists(st.floats(0.0, 1.0), max_size=30).flatmap(
+    lambda thetas: st.permutations([0.0, 1.0, *thetas])
+).map(np.array)
+
+MARKETS = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)).map(
+    lambda logs: (10.0 ** logs[0], 10.0 ** logs[1])
+)
+
+
+class TestArrayForms:
+    """Each closed form of an array of types equals, element for element
+    and bit for bit, the form of each type alone."""
+
+    @given(thetas=THETA_ARRAYS, market=MARKETS)
+    def test_every_form_equals_the_scalar_calls(self, thetas, market):
+        lam, delta = market
+        assume(math.isfinite(largest_term(lam, delta)))
+        params = params_with(lam, delta)
+        scalars = thetas.tolist()
+        for regime, solver in ((Regime.COMPLETE, solve_complete),
+                               (Regime.INCOMPLETE, solve_incomplete)):
+            contracts = solve(thetas, params, regime)
+            alone = [solve(theta, params, regime) for theta in scalars]
+            assert alone == [solver(theta, params) for theta in scalars]
+            assert bits(solver(thetas, params).q) == bits(contracts.q)
+            assert bits(contracts.q) == bits([c.q for c in alone])
+            assert bits(contracts.r) == bits([c.r for c in alone])
+            assert bits(cost(contracts.q, thetas, delta)) == bits(
+                [cost(c.q, theta, delta) for c, theta in zip(alone, scalars)]
+            )
+            assert bits(information_rent(thetas, contracts.q, delta)) == bits(
+                [information_rent(theta, c.q, delta) for c, theta in zip(alone, scalars)]
+            )
+            assert bits(client_utility(contracts, thetas, delta)) == bits(
+                [client_utility(c, theta, delta) for c, theta in zip(alone, scalars)]
+            )
+            assert bits(server_utility_per_client(contracts, params)) == bits(
+                [server_utility_per_client(c, params) for c in alone]
+            )
+
+    @given(
+        thetas=st.lists(st.floats(0.0, 1.0), max_size=10),
+        bad=st.lists(
+            st.tuples(
+                st.integers(0, 10),
+                st.floats(max_value=-1e-300) | st.floats(min_value=1.0, exclude_min=True)
+                | st.just(math.nan),
+            ),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_an_array_names_its_first_type_out_of_range(self, thetas, bad):
+        for position, value in bad:
+            thetas.insert(min(position, len(thetas)), value)
+        first = next(i for i, t in enumerate(thetas) if not 0.0 <= t <= 1.0)
+        array = np.array(thetas)
+        message = re.escape(
+            f"efficiency theta must lie in [0, 1], got {thetas[first]!r} at index {first}"
+        )
+        calls = [
+            lambda: cost(1.0, array, 2.0),
+            lambda: information_rent(array, 1.0, 2.0),
+            lambda: solve_complete(array, PARAMS),
+            lambda: solve_incomplete(array, PARAMS),
+            lambda: solve(array, PARAMS, Regime.COMPLETE),
+            lambda: solve(array, PARAMS, Regime.INCOMPLETE),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+    def test_a_float_message_names_no_index(self):
+        with pytest.raises(ValueError, match=r"^efficiency theta must lie in \[0, 1\], got 1\.5$"):
+            solve(1.5, PARAMS, Regime.COMPLETE)
+        with pytest.raises(ValueError, match=r"^output q must be nonnegative, got -1\.0$"):
+            cost(-1.0, 0.5, 2.0)
+
+    def test_an_array_names_its_first_negative_output(self):
+        with pytest.raises(ValueError, match=r"^output q must be nonnegative, got -2\.0 at index 1$"):
+            cost(np.array([1.0, -2.0, -3.0]), 0.5, 2.0)
+        with pytest.raises(ValueError, match="contract terms must be nonnegative"):
+            Contract(np.array([1.0, 2.0]), np.array([0.5, -0.5]))

@@ -106,16 +106,17 @@ FLSIM = Path(flmarket.__file__).parent / "flsim.py"
 
 
 def test_auction_prices_in_one_offer():
-    # run_round and the re-pricing of a shared trajectory take contracts and
-    # client utilities from one helper, so their pricing cannot drift apart.
+    # Every cell takes its contracts and their participation check from the
+    # seed's one pricing, which solves each regime once over the whole
+    # population, so no two cells can price apart.
     calls = _scopes_where(
         ast.parse(AUCTION.read_text(), filename=str(AUCTION)),
         lambda node: isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in {"solve", "client_utility"},
     )
-    assert calls and set(calls) == {"_offer"}, (
-        f"solve or client_utility called outside auction._offer: {calls}"
+    assert calls == ["_prices", "_prices"], (
+        f"solve or client_utility called outside auction._prices, or twice: {calls}"
     )
 
 
@@ -174,27 +175,36 @@ def test_only_small_rounds_enumerate_coalitions():
 
 
 def test_each_cell_plays_through_one_path():
-    # A seed's contracts are solved once (`_offers`) and its tree is made
-    # once (`run_tables`), and every `ours-*` round is played by `_play`, so
-    # no cell has a second way to price, train or play.
+    # A seed is priced once (`_prices`) and its tree is made once
+    # (`run_tables`), and every `ours-*` round is played by `_play`, so no
+    # cell has a second way to price, train or play.
     tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
     callers = {
         name: _scopes_where(tree, lambda node, name=name: _callee(node) == name)
-        for name in ("_offer", "_model_tree", "run_round")
+        for name in ("_prices", "_model_tree", "run_round")
     }
-    assert callers == {"_offer": ["_offers"], "_model_tree": ["run_tables"], "run_round": ["_play"]}
+    assert callers == {
+        "_prices": ["run_tables"], "_model_tree": ["run_tables"], "run_round": ["_play"]
+    }
 
 
 def test_only_the_offers_name_a_regime():
-    # Only `solve` reads a market's regime, so rounds are played, bid and
-    # priced in the default market, and only `_offers` builds one under a
-    # named regime.
+    # A regime is an argument of `solve` alone, and only the seed's pricing
+    # solves, so rounds are played and cells priced with no regime: past
+    # the mechanism table, only `_prices` names one, and only it builds a
+    # market.
     tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
-    calls = _scopes_where(
+    named = _scopes_where(
         tree,
-        lambda node: _callee(node) == "_market" and (len(node.args) > 2 or bool(node.keywords)),
+        lambda node: isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "Regime",
     )
-    assert calls == ["_offers"]
+    assert "<module>" in named and set(named) == {"<module>", "_prices"}, named
+    calls = {
+        name: _scopes_where(tree, lambda node, name=name: _callee(node) == name)
+        for name in ("solve", "MarketParams")
+    }
+    assert calls == {"solve": ["_prices"], "MarketParams": ["_prices"]}
 
 
 def _auction_functions():
@@ -267,7 +277,7 @@ def test_rounds_do_no_per_cell_work():
         for name, function in walked.items()
         for node in ast.walk(function)
         if (callee := _callee(node))
-        in {"_offer", "poison", "default_rng", "packbits", "_server_utility",
+        in {"_prices", "solve", "poison", "default_rng", "packbits", "_server_utility",
             "server_utility_per_client", "client_utility"}
     )
     assert "_child" in reached
@@ -301,7 +311,8 @@ def test_only_the_population_packs_its_flips():
 
 def test_rounds_are_priced_in_one_place():
     # Every price has one shape, the server's payoff from each client, made
-    # by auction._payoffs alone; every rounds.csv row (auction._rows) and
+    # by auction._prices alone, once for the `ours-*` contracts and once
+    # for the bid book; every rounds.csv row (auction._rows) and
     # every tamper total sums the selected clients' payoffs through
     # auction._server_utility, so no two mechanisms can price or sum
     # differently.
@@ -315,7 +326,7 @@ def test_rounds_are_priced_in_one_place():
         for name in ("server_utility_per_client", "_server_utility", "_rows")
     }
     assert calls == {
-        "server_utility_per_client": ["auction._payoffs"],
+        "server_utility_per_client": ["auction._prices", "auction._prices"],
         "_server_utility": ["auction._rows", "auction._tamper_totals"],
         "_rows": ["auction._ours_cells", "auction.run_cell"],
     }
@@ -338,16 +349,18 @@ def test_cells_draw_and_price_nothing():
     # A seed's prices (auction._prices) read no k: the `ours-*` payoffs and
     # the baselines' bid book, every round's bids and their payoffs, are made
     # once per seed. So a cell, and every auction function it reaches by
-    # name, draws no bid, costs no output and builds no market. A baseline
-    # cell only applies its winner rule, and reaches the rule's own draw
-    # (`_uniform`'s) through the `rule` variable, not by name.
+    # name, draws no bid, costs no output, solves no contract and builds no
+    # market. A baseline cell only applies its winner rule, and reaches the
+    # rule's own draw (`_uniform`'s) through the `rule` variable, not by
+    # name.
     functions = _auction_functions()
     calls = sorted(
         f"{root} reaches {name}, which calls {callee}"
         for root in ("run_cell", "_ours_cells", "_tamper_totals")
         for name in _reached(functions, root)
         for node in ast.walk(functions[name])
-        if (callee := _callee(node)) in {"default_rng", "cost", "_market", "MarketParams"}
+        if (callee := _callee(node))
+        in {"default_rng", "cost", "solve", "server_utility_per_client", "MarketParams"}
     )
     assert calls == [], f"per-cell pricing work: {calls}"
     assert not _reached(functions, "run_cell") & {"_cheapest", "_uniform"}
