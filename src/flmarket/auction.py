@@ -62,14 +62,7 @@ from .flsim import (
     init_model,
     local_train,
 )
-from .ledger import (
-    STORES,
-    HashChainLedger,
-    PlainStore,
-    TamperConfig,
-    UnknownClientError,
-    tamper_attack,
-)
+from .ledger import STORES, HashChainLedger, PlainStore, TamperConfig, tamper_attack
 from .mechanism import (
     Contract,
     MarketParams,
@@ -91,10 +84,6 @@ from .reputation import (
 # coalitions exactly; larger rounds take the closed form, each client's own
 # value (see `_banzhaf_contributions`).
 EXACT_COALITION_LIMIT = 10
-
-TRUST_ZERO = "zero"
-TRUST_LAST_VALID = "last_valid"
-TRUST_POLICIES = (TRUST_ZERO, TRUST_LAST_VALID)
 
 
 def _cheapest(bids: list[float], k: int, seed: int) -> list[int]:
@@ -199,9 +188,11 @@ class ModelTree:
 
 @dataclass
 class SimulationState:
-    """One cell's own cross-round state: its ledger, trust policy,
+    """One cell's own cross-round state: its trust policy, ledger,
     reputation parameters and round counter, and the node of `tree` that
-    its selections have reached. A cell starts at the root in round 0, so
+    its selections have reached. Each round reads every client's
+    reputation in one ledger call, under the trust policy, which only the
+    ledger interprets (`read`). A cell starts at the root in round 0, so
     its round counter is its node's depth. The model state (weights,
     accuracy, Scaffold variates) is the node's, shared with every cell of
     the tree that selected alike. The harness plays every cell's state on
@@ -209,9 +200,9 @@ class SimulationState:
     nothing."""
 
     tree: ModelTree
+    trust_policy: str
     ledger: HashChainLedger | PlainStore = field(default_factory=HashChainLedger)
     rep_params: ReputationParams = field(default_factory=ReputationParams)
-    trust_policy: str = TRUST_LAST_VALID
     round: int = 0
     node: ModelNode = field(init=False)
 
@@ -235,27 +226,6 @@ def realized_value(
     the pricing regime.
     """
     return params.lam * q_hat - q_hat * q_hat / (1.0 + params.delta * theta)
-
-
-def ledger_epsilon(store, client_id: int, policy: str = TRUST_LAST_VALID) -> float:
-    """Reputation as seen through the store, applying the tamper policy.
-
-    Unknown clients score 0. Policy "last_valid" reads the epsilon of the
-    client's newest intact record, re-hashing from the newest record back
-    to the first one that verifies (one hash on an untampered chain), and 0
-    if none does. Policy "zero" reads through `read_reputation`, which
-    re-hashes the client's whole history, and treats a client with any
-    tampered record as reputationless. The plain store verifies nothing, so
-    both policies read its newest record.
-    """
-    try:
-        if policy == TRUST_LAST_VALID:
-            eps = store.read_last_valid(client_id)
-            return eps if eps is not None else 0.0
-        eps, trusted = store.read_reputation(client_id)
-    except UnknownClientError:
-        return 0.0
-    return eps if trusted else 0.0
 
 
 def _banzhaf_contributions(values: np.ndarray) -> np.ndarray:
@@ -349,18 +319,19 @@ def run_round(state: SimulationState, k: int) -> RoundReport:
     append. Every client accepts its contract, so no regime enters the
     round, and nothing is priced here.
 
-    Selection, the ledger reads, the reputation updates and the appends are
-    the cell's own, in population order. Training, evaluation and scoring
-    are the tree's: the cell moves to the child node its selection reaches
-    (`_child`), which trains, evaluates and scores only what no earlier
-    visit to the node has. Every client trains a candidate local model and
-    is scored; only the selected top k are aggregated into the global model
-    (and paid, once a mechanism prices the round). A k above the population
-    size raises `select_top_k`'s ValueError before the state changes.
+    Selection, the ledger read (one call for every client), the reputation
+    updates and the appends are the cell's own, in population order.
+    Training, evaluation and scoring are the tree's: the cell moves to the
+    child node its selection reaches (`_child`), which trains, evaluates and
+    scores only what no earlier visit to the node has. Every client trains a
+    candidate local model and is scored; only the selected top k are
+    aggregated into the global model (and paid, once a mechanism prices the
+    round). A k above the population size raises `select_top_k`'s
+    ValueError before the state changes.
     """
     node = state.node
     n = len(state.tree.population)
-    eps_prev = [ledger_epsilon(state.ledger, i, state.trust_policy) for i in range(n)]
+    eps_prev = state.ledger.read(range(n), state.trust_policy)
     selected = select_top_k(eps_prev, k)
     child = _child(state.tree, node, selected, state.round)
     # Row i of the node's zetas is client i's.

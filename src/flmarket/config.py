@@ -6,9 +6,9 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
-from .auction import MECHANISMS, TRUST_LAST_VALID, TRUST_POLICIES
+from .auction import MECHANISMS
 from .flsim import AggregationConfig, Aggregator, PoisonConfig
-from .ledger import STORES, TamperConfig
+from .ledger import STORES, TRUST_LAST_VALID, TRUST_POLICIES, TamperConfig
 from .mechanism import MarketParams, Regime, largest_term
 from .reputation import ReputationParams
 

@@ -7,11 +7,14 @@ ledger file saved with SHA-256 digests reads as tampered at index 0.
 PlainStore is the deliberately vulnerable comparison: same interface, no
 integrity checking. Both index each client's record positions and share one
 read path, which judges a record by the store's `_intact`, so a read touches
-only that client's records: `read_last_valid` re-hashes from the client's
-newest record back to the first intact one (one hash when nothing was
-edited), and only `read_reputation` re-hashes the client's whole history.
-On the chain, `verify` and both reads judge a record by one integrity
-check, `_sound`; the plain store takes every record as intact.
+only the records of the clients it reads. A read takes a sequence of client
+ids and returns one reputation per client, the epsilon a cell reads under
+a trust policy (`read`, which picks `read_last_valid` or `read_reputation`);
+a client with no record reads 0.0. `read_last_valid` re-hashes from each
+client's newest record back to the first intact one (one hash when nothing
+was edited), and only `read_reputation` re-hashes each client's whole
+history. On the chain, `verify` and both reads judge a record by one
+integrity check, `_sound`; the plain store takes every record as intact.
 """
 
 from __future__ import annotations
@@ -79,10 +82,6 @@ class TamperConfig:
             raise ValueError("beta must be positive and finite")
 
 
-class UnknownClientError(KeyError):
-    pass
-
-
 class _IndexedStore:
     """Records plus, per client, the positions of its records in `records`.
 
@@ -121,34 +120,46 @@ class _IndexedStore:
         self._end += 1
         return record
 
-    def positions(self, client_id: int) -> list[int]:
-        """Positions of the client's records, oldest first (the index's own
-        list: read it, do not change it)."""
-        self._drop_truncated()
-        try:
-            return self._positions[client_id]
-        except KeyError:
-            raise UnknownClientError(client_id) from None
-
     def client_ids(self) -> list[int]:
         self._drop_truncated()
         return sorted(self._positions)
 
-    def read_reputation(self, client_id: int) -> tuple[float, bool]:
-        """Latest stored epsilon plus whether every record of the client is
-        intact (the store's `_intact`); each read checks all of them, oldest
-        first, up to the first that fails."""
-        positions = self.positions(client_id)
-        trusted = all(self._intact(i, client_id) for i in positions)
-        return self.records[positions[-1]].epsilon, trusted
+    def _indexed(self, client_ids) -> list[tuple[int, list[int]]]:
+        """Each client of `client_ids` with the positions of its records,
+        oldest first (none for a client with no record), from one sync of
+        the index. The lists are the index's own: read them, do not change
+        them."""
+        self._drop_truncated()
+        return [(c, self._positions.get(c, [])) for c in client_ids]
 
-    def read_last_valid(self, client_id: int) -> float | None:
-        """Epsilon from the client's most recent intact record, or None if
+    def read(self, client_ids, policy: str) -> list[float]:
+        """Each client's reputation under the trust `policy`: its
+        `read_last_valid` under "last_valid", its `read_reputation` under
+        "zero". Both are called through `self`, so a method rebound in the
+        class is the one called."""
+        if policy == TRUST_LAST_VALID:
+            return self.read_last_valid(client_ids)
+        if policy == TRUST_ZERO:
+            return self.read_reputation(client_ids)
+        raise ValueError(f"unknown trust policy {policy!r}")
+
+    def read_reputation(self, client_ids) -> list[float]:
+        """Each client's newest stored epsilon if every record of it is
+        intact (the store's `_intact`), else 0.0; each read checks all of
+        them, oldest first, up to the first that fails."""
+        return [
+            self.records[positions[-1]].epsilon
+            if positions and all(self._intact(i, c) for i in positions) else 0.0
+            for c, positions in self._indexed(client_ids)
+        ]
+
+    def read_last_valid(self, client_ids) -> list[float]:
+        """Each client's epsilon from its newest intact record, or 0.0 if
         none is."""
-        for i in reversed(self.positions(client_id)):
-            if self._intact(i, client_id):
-                return self.records[i].epsilon
-        return None
+        return [
+            next((self.records[i].epsilon for i in reversed(positions) if self._intact(i, c)), 0.0)
+            for c, positions in self._indexed(client_ids)
+        ]
 
 
 class HashChainLedger(_IndexedStore):
@@ -230,6 +241,13 @@ class PlainStore(_IndexedStore):
 # The store behind each ledger mode a config may name.
 STORES = {"chained": HashChainLedger, "vulnerable": PlainStore}
 
+# The trust policies a config may name: "zero" reads a client with any
+# tampered record as reputationless, "last_valid" falls back to its newest
+# intact record.
+TRUST_ZERO = "zero"
+TRUST_LAST_VALID = "last_valid"
+TRUST_POLICIES = (TRUST_ZERO, TRUST_LAST_VALID)
+
 
 @functools.lru_cache(maxsize=4)
 def _tie_break(seed: int, n: int) -> tuple[int, ...]:
@@ -256,8 +274,8 @@ def tamper_attack(store, cfg: TamperConfig) -> list[tuple[int, int, float, float
     n_attacked = math.ceil(cfg.alpha * len(clients))
     tie_break = dict(zip(clients, _tie_break(cfg.seed, len(clients))))
     records = store.records
-    # A client ranks by its last record, the epsilon read_reputation reports.
-    last = {c: store.positions(c)[-1] for c in clients}
+    # A client ranks by its last record, the epsilon an intact read reports.
+    last = {c: store._positions[c][-1] for c in clients}
     ranked = sorted(clients, key=lambda c: (records[last[c]].epsilon, tie_break[c]))
     attacked = sorted(ranked[:n_attacked])
     log = []

@@ -117,6 +117,16 @@ class Contract:
         if negative.any() if isinstance(negative, np.ndarray) else negative:
             raise ValueError("contract terms must be nonnegative")
 
+    def __eq__(self, other):
+        """Float terms compare as a tuple; array terms are equal when both
+        have the same shape and equal elements."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((self.q, other.q), (self.r, other.r))
+        if any(isinstance(term, np.ndarray) for pair in pairs for term in pair):
+            return all(np.array_equal(a, b) for a, b in pairs)
+        return (self.q, self.r) == (other.q, other.r)
+
 
 @dataclass(frozen=True, eq=False)
 class IcDiagnostic:

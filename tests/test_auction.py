@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_flsim import clients_of, population_of
-from test_ledger import _apply, _hash_calls, appends, edits
+from test_ledger import _apply, _hash_calls, appends, edits, oracle_policy_read
 
 from flmarket import auction, cli, reputation
 from flmarket import mechanism as mechanism_module
 from flmarket.auction import (
-    TRUST_POLICIES,
     ModelTree,
     build_population,
-    ledger_epsilon,
     run_cell,
     run_round,
     run_tables,
@@ -41,10 +39,12 @@ from flmarket.flsim import (
     local_train,
 )
 from flmarket.ledger import (
+    TRUST_LAST_VALID,
+    TRUST_POLICIES,
+    TRUST_ZERO,
     HashChainLedger,
     PlainStore,
     TamperConfig,
-    UnknownClientError,
     tamper_attack,
 )
 from flmarket.mechanism import (
@@ -83,7 +83,7 @@ def single_client_setup(theta=1.0):
     population, test = generate_population([theta], seed=0)
     config = small_config(n_clients=1, k_values=[1])
     tree = ModelTree(population, AggregationConfig(local_epochs=2), test, 1.0, 2.0)
-    return population, config, SimulationState(tree)
+    return population, config, SimulationState(tree, TRUST_LAST_VALID)
 
 
 def played(reports):
@@ -290,7 +290,7 @@ class TestRunRound:
         population, test = generate_population(thetas, seed=23)
         params = MarketParams(1.0, 2.0, 6, 2)
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
-        state = SimulationState(ModelTree(population, cfg, test, 1.0, 2.0))
+        state = SimulationState(ModelTree(population, cfg, test, 1.0, 2.0), TRUST_LAST_VALID)
         root = state.node
         rep = run_round(state, params.k_select)
         assert len(rep.epsilons) == 6 and len(rep.selected) == 2
@@ -318,8 +318,9 @@ class TestRunRound:
             rep = run_round(state, params.k_select)
             # Every accepted client is scored, so every one has a new record.
             assert rep.epsilons.shape == (len(population),)
-            for i, eps in enumerate(rep.epsilons.tolist()):
-                assert eps == ledger_epsilon(state.ledger, i)
+            assert rep.epsilons.tolist() == state.ledger.read(
+                range(len(population)), state.trust_policy
+            )
             with pytest.raises(ValueError, match="read-only"):
                 rep.epsilons[0] = 0.0
 
@@ -357,7 +358,7 @@ class TestRealizedContribution:
             lambda r, i: auction._mix(seed, r, i),
         )
         tree = ModelTree(population, AggregationConfig(**agg), test, 1.0, 2.0)
-        state = SimulationState(tree)
+        state = SimulationState(tree, TRUST_LAST_VALID)
         gains, reports = [], []
         for _ in range(rounds):
             node = state.node
@@ -1415,22 +1416,25 @@ class TestMechanismTable:
 
 
 class TestLedgerEpsilon:
+    """The reputation a cell reads from its store under each trust policy."""
+
     def test_unknown_client_defaults_to_zero(self):
-        assert ledger_epsilon(HashChainLedger(), 0) == 0.0
+        for policy in TRUST_POLICIES:
+            assert HashChainLedger().read([0], policy) == [0.0]
 
     def test_zero_policy_discards_tampered_clients(self):
         ledger = HashChainLedger()
         ledger.append(0, 0, 0.1, 0.4)
         ledger.append(1, 0, 0.1, 0.6)
         tamper_attack(ledger, TamperConfig(1.0, 2.0, seed=0))
-        assert ledger_epsilon(ledger, 0, policy="zero") == 0.0
-        assert ledger_epsilon(ledger, 0, policy="last_valid") == 0.4
+        assert ledger.read([0], TRUST_ZERO) == [0.0]
+        assert ledger.read([0], TRUST_LAST_VALID) == [0.4]
 
     def test_clean_ledger_returns_latest(self):
         ledger = HashChainLedger()
         ledger.append(0, 3, 0.1, 0.4)
         ledger.append(1, 3, 0.2, 0.7)
-        assert ledger_epsilon(ledger, 3) == 0.7
+        assert ledger.read([3], TRUST_LAST_VALID) == [0.7]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1439,6 +1443,9 @@ class TestLedgerEpsilon:
         edits=edits,
     )
     def test_matches_the_two_read_composition(self, store_cls, appends, edits):
+        # A round's one read of every client equals each client read alone,
+        # and the scans' answer under the policy: the whole-history read,
+        # or else the last-valid fallback.
         store = store_cls()
         rnd = 0
         for client, step, zeta, eps in appends:
@@ -1446,11 +1453,13 @@ class TestLedgerEpsilon:
             store.append(rnd, client, zeta, eps)
         for edit in edits:
             _apply(store.records, edit)
+        chained = store_cls is HashChainLedger
         for policy in TRUST_POLICIES:
-            for client in range(6):
-                assert ledger_epsilon(store, client, policy) == reference_ledger_epsilon(
-                    store, client, policy
-                )
+            reads = store.read(range(6), policy)
+            assert reads == [store.read([client], policy)[0] for client in range(6)]
+            assert reads == [
+                oracle_policy_read(store.records, client, chained, policy) for client in range(6)
+            ]
 
     @staticmethod
     def _long_history(tampered=0):
@@ -1466,29 +1475,14 @@ class TestLedgerEpsilon:
 
     def test_clean_last_valid_read_hashes_one_record(self):
         ledger = self._long_history()
-        assert _hash_calls(ledger_epsilon, ledger, 0, "last_valid") == (0.01 * 29, 1)
+        assert _hash_calls(ledger.read, [0], TRUST_LAST_VALID) == ([0.01 * 29], 1)
 
     @pytest.mark.parametrize("tampered", [1, 5, 29])
     def test_last_valid_read_hashes_the_tampered_tail_and_one_more(self, tampered):
         ledger = self._long_history(tampered)
         expected = 0.01 * (29 - tampered)
-        assert _hash_calls(ledger_epsilon, ledger, 0, "last_valid") == (expected, tampered + 1)
+        assert _hash_calls(ledger.read, [0], TRUST_LAST_VALID) == ([expected], tampered + 1)
 
     def test_zero_read_hashes_the_whole_history(self):
         ledger = self._long_history()
-        assert _hash_calls(ledger_epsilon, ledger, 0, "zero") == (0.01 * 29, 30)
-
-
-def reference_ledger_epsilon(store, client_id, policy):
-    """The earlier composition of the two reads, kept as an oracle: the
-    whole-history read first, then the last-valid fallback if it failed."""
-    try:
-        eps, trusted = store.read_reputation(client_id)
-    except UnknownClientError:
-        return 0.0
-    if trusted:
-        return eps
-    if policy == "last_valid":
-        fallback = store.read_last_valid(client_id)
-        return fallback if fallback is not None else 0.0
-    return 0.0
+        assert _hash_calls(ledger.read, [0], TRUST_ZERO) == ([0.01 * 29], 30)

@@ -16,10 +16,12 @@ from flmarket.ledger import (
     GENESIS_HASH,
     RECORD_SIZE,
     HashChainLedger,
+    TRUST_LAST_VALID,
+    TRUST_POLICIES,
+    TRUST_ZERO,
     PlainStore,
     ReputationRecord,
     TamperConfig,
-    UnknownClientError,
     _tie_break,
     tamper_attack,
 )
@@ -171,7 +173,7 @@ class TestTamperAttack:
         store.append(0, 0, 0.0, 0.5)
         store.append(0, 1, 0.0, 0.1)  # client 1's first record in round 0 ...
         store.append(0, 1, 0.0, 0.9)  # ... and its later one, which a read reports
-        assert store.read_reputation(1)[0] == 0.9
+        assert store.read_reputation([1]) == [0.9]
         log = tamper_attack(store, TamperConfig(alpha=0.5, beta=2.0, seed=0))
         assert log == [(0, 0, 0.5, 1.0)]
 
@@ -199,23 +201,20 @@ class TestTamperAttack:
 class TestReadReputation:
     def test_honest_chain_is_trusted(self):
         ledger = build_chain(20)
-        eps, trusted = ledger.read_reputation(2)
-        assert trusted
-        assert eps == ledger.records[17].epsilon
+        for policy in TRUST_POLICIES:
+            assert ledger.read([2], policy) == [ledger.records[17].epsilon]
 
     def test_tampered_client_is_untrusted_on_chain(self):
         ledger = build_chain(20, n_clients=5)
         tamper_attack(ledger, TamperConfig(alpha=1.0, beta=2.0, seed=1))
-        eps, trusted = ledger.read_reputation(0)
-        assert not trusted
+        assert ledger.read_reputation([0]) == [0.0]
 
     def test_vulnerable_store_returns_inflated_value_as_trusted(self):
         store = PlainStore()
         store.append(0, 0, 0.1, 0.5)
         tamper_attack(store, TamperConfig(alpha=1.0, beta=2.0, seed=1))
-        eps, trusted = store.read_reputation(0)
-        assert trusted
-        assert eps == 1.0
+        for policy in TRUST_POLICIES:
+            assert store.read([0], policy) == [1.0]
 
     def test_stores_agree_absent_attacks(self):
         chained, plain = HashChainLedger(), PlainStore()
@@ -223,34 +222,40 @@ class TestReadReputation:
             for c in range(3):
                 chained.append(r, c, 0.1 * r, 0.2 * r + c)
                 plain.append(r, c, 0.1 * r, 0.2 * r + c)
-        for c in range(3):
-            assert chained.read_reputation(c) == plain.read_reputation(c)
+        for policy in TRUST_POLICIES:
+            assert chained.read(range(3), policy) == plain.read(range(3), policy) == [
+                0.2 * 3 + c for c in range(3)
+            ]
 
-    def test_unknown_client_rejected(self):
-        with pytest.raises(UnknownClientError):
-            build_chain(5).read_reputation(99)
+    def test_unknown_client_reads_zero(self):
+        for policy in TRUST_POLICIES:
+            assert build_chain(5).read([99, 0, 99], policy) == [0.0, 0.1, 0.0]
+
+    def test_unknown_policy_is_named(self):
+        with pytest.raises(ValueError, match="unknown trust policy 'none'"):
+            build_chain(5).read([0], "none")
 
     def test_last_valid_falls_back_to_previous_record(self):
         ledger = HashChainLedger()
         ledger.append(0, 0, 0.1, 0.3)
         ledger.append(1, 0, 0.1, 0.4)
         ledger.records[1].epsilon *= 5.0
-        assert ledger.read_reputation(0) == (2.0, False)
-        assert ledger.read_last_valid(0) == 0.3
+        assert ledger.read_reputation([0]) == [0.0]
+        assert ledger.read_last_valid([0]) == [0.3]
 
     def test_plain_last_valid_returns_the_edited_newest_record(self):
         store = PlainStore()
         store.append(0, 0, 0.1, 0.3)
         store.append(1, 0, 0.1, 0.4)
         store.records[1].epsilon *= 5.0
-        assert store.read_last_valid(0) == 2.0
-        assert store.read_reputation(0) == (2.0, True)
+        assert store.read_last_valid([0]) == [2.0]
+        assert store.read_reputation([0]) == [2.0]
 
-    def test_plain_last_valid_rejects_unknown_client(self):
+    def test_plain_unknown_client_reads_zero(self):
         store = PlainStore()
         store.append(0, 0, 0.1, 0.3)
-        with pytest.raises(UnknownClientError):
-            store.read_last_valid(99)
+        for policy in TRUST_POLICIES:
+            assert store.read([99], policy) == [0.0]
 
 
 class TestPersistence:
@@ -303,19 +308,19 @@ class TestClientIndex:
             store.append(idx // 5, idx % 5, 0.01 * idx, 0.1 + 0.01 * idx)
         store.records = NoIterList(store.records)
         assert store.client_ids() == [0, 1, 2, 3, 4]
-        assert store.read_reputation(3) == (store.records[28].epsilon, True)
+        for policy in TRUST_POLICIES:
+            assert store.read([3, 7], policy) == [store.records[28].epsilon, 0.0]
         log = tamper_attack(store, TamperConfig(alpha=0.4, beta=2.0, seed=5))
         assert [idx for idx, *_ in log] == [25, 26]
         if store_cls is HashChainLedger:
-            assert store.read_reputation(0) == (store.records[25].epsilon, False)
-            assert store.read_last_valid(0) == store.records[20].epsilon
+            assert store.read([0, 3], TRUST_ZERO) == [0.0, store.records[28].epsilon]
+            assert store.read([0], TRUST_LAST_VALID) == [store.records[20].epsilon]
 
     def test_rewritten_client_id_makes_the_original_client_untrusted(self):
         ledger = build_chain(20, n_clients=5)
         ledger.records[7].client_id = 3  # was client 2's record
-        eps, trusted = ledger.read_reputation(2)
-        assert eps == ledger.records[17].epsilon
-        assert not trusted
+        assert ledger.read_reputation([2]) == [0.0]
+        assert ledger.read_last_valid([2]) == [ledger.records[17].epsilon]
         assert ledger.verify() == 7
 
     def test_append_after_truncation_indexes_only_live_records(self):
@@ -323,8 +328,7 @@ class TestClientIndex:
         del ledger.records[12:]
         ledger.append(3, 4, 0.0, 0.9)  # lands at position 12
         assert ledger.client_ids() == [0, 1, 2, 3, 4]
-        assert ledger.read_reputation(4) == (0.9, True)
-        assert ledger.read_reputation(2) == (ledger.records[7].epsilon, True)
+        assert ledger.read_reputation([4, 2]) == [0.9, ledger.records[7].epsilon]
         assert ledger.verify() is None
 
     def test_plain_store_rejects_a_decreasing_round(self):
@@ -343,14 +347,15 @@ def _oracle_intact(records, idx):
 
 
 def _oracle_indices(records, client_id):
-    idxs = [i for i, rec in enumerate(records) if rec.client_id == client_id]
-    if not idxs:
-        raise UnknownClientError(client_id)
-    return idxs
+    return [i for i, rec in enumerate(records) if rec.client_id == client_id]
 
 
 def oracle_read(records, client_id, chained):
+    """(newest epsilon, whether every record is intact), or None for a
+    client with no record."""
     idxs = _oracle_indices(records, client_id)
+    if not idxs:
+        return None
     trusted = not chained or all(_oracle_intact(records, i) for i in idxs)
     return records[idxs[-1]].epsilon, trusted
 
@@ -362,11 +367,23 @@ def oracle_verify(records):
     return None
 
 
-def oracle_read_last_valid(records, client_id):
+def oracle_read_last_valid(records, client_id, chained):
+    """Epsilon of the newest intact record, or None if none is."""
     for i in reversed(_oracle_indices(records, client_id)):
-        if _oracle_intact(records, i):
+        if not chained or _oracle_intact(records, i):
             return records[i].epsilon
     return None
+
+
+def oracle_policy_read(records, client_id, chained, policy):
+    """A scan oracle's answer mapped to the float a cell reads under
+    `policy`: 0.0 for a client with no record, for an untrusted one under
+    "zero", and for one with no intact record under "last_valid"."""
+    if policy == "last_valid":
+        eps = oracle_read_last_valid(records, client_id, chained)
+        return 0.0 if eps is None else eps
+    found = oracle_read(records, client_id, chained)
+    return found[0] if found is not None and found[1] else 0.0
 
 
 def oracle_tamper(records, cfg):
@@ -392,7 +409,7 @@ def _outcome(fn, *args):
     """fn's result, or the type of the exception it raised."""
     try:
         return fn(*args)
-    except (UnknownClientError, ValueError) as exc:
+    except ValueError as exc:
         return type(exc)
 
 
@@ -473,14 +490,16 @@ class TestIndexMatchesScan:
         records = store.records
         if chained:
             assert _hash_calls(store.verify) == _hash_calls(oracle_verify, records)
-        for client in range(6):
-            assert _hash_calls(store.read_reputation, client) == _hash_calls(
-                oracle_read, records, client, chained
-            )
-            if chained:
-                assert _hash_calls(store.read_last_valid, client) == _hash_calls(
-                    oracle_read_last_valid, records, client
-                )
+        # One call reads clients 0..5, some never appended; it hashes as
+        # many records as the scan of each client alone.
+        for policy in TRUST_POLICIES:
+            reads, hashes = _hash_calls(store.read, range(6), policy)
+            alone = [
+                _hash_calls(oracle_policy_read, records, client, chained, policy)
+                for client in range(6)
+            ]
+            assert reads == [value for value, _ in alone]
+            assert hashes == sum(count for _, count in alone)
         assert store.client_ids() == sorted({rec.client_id for rec in records})
         oracle_records = copy.deepcopy(records)
         cfg = TamperConfig(alpha=alpha, beta=3.0, seed=seed)
@@ -503,9 +522,8 @@ class TestLoadPath:
         ledger.save(path)
         loaded = HashChainLedger.load(path)
         assert loaded.client_ids() == ledger.client_ids() == [0, 1, 2, 3]
-        for client in range(4):
-            assert loaded.read_reputation(client) == ledger.read_reputation(client)
-            assert loaded.read_last_valid(client) == ledger.read_last_valid(client)
+        for policy in TRUST_POLICIES:
+            assert loaded.read(range(5), policy) == ledger.read(range(5), policy)
         assert loaded.verify() == ledger.verify() == 5
 
     def test_decreasing_round_is_a_format_error(self, tmp_path, capsys):

@@ -375,3 +375,21 @@ class TestArrayForms:
             cost(np.array([1.0, -2.0, -3.0]), 0.5, 2.0)
         with pytest.raises(ValueError, match="contract terms must be nonnegative"):
             Contract(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
+
+    def test_array_contracts_compare_by_shape_and_elements(self):
+        def contract(q, r):
+            return Contract(np.array(q), np.array(r))
+
+        assert contract([1.0, 2.0], [0.5, 0.5]) == contract([1.0, 2.0], [0.5, 0.5])
+        assert contract([1.0, 2.0], [0.5, 0.5]) != contract([1.0, 2.0], [0.5, 0.25])
+        assert contract([1.0, 2.0], [0.5, 0.5]) != contract([2.0, 1.0], [0.5, 0.5])
+        assert contract([1.0, 1.0], [0.5, 0.5]) != contract([[1.0, 1.0]], [[0.5, 0.5]])
+        assert contract([1.0], [0.5]) != Contract(1.0, 0.5)
+        assert solve(np.array([0.2, 0.9]), PARAMS, Regime.INCOMPLETE) == solve(
+            np.array([0.2, 0.9]), PARAMS, Regime.INCOMPLETE
+        )
+        # Float contracts compare as a tuple of their terms, as before.
+        assert Contract(1.0, 0.5) == Contract(1.0, 0.5)
+        assert Contract(1.0, 0.5) != Contract(1.0, 0.25)
+        assert Contract(1.0, 0.5) != (1.0, 0.5)
+        assert hash(Contract(1.0, 0.5)) == hash(Contract(1.0, 0.5))

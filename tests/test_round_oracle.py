@@ -28,17 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_flsim import reference_train
 
-from flmarket.auction import (
-    TRUST_POLICIES,
-    _fresh_state,
-    _model_tree,
-    build_population,
-    ledger_epsilon,
-    run_round,
-)
+from flmarket.auction import _fresh_state, _model_tree, build_population, run_round
 from flmarket.config import ExperimentConfig
 from flmarket.flsim import AggregationConfig, Aggregator
-from flmarket.ledger import TamperConfig, tamper_attack
+from flmarket.ledger import TRUST_POLICIES, TamperConfig, tamper_attack
 
 TOL = 1e-12
 
@@ -280,5 +273,5 @@ class TestRoundOracle:
                     assert cell.chain[idx][1] == client
                     cell.chain[idx][3] *= tamper.beta
             for policy in TRUST_POLICIES:
-                reads = [ledger_epsilon(state.ledger, i, policy) for i in range(n)]
+                reads = state.ledger.read(range(n), policy)
                 assert close(reads, [cell.read(i, policy) for i in range(n)])

@@ -8,6 +8,7 @@ import pytest
 
 import flmarket
 import flmarket.auction
+from flmarket.ledger import TRUST_POLICIES
 
 SOURCES = sorted(Path(flmarket.__file__).parent.glob("*.py"))
 
@@ -290,6 +291,44 @@ def test_rounds_do_no_per_cell_work():
     )
 
 
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_rounds_read_the_ledger_once():
+    # A round reads every client's reputation in one ledger call, under the
+    # cell's trust policy: run_round makes that one call, outside any loop,
+    # and no auction function it reaches reads the ledger.
+    functions = _auction_functions()
+    reads = {"read", "read_reputation", "read_last_valid", "ledger_epsilon"}
+    calls = sorted(
+        f"{name} calls {callee}"
+        for name in _reached(functions, "run_round")
+        for node in ast.walk(functions[name])
+        if (callee := _callee(node)) in reads
+    )
+    assert calls == ["run_round calls read"]
+    looped = [
+        f"auction.py:{node.lineno}"
+        for loop in ast.walk(functions["run_round"]) if isinstance(loop, LOOPS)
+        for node in ast.walk(loop) if _callee(node) in reads
+    ]
+    assert looped == [], f"ledger reads inside a loop of run_round: {looped}"
+
+
+def test_auction_names_no_trust_policy():
+    # Only the ledger interprets a trust policy (`read`), so auction.py
+    # passes a cell's policy through and neither spells nor imports one.
+    tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
+    named = [
+        f"auction.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in TRUST_POLICIES
+        or isinstance(node, ast.Name) and node.id.startswith("TRUST_")
+        or isinstance(node, ast.alias) and node.name.startswith("TRUST_")
+    ]
+    assert named == [], "trust policies named in auction.py: " + ", ".join(named)
+
+
 def test_only_the_population_packs_its_flips():
     # Population.with_poisoners packs a poisoner's flipped labels and
     # Population.round_labels unpacks them, so the bit layout of `flips`
@@ -369,7 +408,7 @@ def test_cells_draw_and_price_nothing():
 
 # The tables auction.py names at module level; every other module-level
 # name it binds holds an immutable value.
-AUCTION_TABLES = {"MECHANISMS", "COLUMNS", "TRUST_POLICIES"}
+AUCTION_TABLES = {"MECHANISMS", "COLUMNS"}
 
 
 def _immutable(value):
