@@ -8,13 +8,15 @@ what was played. Every price has one shape: the server's payoff from each
 client, in population order. Pricing (`_server_utility`) sums the selected
 clients' payoffs, and every mechanism prices its rounds through it.
 
-An `ours-*` mechanism's contracts depend only on the clients' thetas and
-the market, never on round state or k, so each seed prices them once
-(`_prices`): one `solve` per regime on the population's thetas, whose
-`Contract` holds every client's terms as arrays. Participation holds by
-construction, checked once per regime: every client accepts every `ours-*`
-contract, so the regime does not enter a round. One trajectory per (seed, k) is played,
-and each `ours-*` mechanism prices it with its own payoffs.
+A seed's one market (`MarketParams`) is built with its tree, which carries
+it to pricing and scoring. An `ours-*` mechanism's contracts depend only on
+the clients' thetas and the market, never on round state or k, so each
+seed prices them once (`_prices`): one `solve` per regime on the
+population's thetas, whose `Contract` holds every client's terms as arrays.
+Participation holds by construction, checked once per regime: every client
+accepts every `ours-*` contract, so the regime does not enter a round. One
+trajectory per (seed, k) is played, and each `ours-*` mechanism prices it
+with its own payoffs.
 
 A seed's population is fixed for a whole run, and so are its poisoners'
 flipped labels: `build_population` draws every round's flips once into the
@@ -69,6 +71,7 @@ from .mechanism import (
     Regime,
     client_utility,
     cost,
+    realized_value,
     server_utility_per_client,
     solve,
 )
@@ -165,15 +168,15 @@ class ModelTree:
     of `ModelNode`s rooted at the untrained model and zero variates (a c_i
     for each client of the population), with all that fixes the nodes'
     content: the population, the training hyperparameters, the held-out
-    test set, and the market's lambda and delta, which value the realized
-    contributions a node scores (`realized_value`). `run_tables` makes one
-    tree per seed (`_model_tree`)."""
+    test set, and the seed's one market, which values the realized
+    contributions a node scores (`realized_value`) and prices the seed's
+    contracts and bids (`_prices`). `run_tables` makes one tree per seed
+    (`_model_tree`)."""
 
     population: Population
     agg: AggregationConfig
     test: HeldOut
-    lam: float
-    delta: float
+    market: MarketParams
     root: ModelNode = field(init=False)
 
     def __post_init__(self):
@@ -212,20 +215,6 @@ class SimulationState:
 
 def _mix(seed: int, round_num: int, salt: int) -> int:
     return (seed * 1_000_003 + round_num * 10_007 + salt) % (1 << 63)
-
-
-def realized_value(
-    q_hat: float | np.ndarray, theta: float | np.ndarray, params: MarketParams | ModelTree
-) -> float | np.ndarray:
-    """Server surplus from a realized output, valued at production cost
-    under the lambda and delta of `params`: of one client from floats, or
-    elementwise from arrays, with the same bits.
-
-    Defined for negative realized output (poisoned clients) and identical
-    across information regimes, so reputation trajectories do not depend on
-    the pricing regime.
-    """
-    return params.lam * q_hat - q_hat * q_hat / (1.0 + params.delta * theta)
 
 
 def _banzhaf_contributions(values: np.ndarray) -> np.ndarray:
@@ -302,7 +291,7 @@ def _child(tree: ModelTree, node: ModelNode, selected: list[int], round_num: int
         # Measured against the model the clients started from, so the
         # per-round improvement signal stays attributable.
         realized = np.array(accuracies) - node.accuracy
-        zetas = _banzhaf_contributions(realized_value(realized, population.thetas, tree))
+        zetas = _banzhaf_contributions(realized_value(realized, population.thetas, tree.market))
         # Filled in one step, once nothing of the round can raise.
         node.local_weights, node.local_variates = local_weights, local_variates
         node.zetas = _frozen(zetas)
@@ -368,15 +357,14 @@ def build_population(config, seed: int) -> tuple[Population, HeldOut]:
 
 
 def _model_tree(config, population: Population, test: HeldOut) -> ModelTree:
-    """A fresh tree of the config's training of `population` on `test`."""
+    """A fresh tree of the config's training of `population` on `test`, in its market."""
     return ModelTree(
         population,
         AggregationConfig(
             config.aggregation, config.local_epochs, config.learning_rate, config.prox_mu
         ),
         test,
-        config.lam,
-        config.delta,
+        MarketParams(config.lam, config.delta),
     )
 
 
@@ -436,12 +424,12 @@ def _play(
 
 
 def _prices(
-    config, population: Population, seed: int, baselines: bool
+    config, tree: ModelTree, seed: int, baselines: bool
 ) -> tuple[dict[Regime, list[float]], list[BidRound] | None]:
-    """The seed's prices, which read no k: the server's payoff from each
-    client, in population order, under each listed `ours-*` regime's
-    contracts, and the complete one's if `baselines`, whose outputs fix
-    their target output; and, if `baselines`, the bid book, else None.
+    """The prices of the seed of `tree`, in its market, which read no k: the
+    server's payoff from each client, in population order, under each listed
+    `ours-*` regime's contracts, and the complete one's if `baselines`, whose
+    outputs fix their target output; and, if `baselines`, the bid book.
     Raises RuntimeError, naming the regime and the clients, if a client's
     utility from its contract is below 0. In round r every client bids its
     cost of the median complete-information output times a margin drawn
@@ -449,13 +437,12 @@ def _prices(
     `default_rng((seed, r))`; each bid is a contract for that output. The
     payoffs and bids are Python floats, whose repr is the bare number the
     CSV holds."""
-    market = MarketParams(config.lam, config.delta, config.n_clients, config.k_values[0])
-    thetas = population.thetas
+    market, thetas = tree.market, tree.population.thetas
     regimes = [MECHANISMS[m] for m in config.mechanisms_ours()] + [Regime.COMPLETE] * baselines
     payoffs, outputs = {}, {}
     for regime in dict.fromkeys(regimes):
         contracts = solve(thetas, market, regime)
-        declined = np.flatnonzero(client_utility(contracts, thetas, config.delta) < 0.0)
+        declined = np.flatnonzero(client_utility(contracts, thetas, market.delta) < 0.0)
         if declined.size:
             raise RuntimeError(
                 f"{regime.value}-information contracts leave clients {declined.tolist()} "
@@ -469,7 +456,7 @@ def _prices(
     margins = np.empty((config.rounds, len(thetas)))
     for r, row in enumerate(margins):
         np.random.default_rng((seed, r)).random(out=row)
-    bids = cost(target_q, thetas, config.delta) * (1.0 + 0.3 * margins)
+    bids = cost(target_q, thetas, market.delta) * (1.0 + 0.3 * margins)
     bid_payoffs = server_utility_per_client(Contract(target_q, bids), market)
     return payoffs, list(map(BidRound, bids.tolist(), bid_payoffs.tolist()))
 
@@ -621,7 +608,7 @@ def run_tables(config) -> Tables:
     for seed in dict.fromkeys(config.seeds):
         population, test = build_population(config, seed)
         tree = _model_tree(config, population, test)
-        payoffs, book = _prices(config, population, seed, baselines)
+        payoffs, book = _prices(config, tree, seed, baselines)
         if play:
             cells[seed] = _grid_cells(config, seed, tree, payoffs, book)
         if seed == trace_seed:

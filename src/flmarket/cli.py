@@ -70,7 +70,7 @@ def cmd_verify_ledger(path: str) -> int:
 
 
 def cmd_solve(theta: float, lam: float, delta: float, regime: str) -> int:
-    contract = solve(theta, MarketParams(lam, delta, n_clients=1, k_select=1), Regime(regime))
+    contract = solve(theta, MarketParams(lam, delta), Regime(regime))
     print(f"regime={regime} theta={theta!r} q={contract.q!r} r={contract.r!r}")
     return 0
 

@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError("theta range must satisfy 0 <= theta_min <= theta_max <= 1")
         if self.n_clients < 1:
             raise ConfigError("n_clients must be a positive integer")
+        if not all(1 <= k <= self.n_clients for k in self.k_values):
+            raise ConfigError("k_select must satisfy 1 <= k_select <= n_clients")
         if not 0 <= self.poison_count <= self.n_clients:
             raise ConfigError("poison_count must satisfy 0 <= poison_count <= n_clients")
         for mode in self.ledger_modes:
@@ -99,8 +101,7 @@ class ExperimentConfig:
                 "a tamper grid (tamper_alphas, tamper_betas) needs an ours-* mechanism"
             )
         try:
-            for k in self.k_values:
-                MarketParams(self.lam, self.delta, self.n_clients, k)
+            MarketParams(self.lam, self.delta)
             ReputationParams(self.w1, self.w2)
             AggregationConfig(
                 self.aggregation, self.local_epochs, self.learning_rate, self.prox_mu

@@ -81,13 +81,12 @@ def largest_term(lam: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Market-level constants: valuation slope, cost shape, population
-    sizes. The information regime is not one: it is an argument of `solve`."""
+    """The market: the buyer values an output q at lam * q, and a client of
+    efficiency theta makes it at cost q^2 / (1 + delta * theta). N, k and the
+    information regime are not part of it: a price that needs one takes it."""
 
     lam: float
     delta: float
-    n_clients: int
-    k_select: int
 
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
@@ -98,10 +97,6 @@ class MarketParams:
                 f"lambda = {self.lam!r} and delta = {self.delta!r} overflow a contract: "
                 "every contract, cost and bid term must be finite"
             )
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be a positive integer")
-        if not 1 <= self.k_select <= self.n_clients:
-            raise ValueError("k_select must satisfy 1 <= k_select <= n_clients")
 
 
 @dataclass(frozen=True)
@@ -141,12 +136,24 @@ class IcDiagnostic:
     violation: np.ndarray
 
 
+def _cost(q: Floats, theta: Floats, delta: float) -> Floats:
+    return q * q / (1.0 + delta * theta)
+
+
 def cost(q: Floats, theta: Floats, delta: float) -> Floats:
-    """Client's cost of producing output q: q^2 / (1 + delta * theta)."""
+    """Client's cost of producing output q: q^2 / (1 + delta * theta), the one
+    expression (`_cost`) the complete transfer and `realized_value` share."""
     _check_theta(theta)
     _check_delta(delta)
     _check_output(q)
-    return q * q / (1.0 + delta * theta)
+    return _cost(q, theta, delta)
+
+
+def realized_value(q_hat: Floats, theta: Floats, market: MarketParams) -> Floats:
+    """Server surplus lam * q_hat - cost from a realized output q_hat. Defined
+    for a negative q_hat (a poisoned client's), so without `cost`'s checks,
+    and for every regime alike, so reputations do not depend on pricing."""
+    return market.lam * q_hat - _cost(q_hat, theta, market.delta)
 
 
 def client_utility(contract: Contract, theta: Floats, delta: float) -> Floats:
@@ -166,10 +173,8 @@ def solve_complete(theta: Floats, params: MarketParams) -> Contract:
     exactly reimburses cost, so the client keeps zero surplus.
     """
     _check_theta(theta)
-    denom = 1.0 + params.delta * theta
-    q = params.lam * denom / 2.0
-    r = q * q / denom
-    return Contract(q, r)
+    q = params.lam * (1.0 + params.delta * theta) / 2.0
+    return Contract(q, _cost(q, theta, params.delta))
 
 
 def information_rent(theta: Floats, q: Floats, delta: float) -> Floats:

@@ -33,7 +33,7 @@ from flmarket.reputation import (
 )
 
 THETA_GRID = np.linspace(0.0, 1.0, 1001)
-PARAMS = MarketParams(lam=1.0, delta=2.0, n_clients=1, k_select=1)
+PARAMS = MarketParams(lam=1.0, delta=2.0)
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:

@@ -26,7 +26,6 @@ from flmarket.auction import (
     _model_tree,
     _server_utility,
     _uniform,
-    realized_value,
 )
 from flmarket.config import ExperimentConfig, parse_config
 from flmarket.flsim import (
@@ -53,6 +52,7 @@ from flmarket.mechanism import (
     Regime,
     client_utility,
     cost,
+    realized_value,
     server_utility_per_client,
     solve,
     solve_complete,
@@ -82,7 +82,7 @@ def small_config(**overrides):
 def single_client_setup(theta=1.0):
     population, test = generate_population([theta], seed=0)
     config = small_config(n_clients=1, k_values=[1])
-    tree = ModelTree(population, AggregationConfig(local_epochs=2), test, 1.0, 2.0)
+    tree = ModelTree(population, AggregationConfig(local_epochs=2), test, MarketParams(1.0, 2.0))
     return population, config, SimulationState(tree, TRUST_LAST_VALID)
 
 
@@ -95,10 +95,10 @@ def played(reports):
 class TestRunRound:
     def test_single_top_type_client_fixture(self):
         population, config, state = single_client_setup()
-        payoffs, _ = auction._prices(config, population, 0, False)
+        payoffs, _ = auction._prices(config, state.tree, 0, False)
         report = run_round(state, 1)
         assert report.selected == [0]
-        params = MarketParams(1.0, 2.0, 1, 1)
+        params = MarketParams(1.0, 2.0)
         assert solve(population.thetas, params, Regime.COMPLETE).r.tolist() == pytest.approx(
             [0.75], abs=1e-12
         )
@@ -109,9 +109,9 @@ class TestRunRound:
     def test_complete_information_contracts_all_accepted(self):
         config = small_config()
         population, test = build_population(config, seed=3)
-        params = MarketParams(1.0, 2.0, 8, 8)
+        k = 8
         state = _fresh_state(config, _model_tree(config, population, test))
-        report = run_round(state, params.k_select)
+        report = run_round(state, k)
         # Zero-rent contracts meet the participation bound, so with k = n
         # every client is selected.
         assert sorted(report.selected) == list(range(8))
@@ -119,23 +119,23 @@ class TestRunRound:
     def test_cold_start_selection_is_id_ordered(self):
         config = small_config(n_clients=10, k_values=[3])
         population, test = build_population(config, seed=1)
-        params = MarketParams(1.0, 2.0, 10, 3)
+        k = 3
         state = _fresh_state(config, _model_tree(config, population, test))
-        report = run_round(state, params.k_select)
+        report = run_round(state, k)
         assert report.selected == [0, 1, 2]
 
     def test_budget_identity(self):
         config = small_config(lam=1.3)
         population, test = build_population(config, seed=5)
         thetas = population.thetas.tolist()
-        params = MarketParams(1.3, 2.0, 8, 4)
-        payoffs, _ = auction._prices(config, population, 5, False)
+        params, k = MarketParams(1.3, 2.0), 4
+        payoffs, _ = auction._prices(config, _model_tree(config, population, test), 5, False)
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             state = _fresh_state(config, _model_tree(config, population, test))
             contracts = solve(population.thetas, params, regime)
             q, r = contracts.q.tolist(), contracts.r.tolist()
             for _ in range(2):
-                rep = run_round(state, params.k_select)
+                rep = run_round(state, k)
                 lhs = _server_utility(rep.selected, payoffs[regime]) + sum(
                     client_utility(Contract(q[i], r[i]), thetas[i], params.delta)
                     for i in rep.selected
@@ -148,20 +148,20 @@ class TestRunRound:
     def test_no_selected_client_has_negative_utility(self):
         config = small_config(theta_min=0.0)
         population, test = build_population(config, seed=9)
-        params = MarketParams(1.0, 2.0, 8, 5)
+        params, k = MarketParams(1.0, 2.0), 5
         for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
             state = _fresh_state(config, _model_tree(config, population, test))
             contracts = solve(population.thetas, params, regime)
             utilities = client_utility(contracts, population.thetas, params.delta).tolist()
             for _ in range(3):
-                rep = run_round(state, params.k_select)
+                rep = run_round(state, k)
                 assert all(utilities[i] >= 0.0 for i in rep.selected)
 
     def test_regime_dominance_every_round(self):
         config = small_config(rounds=4)
         population, test = build_population(config, seed=7)
         state = _fresh_state(config, _model_tree(config, population, test))
-        payoffs, _ = auction._prices(config, population, 7, False)
+        payoffs, _ = auction._prices(config, state.tree, 7, False)
         payoffs_ci, payoffs_in = payoffs[Regime.COMPLETE], payoffs[Regime.INCOMPLETE]
         # Both regimes price the one trajectory every client accepts.
         for _ in range(4):
@@ -216,9 +216,9 @@ class TestRunRound:
 
         monkeypatch.setattr(auction, "evaluate_accuracy", counted)
         monkeypatch.setattr(auction, "local_train", spied)
-        params = MarketParams(1.0, 2.0, 8, 4)
+        k = 4
         for r in range(3):
-            rep = run_round(state, params.k_select)
+            rep = run_round(state, k)
             assert len(evaluated) == len(trained) == r + 1
             models = [*trained[r][0], state.node.weights]
             assert len(models) == len(rep.epsilons) + 1
@@ -250,9 +250,9 @@ class TestRunRound:
         config = small_config(n_clients=n)
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
-        params = MarketParams(1.0, 2.0, n, 4)
+        k = 4
         state = _fresh_state(config, _model_tree(config, population, test))
-        rep = run_round(state, params.k_select)
+        rep = run_round(state, k)
         assert len(rep.epsilons) == n
         assert calls == [path]
         # One evaluator call plays each of the 2^n coalitions once.
@@ -269,10 +269,10 @@ class TestRunRound:
         config = small_config(n_clients=n)
         population, test = build_population(config, seed=5)
         # Complete information: every client accepts, so all n are scored.
-        params = MarketParams(1.0, 2.0, n, 4)
+        k = 4
         state = _fresh_state(config, _model_tree(config, population, test))
         node = state.node
-        rep = run_round(state, params.k_select)
+        rep = run_round(state, k)
         assert len(state.ledger.records) == len(rep.epsilons) == n
         zetas = {r.client_id: r.zeta for r in state.ledger.records}
         assert sorted(zetas) == list(range(n))
@@ -281,18 +281,19 @@ class TestRunRound:
         # model the round started from.
         gains = evaluate_accuracy(node.local_weights, test)
         for i, (theta, accuracy) in enumerate(zip(population.thetas.tolist(), gains)):
-            value = realized_value(accuracy - node.accuracy, theta, params)
+            value = realized_value(accuracy - node.accuracy, theta, state.tree.market)
             assert struct.pack("<d", zetas[i]) == struct.pack("<d", value)
 
     def test_scaffold_commits_only_the_aggregated_clients(self):
         # Complete information: all six clients accept, and k = 2 are aggregated.
         thetas = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         population, test = generate_population(thetas, seed=23)
-        params = MarketParams(1.0, 2.0, 6, 2)
+        k = 2
         cfg = AggregationConfig(Aggregator.SCAFFOLD, local_epochs=3, learning_rate=0.5)
-        state = SimulationState(ModelTree(population, cfg, test, 1.0, 2.0), TRUST_LAST_VALID)
+        tree = ModelTree(population, cfg, test, MarketParams(1.0, 2.0))
+        state = SimulationState(tree, TRUST_LAST_VALID)
         root = state.node
-        rep = run_round(state, params.k_select)
+        rep = run_round(state, k)
         assert len(rep.epsilons) == 6 and len(rep.selected) == 2
         _, proposed = local_train(
             root.weights, population, cfg, np.zeros(21), np.zeros((6, 21)), round_num=0
@@ -312,10 +313,10 @@ class TestRunRound:
     def test_epsilons_are_what_the_ledger_holds(self):
         config = small_config(poison_count=2)
         population, test = build_population(config, seed=4)
-        params = MarketParams(1.0, 2.0, 8, 4)
+        k = 4
         state = _fresh_state(config, _model_tree(config, population, test))
         for _ in range(3):
-            rep = run_round(state, params.k_select)
+            rep = run_round(state, k)
             # Every accepted client is scored, so every one has a new record.
             assert rep.epsilons.shape == (len(population),)
             assert rep.epsilons.tolist() == state.ledger.read(
@@ -357,14 +358,14 @@ class TestRealizedContribution:
             np.array(poisoned, dtype=int), PoisonConfig(1.0), rounds,
             lambda r, i: auction._mix(seed, r, i),
         )
-        tree = ModelTree(population, AggregationConfig(**agg), test, 1.0, 2.0)
+        tree = ModelTree(population, AggregationConfig(**agg), test, MarketParams(1.0, 2.0))
         state = SimulationState(tree, TRUST_LAST_VALID)
         gains, reports = [], []
         for _ in range(rounds):
             node = state.node
             reports.append(run_round(state, 2))
             gains.append(np.array(evaluate_accuracy(node.local_weights, test)) - node.accuracy)
-            values = realized_value(gains[-1], population.thetas, tree)
+            values = realized_value(gains[-1], population.thetas, tree.market)
             assert np.allclose(node.zetas, values, rtol=0.0, atol=1e-15)
         return population, test, gains, reports
 
@@ -421,10 +422,10 @@ class TestPoisonedLabels:
             # A poisoner's packed labels of a round fill its own bytes only.
             assert not np.any(population.flips[j, :, (counts[i] + 7) // 8 :])
         # Complete information: every client accepts, poisoners included.
-        params = MarketParams(1.0, 2.0, 8, 4)
+        k = 4
         state = _fresh_state(config, _model_tree(config, population, test))
         for r in range(config.rounds):
-            rep = run_round(state, params.k_select)
+            rep = run_round(state, k)
             assert len(rep.epsilons) == len(population)
             labels = population.round_labels(r)
             assert labels.shape == population.labels.shape
@@ -438,7 +439,7 @@ class TestPoisonedLabels:
                 assert not np.any(row[m:])
             assert snapshot() == before
         # A whole cell on a tree of its own writes nothing of the population.
-        auction._play(config, _model_tree(config, population, test), params.k_select)
+        auction._play(config, _model_tree(config, population, test), k)
         assert snapshot() == before
 
     def test_rounds_train_on_their_own_labels(self, monkeypatch):
@@ -518,7 +519,7 @@ def reference_bid_rounds(config, mechanism, k, seed):
     winner is paid its bid. Returns the target output and each round's
     winners' contracts, in the winner rule's order."""
     population, _ = build_population(config, seed)
-    params = MarketParams(config.lam, config.delta, config.n_clients, k)
+    params = MarketParams(config.lam, config.delta)
     thetas = population.thetas.tolist()
     target_q = statistics.median(solve_complete(theta, params).q for theta in thetas)
     rounds = []
@@ -537,12 +538,13 @@ def reference_bid_rounds(config, mechanism, k, seed):
     return target_q, rounds
 
 
-def bid_cell(config, population, rule, seed):
+def bid_cell(config, tree, rule, seed):
     """`run_cell`'s rows at the config's k on the seed's bid book
-    (`_prices`), with `rule` as the winner rule, and every round as the rule
-    played it: the bids it was handed, their payoffs in the book, and the
-    winners it picked, in its order."""
-    _, book = auction._prices(config, population, seed, True)
+    (`_prices` of the population and market of `tree`), with `rule` as the
+    winner rule, and every round as the rule played it: the bids it was
+    handed, their payoffs in the book, and the winners it picked, in its
+    order."""
+    _, book = auction._prices(config, tree, seed, True)
     handed = []
 
     def spy(bids, k, rule_seed):
@@ -558,12 +560,13 @@ def bid_cell(config, population, rule, seed):
 
 def target_output(config, population):
     """The baselines' target: the median complete-information output."""
-    params = MarketParams(config.lam, config.delta, config.n_clients, config.k_values[0])
+    params = MarketParams(config.lam, config.delta)
     return statistics.median(solve_complete(t, params).q for t in population.thetas.tolist())
 
 
-def _equal_theta_population(n, theta=0.5):
-    return generate_population([theta] * n, seed=0)[0]
+def _equal_theta_tree(config, theta=0.5):
+    """A tree of the config's n clients, every one of type `theta`."""
+    return _model_tree(config, *generate_population([theta] * config.n_clients, seed=0))
 
 
 def equal_theta_config(n, k):
@@ -586,10 +589,10 @@ def _never_below_cost(rule):
     contracted for the target output, and its payment covers its cost of
     it, so its utility is nonnegative."""
     thetas = [0.1, 0.5, 0.9, 1.0]
-    population, _ = generate_population(thetas, seed=0)
+    population, test = generate_population(thetas, seed=0)
     config = small_config(n_clients=4, k_values=[2], rounds=5, mechanisms=["price-first"])
     target_q = target_output(config, population)
-    rounds, _ = bid_cell(config, population, rule, seed=6)
+    rounds, _ = bid_cell(config, _model_tree(config, population, test), rule, seed=6)
     for bids, payoffs, winners in rounds:
         assert len(winners) == 2
         for i in winners:
@@ -605,11 +608,12 @@ class TestBidRound:
     @pytest.mark.parametrize("k", [2, 5, 8])  # k < n and k = n
     def test_run_cell_matches_the_reference_rounds(self, mechanism, seed, k):
         config = small_config(rounds=4, k_values=[k], seeds=[seed], mechanisms=[mechanism])
-        population, _ = build_population(config, seed)
+        population, test = build_population(config, seed)
+        tree = _model_tree(config, population, test)
         target_q, rounds = reference_bid_rounds(config, mechanism, k, seed)
-        params = MarketParams(config.lam, config.delta, config.n_clients, k)
+        params = MarketParams(config.lam, config.delta)
         assert target_output(config, population) == target_q
-        played, _ = bid_cell(config, population, auction.MECHANISMS[mechanism], seed)
+        played, _ = bid_cell(config, tree, auction.MECHANISMS[mechanism], seed)
         # Each winner, in the rule's order, is contracted for the target
         # output at its bid, and the book holds that contract's payoff.
         assert [
@@ -625,7 +629,7 @@ class TestBidRound:
              "accuracy": None, "n_selected": k}
             for r, won in enumerate(rounds)
         ]
-        _, book = auction._prices(config, population, seed, True)
+        _, book = auction._prices(config, tree, seed, True)
         assert run_cell(mechanism, k, seed, book) == expected
         assert run_tables(config).rounds == expected
 
@@ -692,11 +696,12 @@ class TestPriceFirst:
     def test_lowest_bids_win_and_are_paid(self):
         assert _cheapest([5.0, 3.0, 7.0], 2, 0) == [1, 0]
         config = small_config(n_clients=10, rounds=2, mechanisms=["price-first"])
-        population, _ = build_population(config, 2)
+        population, test = build_population(config, 2)
         seen = {}
-        params = MarketParams(1.0, 2.0, 10, 4)
+        params = MarketParams(1.0, 2.0)
         target_q = target_output(config, population)
-        rounds, rows = bid_cell(config, population, _spied(_cheapest, seen), 2)
+        tree = _model_tree(config, population, test)
+        rounds, rows = bid_cell(config, tree, _spied(_cheapest, seen), 2)
         _, payoffs, winners = rounds[1]
         assert len(seen) == 10 and len(winners) == 4
         # The winners come cheapest first, and each is paid its bid.
@@ -714,8 +719,8 @@ class TestPriceFirst:
 
     def test_everyone_wins_when_k_equals_population(self):
         assert sorted(_cheapest([1.0, 2.0, 3.0], 3, 0)) == [0, 1, 2]
-        population = _equal_theta_population(5)
-        [(_, _, winners)], _ = bid_cell(equal_theta_config(5, 5), population, _cheapest, 3)
+        config = equal_theta_config(5, 5)
+        [(_, _, winners)], _ = bid_cell(config, _equal_theta_tree(config), _cheapest, 3)
         assert sorted(winners) == list(range(5))
 
     def test_cost_anchored_bids_never_pay_below_cost(self):
@@ -726,16 +731,14 @@ class TestRandomized:
     def test_seed_determinism(self):
         bids = [1.0] * 5
         assert _uniform(bids, 2, 4) == _uniform(bids, 2, 4)
-        population = _equal_theta_population(5)
         config = equal_theta_config(5, 2)
-        assert bid_cell(config, population, _uniform, 4) == bid_cell(
-            config, population, _uniform, 4
-        )
+        tree = _equal_theta_tree(config)
+        assert bid_cell(config, tree, _uniform, 4) == bid_cell(config, tree, _uniform, 4)
 
     def test_everyone_wins_when_k_equals_population(self):
         assert sorted(_uniform([1.0] * 5, 5, 1)) == list(range(5))
-        population = _equal_theta_population(5)
-        [(_, _, winners)], _ = bid_cell(equal_theta_config(5, 5), population, _uniform, 1)
+        config = equal_theta_config(5, 5)
+        [(_, _, winners)], _ = bid_cell(config, _equal_theta_tree(config), _uniform, 1)
         assert sorted(winners) == list(range(5))
 
     def test_winners_never_paid_below_cost(self):
@@ -931,20 +934,20 @@ def reference_tables(config, played=None):
     )
     stores = {"chained": HashChainLedger, "vulnerable": PlainStore}
 
-    def market(k, mechanism):
+    def market(mechanism):
         row = auction.MECHANISMS[mechanism]
         regime = row if isinstance(row, Regime) else Regime.COMPLETE
-        return MarketParams(config.lam, config.delta, config.n_clients, k), regime
+        return MarketParams(config.lam, config.delta), regime
 
     def play(kind, seed, k, mechanism, mode="chained", tamper=None):
         """An `ours-*` cell's population, reports and per-round utilities."""
         population, test = build_population(config, seed)
-        params, regime = market(k, mechanism)
+        params, regime = market(mechanism)
         contracts = {
             i: solve(theta, params, regime) for i, theta in enumerate(population.thetas.tolist())
         }
         state = SimulationState(
-            ModelTree(population, agg, test, config.lam, config.delta),
+            ModelTree(population, agg, test, params),
             ledger=stores[mode](),
             rep_params=ReputationParams(config.w1, config.w2),
             trust_policy=config.trust_policy,
@@ -974,7 +977,7 @@ def reference_tables(config, played=None):
                             for rep, u in zip(reports, utilities)
                         ]
                     else:
-                        params, _ = market(k, mechanism)
+                        params, _ = market(mechanism)
                         _, won = reference_bid_rounds(config, mechanism, k, seed)
                         cell = [
                             (r, sum(server_utility_per_client(c, params) for c in w.values()),
@@ -1053,7 +1056,8 @@ class TestSharedTrajectory:
         reference = reference_tables(config).rounds
         for seed in dict.fromkeys(config.seeds):
             population, test = build_population(config, seed)
-            payoffs, _ = auction._prices(config, population, seed, False)
+            priced = _model_tree(config, population, test)
+            payoffs, _ = auction._prices(config, priced, seed, False)
             for k in config.k_values:
                 tree = _model_tree(config, population, test)
                 shared = auction._ours_cells(config, k, seed, tree, payoffs)
@@ -1222,7 +1226,7 @@ class TestModelTree:
         config = small_config(**self.CONFIG)
         population, test = build_population(config, 1)
         tree = _model_tree(config, population, test)
-        prices = auction._prices(config, population, 1, True)
+        prices = auction._prices(config, tree, 1, True)
         auction._grid_cells(config, 1, tree, *prices)
         calls = _local_train_calls(monkeypatch)
         assert auction._trace_rows(config, tree)
@@ -1232,7 +1236,7 @@ class TestModelTree:
         config = small_config(**self.CONFIG)
         population, test = build_population(config, 1)
         tree = _model_tree(config, population, test)
-        prices = auction._prices(config, population, 1, True)
+        prices = auction._prices(config, tree, 1, True)
         scored = []
         monkeypatch.setattr(
             auction, "banzhaf_exact", lambda *args: scored.append(args) or banzhaf_exact(*args)
@@ -1395,10 +1399,10 @@ class TestMechanismTable:
         assert config.mechanisms_ours() == ([mechanism] if ours else [])
         if ours:
             # The round's top 4 are priced with the regime's own contracts.
-            params = MarketParams(config.lam, config.delta, config.n_clients, 4)
+            params, k = MarketParams(config.lam, config.delta), 4
             contracts = solve(population.thetas, params, row)
             state = _fresh_state(config, _model_tree(config, population, test))
-            selected = run_round(state, params.k_select).selected
+            selected = run_round(state, k).selected
             assert rows[0]["server_utility"] == _server_utility(
                 selected, server_utility_per_client(contracts, params).tolist()
             )

@@ -259,6 +259,10 @@ class TestRunCommand:
                 (OVERFLOWING_SUM, "overflow a utility sum"),
                 # Checked before poison_count, whose bound it would break.
                 ("n_clients = -3", "n_clients must be a positive integer"),
+                # Every listed k, not only the first, lies in 1..n_clients (6).
+                ("k_select = 0", "1 <= k_select <= n_clients"),
+                ("k_select = -1", "1 <= k_select <= n_clients"),
+                ("k_select = 3, 7", "1 <= k_select <= n_clients"),
             ]
         ],
     )

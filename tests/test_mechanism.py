@@ -14,18 +14,19 @@ from flmarket.mechanism import (
     ic_diagnostic,
     information_rent,
     largest_term,
+    realized_value,
     server_utility_per_client,
     solve,
     solve_complete,
     solve_incomplete,
 )
 
-PARAMS = MarketParams(lam=1.0, delta=2.0, n_clients=10, k_select=3)
+PARAMS = MarketParams(lam=1.0, delta=2.0)
 GRID = [i / 1000 for i in range(1001)]
 
 
 def params_with(lam=1.0, delta=2.0):
-    return MarketParams(lam, delta, n_clients=10, k_select=3)
+    return MarketParams(lam, delta)
 
 
 class TestCost:
@@ -253,23 +254,17 @@ class TestIcDiagnostic:
 
 
 class TestMarketParams:
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            MarketParams(1.0, 2.0, n_clients=5, k_select=6)
-        with pytest.raises(ValueError):
-            MarketParams(1.0, 2.0, n_clients=5, k_select=0)
-
     def test_rejects_bad_slopes(self):
         with pytest.raises(ValueError):
-            MarketParams(0.0, 2.0, 5, 2)
+            MarketParams(0.0, 2.0)
         with pytest.raises(ValueError):
-            MarketParams(1.0, -1.0, 5, 2)
+            MarketParams(1.0, -1.0)
 
     @given(log_lam=st.floats(-300.0, 300.0), log_delta=st.floats(-300.0, 300.0))
     def test_accepted_markets_form_only_finite_terms(self, log_lam, log_delta):
         lam, delta = 10.0**log_lam, 10.0**log_delta
         try:
-            params = MarketParams(lam, delta, 1, 1)
+            params = MarketParams(lam, delta)
         except ValueError:
             return
         q_top = solve_complete(1.0, params).q
@@ -393,3 +388,56 @@ class TestArrayForms:
         assert Contract(1.0, 0.5) != Contract(1.0, 0.25)
         assert Contract(1.0, 0.5) != (1.0, 0.5)
         assert hash(Contract(1.0, 0.5)) == hash(Contract(1.0, 0.5))
+
+
+def _with_fractions(thetas):
+    """`thetas` and as many fractions in [0, 1], each of the top output."""
+    n = len(thetas)
+    return st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(
+        lambda fractions: (thetas, np.array(fractions))
+    )
+
+
+class TestOneCostFormula:
+    """The cost q^2 / (1 + delta*theta) is written once: the complete
+    transfer and the realized value form it with `cost`'s bits, on floats
+    and on arrays of types that hold 0 and 1."""
+
+    @given(thetas=THETA_ARRAYS, market=MARKETS)
+    def test_the_complete_transfer_is_the_cost(self, thetas, market):
+        lam, delta = market
+        assume(math.isfinite(largest_term(lam, delta)))
+        params = MarketParams(lam, delta)
+        for theta in (thetas, *thetas.tolist()):
+            contract = solve_complete(theta, params)
+            assert bits(contract.r) == bits(cost(contract.q, theta, delta))
+            # So the client keeps exactly nothing, not merely to a tolerance.
+            assert np.all(client_utility(contract, theta, delta) == 0.0)
+
+    @given(typed=THETA_ARRAYS.flatmap(_with_fractions), market=MARKETS)
+    def test_a_realized_value_is_the_value_less_the_cost(self, typed, market):
+        thetas, fractions = typed
+        lam, delta = market
+        assume(math.isfinite(largest_term(lam, delta)))
+        params = MarketParams(lam, delta)
+        outputs = fractions * solve_complete(1.0, params).q
+        for q, theta in ((outputs, thetas), *zip(outputs.tolist(), thetas.tolist())):
+            assert bits(realized_value(q, theta, params)) == bits(lam * q - cost(q, theta, delta))
+
+    @given(
+        thetas=THETA_ARRAYS,
+        q=st.floats(-1.0, -1e-3),
+        market=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(
+            lambda logs: (10.0 ** logs[0], 10.0 ** logs[1])
+        ),
+    )
+    def test_a_negative_realized_output_is_charged_its_cost(self, thetas, q, market):
+        # A poisoned client's gain is negative: `cost` would reject it, but
+        # its value is still lam * q less the cost of |q|, finite and below
+        # lam * q.
+        lam, delta = market
+        params = MarketParams(lam, delta)
+        for theta in (thetas, *thetas.tolist()):
+            value = realized_value(q, theta, params)
+            assert np.all(np.isfinite(value)) and np.all(value < lam * q)
+            assert bits(value) == bits(lam * q - cost(-q, theta, delta))

@@ -192,8 +192,8 @@ def test_each_cell_plays_through_one_path():
 def test_only_the_offers_name_a_regime():
     # A regime is an argument of `solve` alone, and only the seed's pricing
     # solves, so rounds are played and cells priced with no regime: past
-    # the mechanism table, only `_prices` names one, and only it builds a
-    # market.
+    # the mechanism table, only `_prices` names one, and it prices in the
+    # market its tree carries.
     tree = ast.parse(AUCTION.read_text(), filename=str(AUCTION))
     named = _scopes_where(
         tree,
@@ -205,7 +205,48 @@ def test_only_the_offers_name_a_regime():
         name: _scopes_where(tree, lambda node, name=name: _callee(node) == name)
         for name in ("solve", "MarketParams")
     }
-    assert calls == {"solve": ["_prices"], "MarketParams": ["_prices"]}
+    assert calls == {"solve": ["_prices"], "MarketParams": ["_model_tree"]}
+
+
+def test_a_seed_has_one_market():
+    # A seed's market is built once, with its tree (`_model_tree`, the one
+    # caller of MarketParams), and the tree carries it to pricing and to
+    # scoring: no other auction function reads the config's lambda or delta.
+    read = _scopes_where(
+        ast.parse(AUCTION.read_text(), filename=str(AUCTION)),
+        lambda node: isinstance(node, ast.Attribute) and node.attr in {"lam", "delta"}
+        and isinstance(node.value, ast.Name) and node.value.id == "config",
+    )
+    assert read == ["_model_tree", "_model_tree"], read
+
+
+def _module_functions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+MECHANISM = Path(flmarket.__file__).parent / "mechanism.py"
+
+
+def test_the_cost_model_is_written_once():
+    # The cost q^2 / (1 + delta*theta) is one expression in mechanism.py,
+    # which `cost`, the complete-information transfer and the realized value
+    # of a contribution share, so no two of them can charge differently.
+    divided = sorted(
+        f"{path.stem}.{scope}"
+        for path in SOURCES
+        for scope in _scopes_where(
+            ast.parse(path.read_text(), filename=str(path)),
+            lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Add)
+            and ast.unparse(node.right.left) == "1.0"
+            and isinstance(node.right.right, ast.BinOp)
+            and isinstance(node.right.right.op, ast.Mult),
+        )
+    )
+    assert divided == ["mechanism._cost"], divided
+    assert "realized_value" in _module_functions(MECHANISM)
+    assert "realized_value" not in _module_functions(AUCTION)
 
 
 def _auction_functions():
