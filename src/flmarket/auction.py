@@ -14,9 +14,9 @@ the clients' thetas and the market, never on round state or k, so each
 seed prices them once (`_prices`): one `solve` per regime on the
 population's thetas, whose `Contract` holds every client's terms as arrays.
 Participation holds by construction, checked once per regime: every client
-accepts every `ours-*` contract, so the regime does not enter a round. One
-trajectory per (seed, k) is played, and each `ours-*` mechanism prices it
-with its own payoffs.
+accepts every `ours-*` contract, so the regime does not enter a round. A
+seed's prices are keyed by mechanism name, so one trajectory per (seed, k)
+is played, and each `ours-*` mechanism prices it with its own payoffs.
 
 A seed's population is fixed for a whole run, and so are its poisoners'
 flipped labels: `build_population` draws every round's flips once into the
@@ -36,9 +36,10 @@ The two buyers'-market baselines are rows of the same table: each holds its
 winner rule. Every client bids its cost at the median complete-information
 output times a random margin, the rule picks the winners, and each winner
 is paid its bid. The bids and the server's payoff from each read neither k
-nor the rule, so each seed draws them once, as a bid book (`_prices`,
-every round's bids and payoffs in one array each), and `run_cell` plays
-one baseline cell by applying its rule to every round's bids.
+nor the rule, so each seed draws them once, as one bid book (`_prices`,
+every round's bids and payoffs in one array each) that every listed
+baseline's name maps to, and `run_cell` plays one baseline cell by applying
+its rule to every round's bids.
 """
 
 from __future__ import annotations
@@ -423,22 +424,24 @@ def _play(
     return reports
 
 
-def _prices(
-    config, tree: ModelTree, seed: int, baselines: bool
-) -> tuple[dict[Regime, list[float]], list[BidRound] | None]:
-    """The prices of the seed of `tree`, in its market, which read no k: the
-    server's payoff from each client, in population order, under each listed
-    `ours-*` regime's contracts, and the complete one's if `baselines`, whose
-    outputs fix their target output; and, if `baselines`, the bid book.
-    Raises RuntimeError, naming the regime and the clients, if a client's
-    utility from its contract is below 0. In round r every client bids its
-    cost of the median complete-information output times a margin drawn
+def _prices(config, tree: ModelTree, seed: int) -> dict[str, list[float] | list[BidRound]]:
+    """The price of each listed mechanism for the seed of `tree`, in its
+    market, keyed by name; none reads k. An `ours-*` mechanism's price is
+    its payoff list: the server's payoff from each client, in population
+    order, under its regime's contracts, each regime solved once. Every
+    baseline's price is the seed's one bid book, drawn only if a baseline
+    is listed, whose target output is the median of the complete
+    contracts' outputs. Raises RuntimeError, naming the regime and the
+    clients, if a client's utility from its contract is below 0. In round r
+    every client bids its cost of the target output times a margin drawn
     uniformly from [1.0, 1.3], in population order, from
     `default_rng((seed, r))`; each bid is a contract for that output. The
     payoffs and bids are Python floats, whose repr is the bare number the
     CSV holds."""
     market, thetas = tree.market, tree.population.thetas
-    regimes = [MECHANISMS[m] for m in config.mechanisms_ours()] + [Regime.COMPLETE] * baselines
+    ours = config.mechanisms_ours()
+    baselines = len(ours) < len(config.mechanisms)
+    regimes = [MECHANISMS[m] for m in ours] + [Regime.COMPLETE] * baselines
     payoffs, outputs = {}, {}
     for regime in dict.fromkeys(regimes):
         contracts = solve(thetas, market, regime)
@@ -450,31 +453,16 @@ def _prices(
             )
         payoffs[regime] = server_utility_per_client(contracts, market).tolist()
         outputs[regime] = contracts.q
-    if not baselines:
-        return payoffs, None
-    target_q = statistics.median(outputs[Regime.COMPLETE].tolist())
-    margins = np.empty((config.rounds, len(thetas)))
-    for r, row in enumerate(margins):
-        np.random.default_rng((seed, r)).random(out=row)
-    bids = cost(target_q, thetas, market.delta) * (1.0 + 0.3 * margins)
-    bid_payoffs = server_utility_per_client(Contract(target_q, bids), market)
-    return payoffs, list(map(BidRound, bids.tolist(), bid_payoffs.tolist()))
-
-
-def _ours_cells(
-    config, k: int, seed: int, tree: ModelTree, payoffs: dict[Regime, list[float]]
-) -> dict[str, list[dict]]:
-    """The rows of every `ours-*` mechanism's cell at k: one trajectory,
-    played at k and priced with each mechanism's payoffs from `_prices`."""
-    reports = _play(config, tree, k)
-    return {
-        mechanism: _rows(
-            mechanism, k, seed,
-            ((rep.round, rep.selected, payoffs[MECHANISMS[mechanism]], rep.accuracy_global)
-             for rep in reports),
-        )
-        for mechanism in config.mechanisms_ours()
-    }
+    book = None
+    if baselines:
+        target_q = statistics.median(outputs[Regime.COMPLETE].tolist())
+        margins = np.empty((config.rounds, len(thetas)))
+        for r, row in enumerate(margins):
+            np.random.default_rng((seed, r)).random(out=row)
+        bids = cost(target_q, thetas, market.delta) * (1.0 + 0.3 * margins)
+        bid_payoffs = server_utility_per_client(Contract(target_q, bids), market)
+        book = list(map(BidRound, bids.tolist(), bid_payoffs.tolist()))
+    return {m: payoffs[MECHANISMS[m]] if m in ours else book for m in config.mechanisms}
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +488,22 @@ COLUMNS = Tables(
 
 
 def _grid_cells(
-    config, seed: int, tree: ModelTree, payoffs: dict[Regime, list[float]],
-    book: list[BidRound] | None,
+    config, seed: int, tree: ModelTree, prices: dict
 ) -> dict[tuple[int, str], list[dict]]:
-    """The rows of every (k, mechanism) cell of the seed, on its prices from
-    `_prices`: the `ours-*` cells' payoffs and the baselines' bid book
-    (None if no baseline is listed)."""
+    """The rows of every (k, mechanism) cell of the seed, on its `prices`
+    from `_prices`: at each k, one `ours-*` trajectory is played and each
+    `ours-*` mechanism prices it with its payoff list, and each baseline
+    plays the bid book (`run_cell`)."""
     out, ours = {}, config.mechanisms_ours()
     for k in config.k_values:
-        cells = _ours_cells(config, k, seed, tree, payoffs) if ours else {}
+        reports = _play(config, tree, k) if ours else []
         for mechanism in config.mechanisms:
-            if mechanism not in cells:
-                cells[mechanism] = run_cell(mechanism, k, seed, book)
-            out[k, mechanism] = cells[mechanism]
+            price = prices[mechanism]
+            if mechanism in ours:
+                rounds = ((rep.round, rep.selected, price, rep.accuracy_global) for rep in reports)
+                out[k, mechanism] = _rows(mechanism, k, seed, rounds)
+            else:
+                out[k, mechanism] = run_cell(mechanism, k, seed, price)
     return out
 
 
@@ -563,16 +554,17 @@ def _tamper_grid(config) -> list[tuple[float, float, str]]:
 
 
 def _tamper_totals(
-    config, seed: int, tree: ModelTree, payoffs: dict[Regime, list[float]]
+    config, seed: int, tree: ModelTree, prices: dict
 ) -> dict[tuple[float, float, str], float]:
     """Total server utility of each tamper cell of the seed: the first
-    `ours-*` mechanism, which the caller checks exists, at the first k, on
-    the cell's store, attacked after every round."""
-    mechanism_payoffs = payoffs[MECHANISMS[config.mechanisms_ours()[0]]]
+    `ours-*` mechanism, which the caller checks exists, priced with its
+    payoff list from `prices`, at the first k, on the cell's store,
+    attacked after every round."""
+    payoffs = prices[config.mechanisms_ours()[0]]
     k = config.k_values[0]
     return {
         (alpha, beta, mode): sum(
-            _server_utility(rep.selected, mechanism_payoffs)
+            _server_utility(rep.selected, payoffs)
             for rep in _play(config, tree, k, mode, TamperConfig(alpha, beta, seed))
         )
         for alpha, beta, mode in _tamper_grid(config)
@@ -591,15 +583,14 @@ def _robustness_rows(config, by_seed: dict) -> list[dict]:
 def run_tables(config) -> Tables:
     """Every table of one run, from one pass over the distinct seeds.
 
-    Each seed's population, `ModelTree` and prices (`_prices`: the
-    `ours-*` payoffs and, if a baseline is listed, the bid book) are made
-    once, and its grid cells, its tamper cells and, for the first listed
-    seed, the reputation trace all run on them, so each selection history
-    of the seed is trained once; they are freed before the next seed's are
-    made. With `rounds = 0` the grid and the trace are empty.
+    Each seed's population, `ModelTree` and prices (`_prices`: each
+    mechanism's, keyed by its name) are made once, and its grid cells, its
+    tamper cells and, for the first listed seed, the reputation trace all
+    run on them, so each selection history of the seed is trained once;
+    they are freed before the next seed's are made. With `rounds = 0` the
+    grid and the trace are empty.
     """
     play = config.rounds > 0
-    baselines = play and config.mechanisms != config.mechanisms_ours()
     trace_seed = config.seeds[0] if play and config.mechanisms_ours() else None
     tamper = bool(config.tamper_alphas)
     if not (play or tamper):
@@ -608,14 +599,14 @@ def run_tables(config) -> Tables:
     for seed in dict.fromkeys(config.seeds):
         population, test = build_population(config, seed)
         tree = _model_tree(config, population, test)
-        payoffs, book = _prices(config, tree, seed, baselines)
+        prices = _prices(config, tree, seed)
         if play:
-            cells[seed] = _grid_cells(config, seed, tree, payoffs, book)
+            cells[seed] = _grid_cells(config, seed, tree, prices)
         if seed == trace_seed:
             trace = _trace_rows(config, tree)
         if tamper:
-            totals[seed] = _tamper_totals(config, seed, tree, payoffs)
-        del population, test, tree, payoffs, book  # before the next seed's are made
+            totals[seed] = _tamper_totals(config, seed, tree, prices)
+        del population, test, tree, prices  # before the next seed's are made
     return Tables(
         *(_grid_tables(config, cells) if play else ([], [])),
         trace,

@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="print the contract for one client type")
     p_solve.add_argument("--theta", type=float, required=True)
-    p_solve.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_solve.add_argument("--delta", type=float, default=2.0)
+    p_solve.add_argument("--lambda", dest="lam", type=float, default=ExperimentConfig.lam)
+    p_solve.add_argument("--delta", type=float, default=ExperimentConfig.delta)
     p_solve.add_argument(
         "--regime", choices=[r.value for r in Regime], default="complete"
     )

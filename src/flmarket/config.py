@@ -1,10 +1,16 @@
-"""Flat key-value experiment configuration with typed validation."""
+"""Flat key-value experiment configuration with typed validation.
+
+Each key is an `ExperimentConfig` field and is parsed by the field's type,
+so a new key is one new field; only `k_select` and `lambda` are spelled
+apart from their fields (`_RENAMED`).
+"""
 
 from __future__ import annotations
 
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .auction import MECHANISMS
 from .flsim import AggregationConfig, Aggregator, PoisonConfig
@@ -17,7 +23,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     n_clients: int = 10
     k_values: list[int] = field(default_factory=lambda: [3])
@@ -148,41 +154,28 @@ class ExperimentConfig:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+def _parser(hint):
+    """The parser of a key whose field has type `hint`: the type itself for
+    a scalar, or for a list, a comma-separated list of its items, empty
+    entries skipped. `int` and `float` accept surrounding spaces, so only a
+    string item is stripped, and a bad number's message quotes the entry as
+    written."""
+    if get_origin(hint) is not list:
+        return hint
+    (item,) = get_args(hint)
+    return lambda raw: [
+        tok.strip() if item is str else item(tok) for tok in raw.split(",") if tok.strip()
+    ]
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+# The two keys spelled apart from their field; every other key is its field.
+_RENAMED = {"k_select": "k_values", "lambda": "lam"}
+_KEY_OF = {name: key for key, name in _RENAMED.items()}
 
-
-def _parse_str_list(raw: str) -> list[str]:
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
-
-
-_PARSERS = {
-    "n_clients": ("n_clients", int),
-    "k_select": ("k_values", _parse_int_list),
-    "rounds": ("rounds", int),
-    "seeds": ("seeds", _parse_int_list),
-    "lambda": ("lam", float),
-    "delta": ("delta", float),
-    "mechanisms": ("mechanisms", _parse_str_list),
-    "aggregation": ("aggregation", Aggregator),
-    "local_epochs": ("local_epochs", int),
-    "learning_rate": ("learning_rate", float),
-    "prox_mu": ("prox_mu", float),
-    "w1": ("w1", float),
-    "w2": ("w2", float),
-    "theta_min": ("theta_min", float),
-    "theta_max": ("theta_max", float),
-    "poison_count": ("poison_count", int),
-    "poison_flip_rate": ("poison_flip_rate", float),
-    "tamper_alphas": ("tamper_alphas", _parse_float_list),
-    "tamper_betas": ("tamper_betas", _parse_float_list),
-    "ledger_modes": ("ledger_modes", _parse_str_list),
-    "trust_policy": ("trust_policy", str),
-    "output_dir": ("output_dir", str),
+# Each key's field and parser, read from the field's type.
+_KEYS = {
+    _KEY_OF.get(name, name): (name, _parser(hint))
+    for name, hint in get_type_hints(ExperimentConfig).items()
 }
 
 
@@ -193,8 +186,7 @@ def parse_config(path) -> ExperimentConfig:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    config = ExperimentConfig()
-    first_line = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -204,17 +196,18 @@ def parse_config(path) -> ExperimentConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(
                 f"{path}:{lineno}: key {key!r} given twice (first on line {first_line[key]})"
             )
         first_line[key] = lineno
-        attr, parser = _PARSERS[key]
+        name, parser = _KEYS[key]
         try:
-            setattr(config, attr, parser(raw))
+            values[name] = parser(raw)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    config = ExperimentConfig(**values)
     config.validate()
     return config

@@ -95,14 +95,14 @@ def played(reports):
 class TestRunRound:
     def test_single_top_type_client_fixture(self):
         population, config, state = single_client_setup()
-        payoffs, _ = auction._prices(config, state.tree, 0, False)
+        prices = auction._prices(config, state.tree, 0)
         report = run_round(state, 1)
         assert report.selected == [0]
         params = MarketParams(1.0, 2.0)
         assert solve(population.thetas, params, Regime.COMPLETE).r.tolist() == pytest.approx(
             [0.75], abs=1e-12
         )
-        assert _server_utility(report.selected, payoffs[Regime.COMPLETE]) == pytest.approx(
+        assert _server_utility(report.selected, prices["ours-complete"]) == pytest.approx(
             0.75, abs=1e-12
         )
 
@@ -129,14 +129,14 @@ class TestRunRound:
         population, test = build_population(config, seed=5)
         thetas = population.thetas.tolist()
         params, k = MarketParams(1.3, 2.0), 4
-        payoffs, _ = auction._prices(config, _model_tree(config, population, test), 5, False)
-        for regime in (Regime.COMPLETE, Regime.INCOMPLETE):
+        prices = auction._prices(config, _model_tree(config, population, test), 5)
+        for mechanism in config.mechanisms_ours():
             state = _fresh_state(config, _model_tree(config, population, test))
-            contracts = solve(population.thetas, params, regime)
+            contracts = solve(population.thetas, params, auction.MECHANISMS[mechanism])
             q, r = contracts.q.tolist(), contracts.r.tolist()
             for _ in range(2):
                 rep = run_round(state, k)
-                lhs = _server_utility(rep.selected, payoffs[regime]) + sum(
+                lhs = _server_utility(rep.selected, prices[mechanism]) + sum(
                     client_utility(Contract(q[i], r[i]), thetas[i], params.delta)
                     for i in rep.selected
                 )
@@ -161,8 +161,8 @@ class TestRunRound:
         config = small_config(rounds=4)
         population, test = build_population(config, seed=7)
         state = _fresh_state(config, _model_tree(config, population, test))
-        payoffs, _ = auction._prices(config, state.tree, 7, False)
-        payoffs_ci, payoffs_in = payoffs[Regime.COMPLETE], payoffs[Regime.INCOMPLETE]
+        prices = auction._prices(config, state.tree, 7)
+        payoffs_ci, payoffs_in = prices["ours-complete"], prices["ours-incomplete"]
         # Both regimes price the one trajectory every client accepts.
         for _ in range(4):
             selected = run_round(state, 4).selected
@@ -538,13 +538,19 @@ def reference_bid_rounds(config, mechanism, k, seed):
     return target_q, rounds
 
 
+def bid_book(config, tree, seed):
+    """The seed's bid book: the price `_prices` gives the config's first
+    baseline, from the population and market of `tree`."""
+    baselines = [m for m in config.mechanisms if m not in config.mechanisms_ours()]
+    return auction._prices(config, tree, seed)[baselines[0]]
+
+
 def bid_cell(config, tree, rule, seed):
     """`run_cell`'s rows at the config's k on the seed's bid book
-    (`_prices` of the population and market of `tree`), with `rule` as the
-    winner rule, and every round as the rule played it: the bids it was
-    handed, their payoffs in the book, and the winners it picked, in its
-    order."""
-    _, book = auction._prices(config, tree, seed, True)
+    (`bid_book`), with `rule` as the winner rule, and every round as the
+    rule played it: the bids it was handed, their payoffs in the book, and
+    the winners it picked, in its order."""
+    book = bid_book(config, tree, seed)
     handed = []
 
     def spy(bids, k, rule_seed):
@@ -629,8 +635,7 @@ class TestBidRound:
              "accuracy": None, "n_selected": k}
             for r, won in enumerate(rounds)
         ]
-        _, book = auction._prices(config, tree, seed, True)
-        assert run_cell(mechanism, k, seed, book) == expected
+        assert run_cell(mechanism, k, seed, bid_book(config, tree, seed)) == expected
         assert run_tables(config).rounds == expected
 
     @pytest.mark.parametrize(
@@ -690,6 +695,52 @@ class TestBidRound:
             for seed in (1, 0)
             for regime in solved
         ]
+
+
+def _solved_regimes(monkeypatch):
+    """The regime of every `solve` call `auction` makes from here on."""
+    regimes = []
+
+    def counted(thetas, market, regime):
+        regimes.append(regime)
+        return solve(thetas, market, regime)
+
+    monkeypatch.setattr(auction, "solve", counted)
+    return regimes
+
+
+class TestPrices:
+    """A seed's prices are keyed by mechanism name: an `ours-*` name maps
+    to its payoff list, every baseline to the seed's one bid book."""
+
+    @pytest.mark.parametrize(
+        "mechanisms, solved",
+        [
+            (["randomized", "ours-incomplete", "price-first"],
+             [Regime.INCOMPLETE, Regime.COMPLETE]),
+            (["price-first", "randomized"], [Regime.COMPLETE]),
+            (["ours-incomplete"], [Regime.INCOMPLETE]),
+        ],
+        ids=["mixed", "baselines-only", "ours-only"],
+    )
+    def test_each_listed_mechanism_has_one_price(self, monkeypatch, mechanisms, solved):
+        regimes = _solved_regimes(monkeypatch)
+        config = small_config(mechanisms=mechanisms)
+        tree = _model_tree(config, *build_population(config, 4))
+        prices = auction._prices(config, tree, 4)
+        assert list(prices) == mechanisms
+        assert regimes == solved
+        for mechanism in config.mechanisms_ours():
+            contracts = solve(tree.population.thetas, tree.market, auction.MECHANISMS[mechanism])
+            assert prices[mechanism] == server_utility_per_client(contracts, tree.market).tolist()
+
+    def test_both_baselines_get_the_same_bid_book(self):
+        config = small_config()
+        tree = _model_tree(config, *build_population(config, 0))
+        prices = auction._prices(config, tree, 0)
+        assert prices["price-first"] is prices["randomized"]
+        assert len(prices["price-first"]) == config.rounds
+        assert all(isinstance(row, auction.BidRound) for row in prices["randomized"])
 
 
 class TestPriceFirst:
@@ -1057,10 +1108,12 @@ class TestSharedTrajectory:
         for seed in dict.fromkeys(config.seeds):
             population, test = build_population(config, seed)
             priced = _model_tree(config, population, test)
-            payoffs, _ = auction._prices(config, priced, seed, False)
+            prices = auction._prices(config, priced, seed)
             for k in config.k_values:
                 tree = _model_tree(config, population, test)
-                shared = auction._ours_cells(config, k, seed, tree, payoffs)
+                at_k = dataclasses.replace(config, k_values=[k])
+                cells = auction._grid_cells(at_k, seed, tree, prices)
+                shared = {m: cells[k, m] for m in config.mechanisms_ours()}
                 alone = {
                     m: [r for r in reference if (r["k"], r["mechanism"], r["seed"]) == (k, m, seed)]
                     for m in config.mechanisms_ours()
@@ -1226,8 +1279,7 @@ class TestModelTree:
         config = small_config(**self.CONFIG)
         population, test = build_population(config, 1)
         tree = _model_tree(config, population, test)
-        prices = auction._prices(config, tree, 1, True)
-        auction._grid_cells(config, 1, tree, *prices)
+        auction._grid_cells(config, 1, tree, auction._prices(config, tree, 1))
         calls = _local_train_calls(monkeypatch)
         assert auction._trace_rows(config, tree)
         assert calls == []
@@ -1236,12 +1288,12 @@ class TestModelTree:
         config = small_config(**self.CONFIG)
         population, test = build_population(config, 1)
         tree = _model_tree(config, population, test)
-        prices = auction._prices(config, tree, 1, True)
+        prices = auction._prices(config, tree, 1)
         scored = []
         monkeypatch.setattr(
             auction, "banzhaf_exact", lambda *args: scored.append(args) or banzhaf_exact(*args)
         )
-        auction._grid_cells(config, 1, tree, *prices)
+        auction._grid_cells(config, 1, tree, prices)
         assert scored
         scored.clear()
         assert auction._trace_rows(config, tree)

@@ -1,15 +1,20 @@
+import dataclasses
 import os
 import subprocess
 import sys
 import warnings
+from enum import Enum
 from pathlib import Path
 
 import pytest
 
 from flmarket import auction
 from flmarket.cli import main
-from flmarket.config import ConfigError, parse_config
+from flmarket.config import _KEYS, ConfigError, ExperimentConfig, parse_config
+from flmarket.flsim import Aggregator
 from flmarket.ledger import HashChainLedger
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "example.cfg"
 
 
 SMALL_CONFIG = """\
@@ -101,7 +106,85 @@ class TestParseConfig:
         assert a.digest() != c.digest()
 
 
+# A config that sets every key away from its default.
+NON_DEFAULT = ExperimentConfig(
+    n_clients=7, k_values=[2, 3], rounds=4, seeds=[3, 1], lam=1.5, delta=1.25,
+    mechanisms=["randomized", "ours-incomplete"], aggregation=Aggregator.SCAFFOLD,
+    local_epochs=4, learning_rate=0.25, prox_mu=0.05, w1=0.25, w2=0.75,
+    theta_min=0.1, theta_max=0.9, poison_count=2, poison_flip_rate=0.5,
+    tamper_alphas=[0.1, 0.2], tamper_betas=[2.0], ledger_modes=["vulnerable", "chained"],
+    trust_policy="zero", output_dir="elsewhere",
+)
+
+
+def config_lines(config):
+    """`config` as "key = value" lines, one for each key of the parse table."""
+
+    def text(value):
+        if isinstance(value, list):
+            return ", ".join(map(str, value))
+        return value.value if isinstance(value, Enum) else str(value)
+
+    return "".join(f"{key} = {text(getattr(config, name))}\n" for key, (name, _) in _KEYS.items())
+
+
+class TestConfigKeys:
+    """Each key is its field, parsed by the field's type; only `k_select`
+    and `lambda` are spelled apart from theirs."""
+
+    def test_every_key_is_a_field(self):
+        assert sorted(name for name, _ in _KEYS.values()) == sorted(
+            f.name for f in dataclasses.fields(ExperimentConfig)
+        )
+        renamed = {key: name for key, (name, _) in _KEYS.items() if key != name}
+        assert renamed == {"k_select": "k_values", "lambda": "lam"}
+
+    def test_a_non_default_config_parses_back_equal(self, tmp_path):
+        default = ExperimentConfig()
+        assert all(
+            getattr(NON_DEFAULT, f.name) != getattr(default, f.name)
+            for f in dataclasses.fields(ExperimentConfig)
+        )
+        parsed = parse_config(write_config(tmp_path, config_lines(NON_DEFAULT)))
+        assert parsed == NON_DEFAULT
+        assert parsed.digest() == NON_DEFAULT.digest()
+
+    def test_the_example_sets_every_key_once(self):
+        keys = [
+            line.partition("=")[0].strip()
+            for line in EXAMPLE.read_text().splitlines()
+            if line.strip() and not line.lstrip().startswith("#")
+        ]
+        assert sorted(keys) == sorted(_KEYS)
+
+    @pytest.mark.parametrize("line", ["k_values = 3", "lam = 1"])
+    def test_a_field_spelled_apart_from_its_key_is_unknown(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, small_config(tmp_path, line))
+        assert main(["run", str(path)]) == 2
+        key = line.partition(" ")[0]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_config_is_frozen(self):
+        config = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.rounds = 3
+        assert dataclasses.replace(config, rounds=3).rounds == 3
+        assert config.rounds == ExperimentConfig.rounds
+
+
 class TestSolveCommand:
+    def test_defaults_are_the_config_market(self, capsys, monkeypatch):
+        assert main(["solve", "--theta", "0.8"]) == 0
+        assert capsys.readouterr().out == "regime=complete theta=0.8 q=1.3 r=0.65\n"
+        # Read from ExperimentConfig when the parser is built, not restated.
+        monkeypatch.setattr(ExperimentConfig, "lam", 1.5)
+        monkeypatch.setattr(ExperimentConfig, "delta", 0.5)
+        assert main(["solve", "--theta", "0.8"]) == 0
+        defaulted = capsys.readouterr().out
+        assert main(["solve", "--theta", "0.8", "--lambda", "1.5", "--delta", "0.5"]) == 0
+        assert capsys.readouterr().out == defaulted != "regime=complete theta=0.8 q=1.3 r=0.65\n"
+
     def test_complete_top_type(self, capsys):
         assert main(["solve", "--theta", "1.0"]) == 0
         out = capsys.readouterr().out

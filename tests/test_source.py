@@ -408,7 +408,7 @@ def test_rounds_are_priced_in_one_place():
     assert calls == {
         "server_utility_per_client": ["auction._prices", "auction._prices"],
         "_server_utility": ["auction._rows", "auction._tamper_totals"],
-        "_rows": ["auction._ours_cells", "auction.run_cell"],
+        "_rows": ["auction._grid_cells", "auction.run_cell"],
     }
     # Only _rows writes a row's server utility.
     writers = [
@@ -436,7 +436,7 @@ def test_cells_draw_and_price_nothing():
     functions = _auction_functions()
     calls = sorted(
         f"{root} reaches {name}, which calls {callee}"
-        for root in ("run_cell", "_ours_cells", "_tamper_totals")
+        for root in ("run_cell", "_grid_cells", "_tamper_totals")
         for name in _reached(functions, root)
         for node in ast.walk(functions[name])
         if (callee := _callee(node))
